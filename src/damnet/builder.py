@@ -211,7 +211,7 @@ def plan_architecture(config: DenseNetConfig) -> ArchitectureTable:
 
     stages: list[StageRecord] = []
     h, w = config.input_height, config.input_width
-    oh, ow = conv_output_size(h, 3, 1, 0), conv_output_size(w, 3, 1, 0)
+    oh, ow = conv_output_size(h, 3, 0), conv_output_size(w, 3, 0)
     if oh < 1 or ow < 1:
         raise ConfigError(f"input {h}x{w} too small for the initial 3x3 convolution")
     stages.append(StageRecord(

@@ -141,11 +141,15 @@ def load_checkpoint(path) -> Model:
             raise FormatError(
                 f"implausible tensor name length {name_len}", offset=reader.offset - 4
             )
-        name = reader.take(name_len, "name").decode("utf-8")
+        name_offset = reader.offset
+        try:
+            name = reader.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"undecodable tensor name: {exc}", offset=name_offset) from exc
         if name not in targets:
-            raise FormatError(f"unknown tensor '{name}'", offset=reader.offset - name_len)
+            raise FormatError(f"unknown tensor '{name}'", offset=name_offset)
         if name in seen:
-            raise FormatError(f"duplicate tensor '{name}'", offset=reader.offset - name_len)
+            raise FormatError(f"duplicate tensor '{name}'", offset=name_offset)
         seen.add(name)
         rank = reader.u32("rank")
         shape = tuple(reader.u32(f"extent {d}") for d in range(rank))

@@ -25,8 +25,8 @@ def he_normal(rng, shape, fan_in: int, dtype) -> np.ndarray:
     return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
 
 
-def conv_output_size(extent: int, kernel: int, stride: int, pad: int) -> int:
-    return (extent + 2 * pad - kernel) // stride + 1
+def conv_output_size(extent: int, kernel: int, pad: int) -> int:
+    return extent + 2 * pad - kernel + 1
 
 
 def pool_output_size(extent: int) -> int:
@@ -34,71 +34,28 @@ def pool_output_size(extent: int) -> int:
     return extent // 2
 
 
-def concat_channels(inputs: list[np.ndarray]) -> np.ndarray:
-    """Concatenate feature maps along the channel axis, order preserved."""
-    if not inputs:
-        raise ShapeError("concat_channels needs at least one input")
-    first = inputs[0]
-    for x in inputs[1:]:
-        if x.ndim != first.ndim or x.shape[0] != first.shape[0] or x.shape[2:] != first.shape[2:]:
-            raise ShapeError(
-                f"concat_channels: incompatible shapes {first.shape} vs {x.shape}"
-            )
-    if len(inputs) == 1:
-        return first
-    return np.concatenate(inputs, axis=1)
-
-
-def split_channels(grad: np.ndarray, channel_sizes: list[int]) -> list[np.ndarray]:
-    """Exact inverse of concat_channels for gradients."""
-    if sum(channel_sizes) != grad.shape[1]:
-        raise ShapeError(
-            f"split_channels: sizes {channel_sizes} do not sum to {grad.shape[1]} channels"
-        )
-    return np.split(grad, np.cumsum(channel_sizes)[:-1], axis=1)
-
-
-def _im2col(x, kernel, stride, pad):
-    n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = conv_output_size(h, kernel, stride, pad)
-    ow = conv_output_size(w, kernel, stride, pad)
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            cols[:, :, i, j] = x[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kernel * kernel), oh, ow
-
-
-def _col2im(cols, x_shape, kernel, stride, pad, oh, ow):
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    dx = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(n, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    for i in range(kernel):
-        for j in range(kernel):
-            dx[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += cols[:, :, i, j]
-    if pad:
-        dx = dx[:, :, pad : hp - pad, pad : wp - pad]
-    return dx
-
-
 class Conv2d:
-    """2-D convolution without bias; batchnorm always follows it."""
+    """2-D stride-1 convolution without bias; batchnorm always follows it.
+
+    Shifted GEMM: each image is zero-padded once into a flat (C_in, P) grid
+    of row pitch Wp = W + 2*pad, and one GEMM against the weights as
+    (k*k*C_out, C_in) gives every tap at every grid position. Output
+    q = y*Wp + x sums tap (i, j)'s rows at q + i*Wp + j; reads that spill
+    past a row end belong to outputs x >= W_out, which the crop drops, so
+    the padding absorbs the spill. Backward shifts ``dout`` once per tap into
+    a (k*k*C_out, P) matrix and gets dW and dX from one GEMM each. GEMMs
+    run per image, so no frame's result depends on the rest of its batch.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, pad: int = 0, *, rng=None, dtype=np.float32):
+                 pad: int = 0, *, rng=None, dtype=np.float32):
         if kernel_size < 1:
             raise ConfigError(f"conv kernel size must be >= 1, got {kernel_size}")
-        if stride < 1:
-            raise ConfigError(f"conv stride must be >= 1, got {stride}")
         if pad < 0:
             raise ConfigError(f"conv pad must be >= 0, got {pad}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.pad = pad
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         fan_in = in_channels * kernel_size * kernel_size
@@ -109,27 +66,53 @@ class Conv2d:
         self.grad_weight = None
         self._cache = None
 
-    def output_size(self, h: int, w: int) -> tuple[int, int]:
-        return (conv_output_size(h, self.kernel_size, self.stride, self.pad),
-                conv_output_size(w, self.kernel_size, self.stride, self.pad))
+    def _taps(self, pitch: int):
+        """(k*k*C_out, C_in) weights, row t*C_out + o for tap t = i*k + j; tap shifts."""
+        k = self.kernel_size
+        matrix = self.weight.transpose(2, 3, 0, 1).reshape(-1, self.in_channels)
+        return matrix, [i * pitch + j for i in range(k) for j in range(k)]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(
-                f"conv2d expects (N, {self.in_channels}, H, W), got {x.shape}"
-            )
-        n = x.shape[0]
-        cols, oh, ow = _im2col(x, self.kernel_size, self.stride, self.pad)
-        self._cache = (x.shape, cols, oh, ow)
-        out = cols @ self.weight.reshape(self.out_channels, -1).T
-        return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+            raise ShapeError(f"conv2d expects (N, {self.in_channels}, H, W), got {x.shape}")
+        (n, c, h, w), k, p, co = x.shape, self.kernel_size, self.pad, self.out_channels
+        oh, ow = conv_output_size(h, k, p), conv_output_size(w, k, p)
+        if oh < 1 or ow < 1:
+            raise ShapeError(f"conv2d: {h}x{w} input is smaller than a {k}x{k} kernel with pad {p}")
+        wp = w + 2 * p
+        if p:
+            grid = np.zeros((n, c, h + 2 * p, wp), dtype=x.dtype)
+            grid[:, :, p : p + h, p : p + w] = x
+        else:
+            grid = np.ascontiguousarray(x)
+        grid = grid.reshape(n, c, -1)
+        self._cache = (x.shape, grid)
+        matrix, shifts = self._taps(wp)
+        per_tap = np.matmul(matrix, grid)
+        span = oh * wp - (k - 1)
+        out = np.empty((n, co, oh * wp), dtype=per_tap.dtype)
+        out[:, :, :span] = per_tap[:, :co, :span]
+        for t, shift in enumerate(shifts[1:], 1):
+            out[:, :, :span] += per_tap[:, t * co : (t + 1) * co, shift : shift + span]
+        return out.reshape(n, co, oh, wp)[:, :, :, :ow]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x_shape, cols, oh, ow = self._cache
-        dflat = dout.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        self.grad_weight = (dflat.T @ cols).reshape(self.weight.shape)
-        dcols = dflat @ self.weight.reshape(self.out_channels, -1)
-        return _col2im(dcols, x_shape, self.kernel_size, self.stride, self.pad, oh, ow)
+        (n, c, h, w), grid = self._cache
+        (oh, ow), k, p, co = dout.shape[2:], self.kernel_size, self.pad, self.out_channels
+        wp = w + 2 * p
+        matrix, shifts = self._taps(wp)
+        span = oh * wp - (k - 1)
+        placed = np.zeros((n, co, oh, wp), dtype=dout.dtype)
+        placed[:, :, :, :ow] = dout
+        placed = placed.reshape(n, co, -1)[:, :, :span]
+        shifted = np.zeros((n, k * k, co, grid.shape[2]), dtype=dout.dtype)
+        for t, shift in enumerate(shifts):
+            shifted[:, t, :, shift : shift + span] = placed
+        shifted = shifted.reshape(n, k * k * co, -1)
+        grad = np.matmul(shifted, grid.transpose(0, 2, 1)).sum(axis=0)
+        self.grad_weight = np.ascontiguousarray(grad.reshape(k, k, co, c).transpose(2, 3, 0, 1))
+        dgrid = np.matmul(matrix.T, shifted).reshape(n, c, h + 2 * p, wp)
+        return dgrid[:, :, p : p + h, p : p + w]
 
     def params(self):
         return {"weight": self.weight}
@@ -146,7 +129,7 @@ class BatchNorm:
 
     Train mode normalizes with batch statistics over (batch, height,
     width) and updates the running estimates in place; infer mode uses
-    the running estimates and has no side effects.
+    the running estimates and leaves them untouched.
     """
 
     def __init__(self, num_channels: int, epsilon: float = BN_EPSILON,
@@ -176,30 +159,36 @@ class BatchNorm:
                 raise DataError(
                     f"degenerate batch: {samples_per_channel} sample per channel, need >= 2"
                 )
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            inv = 1.0 / np.sqrt(var + self.epsilon)
-            xhat = (x - self._per_channel(mean)) * self._per_channel(inv)
+            mean = np.einsum("nchw->c", x) / samples_per_channel
+            xhat = x - self._per_channel(mean)
+            # centred second moment: no cancellation from E[x^2] - E[x]^2
+            var = np.einsum("nchw,nchw->c", xhat, xhat) / samples_per_channel
             self.running_mean[...] = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
             self.running_var[...] = self.momentum * self.running_var + (1.0 - self.momentum) * var
+            inv = 1.0 / np.sqrt(var + self.epsilon)
         else:
+            xhat = x - self._per_channel(self.running_mean)
             inv = 1.0 / np.sqrt(self.running_var + self.epsilon)
-            xhat = (x - self._per_channel(self.running_mean)) * self._per_channel(inv)
+        xhat *= self._per_channel(inv)
         self._cache = (train, xhat, inv)
-        return self._per_channel(self.gamma) * xhat + self._per_channel(self.beta)
+        out = xhat * self._per_channel(self.gamma)
+        out += self._per_channel(self.beta)
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         train, xhat, inv = self._cache
-        self.grad_gamma = (dout * xhat).sum(axis=(0, 2, 3))
-        self.grad_beta = dout.sum(axis=(0, 2, 3))
-        dxhat = dout * self._per_channel(self.gamma)
+        self.grad_gamma = np.einsum("nchw,nchw->c", dout, xhat)
+        self.grad_beta = np.einsum("nchw->c", dout)
+        scale = self._per_channel(self.gamma * inv)
         if not train:
-            return dxhat * self._per_channel(inv)
-        return self._per_channel(inv) * (
-            dxhat
-            - dxhat.mean(axis=(0, 2, 3), keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
-        )
+            return dout * scale
+        # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
+        count = dout.size // self.num_channels
+        dx = xhat * self._per_channel(-self.grad_gamma / count)
+        dx += dout
+        dx -= self._per_channel(self.grad_beta / count)
+        dx *= scale
+        return dx
 
     def params(self):
         return {"gamma": self.gamma, "beta": self.beta}
@@ -244,16 +233,18 @@ class AvgPool2d:
         n, c, h, w = x.shape
         if h < 2 or w < 2:
             raise ShapeError(f"avgpool2d needs spatial extents >= 2, got {h}x{w}")
+        self._cache = x.shape
         oh, ow = pool_output_size(h), pool_output_size(w)
-        self._cache = (x.shape, oh, ow)
-        windows = x[:, :, : 2 * oh, : 2 * ow].reshape(n, c, oh, 2, ow, 2)
-        return windows.mean(axis=(3, 5))
+        rows = x[:, :, 0 : 2 * oh : 2, : 2 * ow] + x[:, :, 1 : 2 * oh : 2, : 2 * ow]
+        out = rows[:, :, :, 0::2] + rows[:, :, :, 1::2]
+        out *= 0.25
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        (n, c, h, w), oh, ow = self._cache
-        dx = np.zeros((n, c, h, w), dtype=dout.dtype)
-        spread = np.broadcast_to((dout * 0.25)[:, :, :, None, :, None], (n, c, oh, 2, ow, 2))
-        dx[:, :, : 2 * oh, : 2 * ow] = spread.reshape(n, c, 2 * oh, 2 * ow)
+        (oh, ow), quarter = dout.shape[2:], dout * 0.25
+        dx = np.zeros(self._cache, dtype=dout.dtype)
+        for i, j in np.ndindex(2, 2):
+            dx[:, :, i : 2 * oh : 2, j : 2 * ow : 2] = quarter
         return dx
 
     def params(self):

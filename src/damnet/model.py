@@ -1,8 +1,10 @@
 """Executable densely-connected model realizing the planned architecture.
 
-Within a dense block, unit n consumes the concatenation of the block
-input and all n-1 prior unit outputs; the backward pass splits each
-upstream gradient back onto those sources exactly.
+Each dense block keeps its features in one (N, C_out, H, W) buffer: unit
+n reads the channel prefix holding the block input and the n-1 prior
+unit outputs, and writes its growth_rate channels after it. Backward runs
+the units in reverse, adding each one's input gradient into the prefix of
+one gradient buffer, so a unit's output gradient is complete when it runs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from .layers import (
     GlobalAvgPool,
     Linear,
     ReLU,
-    concat_channels,
-    split_channels,
 )
 
 
@@ -91,7 +91,7 @@ class DenseUnit:
 
 
 class DenseBlock:
-    """Stack of dense units with full concatenation wiring."""
+    """Dense units with full concatenation wiring over one feature buffer."""
 
     def __init__(self, in_channels: int, growth_rate: int, num_units: int,
                  bottleneck: bool, rng, dtype):
@@ -102,32 +102,32 @@ class DenseBlock:
                       growth_rate, bottleneck, rng, dtype)
             for n in range(1, num_units + 1)
         ]
-        # unit n concatenates feature 0 (the block input) and features 1..n-1
-        self.sources = [list(range(n)) for n in range(1, num_units + 1)]
-        self._feature_sizes = [in_channels] + [growth_rate] * num_units
 
     @property
     def out_channels(self) -> int:
         return self.in_channels + len(self.units) * self.growth_rate
 
     def wiring_edge_count(self) -> int:
-        return sum(len(s) for s in self.sources)
+        # a unit reading the block input and k prior outputs has k + 1 sources
+        return sum(1 + (u.in_channels - self.in_channels) // self.growth_rate for u in self.units)
 
     def forward(self, x, train=False):
-        features = [x]
-        for unit, sources in zip(self.units, self.sources):
-            joined = concat_channels([features[i] for i in sources])
-            features.append(unit.forward(joined, train))
-        return concat_channels(features)
+        if x.ndim != 4 or x.shape[1] != self.in_channels:
+            raise ShapeError(f"dense block expects (N, {self.in_channels}, H, W), got {x.shape}")
+        n, _, h, w = x.shape
+        features = np.empty((n, self.out_channels, h, w), dtype=x.dtype)
+        features[:, : self.in_channels] = x
+        for unit in self.units:
+            width = unit.in_channels
+            features[:, width : width + self.growth_rate] = unit.forward(features[:, :width], train)
+        return features
 
     def backward(self, dout):
-        sizes = self._feature_sizes
-        accum = [g.copy() for g in split_channels(dout, sizes)]
-        for n in range(len(self.units), 0, -1):
-            din = self.units[n - 1].backward(accum[n])
-            for i, part in zip(self.sources[n - 1], split_channels(din, sizes[:n])):
-                accum[i] += part
-        return accum[0]
+        grad = dout.copy()
+        for unit in reversed(self.units):
+            width = unit.in_channels
+            grad[:, :width] += unit.backward(grad[:, width : width + self.growth_rate])
+        return grad[:, : self.in_channels]
 
     def _children(self):
         return [(f"layer{n}", unit) for n, unit in enumerate(self.units, 1)]
@@ -143,7 +143,9 @@ class DenseBlock:
 
 
 class Transition:
-    """BN -> ReLU -> 1x1 conv to the compressed width -> 2x2 avg pool."""
+    """BN -> ReLU -> 2x2 avg pool -> 1x1 conv to the compressed width. Pooling
+    first equals the planned conv-then-pool exactly in real arithmetic (both
+    are linear, the conv acts per position) and runs the conv on 4x fewer rows."""
 
     def __init__(self, in_channels: int, out_channels: int, rng, dtype):
         self.bn = BatchNorm(in_channels, dtype=dtype)
@@ -152,11 +154,11 @@ class Transition:
         self.pool = AvgPool2d()
 
     def forward(self, x, train=False):
-        h = self.conv.forward(self.relu.forward(self.bn.forward(x, train)))
-        return self.pool.forward(h)
+        h = self.pool.forward(self.relu.forward(self.bn.forward(x, train)))
+        return self.conv.forward(h)
 
     def backward(self, dout):
-        d = self.conv.backward(self.pool.backward(dout))
+        d = self.pool.backward(self.conv.backward(dout))
         return self.bn.backward(self.relu.backward(d))
 
     def _children(self):
@@ -207,8 +209,9 @@ class ClassifierHead:
 class Model:
     """Ordered parameterized layer graph with dense-block wiring.
 
-    Infer-mode forwards are side-effect free; train-mode forwards update
-    the batchnorm running statistics, so callers must serialize them.
+    Train-mode forwards update the batchnorm running statistics, infer-mode
+    ones leave them untouched; both keep each layer's last ``_cache``/``_mask``
+    until the next forward, so calls on one model must be serialized.
     """
 
     def __init__(self, config: DenseNetConfig, seed: int, dtype=np.float32):

@@ -79,3 +79,15 @@ def test_loaded_model_gives_identical_inference(tmp_path):
     np.testing.assert_array_equal(
         model.forward(x, train=False), loaded.forward(x, train=False)
     )
+
+
+def test_undecodable_tensor_name(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    data = bytearray(path.read_bytes())
+    name_offset = data.index(b"initial_conv.weight")
+    data[name_offset] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.offset == name_offset

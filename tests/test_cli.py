@@ -220,6 +220,17 @@ class TestTrainEval:
         assert code == 2
         assert "(3, 11, 40)" in err and "(3, 7, 40)" in err
 
+    def test_undecodable_tensor_name_is_io_error(self, capsys, trained, tmp_path):
+        data = bytearray(trained["checkpoint"].read_bytes())
+        data[data.index(b"initial_conv.weight")] = 0xFF
+        corrupted = tmp_path / "corrupted.ckpt"
+        corrupted.write_bytes(bytes(data))
+        code, _, err = run_cli(capsys, "eval",
+                               "--set", f"checkpoint={corrupted}",
+                               "--set", f"eval_archive={trained['train_archive']}")
+        assert code == 3
+        assert "undecodable tensor name" in err
+
     def test_missing_checkpoint_is_io_error(self, capsys, trained):
         code, _, err = run_cli(capsys, "eval",
                                "--set", "checkpoint=/nonexistent/model.ckpt",

@@ -11,82 +11,106 @@ from damnet.layers import (
     GlobalAvgPool,
     Linear,
     ReLU,
-    concat_channels,
     conv_output_size,
     pool_output_size,
     softmax,
     softmax_cross_entropy,
-    split_channels,
 )
+from damnet.model import DenseBlock, Transition
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-class TestConcat:
-    def test_channel_counts_add(self):
-        a = rng().standard_normal((2, 12, 3, 4))
-        b = rng(1).standard_normal((2, 24, 3, 4))
-        out = concat_channels([a, b])
-        assert out.shape == (2, 36, 3, 4)
-        np.testing.assert_array_equal(out[:, :12], a)
-        np.testing.assert_array_equal(out[:, 12:], b)
+class TestDenseWiring:
+    @pytest.mark.parametrize("bottleneck", [False, True])
+    def test_dense_block_matches_explicit_concatenation(self, bottleneck):
+        r = rng(4)
+        block = DenseBlock(5, 3, 4, bottleneck=bottleneck, rng=r, dtype=np.float64)
+        x = r.standard_normal((3, 5, 4, 6))
+        dout = r.standard_normal((3, block.out_channels, 4, 6))
+        out = block.forward(x, train=True)
+        dx = block.backward(dout)
+        grads = {name: g.copy() for name, g in block.grads().items()}
 
-    def test_single_input_is_identity(self):
-        a = rng().standard_normal((2, 5, 3, 3))
-        assert concat_channels([a]) is a
+        # reference: the same units wired by explicit concatenation, with
+        # each unit's input gradient split back onto its sources
+        features = [x]
+        for unit in block.units:
+            features.append(unit.forward(np.concatenate(features, axis=1), train=True))
+        np.testing.assert_allclose(out, np.concatenate(features, axis=1), rtol=0, atol=1e-12)
+        sizes = [f.shape[1] for f in features]
+        accum = [g.copy() for g in np.split(dout, np.cumsum(sizes)[:-1], axis=1)]
+        for n in range(len(block.units), 0, -1):
+            din = block.units[n - 1].backward(accum[n])
+            for i, part in enumerate(np.split(din, np.cumsum(sizes[:n])[:-1], axis=1)):
+                accum[i] += part
+        np.testing.assert_allclose(dx, accum[0], rtol=0, atol=1e-12)
+        for name, g in block.grads().items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
-    def test_split_of_ones_gradient(self):
-        # direct index bookkeeping: each input gets an all-ones gradient
-        # of its own shape
-        a = rng().standard_normal((2, 3, 2, 2))
-        b = rng(1).standard_normal((2, 5, 2, 2))
-        grad = np.ones_like(concat_channels([a, b]))
-        ga, gb = split_channels(grad, [3, 5])
-        np.testing.assert_array_equal(ga, np.ones((2, 3, 2, 2)))
-        np.testing.assert_array_equal(gb, np.ones((2, 5, 2, 2)))
-
-    def test_mismatched_spatial_extents(self):
-        a = np.zeros((2, 3, 4, 4))
-        b = np.zeros((2, 3, 4, 5))
+    def test_dense_block_rejects_wrong_width(self):
+        block = DenseBlock(5, 3, 2, bottleneck=False, rng=rng(), dtype=np.float64)
         with pytest.raises(ShapeError):
-            concat_channels([a, b])
+            block.forward(np.zeros((2, 4, 3, 3)))
 
-    def test_empty_list(self):
-        with pytest.raises(ShapeError):
-            concat_channels([])
+    @pytest.mark.parametrize("h,w", [(4, 6), (5, 7), (9, 38)])
+    def test_transition_pool_first_equals_conv_first(self, h, w):
+        r = rng(h * w)
+        transition = Transition(6, 3, rng=r, dtype=np.float64)
+        x = r.standard_normal((3, 6, h, w))
+        dout = r.standard_normal((3, 3, h // 2, w // 2))
+        out = transition.forward(x, train=True)
+        dx = transition.backward(dout)
+        grad_weight = transition.conv.grad_weight.copy()
 
-    @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
-           st.integers(min_value=0, max_value=2 ** 31))
-    @settings(max_examples=40, deadline=None)
-    def test_split_reassembles_exactly(self, sizes, seed):
-        grad = np.random.default_rng(seed).standard_normal((2, sum(sizes), 2, 3))
-        parts = split_channels(grad, sizes)
-        assert [p.shape[1] for p in parts] == sizes
-        np.testing.assert_array_equal(np.concatenate(parts, axis=1), grad)
+        # reference: the planned order, 1x1 conv then pool, same weights
+        pool = AvgPool2d()
+        hidden = transition.relu.forward(transition.bn.forward(x, train=True))
+        reference = pool.forward(transition.conv.forward(hidden))
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
+        d = transition.conv.backward(pool.backward(dout))
+        d = transition.bn.backward(transition.relu.backward(d))
+        np.testing.assert_allclose(dx, d, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad_weight, transition.conv.grad_weight, rtol=0, atol=1e-12)
 
 
-def conv_reference(x, weight, stride, pad):
+def conv_reference(x, weight, pad):
     """Direct-summation convolution oracle (nested loops)."""
     n, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
+    oh = h + 2 * pad - kh + 1
+    ow = w + 2 * pad - kw + 1
     out = np.zeros((n, cout, oh, ow))
     for b in range(n):
         for o in range(cout):
             for i in range(oh):
                 for j in range(ow):
-                    patch = xp[b, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
-                    out[b, o, i, j] = (patch * weight[o]).sum()
+                    out[b, o, i, j] = (xp[b, :, i : i + kh, j : j + kw] * weight[o]).sum()
     return out
+
+
+def conv_reference_adjoint(x, weight, pad, dout):
+    """Input and weight gradients of conv_reference by direct summation."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(weight)
+    for b in range(n):
+        for o in range(cout):
+            for i in range(dout.shape[2]):
+                for j in range(dout.shape[3]):
+                    dxp[b, :, i : i + kh, j : j + kw] += dout[b, o, i, j] * weight[o]
+                    dw[o] += dout[b, o, i, j] * xp[b, :, i : i + kh, j : j + kw]
+    return dxp[:, :, pad : pad + h, pad : pad + w], dw
 
 
 class TestConv2d:
     def test_initial_conv_geometry(self):
-        conv = Conv2d(3, 16, 3, stride=1, pad=0, rng=rng())
+        conv = Conv2d(3, 16, 3, pad=0, rng=rng())
         out = conv.forward(rng().standard_normal((2, 3, 11, 40)).astype(np.float32))
         assert out.shape == (2, 16, 9, 38)
 
@@ -109,23 +133,37 @@ class TestConv2d:
         with pytest.raises(ShapeError):
             conv.forward(np.zeros((1, 2, 5, 5)))
 
-    @pytest.mark.parametrize("kernel,stride,pad", [(3, 1, 1), (3, 2, 0), (1, 1, 0), (3, 1, 0)])
-    def test_matches_direct_summation(self, kernel, stride, pad):
-        r = rng(kernel * 10 + stride)
-        conv = Conv2d(2, 3, kernel, stride=stride, pad=pad, rng=r, dtype=np.float64)
-        x = r.standard_normal((2, 2, 6, 7))
-        np.testing.assert_allclose(
-            conv.forward(x), conv_reference(x, conv.weight, stride, pad), atol=1e-12
-        )
+    @pytest.mark.parametrize("kernel,in_channels,pad", [
+        (3, 1, 1), (3, 2, 0), (1, 1, 0), (3, 1, 0), (3, 4, 1), (2, 2, 1),
+    ])
+    def test_matches_direct_summation(self, kernel, in_channels, pad):
+        # a batch of 3 so the flat grids of neighbouring images are
+        # exercised; 1xW and 1x1 inputs with pad 1 are the depth-41
+        # four-block net's last block
+        shapes = [(6, 7), (kernel, kernel)] + ([(1, 4), (1, 1), (2, 1)] if pad else [])
+        for h, w in shapes:
+            r = rng(kernel * 100 + in_channels * 10 + pad + h * w)
+            conv = Conv2d(in_channels, 3, kernel, pad=pad, rng=r, dtype=np.float64)
+            x = r.standard_normal((3, in_channels, h, w))
+            out = conv.forward(x)
+            np.testing.assert_allclose(out, conv_reference(x, conv.weight, pad),
+                                       rtol=0, atol=1e-12)
+            dout = r.standard_normal(out.shape)
+            dx_ref, dw_ref = conv_reference_adjoint(x, conv.weight, pad, dout)
+            np.testing.assert_allclose(conv.backward(dout), dx_ref, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(conv.grad_weight, dw_ref, rtol=0, atol=1e-10)
 
-    @given(st.integers(3, 12), st.integers(3, 12), st.sampled_from([1, 3]),
-           st.integers(1, 2), st.integers(0, 1))
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 3]), st.integers(0, 1))
     @settings(max_examples=30, deadline=None)
-    def test_shape_formula_matches_realized(self, h, w, kernel, stride, pad):
-        conv = Conv2d(1, 2, kernel, stride=stride, pad=pad, rng=rng(), dtype=np.float64)
-        out = conv.forward(np.zeros((1, 1, h, w)))
-        assert out.shape[2] == conv_output_size(h, kernel, stride, pad)
-        assert out.shape[3] == conv_output_size(w, kernel, stride, pad)
+    def test_shape_formula_matches_realized(self, h, w, kernel, pad):
+        conv = Conv2d(1, 2, kernel, pad=pad, rng=rng(), dtype=np.float64)
+        x = np.zeros((3, 1, h, w))
+        oh, ow = conv_output_size(h, kernel, pad), conv_output_size(w, kernel, pad)
+        if oh < 1 or ow < 1:
+            with pytest.raises(ShapeError):
+                conv.forward(x)
+            return
+        assert conv.forward(x).shape == (3, 2, oh, ow)
 
 
 class TestBatchNorm:
