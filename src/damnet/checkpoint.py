@@ -60,6 +60,14 @@ def _parse_config_text(text: str, offset: int) -> tuple[DenseNetConfig, int]:
             first_conv_channels=int(values["first_conv_channels"]),
         )
         seed = int(values["seed"])
+        # infer-mode batchnorm folds epsilon into every output: a model
+        # trained with other constants would silently compute something else
+        for key, expected in (("bn_epsilon", BN_EPSILON), ("bn_momentum", BN_MOMENTUM)):
+            if float(values[key]) != expected:
+                raise FormatError(
+                    f"checkpoint {key}={values[key]} differs from this build's {expected}",
+                    offset=offset,
+                )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"incomplete checkpoint config: {exc}", offset=offset) from exc
     return config, seed

@@ -62,20 +62,20 @@ def finite_diff_check(objective, tensors: dict, analytic: dict, eps: float = DEF
     return worst
 
 
-def check_layer(layer, x: np.ndarray, *, train: bool = False, eps: float = DEFAULT_EPS, rng=None) -> float:
+def check_layer(layer, x: np.ndarray, *, eps: float = DEFAULT_EPS, rng=None) -> float:
     """Finite-difference check of one layer's input and parameter gradients.
 
-    The scalar objective is sum(forward(x) * R) for a fixed random
-    projection R, so its gradient w.r.t. the output is exactly R.
+    Every forward runs in train mode, which backward needs. The scalar
+    objective is sum(forward(x) * R) for a fixed random projection R, so
+    its gradient w.r.t. the output is exactly R.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    out = layer.forward(x, train)
+    out = layer.forward(x, True)
     projection = rng.standard_normal(out.shape)
 
     def objective():
-        return float((layer.forward(x, train) * projection).sum())
+        return float((layer.forward(x, True) * projection).sum())
 
-    layer.forward(x, train)
     dx = layer.backward(projection)
     tensors = {"x": x}
     analytic = {"x": dx}
@@ -110,7 +110,7 @@ def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EP
         bn = BatchNorm(3, dtype=np.float64)
         bn.gamma[...] = rng.standard_normal(3) * 0.5 + 1.0
         bn.beta[...] = rng.standard_normal(3) * 0.1
-        record("batchnorm", check_layer(bn, x, train=True, eps=eps, rng=rng))
+        record("batchnorm", check_layer(bn, x, eps=eps, rng=rng))
 
         # keep samples away from the kink at 0 so central differences are valid
         x = rng.uniform(0.2, 1.5, size=(3, 4, 5, 6)) * rng.choice([-1.0, 1.0], size=(3, 4, 5, 6))

@@ -7,6 +7,13 @@ single precision. Parameters live on the layer objects: ``params()``
 returns the trainable tensors, ``state()`` the non-trainable ones
 (batchnorm running statistics), and ``grads()`` the gradients written
 by the most recent ``backward()`` call.
+
+``forward(x, train=False)`` is pure: it reads the parameters and running
+statistics and writes nothing, so infer-mode forwards may run concurrently
+on one layer. ``forward(x, train=True)`` keeps what ``backward()`` needs
+(``_cache``, ``_mask``, ``_shape``) and updates batchnorm running
+statistics, so a train forward and its backward must be serialized, and
+backward needs a train-mode forward before it.
 """
 
 from __future__ import annotations
@@ -86,7 +93,8 @@ class Conv2d:
         else:
             grid = np.ascontiguousarray(x)
         grid = grid.reshape(n, c, -1)
-        self._cache = (x.shape, grid)
+        if train:
+            self._cache = (x.shape, grid)
         matrix, shifts = self._taps(wp)
         per_tap = np.matmul(matrix, grid)
         span = oh * wp - (k - 1)
@@ -128,8 +136,9 @@ class BatchNorm:
     """Per-channel batch normalization with running statistics.
 
     Train mode normalizes with batch statistics over (batch, height,
-    width) and updates the running estimates in place; infer mode uses
-    the running estimates and leaves them untouched.
+    width), updates the running estimates in place and keeps the
+    normalized input for backward. Infer mode folds the running estimates
+    into one per-channel ``x * scale + shift`` and writes nothing.
     """
 
     def __init__(self, num_channels: int, epsilon: float = BN_EPSILON,
@@ -153,35 +162,34 @@ class BatchNorm:
             raise ShapeError(
                 f"batchnorm expects (N, {self.num_channels}, H, W), got {x.shape}"
             )
-        if train:
-            samples_per_channel = x.shape[0] * x.shape[2] * x.shape[3]
-            if samples_per_channel < 2:
-                raise DataError(
-                    f"degenerate batch: {samples_per_channel} sample per channel, need >= 2"
-                )
-            mean = np.einsum("nchw->c", x) / samples_per_channel
-            xhat = x - self._per_channel(mean)
-            # centred second moment: no cancellation from E[x^2] - E[x]^2
-            var = np.einsum("nchw,nchw->c", xhat, xhat) / samples_per_channel
-            self.running_mean[...] = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var[...] = self.momentum * self.running_var + (1.0 - self.momentum) * var
-            inv = 1.0 / np.sqrt(var + self.epsilon)
-        else:
-            xhat = x - self._per_channel(self.running_mean)
-            inv = 1.0 / np.sqrt(self.running_var + self.epsilon)
+        if not train:
+            scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+            out = x * self._per_channel(scale)
+            out += self._per_channel(self.beta - self.running_mean * scale)
+            return out
+        samples_per_channel = x.shape[0] * x.shape[2] * x.shape[3]
+        if samples_per_channel < 2:
+            raise DataError(
+                f"degenerate batch: {samples_per_channel} sample per channel, need >= 2"
+            )
+        mean = np.einsum("nchw->c", x) / samples_per_channel
+        xhat = x - self._per_channel(mean)
+        # centred second moment: no cancellation from E[x^2] - E[x]^2
+        var = np.einsum("nchw,nchw->c", xhat, xhat) / samples_per_channel
+        self.running_mean[...] = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+        self.running_var[...] = self.momentum * self.running_var + (1.0 - self.momentum) * var
+        inv = 1.0 / np.sqrt(var + self.epsilon)
         xhat *= self._per_channel(inv)
-        self._cache = (train, xhat, inv)
+        self._cache = (xhat, inv)
         out = xhat * self._per_channel(self.gamma)
         out += self._per_channel(self.beta)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        train, xhat, inv = self._cache
+        xhat, inv = self._cache
         self.grad_gamma = np.einsum("nchw,nchw->c", dout, xhat)
         self.grad_beta = np.einsum("nchw->c", dout)
         scale = self._per_channel(self.gamma * inv)
-        if not train:
-            return dout * scale
         # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
         count = dout.size // self.num_channels
         dx = xhat * self._per_channel(-self.grad_gamma / count)
@@ -207,6 +215,8 @@ class ReLU:
         self._mask = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        if not train:
+            return np.maximum(x, 0)
         self._mask = x > 0
         return x * self._mask
 
@@ -233,7 +243,8 @@ class AvgPool2d:
         n, c, h, w = x.shape
         if h < 2 or w < 2:
             raise ShapeError(f"avgpool2d needs spatial extents >= 2, got {h}x{w}")
-        self._cache = x.shape
+        if train:
+            self._cache = x.shape
         oh, ow = pool_output_size(h), pool_output_size(w)
         rows = x[:, :, 0 : 2 * oh : 2, : 2 * ow] + x[:, :, 1 : 2 * oh : 2, : 2 * ow]
         out = rows[:, :, :, 0::2] + rows[:, :, :, 1::2]
@@ -266,7 +277,8 @@ class GlobalAvgPool:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[2] < 1 or x.shape[3] < 1:
             raise ShapeError(f"global_avgpool expects (N, C, H, W), got {x.shape}")
-        self._shape = x.shape
+        if train:
+            self._shape = x.shape
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -301,7 +313,8 @@ class Linear:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"linear expects (N, {self.in_features}), got {x.shape}")
-        self._cache = x
+        if train:
+            self._cache = x
         return x @ self.weight.T + self.bias
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

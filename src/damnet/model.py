@@ -67,11 +67,11 @@ class DenseUnit:
         return [("bn1", self.bn1), ("conv3x3", self.conv3x3)]
 
     def forward(self, x, train=False):
-        h = self.relu1.forward(self.bn1.forward(x, train))
+        h = self.relu1.forward(self.bn1.forward(x, train), train)
         if self.bottleneck:
-            h = self.conv1x1.forward(h)
-            h = self.relu2.forward(self.bn2.forward(h, train))
-        return self.conv3x3.forward(h)
+            h = self.conv1x1.forward(h, train)
+            h = self.relu2.forward(self.bn2.forward(h, train), train)
+        return self.conv3x3.forward(h, train)
 
     def backward(self, dout):
         d = self.conv3x3.backward(dout)
@@ -154,8 +154,8 @@ class Transition:
         self.pool = AvgPool2d()
 
     def forward(self, x, train=False):
-        h = self.pool.forward(self.relu.forward(self.bn.forward(x, train)))
-        return self.conv.forward(h)
+        h = self.pool.forward(self.relu.forward(self.bn.forward(x, train), train), train)
+        return self.conv.forward(h, train)
 
     def backward(self, dout):
         d = self.pool.backward(self.conv.backward(dout))
@@ -182,15 +182,13 @@ class ClassifierHead:
         self.relu = ReLU()
         self.pool = GlobalAvgPool()
         self.fc = Linear(in_channels, num_classes, rng=rng, dtype=dtype)
-        self._pooled_shape = None
 
     def forward(self, x, train=False):
-        h = self.pool.forward(self.relu.forward(self.bn.forward(x, train)))
-        self._pooled_shape = h.shape
-        return self.fc.forward(h.reshape(h.shape[0], -1))
+        h = self.pool.forward(self.relu.forward(self.bn.forward(x, train), train), train)
+        return self.fc.forward(h.reshape(h.shape[0], -1), train)
 
     def backward(self, dout):
-        d = self.fc.backward(dout).reshape(self._pooled_shape)
+        d = self.fc.backward(dout)[:, :, None, None]
         return self.bn.backward(self.relu.backward(self.pool.backward(d)))
 
     def _children(self):
@@ -209,9 +207,12 @@ class ClassifierHead:
 class Model:
     """Ordered parameterized layer graph with dense-block wiring.
 
-    Train-mode forwards update the batchnorm running statistics, infer-mode
-    ones leave them untouched; both keep each layer's last ``_cache``/``_mask``
-    until the next forward, so calls on one model must be serialized.
+    Infer-mode forwards are pure: they read the weights and running
+    statistics and write nothing, so they may run concurrently on one model.
+    Train-mode forwards update the batchnorm running statistics and keep
+    each layer's backward state until the next train forward, so train
+    forwards and backwards must be serialized, and ``backward`` needs a
+    train-mode forward before it.
     """
 
     def __init__(self, config: DenseNetConfig, seed: int, dtype=np.float32):

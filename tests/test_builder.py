@@ -178,6 +178,29 @@ def random_config(r) -> DenseNetConfig:
     )
 
 
+BACKWARD_STATE = ("_cache", "_mask", "_shape")
+
+
+def backward_state(model) -> dict:
+    """(layer path, field) -> value of every backward-state field in the model,
+    found by walking each stage's layer attributes and unit lists."""
+    found = {}
+
+    def walk(obj, path):
+        for field in BACKWARD_STATE:
+            if field in vars(obj):
+                found[(path, field)] = vars(obj)[field]
+        for name, value in vars(obj).items():
+            children = value if isinstance(value, list) else [value]
+            for i, child in enumerate(children):
+                if hasattr(child, "forward") and hasattr(child, "backward"):
+                    walk(child, f"{path}.{name}.{i}")
+
+    for name, stage in model.stages():
+        walk(stage, name)
+    return found
+
+
 class TestModel:
     def test_realized_shapes_match_plan(self):
         r = rng(1)
@@ -344,6 +367,27 @@ class TestModel:
         tensors = {"x": x, **model.named_params()}
         analytic = {"x": dx, **{k: g.copy() for k, g in model.named_grads().items()}}
         assert finite_diff_check(objective, tensors, analytic, eps=eps) < 1e-4
+
+    def test_infer_forward_leaves_backward_state_alone(self):
+        from damnet.layers import softmax_cross_entropy
+
+        cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,
+                             compression=0.5, num_classes=5, first_conv_channels=8)
+        model = build_model(cfg, seed=0)
+        x = rng(6).standard_normal((4, 3, 11, 40)).astype(np.float32)
+        fields = backward_state(model)
+        assert {field for _, field in fields} == set(BACKWARD_STATE)
+        model.forward(x, train=False)
+        for key, value in backward_state(model).items():
+            assert value is None, key
+
+        logits = model.forward(x, train=True)
+        model.backward(softmax_cross_entropy(logits, np.arange(4))[1])
+        after_step = backward_state(model)
+        assert all(value is not None for value in after_step.values())
+        model.forward(x[:2], train=False)
+        for key, value in backward_state(model).items():
+            assert value is after_step[key], key
 
 
 class TestParameterTables:

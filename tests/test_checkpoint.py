@@ -91,3 +91,39 @@ def test_undecodable_tensor_name(tmp_path):
     with pytest.raises(FormatError) as err:
         load_checkpoint(path)
     assert err.value.offset == name_offset
+
+
+CONFIG_OFFSET = 12  # magic, version and config length come first
+
+
+def rewrite_config(path, edit):
+    """Replace a checkpoint's config text with ``edit(text)``, fixing its length."""
+    data = path.read_bytes()
+    length = int.from_bytes(data[8:CONFIG_OFFSET], "little")
+    text = edit(data[CONFIG_OFFSET : CONFIG_OFFSET + length].decode("utf-8")).encode("utf-8")
+    path.write_bytes(data[:8] + len(text).to_bytes(4, "little") + text
+                     + data[CONFIG_OFFSET + length :])
+
+
+@pytest.mark.parametrize("key", ["bn_epsilon", "bn_momentum"])
+def test_missing_batchnorm_constant(tmp_path, key):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    rewrite_config(path, lambda text: "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith(key + "=")))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.offset == CONFIG_OFFSET
+    assert key in str(err.value)
+
+
+@pytest.mark.parametrize("line,value", [("bn_epsilon=1e-05", "bn_epsilon=0.001"),
+                                        ("bn_momentum=0.9", "bn_momentum=0.99")])
+def test_mismatched_batchnorm_constant(tmp_path, line, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    rewrite_config(path, lambda text: text.replace(line + "\n", value + "\n"))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.offset == CONFIG_OFFSET
+    assert value in str(err.value)

@@ -231,6 +231,17 @@ class TestTrainEval:
         assert code == 3
         assert "undecodable tensor name" in err
 
+    def test_mismatched_batchnorm_momentum_is_io_error(self, capsys, trained, tmp_path):
+        data = trained["checkpoint"].read_bytes()
+        assert data.count(b"bn_momentum=0.9\n") == 1
+        corrupted = tmp_path / "momentum.ckpt"
+        corrupted.write_bytes(data.replace(b"bn_momentum=0.9\n", b"bn_momentum=0.8\n"))
+        code, _, err = run_cli(capsys, "eval",
+                               "--set", f"checkpoint={corrupted}",
+                               "--set", f"eval_archive={trained['train_archive']}")
+        assert code == 3
+        assert "bn_momentum=0.8" in err
+
     def test_missing_checkpoint_is_io_error(self, capsys, trained):
         code, _, err = run_cli(capsys, "eval",
                                "--set", "checkpoint=/nonexistent/model.ckpt",

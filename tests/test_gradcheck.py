@@ -32,7 +32,7 @@ def test_conv3x3_on_single_map():
 def test_batchnorm_train_batch8():
     r = rng(3)
     bn = BatchNorm(2, dtype=np.float64)
-    err = check_layer(bn, r.standard_normal((8, 2, 2, 2)), train=True, rng=r)
+    err = check_layer(bn, r.standard_normal((8, 2, 2, 2)), rng=r)
     assert err < 1e-4
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from damnet.exceptions import DataError, ShapeError
 from damnet.layers import (
+    BN_EPSILON,
     AvgPool2d,
     BatchNorm,
     Conv2d,
@@ -67,8 +68,8 @@ class TestDenseWiring:
 
         # reference: the planned order, 1x1 conv then pool, same weights
         pool = AvgPool2d()
-        hidden = transition.relu.forward(transition.bn.forward(x, train=True))
-        reference = pool.forward(transition.conv.forward(hidden))
+        hidden = transition.relu.forward(transition.bn.forward(x, train=True), train=True)
+        reference = pool.forward(transition.conv.forward(hidden, train=True), train=True)
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
         d = transition.conv.backward(pool.backward(dout))
         d = transition.bn.backward(transition.relu.backward(d))
@@ -145,7 +146,7 @@ class TestConv2d:
             r = rng(kernel * 100 + in_channels * 10 + pad + h * w)
             conv = Conv2d(in_channels, 3, kernel, pad=pad, rng=r, dtype=np.float64)
             x = r.standard_normal((3, in_channels, h, w))
-            out = conv.forward(x)
+            out = conv.forward(x, train=True)
             np.testing.assert_allclose(out, conv_reference(x, conv.weight, pad),
                                        rtol=0, atol=1e-12)
             dout = r.standard_normal(out.shape)
@@ -188,6 +189,19 @@ class TestBatchNorm:
         assert abs(out.item() - 5.0) < 1e-4
         assert out.item() == pytest.approx(2.0 / np.sqrt(1.0 + 1e-5) + 3.0, abs=1e-12)
 
+    def test_infer_mode_folds_running_statistics(self):
+        r = rng(8)
+        bn = BatchNorm(5, dtype=np.float64)
+        bn.running_mean[...] = r.standard_normal(5) * 2.0
+        bn.running_var[...] = r.uniform(0.1, 4.0, size=5)
+        bn.gamma[...] = r.standard_normal(5) + 1.5
+        bn.beta[...] = r.standard_normal(5)
+        x = r.standard_normal((3, 5, 4, 6)) * 3.0
+        rm, rv, gamma, beta = (v.reshape(1, 5, 1, 1) for v in
+                               (bn.running_mean, bn.running_var, bn.gamma, bn.beta))
+        expected = gamma * (x - rm) / np.sqrt(rv + BN_EPSILON) + beta
+        np.testing.assert_allclose(bn.forward(x, train=False), expected, rtol=0, atol=1e-12)
+
     def test_degenerate_batch(self):
         bn = BatchNorm(3)
         with pytest.raises(DataError):
@@ -228,7 +242,7 @@ class TestReLU:
     def test_dead_region(self):
         relu = ReLU()
         x = -np.abs(rng().standard_normal((2, 3, 4, 4))) - 0.1
-        out = relu.forward(x)
+        out = relu.forward(x, train=True)
         np.testing.assert_array_equal(out, 0.0)
         np.testing.assert_array_equal(relu.backward(np.ones_like(x)), 0.0)
 
@@ -240,7 +254,7 @@ class TestReLU:
 
     def test_gradient_zero_at_kink(self):
         relu = ReLU()
-        relu.forward(np.zeros((1, 1, 1, 1)))
+        relu.forward(np.zeros((1, 1, 1, 1)), train=True)
         assert relu.backward(np.ones((1, 1, 1, 1))).item() == 0.0
 
 
@@ -262,7 +276,7 @@ class TestAvgPool:
     def test_backward_distributes_quarter(self):
         pool = AvgPool2d()
         x = rng().standard_normal((1, 1, 5, 4))
-        pool.forward(x)
+        pool.forward(x, train=True)
         dx = pool.backward(np.ones((1, 1, 2, 2)))
         np.testing.assert_array_equal(dx[0, 0, :4, :4], 0.25)
         np.testing.assert_array_equal(dx[0, 0, 4, :], 0.0)  # dropped odd row
@@ -280,7 +294,7 @@ class TestGlobalAvgPool:
 
     def test_backward_spreads_uniformly(self):
         pool = GlobalAvgPool()
-        pool.forward(np.zeros((1, 1, 2, 9)))
+        pool.forward(np.zeros((1, 1, 2, 9)), train=True)
         dx = pool.backward(np.ones((1, 1, 1, 1)))
         np.testing.assert_allclose(dx, 1.0 / 18.0)
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +246,42 @@ class TestEvaluate:
                             np.array([0, 7], dtype=np.int64))
         with pytest.raises(DataError):
             evaluate(model, data)
+
+    def test_concurrent_evaluations_on_one_model(self):
+        model = build_model(SMALL_MODEL, seed=3)
+        model.forward(small_dataset(seed=9).features, train=True)  # move running stats off init
+        datasets = [small_dataset(frames_per_class=16, separation=2.0, seed=s) for s in (1, 2)]
+        expected = [evaluate(model, data, batch_size=4) for data in datasets]
+        state_before = {k: v.copy() for k, v in model.named_state().items()}
+
+        # more threads than a small machine's cores, alternating datasets,
+        # switching often so their forwards interleave layer by layer
+        workers = 4
+        results = [None] * workers
+        start = threading.Barrier(workers, timeout=30)
+
+        def run(i):
+            start.wait()
+            results[i] = evaluate(model, datasets[i % 2], batch_size=4)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, got in enumerate(results):
+            want = expected[i % 2]
+            assert got.loss == want.loss
+            assert got.accuracy == want.accuracy
+            np.testing.assert_array_equal(got.confusion, want.confusion)
+        for name, tensor in model.named_state().items():
+            np.testing.assert_array_equal(tensor, state_before[name])
 
 
 class TestLossDecreaseSanity:
