@@ -8,6 +8,7 @@ static, delta and delta-delta.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import wave
@@ -134,6 +135,17 @@ def frame_count(num_samples: int, cfg: FilterbankConfig) -> int:
     return 1 + (num_samples - cfg.frame_samples) // cfg.shift_samples
 
 
+@functools.lru_cache(maxsize=8)
+def _analysis_constants(cfg: FilterbankConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming window and transposed mel filterbank for one configuration,
+    shared read-only by every utterance it featurizes."""
+    window = np.hamming(cfg.frame_samples)
+    filters = mel_filterbank(cfg)
+    window.flags.writeable = False
+    filters.flags.writeable = False
+    return window, filters.T
+
+
 def compute_logmel(samples: np.ndarray, cfg: FilterbankConfig) -> np.ndarray:
     """Pre-emphasized, Hamming-windowed log-Mel filterbank features,
     shape (T, num_filters) float32."""
@@ -147,11 +159,11 @@ def compute_logmel(samples: np.ndarray, cfg: FilterbankConfig) -> np.ndarray:
             f"{cfg.frame_samples}-sample frame"
         )
     emphasized = np.concatenate([samples[:1], samples[1:] - cfg.pre_emphasis * samples[:-1]])
-    num_frames = frame_count(len(samples), cfg)
-    idx = cfg.shift_samples * np.arange(num_frames)[:, None] + np.arange(cfg.frame_samples)[None, :]
-    windowed = emphasized[idx] * np.hamming(cfg.frame_samples)
+    window, filters_t = _analysis_constants(cfg)
+    frames = np.lib.stride_tricks.sliding_window_view(emphasized, cfg.frame_samples)
+    windowed = frames[:: cfg.shift_samples] * window
     spectrum = np.abs(np.fft.rfft(windowed, n=cfg.fft_size, axis=1))
-    energies = spectrum @ mel_filterbank(cfg).T
+    energies = spectrum @ filters_t
     return np.log(np.maximum(energies, cfg.log_floor)).astype(np.float32)
 
 
@@ -415,7 +427,7 @@ def featurize_utterance(entry: ManifestEntry, cfg: FilterbankConfig,
             raise DataError(
                 f"{entry.label_path}: {len(labels)} labels for {len(frames)} frames"
             )
-    return UtteranceFeatures(entry.utt_id, frames.astype(np.float32), labels)
+    return UtteranceFeatures(entry.utt_id, frames.astype(np.float32, copy=False), labels)
 
 
 def featurize_manifest(entries: list[ManifestEntry], cfg: FilterbankConfig,

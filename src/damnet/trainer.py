@@ -130,7 +130,13 @@ def parse_metrics_line(line: str) -> Metrics:
 
 @dataclass
 class FrameDataset:
-    """Spliced frames ready for the model: (N, C, H, W) plus labels."""
+    """Spliced frames ready for the model: (N, C, H, W) plus labels.
+
+    ``features`` is one materialised array. Built by ``build_frame_dataset``
+    it is float32, C-contiguous and written in place, so a dataset holds
+    ``features.nbytes`` plus its labels and building it peaks at about that
+    plus one utterance's temporaries.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -153,21 +159,37 @@ class FrameDataset:
 
 def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
                         left: int = 5, right: int = 5) -> FrameDataset:
-    """Normalize (optionally), splice context and flatten a labeled corpus."""
+    """Normalize (optionally), splice context and flatten a labeled corpus.
+
+    Every utterance is checked (labels, geometry) before anything is
+    allocated. Each utterance is then normalised and spliced on its own and
+    written into its rows of one preallocated (N, C, left+1+right, F) float32
+    array, so the peak is about the output plus one utterance's temporaries,
+    never a second copy of the corpus.
+    """
     if not utterances:
         raise DataError("no utterances to build a dataset from")
-    chunks = []
-    labels = []
+    if left < 0 or right < 0:
+        raise ConfigError(f"context extents must be >= 0, got {left}, {right}")
+    geometry = utterances[0].frames.shape[1:] if stats is None else stats.mean.shape
     for utt in utterances:
         if utt.labels is None:
             raise DataError(f"utterance '{utt.utt_id}' has no frame labels")
+        if utt.frames.shape[1:] != geometry:
+            raise ShapeError(
+                f"utterance '{utt.utt_id}' has geometry {utt.frames.shape[1:]}, "
+                f"expected {geometry}"
+            )
+    channels, bins = geometry
+    total = sum(utt.num_frames for utt in utterances)
+    features = np.empty((total, channels, left + 1 + right, bins), dtype=np.float32)
+    row = 0
+    for utt in utterances:
         frames = apply_cmvn(utt.frames, stats) if stats is not None else utt.frames
-        chunks.append(splice_context(frames, left, right))
-        labels.append(utt.labels)
-    return FrameDataset(
-        np.concatenate(chunks, axis=0).astype(np.float32),
-        np.concatenate(labels, axis=0).astype(np.int64),
-    )
+        features[row : row + utt.num_frames] = splice_context(frames, left, right)
+        row += utt.num_frames
+    labels = np.concatenate([utt.labels for utt in utterances]).astype(np.int64, copy=False)
+    return FrameDataset(features, labels)
 
 
 def sgd_update(params: dict, grads: dict, velocity: dict, lr: float,

@@ -83,6 +83,29 @@ class TestLogmel:
         with pytest.raises(DataError):
             compute_logmel(np.zeros(399), FilterbankConfig())
 
+    def test_bitwise_equal_to_index_matrix_framing(self):
+        def index_matrix_logmel(samples, cfg):
+            emphasized = np.concatenate(
+                [samples[:1], samples[1:] - cfg.pre_emphasis * samples[:-1]])
+            num_frames = 1 + (len(samples) - cfg.frame_samples) // cfg.shift_samples
+            idx = (cfg.shift_samples * np.arange(num_frames)[:, None]
+                   + np.arange(cfg.frame_samples)[None, :])
+            windowed = emphasized[idx] * np.hamming(cfg.frame_samples)
+            spectrum = np.abs(np.fft.rfft(windowed, n=cfg.fft_size, axis=1))
+            energies = spectrum @ mel_filterbank(cfg).T
+            return np.log(np.maximum(energies, cfg.log_floor)).astype(np.float32)
+
+        configs = [FilterbankConfig(), FilterbankConfig(num_filters=24, frame_length_ms=20.0)]
+        # alternate the configurations so each call must use its own window
+        # and filterbank
+        for num_samples in (400, 401, 560, 80_000):
+            samples = 0.1 * rng(num_samples).standard_normal(num_samples)
+            for cfg in configs + configs:
+                expected = index_matrix_logmel(samples, cfg)
+                out = compute_logmel(samples, cfg)
+                assert out.dtype == expected.dtype and out.shape == expected.shape
+                assert out.tobytes() == expected.tobytes()
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             FilterbankConfig(low_freq=9000.0).validate()

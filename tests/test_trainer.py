@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from hypothesis import strategies as st
 
 from damnet.builder import DenseNetConfig
 from damnet.exceptions import ConfigError, DataError, DivergenceError, ShapeError
-from damnet.features import write_archive
+from damnet.features import (
+    UtteranceFeatures,
+    apply_cmvn,
+    compute_cmvn_stats,
+    splice_context,
+    write_archive,
+)
 from damnet.model import build_model
 from damnet.trainer import (
     FrameDataset,
@@ -403,3 +410,57 @@ class TestBuildFrameDataset:
         assert data.features.shape == (12, 3, 11, 40)
         assert data.features.dtype == np.float32
         assert data.labels.shape == (12,)
+
+    @pytest.mark.parametrize("left, right", [(5, 5), (0, 0), (3, 1)])
+    @pytest.mark.parametrize("normalise", [False, True])
+    def test_bitwise_equal_to_concatenated_splices(self, left, right, normalise):
+        generator = rng(3)
+        utts = [
+            UtteranceFeatures(f"u{i}", generator.standard_normal((t, 3, 40)).astype(dtype),
+                              generator.integers(0, 9, t))
+            for i, (t, dtype) in enumerate([(1, np.float32), (17, np.float64),
+                                            (1, np.float64), (40, np.float32)])
+        ]
+        stats = compute_cmvn_stats(utts) if normalise else None
+        expected = np.concatenate([
+            splice_context(apply_cmvn(u.frames, stats) if normalise else u.frames, left, right)
+            for u in utts
+        ]).astype(np.float32)
+        data = build_frame_dataset(utts, stats, left, right)
+        assert data.features.dtype == expected.dtype
+        assert data.features.shape == expected.shape
+        assert data.features.tobytes() == expected.tobytes()
+        assert data.labels.dtype == np.int64
+        np.testing.assert_array_equal(data.labels, np.concatenate([u.labels for u in utts]))
+
+    def test_mixed_geometry_names_first_mismatch(self):
+        utts = make_synthetic_dataset(3, 4, 1.0, seed=0)
+        utts[1] = UtteranceFeatures("narrow", np.zeros((4, 3, 20), np.float32),
+                                    np.zeros(4, np.int64))
+        utts[2] = UtteranceFeatures("flat", np.zeros((4, 1, 40), np.float32),
+                                    np.zeros(4, np.int64))
+        with pytest.raises(ShapeError, match="'narrow'"):
+            build_frame_dataset(utts)
+
+    @pytest.mark.parametrize("left, right", [(-1, 5), (5, -7)])
+    def test_negative_context_rejected(self, left, right):
+        with pytest.raises(ConfigError):
+            build_frame_dataset(make_synthetic_dataset(2, 3, 1.0, seed=0), None, left, right)
+
+    def test_peak_memory_is_output_plus_one_utterance(self):
+        generator = rng(5)
+        utts = [UtteranceFeatures(f"u{i}", generator.standard_normal((200, 3, 40), np.float32),
+                                  generator.integers(0, 9, 200))
+                for i in range(20)]
+        stats = compute_cmvn_stats(utts)
+        # one utterance's spliced float32 rows; splice_context holds two such
+        # arrays at once (the gather and its contiguous transpose)
+        utterance_bytes = 200 * 3 * 11 * 40 * 4
+        tracemalloc.start()
+        try:
+            data = build_frame_dataset(utts, stats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= data.features.nbytes + 3 * utterance_bytes, (
+            f"peak {peak} B for a {data.features.nbytes} B dataset")
