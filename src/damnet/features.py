@@ -268,10 +268,11 @@ def splice_context(frames: np.ndarray, left: int = 5, right: int = 5) -> np.ndar
         raise ShapeError(f"expected (T, channels, bins) with T >= 1, got {frames.shape}")
     if left < 0 or right < 0:
         raise ConfigError(f"context extents must be >= 0, got {left}, {right}")
-    t = frames.shape[0]
+    t, channels = frames.shape[:2]
     offsets = np.arange(-left, right + 1)
     idx = np.clip(np.arange(t)[:, None] + offsets[None, :], 0, t - 1)
-    return np.ascontiguousarray(frames[idx].transpose(0, 2, 1, 3))
+    # one gather, indexed straight into C-contiguous (T, C, H, F) order
+    return frames[idx[:, None, :], np.arange(channels)[None, :, None]]
 
 
 def write_archive(utterances: list[UtteranceFeatures], path) -> None:

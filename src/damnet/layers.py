@@ -1,19 +1,26 @@
 """Layer primitives with explicit forward and backward passes.
 
-Everything operates on plain numpy arrays in NCHW layout (batch,
-channels, height, width). Training runs in float32; gradient checking
-builds float64 layers because central differences are unreliable in
-single precision. Parameters live on the layer objects: ``params()``
-returns the trainable tensors, ``state()`` the non-trainable ones
-(batchnorm running statistics), and ``grads()`` the gradients written
-by the most recent ``backward()`` call.
+Every layer takes and returns arrays of logical NCHW shape (batch,
+channels, height, width), whatever their memory layout. The model stores
+its activations channel-major: (C, N, H, W) memory seen through
+``.transpose(1, 0, 2, 3)`` (see ``channel_major``), so a convolution's
+GEMMs run on one flat (C, N*H*W) grid and a dense block's channel slices
+are contiguous. Elementwise layers keep their input's layout because
+ufunc outputs do; the pools' backward passes allocate channel-major.
+Training runs in float32; gradient checking builds float64 layers because
+central differences are unreliable in single precision. Parameters live
+on the layer objects: ``params()`` returns the trainable tensors,
+``state()`` the non-trainable ones (batchnorm running statistics), and
+``grads()`` the gradients written by the most recent ``backward()`` call.
 
 ``forward(x, train=False)`` is pure: it reads the parameters and running
 statistics and writes nothing, so infer-mode forwards may run concurrently
-on one layer. ``forward(x, train=True)`` keeps what ``backward()`` needs
-(``_cache``, ``_mask``, ``_shape``) and updates batchnorm running
-statistics, so a train forward and its backward must be serialized, and
-backward needs a train-mode forward before it.
+on one layer. No infer-mode forward mixes frames: every product runs per
+image or per frame, so a frame's output never depends on its batch.
+``forward(x, train=True)`` keeps what ``backward()`` needs (``_cache``,
+``_mask``, ``_shape``) and updates batchnorm running statistics, so a
+train forward and its backward must be serialized, and backward needs a
+train-mode forward before it.
 """
 
 from __future__ import annotations
@@ -41,17 +48,33 @@ def pool_output_size(extent: int) -> int:
     return extent // 2
 
 
+def channel_major(shape, dtype, alloc=np.empty) -> np.ndarray:
+    """An (N, C, H, W) array over (C, N, H, W) memory, from ``np.empty`` or ``np.zeros``."""
+    n, c, h, w = shape
+    return alloc((c, n, h, w), dtype=dtype).transpose(1, 0, 2, 3)
+
+
 class Conv2d:
     """2-D stride-1 convolution without bias; batchnorm always follows it.
 
-    Shifted GEMM: each image is zero-padded once into a flat (C_in, P) grid
-    of row pitch Wp = W + 2*pad, and one GEMM against the weights as
-    (k*k*C_out, C_in) gives every tap at every grid position. Output
-    q = y*Wp + x sums tap (i, j)'s rows at q + i*Wp + j; reads that spill
-    past a row end belong to outputs x >= W_out, which the crop drops, so
-    the padding absorbs the spill. Backward shifts ``dout`` once per tap into
-    a (k*k*C_out, P) matrix and gets dW and dX from one GEMM each. GEMMs
-    run per image, so no frame's result depends on the rest of its batch.
+    Shifted GEMM over the whole batch: the input is zero-padded once into a
+    channel-major (C_in, N, Hp, Wp) grid of row pitch Wp = W + 2*pad, seen
+    flat as (C_in, N*Hp*Wp). A product with the weights as (k*k*C_out, C_in)
+    gives every tap at every grid position, and output q = y*Wp + x of an
+    image sums tap (i, j)'s row at q + i*Wp + j; the shift-adds run once over
+    the flat batch. A kept output (y < H_out, x < W_out) reads at most
+    q + (k-1)*(Wp+1) <= Hp*Wp - 1, inside its own image's grid. Reads that
+    spill past a row end, or past one image's grid into the next, belong to
+    outputs with x >= W_out or y >= H_out, which the crop drops. Backward
+    places ``dout`` on the same grid, shifts it once per tap into a
+    (k*k*C_out, N*Hp*Wp) matrix and gets dW and dX from one GEMM each.
+
+    Train mode runs each direction as one GEMM over the whole batch:
+    batchnorm already makes every train-mode frame depend on its batch.
+    BLAS rounds a GEMM's columns differently by their position in it, so
+    infer mode runs one GEMM per image, on strided (C_in, Hp*Wp) views of
+    the grid, and no frame's infer output depends on the rest of its batch.
+    The output is a channel-major view; a 1x1 conv's is contiguous.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -86,41 +109,51 @@ class Conv2d:
         oh, ow = conv_output_size(h, k, p), conv_output_size(w, k, p)
         if oh < 1 or ow < 1:
             raise ShapeError(f"conv2d: {h}x{w} input is smaller than a {k}x{k} kernel with pad {p}")
-        wp = w + 2 * p
+        hp, wp = h + 2 * p, w + 2 * p
         if p:
-            grid = np.zeros((n, c, h + 2 * p, wp), dtype=x.dtype)
-            grid[:, :, p : p + h, p : p + w] = x
+            grid = np.zeros((c, n, hp, wp), dtype=x.dtype)
+            grid[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
         else:
-            grid = np.ascontiguousarray(x)
-        grid = grid.reshape(n, c, -1)
+            grid = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+        grid = grid.reshape(c, -1)
+        matrix, shifts = self._taps(wp)
         if train:
             self._cache = (x.shape, grid)
-        matrix, shifts = self._taps(wp)
-        per_tap = np.matmul(matrix, grid)
-        span = oh * wp - (k - 1)
-        out = np.empty((n, co, oh * wp), dtype=per_tap.dtype)
-        out[:, :, :span] = per_tap[:, :co, :span]
-        for t, shift in enumerate(shifts[1:], 1):
-            out[:, :, :span] += per_tap[:, t * co : (t + 1) * co, shift : shift + span]
-        return out.reshape(n, co, oh, wp)[:, :, :, :ow]
+            per_tap = matrix @ grid
+        else:
+            per_tap = np.empty((k * k * co, grid.shape[1]), dtype=np.result_type(matrix, grid))
+            np.matmul(matrix, grid.reshape(c, n, -1).transpose(1, 0, 2),
+                      out=per_tap.reshape(k * k * co, n, -1).transpose(1, 0, 2))
+        if k == 1:
+            out = per_tap
+        else:
+            span = grid.shape[1] - shifts[-1]
+            out = np.empty((co, grid.shape[1]), dtype=per_tap.dtype)
+            out[:, :span] = per_tap[:co, :span]
+            for t, shift in enumerate(shifts[1:], 1):
+                out[:, :span] += per_tap[t * co : (t + 1) * co, shift : shift + span]
+        return out.reshape(co, n, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         (n, c, h, w), grid = self._cache
         (oh, ow), k, p, co = dout.shape[2:], self.kernel_size, self.pad, self.out_channels
-        wp = w + 2 * p
+        hp, wp = h + 2 * p, w + 2 * p
         matrix, shifts = self._taps(wp)
-        span = oh * wp - (k - 1)
-        placed = np.zeros((n, co, oh, wp), dtype=dout.dtype)
-        placed[:, :, :, :ow] = dout
-        placed = placed.reshape(n, co, -1)[:, :, :span]
-        shifted = np.zeros((n, k * k, co, grid.shape[2]), dtype=dout.dtype)
-        for t, shift in enumerate(shifts):
-            shifted[:, t, :, shift : shift + span] = placed
-        shifted = shifted.reshape(n, k * k * co, -1)
-        grad = np.matmul(shifted, grid.transpose(0, 2, 1)).sum(axis=0)
+        if k == 1:
+            shifted = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(co, -1)
+        else:
+            placed = np.zeros((co, n, hp, wp), dtype=dout.dtype)
+            placed[:, :, :oh, :ow] = dout.transpose(1, 0, 2, 3)
+            placed = placed.reshape(co, -1)
+            span = placed.shape[1] - shifts[-1]
+            shifted = np.zeros((k * k, co, placed.shape[1]), dtype=dout.dtype)
+            for t, shift in enumerate(shifts):
+                shifted[t, :, shift : shift + span] = placed[:, :span]
+            shifted = shifted.reshape(k * k * co, -1)
+        grad = shifted @ grid.T
         self.grad_weight = np.ascontiguousarray(grad.reshape(k, k, co, c).transpose(2, 3, 0, 1))
-        dgrid = np.matmul(matrix.T, shifted).reshape(n, c, h + 2 * p, wp)
-        return dgrid[:, :, p : p + h, p : p + w]
+        dgrid = (matrix.T @ shifted).reshape(c, n, hp, wp)
+        return dgrid[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
 
     def params(self):
         return {"weight": self.weight}
@@ -253,7 +286,7 @@ class AvgPool2d:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         (oh, ow), quarter = dout.shape[2:], dout * 0.25
-        dx = np.zeros(self._cache, dtype=dout.dtype)
+        dx = channel_major(self._cache, dout.dtype, np.zeros)
         for i, j in np.ndindex(2, 2):
             dx[:, :, i : 2 * oh : 2, j : 2 * ow : 2] = quarter
         return dx
@@ -282,8 +315,9 @@ class GlobalAvgPool:
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._shape
-        return np.broadcast_to(dout / (h * w), self._shape).copy()
+        dx = channel_major(self._shape, dout.dtype)
+        dx[...] = dout / (self._shape[2] * self._shape[3])
+        return dx
 
     def params(self):
         return {}
@@ -296,7 +330,12 @@ class GlobalAvgPool:
 
 
 class Linear:
-    """Affine map y = x @ W.T + b on flattened features."""
+    """Affine map y = x @ W.T + b on flattened features.
+
+    One product per frame, ``W @ x[i]``, not one GEMM over the batch: BLAS
+    rounds a GEMM's rows differently by their position in it, and a logit
+    must not depend on the batch.
+    """
 
     def __init__(self, in_features: int, out_features: int, *, rng=None, dtype=np.float32):
         self.in_features = in_features
@@ -315,7 +354,7 @@ class Linear:
             raise ShapeError(f"linear expects (N, {self.in_features}), got {x.shape}")
         if train:
             self._cache = x
-        return x @ self.weight.T + self.bias
+        return np.matmul(self.weight, x[:, :, None])[:, :, 0] + self.bias
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x = self._cache

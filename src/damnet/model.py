@@ -1,10 +1,14 @@
 """Executable densely-connected model realizing the planned architecture.
 
-Each dense block keeps its features in one (N, C_out, H, W) buffer: unit
-n reads the channel prefix holding the block input and the n-1 prior
-unit outputs, and writes its growth_rate channels after it. Backward runs
-the units in reverse, adding each one's input gradient into the prefix of
-one gradient buffer, so a unit's output gradient is complete when it runs.
+Activations have logical (N, C, H, W) shape over channel-major (C, N, H, W)
+memory (``layers.channel_major``): the initial conv makes the one
+channel-major copy of the input, and every stage keeps that layout. Each
+dense block keeps its features in one (N, C_out, H, W) buffer: unit n
+reads the channel prefix holding the block input and the n-1 prior unit
+outputs, and writes its growth_rate channels after it; channel-major, the
+prefix and each unit's slab are contiguous. Backward runs the units in reverse, adding each one's
+input gradient into the prefix of one gradient buffer, so a unit's output
+gradient is complete when it runs.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .layers import (
     GlobalAvgPool,
     Linear,
     ReLU,
+    channel_major,
 )
 
 
@@ -37,6 +42,19 @@ def _collect(children, attr):
         for key, value in getattr(child, attr)().items():
             merged[f"{prefix}.{key}"] = value
     return merged
+
+
+def _drop_backward_state(layer) -> None:
+    """Set the ``_cache``/``_mask``/``_shape`` fields of ``layer`` and of every
+    layer under it (attributes and unit lists) to None."""
+    fields = vars(layer)
+    for name in ("_cache", "_mask", "_shape"):
+        if name in fields:
+            fields[name] = None
+    for value in fields.values():
+        for child in value if isinstance(value, list) else (value,):
+            if hasattr(child, "backward"):
+                _drop_backward_state(child)
 
 
 class DenseUnit:
@@ -115,7 +133,7 @@ class DenseBlock:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"dense block expects (N, {self.in_channels}, H, W), got {x.shape}")
         n, _, h, w = x.shape
-        features = np.empty((n, self.out_channels, h, w), dtype=x.dtype)
+        features = channel_major((n, self.out_channels, h, w), x.dtype)
         features[:, : self.in_channels] = x
         for unit in self.units:
             width = unit.in_channels
@@ -123,7 +141,8 @@ class DenseBlock:
         return features
 
     def backward(self, dout):
-        grad = dout.copy()
+        grad = channel_major(dout.shape, dout.dtype)
+        grad[...] = dout
         for unit in reversed(self.units):
             width = unit.in_channels
             grad[:, :width] += unit.backward(grad[:, width : width + self.growth_rate])
@@ -208,11 +227,13 @@ class Model:
     """Ordered parameterized layer graph with dense-block wiring.
 
     Infer-mode forwards are pure: they read the weights and running
-    statistics and write nothing, so they may run concurrently on one model.
+    statistics and write nothing, so they may run concurrently on one model,
+    and a frame's logits never depend on the rest of its batch.
     Train-mode forwards update the batchnorm running statistics and keep
     each layer's backward state until the next train forward, so train
     forwards and backwards must be serialized, and ``backward`` needs a
-    train-mode forward before it.
+    train-mode forward before it. ``backward`` returns the input gradient as
+    a non-contiguous (N, C, H, W) view of channel-major memory.
     """
 
     def __init__(self, config: DenseNetConfig, seed: int, dtype=np.float32):
@@ -256,6 +277,13 @@ class Model:
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._check_input(x)
+        if train:
+            # Free the last step's backward state at once. Replaced layer by
+            # layer, it interleaves with this step's arrays in the heap, which
+            # then grows with every step (with glibc malloc, about 120 MB over
+            # ten plain-22 steps at batch 256).
+            for _, stage in self._stages:
+                _drop_backward_state(stage)
         for _, stage in self._stages:
             x = stage.forward(x, train)
         return x

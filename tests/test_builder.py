@@ -283,13 +283,19 @@ class TestModel:
         assert len(model.named_tensors()) == len(names)
 
     def test_identical_rows_identical_logits(self):
+        # infer mode takes no product across frames, so at any batch size and
+        # either precision every copy of one frame gets bitwise equal logits
         cfg = DenseNetConfig(variant="C", depth=13, blocks=3, compression=0.5,
                              num_classes=10)
-        model = build_model(cfg, seed=0)
-        frame = rng(2).standard_normal((1, 3, 11, 40)).astype(np.float32)
-        batch = np.concatenate([frame, frame], axis=0)
-        logits = model.forward(batch, train=False)
-        np.testing.assert_array_equal(logits[0], logits[1])
+        for dtype in (np.float32, np.float64):
+            model = build_model(cfg, seed=0, dtype=dtype)
+            frame = rng(2).standard_normal((1, 3, 11, 40)).astype(dtype)
+            for batch in (2, 37, 256):
+                logits = model.forward(np.repeat(frame, batch, axis=0), train=False)
+                assert logits.shape == (batch, 10)
+                first = logits[0].tobytes()
+                differing = [i for i, row in enumerate(logits) if row.tobytes() != first]
+                assert differing == [], (dtype.__name__, batch, differing)
 
     def test_finite_logits_and_normalized_softmax(self):
         from damnet.layers import softmax
@@ -388,6 +394,22 @@ class TestModel:
         model.forward(x[:2], train=False)
         for key, value in backward_state(model).items():
             assert value is after_step[key], key
+
+    def test_dropping_backward_state_reaches_every_layer(self):
+        from damnet.layers import softmax_cross_entropy
+        from damnet.model import _drop_backward_state
+
+        cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,
+                             compression=0.5, num_classes=5, first_conv_channels=8)
+        model = build_model(cfg, seed=0)
+        x = rng(6).standard_normal((4, 3, 11, 40)).astype(np.float32)
+        logits = model.forward(x, train=True)
+        model.backward(softmax_cross_entropy(logits, np.arange(4))[1])
+        for _, stage in model.stages():
+            _drop_backward_state(stage)
+        fields = backward_state(model)
+        assert {field for _, field in fields} == set(BACKWARD_STATE)
+        assert [key for key, value in fields.items() if value is not None] == []
 
 
 class TestParameterTables:

@@ -221,6 +221,16 @@ class TestCmvn:
 
 
 class TestSplice:
+    @pytest.mark.parametrize("left,right", [(5, 5), (0, 0), (3, 1)])
+    def test_single_gather_equals_gather_then_transpose(self, left, right):
+        frames = rng(6).standard_normal((17, 3, 40)).astype(np.float32)
+        idx = np.clip(np.arange(17)[:, None] + np.arange(-left, right + 1)[None, :], 0, 16)
+        reference = np.ascontiguousarray(frames[idx].transpose(0, 2, 1, 3))
+        spliced = splice_context(frames, left, right)
+        assert spliced.flags.c_contiguous
+        assert spliced.dtype == reference.dtype and spliced.shape == reference.shape
+        assert spliced.tobytes() == reference.tobytes()
+
     def test_interior_windows_are_exact_slices(self):
         frames = rng().standard_normal((30, 3, 40)).astype(np.float32)
         spliced = splice_context(frames, 5, 5)

@@ -17,7 +17,8 @@ from damnet.layers import (
     softmax,
     softmax_cross_entropy,
 )
-from damnet.model import DenseBlock, Transition
+from damnet.builder import DenseNetConfig
+from damnet.model import DenseBlock, Transition, build_model
 
 
 def rng(seed=0):
@@ -360,3 +361,75 @@ class TestSoftmaxCrossEntropy:
 def test_pool_shape_formula(h, w):
     out = AvgPool2d().forward(np.zeros((1, 1, h, w)))
     assert out.shape[2:] == (pool_output_size(h), pool_output_size(w))
+
+
+def as_channel_major(x):
+    """The same values as ``x`` over (C, N, H, W) memory."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+class TestChannelMajorLayout:
+    """Layers give the same results on NCHW-contiguous and channel-major input."""
+
+    def run_both(self, make, shape, train=True, seed=0):
+        r = rng(seed)
+        x = r.standard_normal(shape)
+        results = []
+        for layout in (np.ascontiguousarray, as_channel_major):
+            layer = make()
+            out = layer.forward(layout(x), train=train)
+            if not train:
+                results.append((out, None, {}))
+                continue
+            dout = layout(rng(seed + 1).standard_normal(out.shape))
+            dx = layer.backward(dout)
+            results.append((out, dx, {k: v.copy() for k, v in layer.grads().items()}))
+        (out_a, dx_a, grads_a), (out_b, dx_b, grads_b) = results
+        np.testing.assert_allclose(out_b, out_a, rtol=0, atol=1e-12)
+        if train:
+            assert dx_b.shape == x.shape
+            np.testing.assert_allclose(dx_b, dx_a, rtol=0, atol=1e-12)
+            assert grads_a.keys() == grads_b.keys()
+            for name in grads_a:
+                np.testing.assert_allclose(grads_b[name], grads_a[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,pad", [(1, 0), (1, 1), (3, 0), (3, 1)])
+    def test_conv2d(self, kernel, pad):
+        self.run_both(lambda: Conv2d(4, 5, kernel, pad=pad, rng=rng(9), dtype=np.float64),
+                      (3, 4, 5, 7))
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_batchnorm(self, train):
+        def make():
+            bn = BatchNorm(4, dtype=np.float64)
+            bn.gamma[...] = [0.5, 1.5, -1.0, 2.0]
+            bn.beta[...] = [0.1, -0.2, 0.3, 0.0]
+            bn.running_mean[...] = [0.2, -0.1, 0.0, 0.4]
+            bn.running_var[...] = [0.5, 2.0, 1.0, 1.5]
+            return bn
+        self.run_both(make, (3, 4, 5, 7), train=train)
+
+    @pytest.mark.parametrize("layer", [ReLU, AvgPool2d, GlobalAvgPool])
+    def test_parameter_free_layers(self, layer):
+        self.run_both(layer, (3, 4, 5, 7))
+
+    @pytest.mark.parametrize("bottleneck", [False, True])
+    def test_dense_block(self, bottleneck):
+        self.run_both(lambda: DenseBlock(5, 3, 3, bottleneck=bottleneck, rng=rng(4),
+                                         dtype=np.float64), (3, 5, 4, 6))
+
+    def test_train_forward_keeps_block_features_channel_major(self):
+        cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, compression=0.5,
+                             num_classes=5)
+        model = build_model(cfg, seed=0)
+        features = []
+        for block in model.blocks:
+            def record(x, train=False, forward=block.forward):
+                out = forward(x, train)
+                features.append(out)
+                return out
+            block.forward = record
+        model.forward(rng(5).standard_normal((4, 3, 11, 40)).astype(np.float32), train=True)
+        assert len(features) == len(model.blocks)
+        for out in features:
+            assert out.transpose(1, 0, 2, 3).flags.c_contiguous
