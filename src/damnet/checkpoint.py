@@ -15,6 +15,7 @@ import numpy as np
 
 from .builder import DenseNetConfig
 from .exceptions import FormatError
+from .features import ByteReader
 from .layers import BN_EPSILON, BN_MOMENTUM
 from .model import Model
 
@@ -92,33 +93,9 @@ def save_checkpoint(model: Model, path) -> None:
             handle.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
 
 
-class _Reader:
-    def __init__(self, data: bytes, what: str):
-        self.data = data
-        self.offset = 0
-        self.what = what
-        self.context = "header"
-
-    def take(self, count: int, field: str) -> bytes:
-        if self.offset + count > len(self.data):
-            raise FormatError(
-                f"truncated {self.what}: {field} in {self.context}", offset=self.offset
-            )
-        chunk = self.data[self.offset : self.offset + count]
-        self.offset += count
-        return chunk
-
-    def u32(self, field: str) -> int:
-        return struct.unpack("<I", self.take(4, field))[0]
-
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.offset
-
-
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, restoring every named tensor."""
-    reader = _Reader(Path(path).read_bytes(), "checkpoint")
+    reader = ByteReader(Path(path).read_bytes(), "checkpoint")
     magic = reader.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)

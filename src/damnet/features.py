@@ -292,16 +292,21 @@ def write_archive(utterances: list[UtteranceFeatures], path) -> None:
                 handle.write(np.ascontiguousarray(utt.labels, dtype="<u4").tobytes())
 
 
-class _ArchiveReader:
-    def __init__(self, data: bytes):
+class ByteReader:
+    """Sequential reader over one binary file (archive or checkpoint) held in
+    memory. Reading past the end raises ``FormatError`` naming the field,
+    the ``context`` (for example "record 3") and the byte offset."""
+
+    def __init__(self, data: bytes, what: str):
         self.data = data
         self.offset = 0
+        self.what = what
         self.context = "header"
 
     def take(self, count: int, field: str) -> bytes:
         if self.offset + count > len(self.data):
             raise FormatError(
-                f"archive truncated reading {field} in {self.context}", offset=self.offset
+                f"truncated {self.what}: {field} in {self.context}", offset=self.offset
             )
         chunk = self.data[self.offset : self.offset + count]
         self.offset += count
@@ -313,9 +318,13 @@ class _ArchiveReader:
     def peek(self, count: int) -> bytes:
         return self.data[self.offset : self.offset + count]
 
+    @property
+    def remaining(self) -> int:
+        return len(self.data) - self.offset
+
 
 def read_archive(path) -> list[UtteranceFeatures]:
-    reader = _ArchiveReader(Path(path).read_bytes())
+    reader = ByteReader(Path(path).read_bytes(), "archive")
     magic = reader.take(4, "magic")
     if magic != ARCHIVE_MAGIC:
         raise FormatError(f"bad archive magic {magic!r}", offset=0)
@@ -348,9 +357,9 @@ def read_archive(path) -> list[UtteranceFeatures]:
             reader.take(4, "label magic")
             labels = np.frombuffer(reader.take(4 * t, "labels"), dtype="<u4").astype(np.int64)
         utterances.append(UtteranceFeatures(utt_id, frames, labels))
-    if reader.offset != len(reader.data):
+    if reader.remaining:
         raise FormatError(
-            f"{len(reader.data) - reader.offset} trailing bytes after record {count - 1}",
+            f"{reader.remaining} trailing bytes after record {count - 1}",
             offset=reader.offset,
         )
     return utterances

@@ -79,9 +79,9 @@ def check_layer(layer, x: np.ndarray, *, eps: float = DEFAULT_EPS, rng=None) -> 
     dx = layer.backward(projection)
     tensors = {"x": x}
     analytic = {"x": dx}
-    for key, value in layer.params().items():
-        tensors[f"param:{key}"] = value
-        analytic[f"param:{key}"] = np.array(layer.grads()[key])
+    for key in getattr(layer, "PARAMS", ()):
+        tensors[f"param:{key}"] = getattr(layer, key)
+        analytic[f"param:{key}"] = np.array(getattr(layer, "grad_" + key))
     return finite_diff_check(objective, tensors, analytic, eps=eps)
 
 

@@ -8,10 +8,12 @@ GEMMs run on one flat (C, N*H*W) grid and a dense block's channel slices
 are contiguous. Elementwise layers keep their input's layout because
 ufunc outputs do; the pools' backward passes allocate channel-major.
 Training runs in float32; gradient checking builds float64 layers because
-central differences are unreliable in single precision. Parameters live
-on the layer objects: ``params()`` returns the trainable tensors,
-``state()`` the non-trainable ones (batchnorm running statistics), and
-``grads()`` the gradients written by the most recent ``backward()`` call.
+central differences are unreliable in single precision. A layer class
+names its tensors once: ``PARAMS`` the trainable ones and ``STATE`` the
+non-trainable ones (batchnorm running statistics). ``__init__`` allocates
+each, plus a ``grad_<name>`` array per parameter that ``backward()``
+overwrites in place, so a ``Model`` can rebind them all to views of its
+flat arenas and a standalone layer still works.
 
 ``forward(x, train=False)`` is pure: it reads the parameters and running
 statistics and writes nothing, so infer-mode forwards may run concurrently
@@ -77,6 +79,8 @@ class Conv2d:
     The output is a channel-major view; a 1x1 conv's is contiguous.
     """
 
+    PARAMS = ("weight",)
+
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  pad: int = 0, *, rng=None, dtype=np.float32):
         if kernel_size < 1:
@@ -93,7 +97,7 @@ class Conv2d:
             self.weight = np.zeros(shape, dtype=dtype)
         else:
             self.weight = he_normal(rng, shape, fan_in, dtype)
-        self.grad_weight = None
+        self.grad_weight = np.zeros(shape, dtype=dtype)
         self._cache = None
 
     def _taps(self, pitch: int):
@@ -151,18 +155,9 @@ class Conv2d:
                 shifted[t, :, shift : shift + span] = placed[:, :span]
             shifted = shifted.reshape(k * k * co, -1)
         grad = shifted @ grid.T
-        self.grad_weight = np.ascontiguousarray(grad.reshape(k, k, co, c).transpose(2, 3, 0, 1))
+        self.grad_weight[...] = grad.reshape(k, k, co, c).transpose(2, 3, 0, 1)
         dgrid = (matrix.T @ shifted).reshape(c, n, hp, wp)
         return dgrid[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
-
-    def params(self):
-        return {"weight": self.weight}
-
-    def grads(self):
-        return {"weight": self.grad_weight}
-
-    def state(self):
-        return {}
 
 
 class BatchNorm:
@@ -174,6 +169,9 @@ class BatchNorm:
     into one per-channel ``x * scale + shift`` and writes nothing.
     """
 
+    PARAMS = ("gamma", "beta")
+    STATE = ("running_mean", "running_var")
+
     def __init__(self, num_channels: int, epsilon: float = BN_EPSILON,
                  momentum: float = BN_MOMENTUM, dtype=np.float32):
         self.num_channels = num_channels
@@ -183,8 +181,8 @@ class BatchNorm:
         self.beta = np.zeros(num_channels, dtype=dtype)
         self.running_mean = np.zeros(num_channels, dtype=dtype)
         self.running_var = np.ones(num_channels, dtype=dtype)
-        self.grad_gamma = None
-        self.grad_beta = None
+        self.grad_gamma = np.zeros(num_channels, dtype=dtype)
+        self.grad_beta = np.zeros(num_channels, dtype=dtype)
         self._cache = None
 
     def _per_channel(self, arr):
@@ -220,8 +218,8 @@ class BatchNorm:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         xhat, inv = self._cache
-        self.grad_gamma = np.einsum("nchw,nchw->c", dout, xhat)
-        self.grad_beta = np.einsum("nchw->c", dout)
+        self.grad_gamma[...] = np.einsum("nchw,nchw->c", dout, xhat)
+        self.grad_beta[...] = np.einsum("nchw->c", dout)
         scale = self._per_channel(self.gamma * inv)
         # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
         count = dout.size // self.num_channels
@@ -230,15 +228,6 @@ class BatchNorm:
         dx -= self._per_channel(self.grad_beta / count)
         dx *= scale
         return dx
-
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def grads(self):
-        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
-
-    def state(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
 class ReLU:
@@ -255,15 +244,6 @@ class ReLU:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         return dout * self._mask
-
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
-
-    def state(self):
-        return {}
 
 
 class AvgPool2d:
@@ -291,15 +271,6 @@ class AvgPool2d:
             dx[:, :, i : 2 * oh : 2, j : 2 * ow : 2] = quarter
         return dx
 
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
-
-    def state(self):
-        return {}
-
 
 class GlobalAvgPool:
     """Mean over all spatial positions, one value per channel."""
@@ -319,15 +290,6 @@ class GlobalAvgPool:
         dx[...] = dout / (self._shape[2] * self._shape[3])
         return dx
 
-    def params(self):
-        return {}
-
-    def grads(self):
-        return {}
-
-    def state(self):
-        return {}
-
 
 class Linear:
     """Affine map y = x @ W.T + b on flattened features.
@@ -337,6 +299,8 @@ class Linear:
     must not depend on the batch.
     """
 
+    PARAMS = ("weight", "bias")
+
     def __init__(self, in_features: int, out_features: int, *, rng=None, dtype=np.float32):
         self.in_features = in_features
         self.out_features = out_features
@@ -345,8 +309,8 @@ class Linear:
         else:
             self.weight = he_normal(rng, (out_features, in_features), in_features, dtype)
         self.bias = np.zeros(out_features, dtype=dtype)
-        self.grad_weight = None
-        self.grad_bias = None
+        self.grad_weight = np.zeros((out_features, in_features), dtype=dtype)
+        self.grad_bias = np.zeros(out_features, dtype=dtype)
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -358,18 +322,9 @@ class Linear:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         x = self._cache
-        self.grad_weight = dout.T @ x
-        self.grad_bias = dout.sum(axis=0)
+        self.grad_weight[...] = dout.T @ x
+        self.grad_bias[...] = dout.sum(axis=0)
         return dout @ self.weight
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
-
-    def state(self):
-        return {}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

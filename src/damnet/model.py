@@ -36,25 +36,39 @@ from .layers import (
 )
 
 
-def _collect(children, attr):
-    merged = {}
-    for prefix, child in children:
-        for key, value in getattr(child, attr)().items():
-            merged[f"{prefix}.{key}"] = value
-    return merged
+def walk(layer, name: str = ""):
+    """Yield (name, layer) for ``layer`` and every layer under it, depth first
+    in attribute order. A child's name is its parent's plus ``.attribute``;
+    the n-th layer of a list (a dense block's units) is ``.layer{n}``."""
+    yield name, layer
+    for key, value in vars(layer).items():
+        if isinstance(value, list):
+            children = [(f"layer{n}", child) for n, child in enumerate(value, 1)]
+        else:
+            children = [(key, value)]
+        for child_name, child in children:
+            if hasattr(child, "backward"):
+                yield from walk(child, f"{name}.{child_name}")
+
+
+def named_arrays(stages, kind: str, prefix: str = "") -> dict[str, np.ndarray]:
+    """Every tensor that the layers under ``stages``, a list of (name, layer),
+    declare in ``kind`` ("PARAMS" or "STATE"), by dotted name in walk order.
+    ``prefix="grad_"`` gives the gradients of the parameters instead."""
+    return {f"{name}.{key}": getattr(layer, prefix + key)
+            for stage_name, stage in stages
+            for name, layer in walk(stage, stage_name)
+            for key in getattr(layer, kind, ())}
 
 
 def _drop_backward_state(layer) -> None:
     """Set the ``_cache``/``_mask``/``_shape`` fields of ``layer`` and of every
-    layer under it (attributes and unit lists) to None."""
-    fields = vars(layer)
-    for name in ("_cache", "_mask", "_shape"):
-        if name in fields:
-            fields[name] = None
-    for value in fields.values():
-        for child in value if isinstance(value, list) else (value,):
-            if hasattr(child, "backward"):
-                _drop_backward_state(child)
+    layer under it to None."""
+    for _, part in walk(layer):
+        fields = vars(part)
+        for name in ("_cache", "_mask", "_shape"):
+            if name in fields:
+                fields[name] = None
 
 
 class DenseUnit:
@@ -78,12 +92,6 @@ class DenseUnit:
             self.relu1 = ReLU()
             self.conv3x3 = Conv2d(in_channels, growth_rate, 3, pad=1, rng=rng, dtype=dtype)
 
-    def _children(self):
-        if self.bottleneck:
-            return [("bn1", self.bn1), ("conv1x1", self.conv1x1),
-                    ("bn2", self.bn2), ("conv3x3", self.conv3x3)]
-        return [("bn1", self.bn1), ("conv3x3", self.conv3x3)]
-
     def forward(self, x, train=False):
         h = self.relu1.forward(self.bn1.forward(x, train), train)
         if self.bottleneck:
@@ -97,15 +105,6 @@ class DenseUnit:
             d = self.bn2.backward(self.relu2.backward(d))
             d = self.conv1x1.backward(d)
         return self.bn1.backward(self.relu1.backward(d))
-
-    def params(self):
-        return _collect(self._children(), "params")
-
-    def grads(self):
-        return _collect(self._children(), "grads")
-
-    def state(self):
-        return _collect(self._children(), "state")
 
 
 class DenseBlock:
@@ -148,18 +147,6 @@ class DenseBlock:
             grad[:, :width] += unit.backward(grad[:, width : width + self.growth_rate])
         return grad[:, : self.in_channels]
 
-    def _children(self):
-        return [(f"layer{n}", unit) for n, unit in enumerate(self.units, 1)]
-
-    def params(self):
-        return _collect(self._children(), "params")
-
-    def grads(self):
-        return _collect(self._children(), "grads")
-
-    def state(self):
-        return _collect(self._children(), "state")
-
 
 class Transition:
     """BN -> ReLU -> 2x2 avg pool -> 1x1 conv to the compressed width. Pooling
@@ -180,18 +167,6 @@ class Transition:
         d = self.pool.backward(self.conv.backward(dout))
         return self.bn.backward(self.relu.backward(d))
 
-    def _children(self):
-        return [("bn", self.bn), ("conv", self.conv)]
-
-    def params(self):
-        return _collect(self._children(), "params")
-
-    def grads(self):
-        return _collect(self._children(), "grads")
-
-    def state(self):
-        return _collect(self._children(), "state")
-
 
 class ClassifierHead:
     """BN -> ReLU -> global average pool -> fully-connected logits."""
@@ -210,18 +185,6 @@ class ClassifierHead:
         d = self.fc.backward(dout)[:, :, None, None]
         return self.bn.backward(self.relu.backward(self.pool.backward(d)))
 
-    def _children(self):
-        return [("bn", self.bn), ("fc", self.fc)]
-
-    def params(self):
-        return _collect(self._children(), "params")
-
-    def grads(self):
-        return _collect(self._children(), "grads")
-
-    def state(self):
-        return _collect(self._children(), "state")
-
 
 class Model:
     """Ordered parameterized layer graph with dense-block wiring.
@@ -234,6 +197,14 @@ class Model:
     forwards and backwards must be serialized, and ``backward`` needs a
     train-mode forward before it. ``backward`` returns the input gradient as
     a non-contiguous (N, C, H, W) view of channel-major memory.
+
+    Every tensor is a view of one flat arena, ``tensors``: first the
+    trainable ones, then the batchnorm running statistics, each group in
+    ``named_tensors()`` order, which is also the checkpoint's. ``params`` is
+    the leading, trainable slice of ``tensors``, and ``grads`` holds the
+    gradients, laid out like ``params``, that ``backward`` overwrites.
+    ``named_params()``, ``named_state()`` and ``named_grads()`` return
+    shaped views into them.
     """
 
     def __init__(self, config: DenseNetConfig, seed: int, dtype=np.float32):
@@ -264,6 +235,22 @@ class Model:
         stages.append(("classifier", ClassifierHead(channels, config.num_classes, rng, dtype)))
         self._stages = stages
 
+        # rebind every tensor and every gradient to a view of its arena
+        layers = [layer for _, stage in stages for _, layer in walk(stage)]
+        params = [(layer, key) for layer in layers for key in getattr(layer, "PARAMS", ())]
+        slots = params + [(layer, key) for layer in layers for key in getattr(layer, "STATE", ())]
+        self.tensors = np.concatenate([getattr(layer, key).ravel() for layer, key in slots])
+        self.params = self.tensors[: sum(getattr(layer, key).size for layer, key in params)]
+        self.grads = np.zeros_like(self.params)
+        offset = 0
+        for layer, key in slots:
+            value = getattr(layer, key)
+            end = offset + value.size
+            setattr(layer, key, self.tensors[offset:end].reshape(value.shape))
+            if end <= self.params.size:
+                setattr(layer, "grad_" + key, self.grads[offset:end].reshape(value.shape))
+            offset = end
+
     def stages(self) -> list[tuple[str, object]]:
         return list(self._stages)
 
@@ -288,15 +275,6 @@ class Model:
             x = stage.forward(x, train)
         return x
 
-    def forward_trace(self, x: np.ndarray, train: bool = False) -> list[tuple[str, tuple]]:
-        """Forward pass recording each stage's realized output shape."""
-        self._check_input(x)
-        trace = []
-        for name, stage in self._stages:
-            x = stage.forward(x, train)
-            trace.append((name, x.shape))
-        return trace
-
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         d = dlogits
         for _, stage in reversed(self._stages):
@@ -304,13 +282,13 @@ class Model:
         return d
 
     def named_params(self) -> dict[str, np.ndarray]:
-        return _collect(self._stages, "params")
+        return named_arrays(self._stages, "PARAMS")
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        return _collect(self._stages, "grads")
+        return named_arrays(self._stages, "PARAMS", "grad_")
 
     def named_state(self) -> dict[str, np.ndarray]:
-        return _collect(self._stages, "state")
+        return named_arrays(self._stages, "STATE")
 
     def named_tensors(self) -> dict[str, np.ndarray]:
         """Parameters plus running statistics, in a stable order."""
@@ -332,7 +310,7 @@ def build_model(config: DenseNetConfig, seed: int, dtype=np.float32) -> Model:
 def count_parameters(model: Model) -> ParameterCount:
     """Per-stage and total trainable parameter counts from walking the
     realized graph (running statistics excluded)."""
-    per_stage = {}
-    for name, stage in model.stages():
-        per_stage[name] = int(sum(p.size for p in stage.params().values()))
+    per_stage = {name: 0 for name, _ in model.stages()}
+    for name, param in model.named_params().items():
+        per_stage[name.split(".")[0]] += param.size
     return ParameterCount(per_stage=per_stage, total=sum(per_stage.values()))

@@ -242,7 +242,7 @@ def train_epoch(model: Model, data: FrameDataset, cfg: TrainConfig, rng,
         total_loss += loss * len(idx)
         correct += int((logits.argmax(axis=1) == targets).sum())
         model.backward(dlogits)
-        sgd_update(model.named_params(), model.named_grads(), velocity, lr, cfg.momentum)
+        sgd_update({"params": model.params}, {"params": model.grads}, velocity, lr, cfg.momentum)
     seconds = 0.0 if cfg.deterministic else time.perf_counter() - started
     return Metrics(
         epoch=epoch, lr=lr,
@@ -307,13 +307,12 @@ def fit(model: Model, train_data: FrameDataset, val_data: FrameDataset,
         history.append(epoch_metrics)
         if best_loss is None or result.loss < best_loss:
             best_loss = result.loss
-            best_snapshot = {k: v.copy() for k, v in model.named_tensors().items()}
+            best_snapshot = model.tensors.copy()
         state, stop = schedule_step(state, result.loss, cfg)
         if stop:
             break
     if best_snapshot is not None:
-        for name, tensor in model.named_tensors().items():
-            tensor[...] = best_snapshot[name]
+        model.tensors[...] = best_snapshot
     return history
 
 

@@ -17,7 +17,7 @@ from damnet.builder import (
 )
 from damnet.exceptions import ConfigError
 from damnet.layers import BatchNorm, Conv2d
-from damnet.model import DenseBlock, build_model, count_parameters
+from damnet.model import DenseBlock, build_model, count_parameters, named_arrays
 
 
 def rng(seed=0):
@@ -209,7 +209,10 @@ class TestModel:
             table = plan_architecture(cfg)
             model = build_model(cfg, seed=0)
             x = r.standard_normal((2, 3, 11, 40)).astype(np.float32)
-            trace = model.forward_trace(x, train=False)
+            trace = []
+            for name, stage in model.stages():
+                x = stage.forward(x, False)
+                trace.append((name, x.shape))
             assert len(trace) == len(table.stages)
             for (name, shape), stage in zip(trace, table.stages):
                 assert name == stage.name
@@ -275,10 +278,10 @@ class TestModel:
         model = build_model(cfg, seed=0)
         names = []
         for stage_name, stage in model.stages():
-            for key in stage.params():
-                names.append(f"{stage_name}.{key}")
-            for key in stage.state():
-                names.append(f"{stage_name}.{key}")
+            for key in named_arrays([(stage_name, stage)], "PARAMS"):
+                names.append(key)
+            for key in named_arrays([(stage_name, stage)], "STATE"):
+                names.append(key)
         assert len(names) == len(set(names))
         assert len(model.named_tensors()) == len(names)
 
@@ -412,12 +415,32 @@ class TestModel:
         assert [key for key, value in fields.items() if value is not None] == []
 
 
+class TestParameterArena:
+    def test_named_views_share_the_arenas(self):
+        cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,
+                             compression=0.5, num_classes=5, first_conv_channels=8)
+        model = build_model(cfg, seed=0)
+        params, state = model.named_params(), model.named_state()
+        assert model.params.base is model.tensors
+        assert model.params.size == sum(p.size for p in params.values())
+        assert model.tensors.size == model.params.size + sum(s.size for s in state.values())
+        assert model.grads.shape == model.params.shape
+        for name, tensor in {**params, **state}.items():
+            assert np.shares_memory(tensor, model.tensors), name
+        for name, grad in model.named_grads().items():
+            assert grad.shape == params[name].shape
+            assert np.shares_memory(grad, model.grads), name
+        # the arena holds the named tensors back to back, in named_tensors() order
+        flat = np.concatenate([t.ravel() for t in model.named_tensors().values()])
+        assert flat.tobytes() == model.tensors.tobytes()
+
+
 class TestParameterTables:
     def test_hand_counted_conv_bn_stack(self):
         conv = Conv2d(3, 16, 3)
         bn = BatchNorm(16)
-        walked = sum(p.size for p in conv.params().values())
-        walked += sum(p.size for p in bn.params().values())
+        walked = sum(p.size for p in named_arrays([("conv", conv)], "PARAMS").values())
+        walked += sum(p.size for p in named_arrays([("bn", bn)], "PARAMS").values())
         assert walked == 3 * 3 * 3 * 16 + 2 * 16 == 464
 
     def test_depth41_table_ordering(self):

@@ -4,6 +4,7 @@ import pytest
 from damnet.builder import DenseNetConfig
 from damnet.checkpoint import load_checkpoint, save_checkpoint
 from damnet.exceptions import FormatError
+from damnet.features import ByteReader, UtteranceFeatures, read_archive, write_archive
 from damnet.model import build_model
 
 
@@ -29,6 +30,57 @@ def test_round_trip_is_bit_exact(tmp_path):
     second = tmp_path / "model2.ckpt"
     save_checkpoint(loaded, second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_names_and_values_follow_the_arena(tmp_path):
+    model = small_model(seed=2)
+    model.forward(np.random.default_rng(3).standard_normal((4, 3, 11, 40)).astype(np.float32),
+                  train=True)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    reader = ByteReader(path.read_bytes(), "checkpoint")
+    reader.take(8, "magic and version")
+    reader.take(reader.u32("config length"), "config")
+    names, values = [], []
+    for _ in range(reader.u32("tensor count")):
+        names.append(reader.take(reader.u32("name length"), "name").decode("utf-8"))
+        shape = [reader.u32("extent") for _ in range(reader.u32("rank"))]
+        values.append(reader.take(4 * int(np.prod(shape)), "values"))
+    assert names == list(model.named_tensors())
+    assert b"".join(values) == model.tensors.astype("<f4").tobytes()
+    assert load_checkpoint(path).tensors.tobytes() == model.tensors.tobytes()
+
+
+def test_truncation_raises_only_format_error(tmp_path):
+    frames = np.random.default_rng(0).standard_normal((3, 3, 4)).astype(np.float32)
+    utts = [UtteranceFeatures("a", frames, np.arange(3)),
+            UtteranceFeatures("bb", frames[:2], None),
+            UtteranceFeatures("c", frames[1:], np.arange(2))]
+    archive = tmp_path / "data.fbk"
+    write_archive(utts, archive)
+    data = archive.read_bytes()
+    # the format cannot tell a missing label block from an unlabelled record
+    unlabelled_cut = len(data) - 4 - 4 * 2
+    cut_path = tmp_path / "cut.fbk"
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        if cut == unlabelled_cut:
+            loaded = read_archive(cut_path)
+            assert [u.utt_id for u in loaded] == ["a", "bb", "c"]
+            assert loaded[-1].labels is None
+            continue
+        with pytest.raises(FormatError):
+            read_archive(cut_path)
+
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), checkpoint)
+    data = checkpoint.read_bytes()
+    cuts = [*range(600), *np.random.default_rng(1).integers(600, len(data), size=300)]
+    cut_path = tmp_path / "cut.ckpt"
+    for cut in cuts:
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut_path)
 
 
 def test_bad_magic(tmp_path):

@@ -18,7 +18,7 @@ from damnet.layers import (
     softmax_cross_entropy,
 )
 from damnet.builder import DenseNetConfig
-from damnet.model import DenseBlock, Transition, build_model
+from damnet.model import DenseBlock, Transition, build_model, named_arrays
 
 
 def rng(seed=0):
@@ -34,7 +34,8 @@ class TestDenseWiring:
         dout = r.standard_normal((3, block.out_channels, 4, 6))
         out = block.forward(x, train=True)
         dx = block.backward(dout)
-        grads = {name: g.copy() for name, g in block.grads().items()}
+        grads = {name: g.copy()
+                 for name, g in named_arrays([("block", block)], "PARAMS", "grad_").items()}
 
         # reference: the same units wired by explicit concatenation, with
         # each unit's input gradient split back onto its sources
@@ -49,7 +50,7 @@ class TestDenseWiring:
             for i, part in enumerate(np.split(din, np.cumsum(sizes[:n])[:-1], axis=1)):
                 accum[i] += part
         np.testing.assert_allclose(dx, accum[0], rtol=0, atol=1e-12)
-        for name, g in block.grads().items():
+        for name, g in named_arrays([("block", block)], "PARAMS", "grad_").items():
             np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
     def test_dense_block_rejects_wrong_width(self):
@@ -383,7 +384,8 @@ class TestChannelMajorLayout:
                 continue
             dout = layout(rng(seed + 1).standard_normal(out.shape))
             dx = layer.backward(dout)
-            results.append((out, dx, {k: v.copy() for k, v in layer.grads().items()}))
+            grads = named_arrays([("layer", layer)], "PARAMS", "grad_")
+            results.append((out, dx, {k: v.copy() for k, v in grads.items()}))
         (out_a, dx_a, grads_a), (out_b, dx_b, grads_b) = results
         np.testing.assert_allclose(out_b, out_a, rtol=0, atol=1e-12)
         if train:

@@ -194,6 +194,21 @@ class TestTrainEpoch:
         for name, tensor in a.named_tensors().items():
             np.testing.assert_array_equal(tensor, b.named_tensors()[name])
 
+    def test_flat_update_matches_per_tensor_reference(self):
+        # train_epoch updates the whole parameter arena with three vector ops;
+        # sgd_update applied per named tensor on a copy must give the same bits
+        data = small_dataset()
+        model = build_model(SMALL_MODEL, seed=2)
+        cfg = TrainConfig(batch_size=len(data), momentum=0.9)
+        reference = {k: v.copy() for k, v in model.named_params().items()}
+        velocity, reference_velocity = {}, {}
+        for epoch in range(2):
+            train_epoch(model, data, cfg, rng(epoch), lr=0.05, velocity=velocity)
+            grads = {k: g.copy() for k, g in model.named_grads().items()}
+            sgd_update(reference, grads, reference_velocity, 0.05, cfg.momentum)
+        for name, tensor in model.named_params().items():
+            assert tensor.tobytes() == reference[name].tobytes(), name
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_batch(self):
         data = small_dataset()
