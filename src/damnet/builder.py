@@ -136,10 +136,9 @@ class DenseNetConfig:
             raise ConfigError(
                 f"variant {self.variant} requires compression < 1.0, got {self.compression}"
             )
-        layers = layers_per_block(self.depth, self.blocks)
+        layers_per_block(self.depth, self.blocks)
         if self.variant == "BC":
             bottleneck_pairs_per_block(self.depth, self.blocks)
-        del layers
 
     @property
     def bottleneck(self) -> bool:

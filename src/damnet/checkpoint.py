@@ -9,6 +9,7 @@ values. Round-trips are bit-exact for float32 models.
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +23,10 @@ from .model import Model
 CHECKPOINT_MAGIC = b"DAMC"
 CHECKPOINT_VERSION = 1
 
-_CONFIG_KEYS = (
-    "variant", "depth", "blocks", "growth_rate", "compression",
-    "input_channels", "input_height", "input_width", "num_classes",
-    "first_conv_channels",
-)
-
 
 def _config_text(model: Model) -> str:
     cfg = model.config
-    lines = [f"{key}={getattr(cfg, key)}" for key in _CONFIG_KEYS]
+    lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)]
     lines.append(f"seed={model.seed}")
     lines.append(f"bn_epsilon={BN_EPSILON}")
     lines.append(f"bn_momentum={BN_MOMENTUM}")
@@ -48,18 +43,9 @@ def _parse_config_text(text: str, offset: int) -> tuple[DenseNetConfig, int]:
         key, _, raw = line.partition("=")
         values[key.strip()] = raw.strip()
     try:
-        config = DenseNetConfig(
-            variant=values["variant"],
-            depth=int(values["depth"]),
-            blocks=int(values["blocks"]),
-            growth_rate=int(values["growth_rate"]),
-            compression=float(values["compression"]),
-            input_channels=int(values["input_channels"]),
-            input_height=int(values["input_height"]),
-            input_width=int(values["input_width"]),
-            num_classes=int(values["num_classes"]),
-            first_conv_channels=int(values["first_conv_channels"]),
-        )
+        config = DenseNetConfig(**{
+            f.name: type(f.default)(values[f.name]) for f in fields(DenseNetConfig)
+        })
         seed = int(values["seed"])
         # infer-mode batchnorm folds epsilon into every output: a model
         # trained with other constants would silently compute something else

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from .builder import ArchitectureTable, plan_architecture
+from .builder import ArchitectureTable, DenseNetConfig, plan_architecture
 from .checkpoint import load_checkpoint, save_checkpoint
 from .exceptions import (
     ConfigError,
@@ -19,6 +19,7 @@ from .exceptions import (
     ShapeError,
 )
 from .features import (
+    FilterbankConfig,
     compute_cmvn_stats,
     featurize_manifest,
     load_cmvn_stats,
@@ -29,14 +30,9 @@ from .features import (
 )
 from .gradcheck import GRADCHECK_TOLERANCE, gradcheck_report
 from .model import build_model, count_parameters
-from .runconfig import (
-    densenet_config_from,
-    filterbank_config_from,
-    load_run_config,
-    require_path,
-    train_config_from,
-)
+from .runconfig import config_from, load_run_config, require_path
 from .trainer import (
+    TrainConfig,
     build_frame_dataset,
     evaluate,
     fit,
@@ -99,7 +95,7 @@ def _human_lines(table: ArchitectureTable) -> list[str]:
 
 
 def cmd_inspect(config: dict, machine: bool) -> int:
-    table = plan_architecture(densenet_config_from(config))
+    table = plan_architecture(config_from(DenseNetConfig, config))
     if machine:
         print("\n".join(_machine_lines(table)))
     else:
@@ -112,7 +108,7 @@ def cmd_featurize(config: dict) -> int:
     manifest = require_path(config, "manifest", "to featurize")
     archive_path = require_path(config, "output_archive", "to featurize")
     stats_path = require_path(config, "stats_file", "to featurize")
-    filterbank = filterbank_config_from(config)
+    filterbank = config_from(FilterbankConfig, config)
     entries = parse_manifest(manifest)
     utterances = featurize_manifest(entries, filterbank, add_deltas=config["add_deltas"])
     write_archive(utterances, archive_path)
@@ -166,8 +162,8 @@ def _check_geometry(model, data) -> None:
 
 
 def cmd_train(config: dict) -> int:
-    model_config = densenet_config_from(config)
-    train_config = train_config_from(config)
+    model_config = config_from(DenseNetConfig, config)
+    train_config = config_from(TrainConfig, config)
     checkpoint_path = require_path(config, "checkpoint", "to train")
     context = config["context_left"] + 1 + config["context_right"]
     if model_config.input_height != context:

@@ -12,7 +12,7 @@ import functools
 import json
 import struct
 import wave
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ class FilterbankConfig:
     fft_size: int = 512
     num_filters: int = 40
     low_freq: float = 20.0
-    high_freq: float | None = None  # None means Nyquist
+    high_freq: float = 0.0  # 0 means Nyquist
     pre_emphasis: float = 0.97
     log_floor: float = 1e-10
 
@@ -51,7 +51,7 @@ class FilterbankConfig:
 
     @property
     def resolved_high_freq(self) -> float:
-        return self.sample_rate / 2.0 if self.high_freq is None else self.high_freq
+        return self.high_freq or self.sample_rate / 2.0
 
     def validate(self) -> None:
         if self.sample_rate < 1:
@@ -235,30 +235,30 @@ def save_cmvn_stats(stats: CmvnStats, path, filterbank: FilterbankConfig | None 
         "var": stats.var.tolist(),
     }
     if filterbank is not None:
-        payload["filterbank"] = {
-            "sample_rate": filterbank.sample_rate,
-            "frame_length_ms": filterbank.frame_length_ms,
-            "frame_shift_ms": filterbank.frame_shift_ms,
-            "fft_size": filterbank.fft_size,
-            "num_filters": filterbank.num_filters,
-            "low_freq": filterbank.low_freq,
-            "high_freq": filterbank.resolved_high_freq,
-            "pre_emphasis": filterbank.pre_emphasis,
-            "log_floor": filterbank.log_floor,
-        }
+        payload["filterbank"] = {**asdict(filterbank),
+                                 "high_freq": filterbank.resolved_high_freq}
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_cmvn_stats(path) -> CmvnStats:
     try:
         payload = json.loads(Path(path).read_text())
-        return CmvnStats(
+        stats = CmvnStats(
             mean=np.asarray(payload["mean"], dtype=np.float64),
             var=np.asarray(payload["var"], dtype=np.float64),
             frame_count=int(payload["frame_count"]),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad statistics file {path}: {exc}") from exc
+    if stats.mean.shape != stats.var.shape:
+        problem = f"mean has shape {stats.mean.shape}, var {stats.var.shape}"
+    elif not (np.isfinite(stats.mean).all() and np.isfinite(stats.var).all()):
+        problem = "non-finite mean or variance"
+    elif (stats.var <= 0.0).any():
+        problem = "variance <= 0"
+    else:
+        return stats
+    raise FormatError(f"bad statistics file {path}: {problem}")
 
 
 def splice_context(frames: np.ndarray, left: int = 5, right: int = 5) -> np.ndarray:
@@ -392,8 +392,12 @@ class ManifestEntry:
 
 def parse_manifest(path) -> list[ManifestEntry]:
     """Line-oriented manifest: id, audio path, optional label path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {path} is not UTF-8 text: {exc}") from exc
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -172,11 +172,8 @@ class BatchNorm:
     PARAMS = ("gamma", "beta")
     STATE = ("running_mean", "running_var")
 
-    def __init__(self, num_channels: int, epsilon: float = BN_EPSILON,
-                 momentum: float = BN_MOMENTUM, dtype=np.float32):
+    def __init__(self, num_channels: int, dtype=np.float32):
         self.num_channels = num_channels
-        self.epsilon = float(epsilon)
-        self.momentum = float(momentum)
         self.gamma = np.ones(num_channels, dtype=dtype)
         self.beta = np.zeros(num_channels, dtype=dtype)
         self.running_mean = np.zeros(num_channels, dtype=dtype)
@@ -194,7 +191,7 @@ class BatchNorm:
                 f"batchnorm expects (N, {self.num_channels}, H, W), got {x.shape}"
             )
         if not train:
-            scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+            scale = self.gamma / np.sqrt(self.running_var + BN_EPSILON)
             out = x * self._per_channel(scale)
             out += self._per_channel(self.beta - self.running_mean * scale)
             return out
@@ -207,9 +204,9 @@ class BatchNorm:
         xhat = x - self._per_channel(mean)
         # centred second moment: no cancellation from E[x^2] - E[x]^2
         var = np.einsum("nchw,nchw->c", xhat, xhat) / samples_per_channel
-        self.running_mean[...] = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-        self.running_var[...] = self.momentum * self.running_var + (1.0 - self.momentum) * var
-        inv = 1.0 / np.sqrt(var + self.epsilon)
+        self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
+        self.running_var[...] = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= self._per_channel(inv)
         self._cache = (xhat, inv)
         out = xhat * self._per_channel(self.gamma)

@@ -2,9 +2,19 @@
 
 Every key is valid for every subcommand; unknown keys are rejected.
 Flag overrides (--set, --seed, --deterministic) win over the file.
+
+The fields of ``DenseNetConfig``, ``FilterbankConfig`` and ``TrainConfig``
+are keys here without being listed: each field is a key of the same name
+(except the two in ``_KEY_OF_FIELD``), in field order, with the field's
+default and the default's type as its parser (``_parse_bool`` for bools).
+``config_from`` builds a dataclass back from those keys. The remaining
+keys (context, deltas, validation split, synthetic data, paths) are
+written out below.
 """
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 from .builder import DenseNetConfig
 from .exceptions import ConfigError
@@ -24,42 +34,33 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+# Run-config keys that differ from their dataclass field's name.
+_KEY_OF_FIELD = {
+    "halving_factor": "lr_halving_factor",
+    "improvement_threshold": "lr_improvement_threshold",
+}
+
+
+def _key(field) -> str:
+    return _KEY_OF_FIELD.get(field.name, field.name)
+
+
+def _field_entries(cls) -> dict:
+    """One (parser, default) entry per field of ``cls``, in field order."""
+    return {
+        _key(f): (_parse_bool if isinstance(f.default, bool) else type(f.default), f.default)
+        for f in fields(cls)
+    }
+
+
 # key -> (parser, default)
 SCHEMA: dict[str, tuple] = {
-    # model
-    "variant": (str, "plain"),
-    "depth": (int, 22),
-    "blocks": (int, 3),
-    "growth_rate": (int, 12),
-    "compression": (float, 1.0),
-    "input_channels": (int, 3),
-    "input_height": (int, 11),
-    "input_width": (int, 40),
-    "num_classes": (int, 1500),
-    "first_conv_channels": (int, 16),
-    # feature extraction
-    "sample_rate": (int, 16000),
-    "frame_length_ms": (float, 25.0),
-    "frame_shift_ms": (float, 10.0),
-    "fft_size": (int, 512),
-    "num_filters": (int, 40),
-    "low_freq": (float, 20.0),
-    "high_freq": (float, 0.0),  # 0 means Nyquist
-    "pre_emphasis": (float, 0.97),
-    "log_floor": (float, 1e-10),
+    **_field_entries(DenseNetConfig),
+    **_field_entries(FilterbankConfig),
     "add_deltas": (_parse_bool, True),
     "context_left": (int, 5),
     "context_right": (int, 5),
-    # training
-    "initial_lr": (float, 0.01),
-    "batch_size": (int, 256),
-    "max_epochs": (int, 20),
-    "momentum": (float, 0.9),
-    "lr_halving_factor": (float, 0.5),
-    "lr_improvement_threshold": (float, 0.002),
-    "min_lr": (float, 1e-5),
-    "seed": (int, 0),
-    "deterministic": (_parse_bool, False),
+    **_field_entries(TrainConfig),
     "validation_fraction": (float, 0.05),
     # synthetic data
     "synth_classes": (int, 10),
@@ -98,9 +99,9 @@ def load_run_config(path=None, overrides=()) -> dict:
     config = default_config()
     if path is not None:
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.strip()
@@ -118,53 +119,11 @@ def load_run_config(path=None, overrides=()) -> dict:
     return config
 
 
-def densenet_config_from(config: dict) -> DenseNetConfig:
-    model = DenseNetConfig(
-        variant=config["variant"],
-        depth=config["depth"],
-        blocks=config["blocks"],
-        growth_rate=config["growth_rate"],
-        compression=config["compression"],
-        input_channels=config["input_channels"],
-        input_height=config["input_height"],
-        input_width=config["input_width"],
-        num_classes=config["num_classes"],
-        first_conv_channels=config["first_conv_channels"],
-    )
-    model.validate()
-    return model
-
-
-def filterbank_config_from(config: dict) -> FilterbankConfig:
-    filterbank = FilterbankConfig(
-        sample_rate=config["sample_rate"],
-        frame_length_ms=config["frame_length_ms"],
-        frame_shift_ms=config["frame_shift_ms"],
-        fft_size=config["fft_size"],
-        num_filters=config["num_filters"],
-        low_freq=config["low_freq"],
-        high_freq=None if config["high_freq"] == 0.0 else config["high_freq"],
-        pre_emphasis=config["pre_emphasis"],
-        log_floor=config["log_floor"],
-    )
-    filterbank.validate()
-    return filterbank
-
-
-def train_config_from(config: dict) -> TrainConfig:
-    train = TrainConfig(
-        initial_lr=config["initial_lr"],
-        batch_size=config["batch_size"],
-        max_epochs=config["max_epochs"],
-        momentum=config["momentum"],
-        halving_factor=config["lr_halving_factor"],
-        improvement_threshold=config["lr_improvement_threshold"],
-        min_lr=config["min_lr"],
-        seed=config["seed"],
-        deterministic=config["deterministic"],
-    )
-    train.validate()
-    return train
+def config_from(cls, config: dict):
+    """Build ``cls`` from the run-config keys of its fields and validate it."""
+    built = cls(**{f.name: config[_key(f)] for f in fields(cls)})
+    built.validate()
+    return built
 
 
 def require_path(config: dict, key: str, purpose: str) -> str:

@@ -179,3 +179,29 @@ def test_mismatched_batchnorm_constant(tmp_path, line, value):
         load_checkpoint(path)
     assert err.value.offset == CONFIG_OFFSET
     assert value in str(err.value)
+
+
+def test_config_text_of_a_c13_model(tmp_path):
+    cfg = DenseNetConfig(variant="C", depth=13, compression=0.5, num_classes=10)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(cfg, seed=7), path)
+    data = path.read_bytes()
+    length = int.from_bytes(data[8:CONFIG_OFFSET], "little")
+    assert data[CONFIG_OFFSET : CONFIG_OFFSET + length] == (
+        b"variant=C\ndepth=13\nblocks=3\ngrowth_rate=12\ncompression=0.5\n"
+        b"input_channels=3\ninput_height=11\ninput_width=40\nnum_classes=10\n"
+        b"first_conv_channels=16\nseed=7\nbn_epsilon=1e-05\nbn_momentum=0.9\n"
+    )
+
+
+@pytest.mark.parametrize("line,value", [("depth=7\n", ""),
+                                        ("depth=7\n", "depth=seven\n"),
+                                        ("compression=0.5\n", "compression=half\n")])
+def test_missing_or_unparsable_config_field(tmp_path, line, value):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    rewrite_config(path, lambda text: text.replace(line, value))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.offset == CONFIG_OFFSET
+    assert "incomplete checkpoint config" in str(err.value)

@@ -1,3 +1,4 @@
+import json
 import wave
 
 import numpy as np
@@ -77,6 +78,13 @@ class TestInspect:
         stages, _ = machine_stages(out)
         assert stages[1][2] == "3x3 conv x3"  # depth 13 -> 3 layers per block
 
+    def test_non_utf8_config_file_is_config_error(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"variant=C\n# caf\xe9\n")
+        code, _, err = run_cli(capsys, "inspect", "--config", str(cfg_file))
+        assert code == 2
+        assert str(cfg_file) in err
+
 
 class TestSynthData:
     def test_archive_written_and_deterministic(self, capsys, tmp_path):
@@ -139,6 +147,31 @@ class TestFeaturize:
         assert [u.utt_id for u in utts] == ["utt0", "utt1", "utt2"]
         assert all(u.frames.shape[1:] == (3, 40) for u in utts)
 
+    @pytest.mark.parametrize("override,high_freq", [((), 8000.0),
+                                                    (("--set", "high_freq=7000"), 7000.0)])
+    def test_stats_file_records_filterbank(self, capsys, tmp_path, override, high_freq):
+        manifest = self.make_corpus(tmp_path, count=1)
+        stats = tmp_path / "stats.json"
+        code, _, _ = run_cli(capsys, "featurize", "--set", f"manifest={manifest}",
+                             "--set", f"output_archive={tmp_path / 'a.fbk'}",
+                             "--set", f"stats_file={stats}", *override)
+        assert code == 0
+        assert json.loads(stats.read_text())["filterbank"] == {
+            "sample_rate": 16000, "frame_length_ms": 25.0, "frame_shift_ms": 10.0,
+            "fft_size": 512, "num_filters": 40, "low_freq": 20.0,
+            "high_freq": high_freq, "pre_emphasis": 0.97, "log_floor": 1e-10,
+        }
+
+    def test_non_utf8_manifest_is_io_error(self, capsys, tmp_path):
+        manifest = tmp_path / "corpus.scp"
+        manifest.write_bytes(b"caf\xe9 caf\xe9.wav\n")
+        code, _, err = run_cli(capsys, "featurize",
+                               "--set", f"manifest={manifest}",
+                               "--set", f"output_archive={tmp_path / 'x.fbk'}",
+                               "--set", f"stats_file={tmp_path / 'x.json'}")
+        assert code == 3
+        assert str(manifest) in err
+
     def test_missing_audio_names_utterance(self, capsys, tmp_path):
         manifest = tmp_path / "bad.scp"
         manifest.write_text(f"lost {tmp_path / 'nope.wav'}\n")
@@ -148,6 +181,20 @@ class TestFeaturize:
                                "--set", f"stats_file={tmp_path / 'x.json'}")
         assert code == 3
         assert "lost" in err
+
+
+MALFORMED_STATS = {
+    "nan-mean": (np.full((3, 40), np.nan), np.ones((3, 40))),
+    "zero-var": (np.zeros((3, 40)), np.linspace(0.0, 1.0, 120).reshape(3, 40)),
+    "shape": (np.zeros((3, 40)), np.ones(40)),
+}
+
+
+def write_stats(path, name):
+    mean, var = MALFORMED_STATS[name]
+    path.write_text(json.dumps({"frame_count": 10, "mean": mean.tolist(),
+                                "var": var.tolist()}))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +289,17 @@ class TestTrainEval:
         assert code == 3
         assert "bn_momentum=0.8" in err
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STATS))
+    def test_malformed_stats_are_io_error(self, capsys, trained, tmp_path, name):
+        stats = write_stats(tmp_path / "stats.json", name)
+        code, out, err = run_cli(capsys, "eval",
+                                 "--set", f"checkpoint={trained['checkpoint']}",
+                                 "--set", f"eval_archive={trained['train_archive']}",
+                                 "--set", f"cmvn_stats={stats}")
+        assert code == 3
+        assert str(stats) in err
+        assert out == ""
+
     def test_missing_checkpoint_is_io_error(self, capsys, trained):
         code, _, err = run_cli(capsys, "eval",
                                "--set", "checkpoint=/nonexistent/model.ckpt",
@@ -257,6 +315,23 @@ class TestTrainValidation:
                                "--set", "input_height=9")
         assert code == 2
         assert "input_height" in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STATS))
+    def test_malformed_stats_are_io_error(self, capsys, tmp_path, name):
+        archive = tmp_path / "train.fbk"
+        assert main(["synthdata", "--seed", "1",
+                     "--set", f"output_archive={archive}",
+                     "--set", "synth_classes=4",
+                     "--set", "synth_frames_per_class=8"]) == 0
+        stats = write_stats(tmp_path / "stats.json", name)
+        code, _, err = run_cli(capsys, "train", "--seed", "1",
+                               "--set", f"train_archive={archive}",
+                               "--set", f"checkpoint={tmp_path / 'm.ckpt'}",
+                               "--set", f"cmvn_stats={stats}",
+                               "--set", "depth=7", "--set", "num_classes=4")
+        assert code == 3
+        assert str(stats) in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_auto_validation_split(self, capsys, tmp_path):
         archive = tmp_path / "train.fbk"
