@@ -1,36 +1,39 @@
 """Binary model checkpoints.
 
-Layout: magic "DAMC", u32 format version, u32 config length + key=value
-config text, u32 tensor count, then per named tensor: u32 name length +
-UTF-8 name, u32 rank, u32 extents, raw 32-bit IEEE-754 little-endian
-values. Round-trips are bit-exact for float32 models.
+Layout (version 2): magic "DAMC", u32 format version, u32 config length +
+key=value config text, u32 layout fingerprint, u32 value count, the
+model's whole tensor arena (``Model.tensors``) as 32-bit IEEE-754
+little-endian values, and a u32 CRC32 of every byte before it. The
+fingerprint is the CRC32 of one "name shape" line per named tensor in
+arena order, so a build that renames or reshapes a tensor rejects the
+file instead of loading permuted weights. Round-trips are bit-exact for
+float32 models, and writes are atomic.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .builder import DenseNetConfig
-from .exceptions import FormatError
-from .features import ByteReader
+from .exceptions import ConfigError, FormatError
+from .features import ByteReader, write_with_crc32
 from .layers import BN_EPSILON, BN_MOMENTUM
 from .model import Model
 
 CHECKPOINT_MAGIC = b"DAMC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def _config_text(model: Model) -> str:
     cfg = model.config
     lines = [f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg)]
-    lines.append(f"seed={model.seed}")
-    lines.append(f"bn_epsilon={BN_EPSILON}")
-    lines.append(f"bn_momentum={BN_MOMENTUM}")
-    return "\n".join(lines) + "\n"
+    lines += [f"seed={model.seed}", f"bn_epsilon={BN_EPSILON}", f"bn_momentum={BN_MOMENTUM}"]
+    return "".join(line + "\n" for line in lines)
 
 
 def _parse_config_text(text: str, offset: int) -> tuple[DenseNetConfig, int]:
@@ -60,27 +63,24 @@ def _parse_config_text(text: str, offset: int) -> tuple[DenseNetConfig, int]:
     return config, seed
 
 
+def _layout_fingerprint(model: Model) -> int:
+    """CRC32 of one "name shape" line per named tensor, in arena order."""
+    lines = "".join(f"{name} {tensor.shape}\n" for name, tensor in model.named_tensors().items())
+    return zlib.crc32(lines.encode("utf-8"))
+
+
 def save_checkpoint(model: Model, path) -> None:
-    tensors = model.named_tensors()
     config_bytes = _config_text(model).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-        handle.write(struct.pack("<I", len(config_bytes)))
-        handle.write(config_bytes)
-        handle.write(struct.pack("<I", len(tensors)))
-        for name, tensor in tensors.items():
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<I", tensor.ndim))
-            for extent in tensor.shape:
-                handle.write(struct.pack("<I", extent))
-            handle.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes())
+    write_with_crc32(path, [
+        CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(config_bytes)),
+        config_bytes,
+        struct.pack("<II", _layout_fingerprint(model), model.tensors.size),
+        np.asarray(model.tensors, dtype="<f4").tobytes(),
+    ])
 
 
 def load_checkpoint(path) -> Model:
-    """Rebuild a model from a checkpoint, restoring every named tensor."""
+    """Rebuild a model from a checkpoint, restoring its whole tensor arena."""
     reader = ByteReader(Path(path).read_bytes(), "checkpoint")
     magic = reader.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
@@ -95,46 +95,19 @@ def load_checkpoint(path) -> Model:
     except UnicodeDecodeError as exc:
         raise FormatError(f"undecodable checkpoint config: {exc}", offset=config_offset) from exc
     config, seed = _parse_config_text(config_text, config_offset)
-
-    model = Model(config, seed)
-    targets = model.named_tensors()
-    count = reader.u32("tensor count")
-    if count != len(targets):
-        raise FormatError(
-            f"checkpoint holds {count} tensors, model needs {len(targets)}",
-            offset=reader.offset - 4,
-        )
-    seen = set()
-    for index in range(count):
-        reader.context = f"tensor {index}"
-        name_len = reader.u32("name length")
-        if name_len > 4096:
-            raise FormatError(
-                f"implausible tensor name length {name_len}", offset=reader.offset - 4
-            )
-        name_offset = reader.offset
-        try:
-            name = reader.take(name_len, "name").decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"undecodable tensor name: {exc}", offset=name_offset) from exc
-        if name not in targets:
-            raise FormatError(f"unknown tensor '{name}'", offset=name_offset)
-        if name in seen:
-            raise FormatError(f"duplicate tensor '{name}'", offset=name_offset)
-        seen.add(name)
-        rank = reader.u32("rank")
-        shape = tuple(reader.u32(f"extent {d}") for d in range(rank))
-        target = targets[name]
-        if shape != target.shape:
-            raise FormatError(
-                f"tensor '{name}' has shape {shape}, model expects {target.shape}",
-                offset=reader.offset,
-            )
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = reader.take(4 * size, "values")
-        target[...] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-    if reader.remaining:
-        raise FormatError(
-            f"{reader.remaining} trailing bytes after last tensor", offset=reader.offset
-        )
+    layout_offset = reader.offset
+    fingerprint, count = reader.u32("layout fingerprint"), reader.u32("value count")
+    values = reader.take(4 * count, "values")
+    reader.check_crc32()  # before building a model from possibly corrupted bytes
+    try:
+        model = Model(config, seed)
+    except ConfigError as exc:
+        raise FormatError(f"bad checkpoint config: {exc}", offset=config_offset) from exc
+    if fingerprint != _layout_fingerprint(model):
+        raise FormatError("checkpoint tensor layout differs from this build's",
+                          offset=layout_offset)
+    if count != model.tensors.size:
+        raise FormatError(f"checkpoint holds {count} values, model needs {model.tensors.size}",
+                          offset=layout_offset + 4)
+    model.tensors[...] = np.frombuffer(values, dtype="<f4")
     return model

@@ -20,6 +20,7 @@ from .exceptions import (
 )
 from .features import (
     FilterbankConfig,
+    atomic_write,
     compute_cmvn_stats,
     featurize_manifest,
     load_cmvn_stats,
@@ -29,7 +30,7 @@ from .features import (
     write_archive,
 )
 from .gradcheck import GRADCHECK_TOLERANCE, gradcheck_report
-from .model import build_model, count_parameters
+from .model import build_model
 from .runconfig import config_from, load_run_config, require_path
 from .trainer import (
     TrainConfig,
@@ -179,9 +180,8 @@ def cmd_train(config: dict) -> int:
     history = fit(model, train_data, val_data, train_config)
     save_checkpoint(model, checkpoint_path)
     if config["metrics_log"]:
-        with open(config["metrics_log"], "w") as handle:
-            for metrics in history:
-                handle.write(format_metrics_line(metrics) + "\n")
+        with atomic_write(config["metrics_log"]) as handle:
+            handle.write("".join(format_metrics_line(m) + "\n" for m in history).encode())
     best = min(history, key=lambda m: m.val_loss)
     print(f"trained {len(history)} epochs on {len(train_data)} frames "
           f"({len(val_data)} validation)")

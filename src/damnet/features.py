@@ -3,15 +3,18 @@
 Log-Mel filterbank extraction, time derivatives, corpus mean/variance
 normalization, context splicing, and the binary feature archive. Frames
 flow as (T, channels, bins) float32 arrays where the channels are
-static, delta and delta-delta.
+static, delta and delta-delta. The checkpoint shares the file helpers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import os
 import struct
 import wave
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -21,7 +24,7 @@ from .exceptions import ConfigError, DataError, FormatError, ShapeError
 
 ARCHIVE_MAGIC = b"FBK1"
 LABEL_MAGIC = b"LBL1"
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 VARIANCE_FLOOR = 1e-8
 DELTA_WINDOW = 2
@@ -237,7 +240,8 @@ def save_cmvn_stats(stats: CmvnStats, path, filterbank: FilterbankConfig | None 
     if filterbank is not None:
         payload["filterbank"] = {**asdict(filterbank),
                                  "high_freq": filterbank.resolved_high_freq}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    with atomic_write(path) as handle:
+        handle.write((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
 
 
 def load_cmvn_stats(path) -> CmvnStats:
@@ -275,21 +279,42 @@ def splice_context(frames: np.ndarray, left: int = 5, right: int = 5) -> np.ndar
     return frames[idx[:, None, :], np.arange(channels)[None, :, None]]
 
 
+@contextlib.contextmanager
+def atomic_write(path):
+    """Open a temporary file next to ``path`` for binary writing and move it
+    over ``path`` when the block ends. If the block raises, the temporary file
+    is removed and ``path`` keeps its old contents (or stays absent)."""
+    temp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def write_with_crc32(path, chunks) -> None:
+    """Atomically write the byte strings ``chunks``, then the u32 CRC32 of all of them."""
+    crc = 0
+    with atomic_write(path) as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        handle.write(struct.pack("<I", crc))
+
+
 def write_archive(utterances: list[UtteranceFeatures], path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(ARCHIVE_MAGIC)
-        handle.write(struct.pack("<I", ARCHIVE_VERSION))
-        handle.write(struct.pack("<I", len(utterances)))
+    def chunks():
+        yield ARCHIVE_MAGIC + struct.pack("<II", ARCHIVE_VERSION, len(utterances))
         for utt in utterances:
             encoded = utt.utt_id.encode("utf-8")
-            handle.write(struct.pack("<I", len(encoded)))
-            handle.write(encoded)
-            t, channels, bins = utt.frames.shape
-            handle.write(struct.pack("<III", t, channels, bins))
-            handle.write(np.ascontiguousarray(utt.frames, dtype="<f4").tobytes())
+            yield struct.pack("<I", len(encoded)) + encoded + struct.pack("<III", *utt.frames.shape)
+            yield np.ascontiguousarray(utt.frames, dtype="<f4").tobytes()
             if utt.labels is not None:
-                handle.write(LABEL_MAGIC)
-                handle.write(np.ascontiguousarray(utt.labels, dtype="<u4").tobytes())
+                yield LABEL_MAGIC + np.ascontiguousarray(utt.labels, dtype="<u4").tobytes()
+
+    write_with_crc32(path, chunks())
 
 
 class ByteReader:
@@ -315,12 +340,19 @@ class ByteReader:
     def u32(self, field: str) -> int:
         return struct.unpack("<I", self.take(4, field))[0]
 
-    def peek(self, count: int) -> bytes:
-        return self.data[self.offset : self.offset + count]
-
     @property
     def remaining(self) -> int:
         return len(self.data) - self.offset
+
+    def check_crc32(self) -> None:
+        """Read the u32 CRC32 trailer, which must end the data and match every
+        byte before it."""
+        end, self.context = self.offset, "trailer"
+        stored = self.u32("CRC32")
+        if self.remaining:
+            raise FormatError(f"{self.remaining} trailing bytes", offset=self.offset)
+        if zlib.crc32(memoryview(self.data)[:end]) != stored:  # a view: archives are large
+            raise FormatError(f"{self.what} fails its CRC32 check", offset=end)
 
 
 def read_archive(path) -> list[UtteranceFeatures]:
@@ -336,32 +368,21 @@ def read_archive(path) -> list[UtteranceFeatures]:
     for index in range(count):
         reader.context = f"record {index}"
         id_len = reader.u32("id length")
-        if id_len > 65535:
-            raise FormatError(
-                f"implausible id length {id_len} in record {index}", offset=reader.offset - 4
-            )
         try:
             utt_id = reader.take(id_len, "id").decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(
                 f"undecodable id in record {index}: {exc}", offset=reader.offset - id_len
             ) from exc
-        t = reader.u32("frame count")
-        channels = reader.u32("channel count")
-        bins = reader.u32("bin count")
-        size = t * channels * bins
-        raw = reader.take(4 * size, "feature values")
+        t, channels, bins = (reader.u32(f"{axis} count") for axis in ("frame", "channel", "bin"))
+        raw = reader.take(4 * t * channels * bins, "feature values")
         frames = np.frombuffer(raw, dtype="<f4").reshape(t, channels, bins).copy()
         labels = None
-        if reader.peek(4) == LABEL_MAGIC:
+        if reader.data.startswith(LABEL_MAGIC, reader.offset):
             reader.take(4, "label magic")
             labels = np.frombuffer(reader.take(4 * t, "labels"), dtype="<u4").astype(np.int64)
         utterances.append(UtteranceFeatures(utt_id, frames, labels))
-    if reader.remaining:
-        raise FormatError(
-            f"{reader.remaining} trailing bytes after record {count - 1}",
-            offset=reader.offset,
-        )
+    reader.check_crc32()
     return utterances
 
 

@@ -19,8 +19,8 @@ flat arenas and a standalone layer still works.
 statistics and writes nothing, so infer-mode forwards may run concurrently
 on one layer. No infer-mode forward mixes frames: every product runs per
 image or per frame, so a frame's output never depends on its batch.
-``forward(x, train=True)`` keeps what ``backward()`` needs (``_cache``,
-``_mask``, ``_shape``) and updates batchnorm running statistics, so a
+``forward(x, train=True)`` keeps what ``backward()`` needs in one field,
+``_cache``, and updates batchnorm running statistics, so a
 train forward and its backward must be serialized, and backward needs a
 train-mode forward before it.
 """
@@ -231,16 +231,16 @@ class ReLU:
     """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
 
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if not train:
             return np.maximum(x, 0)
-        self._mask = x > 0
-        return x * self._mask
+        self._cache = x > 0
+        return x * self._cache
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * self._mask
+        return dout * self._cache
 
 
 class AvgPool2d:
@@ -273,18 +273,18 @@ class GlobalAvgPool:
     """Mean over all spatial positions, one value per channel."""
 
     def __init__(self):
-        self._shape = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[2] < 1 or x.shape[3] < 1:
             raise ShapeError(f"global_avgpool expects (N, C, H, W), got {x.shape}")
         if train:
-            self._shape = x.shape
+            self._cache = x.shape
         return x.mean(axis=(2, 3), keepdims=True)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        dx = channel_major(self._shape, dout.dtype)
-        dx[...] = dout / (self._shape[2] * self._shape[3])
+        dx = channel_major(self._cache, dout.dtype)
+        dx[...] = dout / (self._cache[2] * self._cache[3])
         return dx
 
 

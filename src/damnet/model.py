@@ -62,13 +62,10 @@ def named_arrays(stages, kind: str, prefix: str = "") -> dict[str, np.ndarray]:
 
 
 def _drop_backward_state(layer) -> None:
-    """Set the ``_cache``/``_mask``/``_shape`` fields of ``layer`` and of every
-    layer under it to None."""
+    """Set the ``_cache`` field of ``layer`` and of every layer under it to None."""
     for _, part in walk(layer):
-        fields = vars(part)
-        for name in ("_cache", "_mask", "_shape"):
-            if name in fields:
-                fields[name] = None
+        if hasattr(part, "_cache"):
+            part._cache = None
 
 
 class DenseUnit:

@@ -6,7 +6,8 @@ Flag overrides (--set, --seed, --deterministic) win over the file.
 The fields of ``DenseNetConfig``, ``FilterbankConfig`` and ``TrainConfig``
 are keys here without being listed: each field is a key of the same name
 (except the two in ``_KEY_OF_FIELD``), in field order, with the field's
-default and the default's type as its parser (``_parse_bool`` for bools).
+default and the default's type as its parser (``_parse_bool`` for bools,
+``_parse_float``, which rejects nan and infinities, for floats).
 ``config_from`` builds a dataclass back from those keys. The remaining
 keys (context, deltas, validation split, synthetic data, paths) are
 written out below.
@@ -14,6 +15,7 @@ written out below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 from .builder import DenseNetConfig
@@ -34,6 +36,12 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 # Run-config keys that differ from their dataclass field's name.
 _KEY_OF_FIELD = {
     "halving_factor": "lr_halving_factor",
@@ -48,7 +56,8 @@ def _key(field) -> str:
 def _field_entries(cls) -> dict:
     """One (parser, default) entry per field of ``cls``, in field order."""
     return {
-        _key(f): (_parse_bool if isinstance(f.default, bool) else type(f.default), f.default)
+        _key(f): ({bool: _parse_bool, float: _parse_float}.get(type(f.default), type(f.default)),
+                  f.default)
         for f in fields(cls)
     }
 
@@ -61,11 +70,11 @@ SCHEMA: dict[str, tuple] = {
     "context_left": (int, 5),
     "context_right": (int, 5),
     **_field_entries(TrainConfig),
-    "validation_fraction": (float, 0.05),
+    "validation_fraction": (_parse_float, 0.05),
     # synthetic data
     "synth_classes": (int, 10),
     "synth_frames_per_class": (int, 50),
-    "synth_separation": (float, 5.0),
+    "synth_separation": (_parse_float, 5.0),
     # paths ("" means unset)
     "manifest": (str, ""),
     "output_archive": (str, ""),

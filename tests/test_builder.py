@@ -178,7 +178,7 @@ def random_config(r) -> DenseNetConfig:
     )
 
 
-BACKWARD_STATE = ("_cache", "_mask", "_shape")
+BACKWARD_STATE = ("_cache",)
 
 
 def backward_state(model) -> dict:

@@ -1,17 +1,42 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from damnet.builder import DenseNetConfig
 from damnet.checkpoint import load_checkpoint, save_checkpoint
-from damnet.exceptions import FormatError
-from damnet.features import ByteReader, UtteranceFeatures, read_archive, write_archive
+from damnet.exceptions import DamnetError, FormatError
+from damnet.features import UtteranceFeatures, read_archive, write_archive
+from damnet.layers import softmax_cross_entropy
 from damnet.model import build_model
+
+CONFIG_OFFSET = 12  # magic, version and config length come first
 
 
 def small_model(seed=0):
     cfg = DenseNetConfig(variant="C", depth=7, blocks=3, growth_rate=6,
                          compression=0.5, num_classes=8, first_conv_channels=8)
     return build_model(cfg, seed=seed)
+
+
+def three_record_archive(path):
+    """Write an archive of a labelled, an unlabelled and a labelled record."""
+    frames = np.random.default_rng(0).standard_normal((3, 3, 4)).astype(np.float32)
+    write_archive([UtteranceFeatures("a", frames, np.arange(3)),
+                   UtteranceFeatures("bb", frames[:2], None),
+                   UtteranceFeatures("c", frames[1:], np.arange(2))], path)
+    return path
+
+
+def with_crc(body: bytes) -> bytes:
+    """``body`` followed by the CRC32 trailer that makes it pass the check."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def blob_offset(data: bytes) -> int:
+    """Offset of a checkpoint's layout fingerprint, right after its config text."""
+    return CONFIG_OFFSET + int.from_bytes(data[8:CONFIG_OFFSET], "little")
 
 
 def test_round_trip_is_bit_exact(tmp_path):
@@ -32,43 +57,76 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("variant,depth,compression", [("plain", 22, 1.0), ("BC", 41, 0.5)])
+def test_paper_models_round_trip_after_a_train_step(tmp_path, variant, depth, compression):
+    model = build_model(DenseNetConfig(variant=variant, depth=depth, compression=compression),
+                        seed=4)
+    x = np.random.default_rng(5).standard_normal((4, 3, 11, 40)).astype(np.float32)
+    model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(4))[1])
+    model.params -= 0.1 * model.grads
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    assert loaded.tensors.tobytes() == model.tensors.tobytes()
+    assert loaded.forward(x).tobytes() == model.forward(x).tobytes()
+    save_checkpoint(loaded, tmp_path / "again.ckpt")
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
 def test_names_and_values_follow_the_arena(tmp_path):
     model = small_model(seed=2)
     model.forward(np.random.default_rng(3).standard_normal((4, 3, 11, 40)).astype(np.float32),
                   train=True)
     path = tmp_path / "model.ckpt"
     save_checkpoint(model, path)
-    reader = ByteReader(path.read_bytes(), "checkpoint")
-    reader.take(8, "magic and version")
-    reader.take(reader.u32("config length"), "config")
-    names, values = [], []
-    for _ in range(reader.u32("tensor count")):
-        names.append(reader.take(reader.u32("name length"), "name").decode("utf-8"))
-        shape = [reader.u32("extent") for _ in range(reader.u32("rank"))]
-        values.append(reader.take(4 * int(np.prod(shape)), "values"))
-    assert names == list(model.named_tensors())
-    assert b"".join(values) == model.tensors.astype("<f4").tobytes()
+    data = path.read_bytes()
+    fingerprint, count = struct.unpack_from("<II", data, blob_offset(data))
+    layout = "".join(f"{name} {tensor.shape}\n" for name, tensor in model.named_tensors().items())
+    assert fingerprint == zlib.crc32(layout.encode("utf-8"))
+    assert count == model.tensors.size
+    assert data[blob_offset(data) + 8 : -4] == model.tensors.astype("<f4").tobytes()
+    assert data == with_crc(data[:-4])
     assert load_checkpoint(path).tensors.tobytes() == model.tensors.tobytes()
 
 
+def edit_blob(data: bytes, edit: str) -> bytes:
+    """Apply ``edit`` to the bytes after a checkpoint's config, keeping the CRC valid."""
+    head, blob = data[: blob_offset(data)], bytearray(data[blob_offset(data) : -4])
+    if edit == "fingerprint":
+        blob[0] ^= 1
+    elif edit == "count":
+        blob[4:8] = (int.from_bytes(blob[4:8], "little") - 1).to_bytes(4, "little")
+        del blob[-4:]
+    return with_crc(head + bytes(blob))
+
+
+@pytest.mark.parametrize("edit,message", [("fingerprint", "layout differs"),
+                                          ("count", "model needs")])
+def test_blob_that_does_not_fit_the_model(tmp_path, edit, message):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    path.write_bytes(edit_blob(path.read_bytes(), edit))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert message in str(err.value)
+
+
+def test_invalid_config_with_valid_crc_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    rewrite_config(path, lambda text: text.replace("num_classes=8\n", "num_classes=1\n"))
+    path.write_bytes(with_crc(path.read_bytes()[:-4]))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.offset == CONFIG_OFFSET
+    assert "num_classes" in str(err.value)
+
+
 def test_truncation_raises_only_format_error(tmp_path):
-    frames = np.random.default_rng(0).standard_normal((3, 3, 4)).astype(np.float32)
-    utts = [UtteranceFeatures("a", frames, np.arange(3)),
-            UtteranceFeatures("bb", frames[:2], None),
-            UtteranceFeatures("c", frames[1:], np.arange(2))]
-    archive = tmp_path / "data.fbk"
-    write_archive(utts, archive)
-    data = archive.read_bytes()
-    # the format cannot tell a missing label block from an unlabelled record
-    unlabelled_cut = len(data) - 4 - 4 * 2
+    data = three_record_archive(tmp_path / "data.fbk").read_bytes()
     cut_path = tmp_path / "cut.fbk"
     for cut in range(len(data)):
         cut_path.write_bytes(data[:cut])
-        if cut == unlabelled_cut:
-            loaded = read_archive(cut_path)
-            assert [u.utt_id for u in loaded] == ["a", "bb", "c"]
-            assert loaded[-1].labels is None
-            continue
         with pytest.raises(FormatError):
             read_archive(cut_path)
 
@@ -133,19 +191,30 @@ def test_loaded_model_gives_identical_inference(tmp_path):
     )
 
 
-def test_undecodable_tensor_name(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(small_model(), path)
-    data = bytearray(path.read_bytes())
-    name_offset = data.index(b"initial_conv.weight")
-    data[name_offset] = 0xFF
-    path.write_bytes(bytes(data))
-    with pytest.raises(FormatError) as err:
-        load_checkpoint(path)
-    assert err.value.offset == name_offset
+def byte_flips(data: bytes, count: int, seed: int):
+    """``count`` seeded copies of ``data``, each with one byte XORed by a nonzero mask."""
+    r = np.random.default_rng(seed)
+    for position, mask in zip(r.integers(0, len(data), count), r.integers(1, 256, count)):
+        flipped = bytearray(data)
+        flipped[position] ^= mask
+        yield bytes(flipped)
 
 
-CONFIG_OFFSET = 12  # magic, version and config length come first
+def test_corruption_fuzz(tmp_path):
+    """One-byte flips and cuts: no corrupted checkpoint or archive loads. A
+    checkpoint fails with FormatError; an archive may also fail on decoded
+    values (DataError) before its CRC32 trailer is checked."""
+    checkpoint = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), checkpoint)
+    archive = three_record_archive(tmp_path / "data.fbk")
+    for path, load, error in ((checkpoint, load_checkpoint, FormatError),
+                              (archive, read_archive, DamnetError)):
+        data = path.read_bytes()
+        cuts = np.random.default_rng(2).integers(0, len(data), size=200)
+        for corrupted in [*byte_flips(data, 1200, seed=3), *(data[:cut] for cut in cuts)]:
+            path.write_bytes(corrupted)
+            with pytest.raises(error):
+                load(path)
 
 
 def rewrite_config(path, edit):

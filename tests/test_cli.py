@@ -267,16 +267,19 @@ class TestTrainEval:
         assert code == 2
         assert "(3, 11, 40)" in err and "(3, 7, 40)" in err
 
-    def test_undecodable_tensor_name_is_io_error(self, capsys, trained, tmp_path):
-        data = bytearray(trained["checkpoint"].read_bytes())
-        data[data.index(b"initial_conv.weight")] = 0xFF
+    def test_flipped_checkpoint_is_io_error(self, capsys, trained, tmp_path):
+        data = trained["checkpoint"].read_bytes()
         corrupted = tmp_path / "corrupted.ckpt"
-        corrupted.write_bytes(bytes(data))
-        code, _, err = run_cli(capsys, "eval",
-                               "--set", f"checkpoint={corrupted}",
-                               "--set", f"eval_archive={trained['train_archive']}")
-        assert code == 3
-        assert "undecodable tensor name" in err
+        r = np.random.default_rng(8)
+        for position, mask in zip(r.integers(0, len(data), 40), r.integers(1, 256, 40)):
+            flipped = bytearray(data)
+            flipped[position] ^= mask
+            corrupted.write_bytes(bytes(flipped))
+            code, out, err = run_cli(capsys, "eval",
+                                     "--set", f"checkpoint={corrupted}",
+                                     "--set", f"eval_archive={trained['train_archive']}")
+            assert (code, out) == (3, ""), err
+            assert "error:" in err
 
     def test_mismatched_batchnorm_momentum_is_io_error(self, capsys, trained, tmp_path):
         data = trained["checkpoint"].read_bytes()
@@ -305,6 +308,28 @@ class TestTrainEval:
                                "--set", "checkpoint=/nonexistent/model.ckpt",
                                "--set", f"eval_archive={trained['train_archive']}")
         assert code == 3
+
+
+class TestNonFiniteFloats:
+    @pytest.mark.parametrize("key,value", [("min_lr", "nan"),
+                                           ("lr_improvement_threshold", "nan"),
+                                           ("initial_lr", "inf")])
+    def test_train_rejects(self, capsys, tmp_path, key, value):
+        code, _, err = run_cli(capsys, "train",
+                               "--set", f"train_archive={tmp_path / 'none.fbk'}",
+                               "--set", f"checkpoint={tmp_path / 'm.ckpt'}",
+                               "--set", f"{key}={value}")
+        assert code == 2
+        assert key in err
+
+    def test_featurize_rejects_log_floor(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "featurize",
+                               "--set", f"manifest={tmp_path / 'none.scp'}",
+                               "--set", f"output_archive={tmp_path / 'x.fbk'}",
+                               "--set", f"stats_file={tmp_path / 'x.json'}",
+                               "--set", "log_floor=nan")
+        assert code == 2
+        assert "log_floor" in err
 
 
 class TestTrainValidation:

@@ -13,6 +13,7 @@ from damnet.features import (
     UtteranceFeatures,
     append_deltas,
     apply_cmvn,
+    atomic_write,
     compute_cmvn_stats,
     compute_logmel,
     featurize_manifest,
@@ -297,12 +298,45 @@ class TestArchive:
             read_archive(path)
         assert "record 1" in str(err.value)
 
+    def test_failed_write_keeps_previous_archive(self, tmp_path):
+        path = tmp_path / "data.fbk"
+        write_archive([make_utterance(0)], path)
+        before = path.read_bytes()
+        # the second record is not an utterance: the write fails after the first
+        with pytest.raises(AttributeError):
+            write_archive([make_utterance(1), None], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["data.fbk"]
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "data.fbk"
         write_archive([make_utterance(0)], path)
         path.write_bytes(path.read_bytes() + b"\x99")
         with pytest.raises(FormatError):
             read_archive(path)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("existing", [b"previous", None])
+    def test_failed_write_leaves_target_as_it_was(self, tmp_path, existing):
+        path = tmp_path / "out.bin"
+        if existing is not None:
+            path.write_bytes(existing)
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as handle:
+                handle.write(b"partial")
+                raise RuntimeError("midway")
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["out.bin"])
+        if existing is not None:
+            assert path.read_bytes() == existing
+
+    def test_write_replaces_target(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"previous")
+        with atomic_write(path) as handle:
+            handle.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestWav:
