@@ -11,13 +11,7 @@ import numpy as np
 
 from .builder import ArchitectureTable, DenseNetConfig, plan_architecture
 from .checkpoint import load_checkpoint, save_checkpoint
-from .exceptions import (
-    ConfigError,
-    DataError,
-    FormatError,
-    NumericError,
-    ShapeError,
-)
+from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .features import (
     FilterbankConfig,
     atomic_write,
@@ -293,17 +287,9 @@ def main(argv=None) -> int:
         config = load_run_config(args.config, overrides)
         if args.command == "inspect":
             return cmd_inspect(config, args.machine)
-        if args.command == "featurize":
-            return cmd_featurize(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(config)
-        if args.command == "synthdata":
-            return cmd_synthdata(config)
-        raise ConfigError(f"unknown command {args.command}")
+        commands = {"featurize": cmd_featurize, "train": cmd_train, "eval": cmd_eval,
+                    "gradcheck": cmd_gradcheck, "synthdata": cmd_synthdata}
+        return commands[args.command](config)
     except (ConfigError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import os
 import struct
 import wave
@@ -59,6 +60,9 @@ class FilterbankConfig:
     def validate(self) -> None:
         if self.sample_rate < 1:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        for name in ("frame_length_ms", "frame_shift_ms", "pre_emphasis"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.frame_samples < 1 or self.shift_samples < 1:
             raise ConfigError("frame length and shift must cover at least one sample")
         if self.fft_size < self.frame_samples:
@@ -74,8 +78,8 @@ class FilterbankConfig:
             raise ConfigError(
                 f"need 0 <= low_freq < high_freq <= Nyquist, got {self.low_freq}..{high}"
             )
-        if self.log_floor <= 0.0:
-            raise ConfigError(f"log_floor must be positive, got {self.log_floor}")
+        if not 0.0 < self.log_floor < math.inf:
+            raise ConfigError(f"log_floor must be positive and finite, got {self.log_floor}")
 
 
 @dataclass

@@ -8,9 +8,14 @@ rate falls below the floor, or when the epoch budget runs out.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +23,12 @@ from .exceptions import ConfigError, DataError, DivergenceError, ShapeError
 from .features import UtteranceFeatures, apply_cmvn, splice_context
 from .layers import softmax_cross_entropy
 from .model import Model
+
+# Frames per evaluation shard. Infer forwards are per image, so neither this
+# nor the number of threads can change a result.
+SHARD_FRAMES = 64
+_SHARD_LOCK = threading.Lock()
+_pool = None  # created by the first sharded batch
 
 
 @dataclass(frozen=True)
@@ -33,8 +44,8 @@ class TrainConfig:
     deterministic: bool = False
 
     def validate(self) -> None:
-        if self.initial_lr <= 0:
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise ConfigError(f"initial_lr must be positive and finite, got {self.initial_lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -43,12 +54,12 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.halving_factor < 1.0:
             raise ConfigError(f"halving_factor must be in (0, 1), got {self.halving_factor}")
-        if self.improvement_threshold < 0.0:
+        if not 0.0 <= self.improvement_threshold < math.inf:
             raise ConfigError(
-                f"improvement_threshold must be >= 0, got {self.improvement_threshold}"
+                f"improvement_threshold must be finite and >= 0, got {self.improvement_threshold}"
             )
-        if self.min_lr <= 0.0:
-            raise ConfigError(f"min_lr must be positive, got {self.min_lr}")
+        if not 0.0 < self.min_lr < math.inf:
+            raise ConfigError(f"min_lr must be positive and finite, got {self.min_lr}")
 
 
 @dataclass(frozen=True)
@@ -263,8 +274,50 @@ class EvalResult:
         return 1.0 - self.accuracy
 
 
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS if it exports its thread-count functions, else None."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"):
+        lib = ctypes.CDLL(str(path))
+        if (hasattr(lib, "scipy_openblas_get_num_threads64_")
+                and hasattr(lib, "scipy_openblas_set_num_threads64_")):
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+def _infer_logits(model: Model, batch: np.ndarray) -> np.ndarray:
+    """One batch's infer logits, sharded as ``evaluate`` describes."""
+    global _pool
+    starts = range(0, len(batch), SHARD_FRAMES)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blas = _openblas() if min(cores or 1, len(starts)) > 1 else None
+    if blas is None:
+        return model.forward(batch, train=False)
+    with _SHARD_LOCK:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # kept out of import time
+            _pool = ThreadPoolExecutor(cores, thread_name_prefix="damnet-eval")
+        saved = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(1)
+        try:
+            shards = [_pool.submit(model.forward, batch[s : s + SHARD_FRAMES], train=False)
+                      for s in starts]
+            for shard in shards:
+                shard.exception()  # wait for every shard, failed or not, before restoring
+            return np.concatenate([shard.result() for shard in shards])
+        finally:
+            blas.scipy_openblas_set_num_threads64_(saved)
+
+
 def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalResult:
-    """Infer-mode loss, frame accuracy and confusion counts."""
+    """Infer-mode loss, frame accuracy and confusion counts, bitwise those of
+    whole-batch forwards. Batches run as SHARD_FRAMES-frame shards on every usable
+    core with OpenBLAS at one thread (concurrent calls serialize on this); on one
+    core or without numpy's bundled OpenBLAS, they run serially."""
     if len(data) == 0:
         raise DataError("empty evaluation data")
     num_classes = model.config.num_classes
@@ -278,7 +331,7 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
     for start in range(0, len(data), batch_size):
         batch = data.features[start : start + batch_size]
         targets = data.labels[start : start + batch_size]
-        logits = model.forward(batch, train=False)
+        logits = _infer_logits(model, batch)
         loss, _ = softmax_cross_entropy(logits, targets)
         total_loss += loss * len(targets)
         predicted = logits.argmax(axis=1)

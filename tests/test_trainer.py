@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damnet import trainer
 from damnet.builder import DenseNetConfig
 from damnet.exceptions import ConfigError, DataError, DivergenceError, ShapeError
 from damnet.features import (
+    FilterbankConfig,
     UtteranceFeatures,
     apply_cmvn,
     compute_cmvn_stats,
     splice_context,
     write_archive,
 )
+from damnet.layers import softmax_cross_entropy
 from damnet.model import build_model
 from damnet.trainer import (
     FrameDataset,
@@ -87,6 +90,21 @@ def test_default_training_configuration():
     assert cfg.halving_factor == 0.5
     assert cfg.improvement_threshold == 0.002
     assert cfg.min_lr == 1e-5
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("cls,field", [
+    (TrainConfig, "initial_lr"),
+    (TrainConfig, "min_lr"),
+    (TrainConfig, "improvement_threshold"),
+    (FilterbankConfig, "log_floor"),
+    (FilterbankConfig, "frame_length_ms"),
+    (FilterbankConfig, "frame_shift_ms"),
+    (FilterbankConfig, "pre_emphasis"),
+])
+def test_validate_rejects_non_finite(cls, field, value):
+    with pytest.raises(ConfigError, match=field):
+        cls(**{field: value}).validate()
 
 
 class TestSchedule:
@@ -304,6 +322,130 @@ class TestEvaluate:
             np.testing.assert_array_equal(got.confusion, want.confusion)
         for name, tensor in model.named_state().items():
             np.testing.assert_array_equal(tensor, state_before[name])
+
+
+C13_MODEL = DenseNetConfig(variant="C", depth=13, growth_rate=4, compression=0.5,
+                            num_classes=10, first_conv_channels=8)
+
+
+@pytest.fixture(scope="module")
+def c13_model():
+    model = build_model(C13_MODEL, seed=4)
+    model.forward(small_dataset(seed=9).features, train=True)  # move running stats off init
+    return model
+
+
+def random_frames(size, seed=0, width=40):
+    gen = rng(seed)
+    return FrameDataset(gen.standard_normal((size, 3, 11, width)).astype(np.float32),
+                        gen.integers(0, C13_MODEL.num_classes, size))
+
+
+def whole_batch_reference(model, data, batch_size):
+    """evaluate as one model.forward per whole batch."""
+    classes = model.config.num_classes
+    confusion = np.zeros((classes, classes), dtype=np.int64)
+    total_loss = 0.0
+    for start in range(0, len(data), batch_size):
+        targets = data.labels[start : start + batch_size]
+        logits = model.forward(data.features[start : start + batch_size], train=False)
+        loss, _ = softmax_cross_entropy(logits, targets)
+        total_loss += loss * len(targets)
+        np.add.at(confusion, (targets, logits.argmax(axis=1)), 1)
+    return total_loss / len(data), float(np.trace(confusion)) / len(data), confusion
+
+
+@pytest.fixture
+def blas_threads():
+    """Get the OpenBLAS thread count; set it to 2 for the test, restored after."""
+    lib = trainer._openblas()
+    if lib is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    saved = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield lib.scipy_openblas_get_num_threads64_
+    lib.scipy_openblas_set_num_threads64_(saved)
+
+
+class TestShardedEvaluate:
+    @pytest.mark.parametrize("blas", ["bundled", "missing"])
+    @pytest.mark.parametrize("batch_size", [256, 100])
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 200, 256, 257])
+    def test_bitwise_equal_to_whole_batch_forwards(self, c13_model, monkeypatch,
+                                                   size, batch_size, blas):
+        if blas == "missing":
+            monkeypatch.setattr(trainer, "_openblas", lambda: None)
+        data = random_frames(size, seed=size)
+        result = evaluate(c13_model, data, batch_size=batch_size)
+        loss, accuracy, confusion = whole_batch_reference(c13_model, data, batch_size)
+        assert result.loss == loss
+        assert result.accuracy == accuracy
+        assert np.array_equal(result.confusion, confusion)
+
+    def test_shards_run_with_one_blas_thread_and_restore_it(self, c13_model, monkeypatch,
+                                                            blas_threads):
+        # two usable cores even on a one-core runner, so the sharded path runs
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+        seen = []
+
+        def forward(x, train):
+            seen.append((len(x), blas_threads()))
+            return type(c13_model).forward(c13_model, x, train)
+
+        monkeypatch.setattr(c13_model, "forward", forward)
+        evaluate(c13_model, random_frames(200), batch_size=256)
+        assert sorted(seen) == [(8, 1), (64, 1), (64, 1), (64, 1)]
+        assert blas_threads() == 2
+
+    def test_shard_error_reaches_caller_and_restores_blas(self, c13_model, monkeypatch,
+                                                          blas_threads):
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(ShapeError):
+            evaluate(c13_model, random_frames(200, width=39))
+        assert blas_threads() == 2
+
+    def test_concurrent_sharded_calls_restore_blas(self, c13_model, monkeypatch,
+                                                   blas_threads):
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+        data = random_frames(200)
+        expected = whole_batch_reference(c13_model, data, 256)[0]
+        workers = 4
+        losses = []
+        start = threading.Barrier(workers, timeout=30)
+
+        def run():
+            start.wait()
+            losses.extend(evaluate(c13_model, data).loss for _ in range(3))
+
+        threads = [threading.Thread(target=run) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert losses == [expected] * (3 * workers)
+        assert blas_threads() == 2
+
+    def test_one_core_runs_whole_batches_without_blas(self, c13_model, monkeypatch):
+        def no_lookup():
+            raise AssertionError("OpenBLAS looked up on one core")
+
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(trainer, "_openblas", no_lookup)
+        sizes = []
+
+        def forward(x, train):
+            sizes.append(len(x))
+            return type(c13_model).forward(c13_model, x, train)
+
+        monkeypatch.setattr(c13_model, "forward", forward)
+        evaluate(c13_model, random_frames(257), batch_size=256)
+        assert sizes == [256, 1]
 
 
 class TestLossDecreaseSanity:
