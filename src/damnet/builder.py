@@ -2,8 +2,9 @@
 
 The planner works purely on integers (no tensors are allocated) and
 produces the per-stage layer list, output sizes, channel counts and
-parameter counts. ``model.build_model`` realizes the same plan with real
-parameter tensors; the test suite holds the two routes equal.
+parameter counts. ``model.Model`` is built from this plan, one stage per
+record with the record's name and channel counts; tests hold the realized
+stage output shapes and parameter counts to the plan.
 
 Network shape: one 3x3 convolution (stride 1, no padding), then
 ``blocks`` dense blocks separated by transitions (1x1 convolution to

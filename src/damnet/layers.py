@@ -270,7 +270,7 @@ class AvgPool2d:
 
 
 class GlobalAvgPool:
-    """Mean over all spatial positions, one value per channel."""
+    """Mean over all spatial positions, one value per channel: (N, C, H, W) -> (N, C)."""
 
     def __init__(self):
         self._cache = None
@@ -280,11 +280,12 @@ class GlobalAvgPool:
             raise ShapeError(f"global_avgpool expects (N, C, H, W), got {x.shape}")
         if train:
             self._cache = x.shape
-        return x.mean(axis=(2, 3), keepdims=True)
+        return x.mean(axis=(2, 3))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        n, c, h, w = self._cache
         dx = channel_major(self._cache, dout.dtype)
-        dx[...] = dout / (self._cache[2] * self._cache[3])
+        dx[...] = dout.reshape(n, c, 1, 1) / (h * w)
         return dx
 
 

@@ -1,14 +1,21 @@
 """Executable densely-connected model realizing the planned architecture.
 
+``Model`` builds one stage per ``plan_architecture`` record. Every dense
+unit, transition and the classifier is a ``Chain`` of named primitives,
+run in order forward and in reverse backward: a pre-activation BN -> ReLU,
+then the convolutions of a unit, the pool and 1x1 conv of a transition, or
+the global pool and fc layer of the classifier. A chain's keywords name its
+tensors, as in ``transition1.conv.weight``, and so fix the checkpoint layout.
+
 Activations have logical (N, C, H, W) shape over channel-major (C, N, H, W)
 memory (``layers.channel_major``): the initial conv makes the one
 channel-major copy of the input, and every stage keeps that layout. Each
 dense block keeps its features in one (N, C_out, H, W) buffer: unit n
 reads the channel prefix holding the block input and the n-1 prior unit
 outputs, and writes its growth_rate channels after it; channel-major, the
-prefix and each unit's slab are contiguous. Backward runs the units in reverse, adding each one's
-input gradient into the prefix of one gradient buffer, so a unit's output
-gradient is complete when it runs.
+prefix and each unit's slab are contiguous. Backward runs the units in
+reverse, adding each one's input gradient into the prefix of one gradient
+buffer, so a unit's output gradient is complete when it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .builder import (
     DenseNetConfig,
     block_input_channels,
     plan_architecture,
-    transition_output_channels,
 )
 from .exceptions import ShapeError
 from .layers import (
@@ -68,54 +74,55 @@ def _drop_backward_state(layer) -> None:
             part._cache = None
 
 
-class DenseUnit:
+class Chain:
+    """Named layers run in order by ``forward`` and in reverse by ``backward``.
+
+    Each layer becomes an attribute under its keyword, so ``walk`` names its
+    tensors ``<stage>.<keyword>.<tensor>``. The order is fixed here: later
+    attributes (such as wrappers a profiler sets) are never run as layers.
+    """
+
+    def __init__(self, **layers):
+        for name, layer in layers.items():
+            setattr(self, name, layer)
+        self._order = tuple(layers.values())
+
+    def forward(self, x, train=False):
+        for layer in self._order:
+            x = layer.forward(x, train)
+        return x
+
+    def backward(self, dout):
+        for layer in reversed(self._order):
+            dout = layer.backward(dout)
+        return dout
+
+
+def dense_unit(in_channels: int, growth_rate: int, bottleneck: bool, rng, dtype) -> Chain:
     """One dense-block layer: BN -> ReLU -> 3x3 conv (pad 1) producing
     growth_rate maps, preceded in the BC variant by BN -> ReLU -> 1x1
     conv producing 4 * growth_rate maps."""
-
-    def __init__(self, in_channels: int, growth_rate: int, bottleneck: bool, rng, dtype):
-        self.in_channels = in_channels
-        self.bottleneck = bottleneck
-        if bottleneck:
-            squeeze = BOTTLENECK_FACTOR * growth_rate
-            self.bn1 = BatchNorm(in_channels, dtype=dtype)
-            self.relu1 = ReLU()
-            self.conv1x1 = Conv2d(in_channels, squeeze, 1, rng=rng, dtype=dtype)
-            self.bn2 = BatchNorm(squeeze, dtype=dtype)
-            self.relu2 = ReLU()
-            self.conv3x3 = Conv2d(squeeze, growth_rate, 3, pad=1, rng=rng, dtype=dtype)
-        else:
-            self.bn1 = BatchNorm(in_channels, dtype=dtype)
-            self.relu1 = ReLU()
-            self.conv3x3 = Conv2d(in_channels, growth_rate, 3, pad=1, rng=rng, dtype=dtype)
-
-    def forward(self, x, train=False):
-        h = self.relu1.forward(self.bn1.forward(x, train), train)
-        if self.bottleneck:
-            h = self.conv1x1.forward(h, train)
-            h = self.relu2.forward(self.bn2.forward(h, train), train)
-        return self.conv3x3.forward(h, train)
-
-    def backward(self, dout):
-        d = self.conv3x3.backward(dout)
-        if self.bottleneck:
-            d = self.bn2.backward(self.relu2.backward(d))
-            d = self.conv1x1.backward(d)
-        return self.bn1.backward(self.relu1.backward(d))
+    layers = {"bn1": BatchNorm(in_channels, dtype=dtype), "relu1": ReLU()}
+    width = in_channels
+    if bottleneck:
+        width = BOTTLENECK_FACTOR * growth_rate
+        layers.update(conv1x1=Conv2d(in_channels, width, 1, rng=rng, dtype=dtype),
+                      bn2=BatchNorm(width, dtype=dtype), relu2=ReLU())
+    return Chain(**layers, conv3x3=Conv2d(width, growth_rate, 3, pad=1, rng=rng, dtype=dtype))
 
 
 class DenseBlock:
-    """Dense units with full concatenation wiring over one feature buffer."""
+    """Dense units with full concatenation wiring over one feature buffer;
+    unit n reads the first ``widths[n-1]`` channels."""
 
     def __init__(self, in_channels: int, growth_rate: int, num_units: int,
                  bottleneck: bool, rng, dtype):
         self.in_channels = in_channels
         self.growth_rate = growth_rate
-        self.units = [
-            DenseUnit(block_input_channels(in_channels, growth_rate, n),
-                      growth_rate, bottleneck, rng, dtype)
-            for n in range(1, num_units + 1)
-        ]
+        self.widths = tuple(block_input_channels(in_channels, growth_rate, n)
+                            for n in range(1, num_units + 1))
+        self.units = [dense_unit(width, growth_rate, bottleneck, rng, dtype)
+                      for width in self.widths]
 
     @property
     def out_channels(self) -> int:
@@ -123,7 +130,7 @@ class DenseBlock:
 
     def wiring_edge_count(self) -> int:
         # a unit reading the block input and k prior outputs has k + 1 sources
-        return sum(1 + (u.in_channels - self.in_channels) // self.growth_rate for u in self.units)
+        return sum(1 + (width - self.in_channels) // self.growth_rate for width in self.widths)
 
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -131,56 +138,30 @@ class DenseBlock:
         n, _, h, w = x.shape
         features = channel_major((n, self.out_channels, h, w), x.dtype)
         features[:, : self.in_channels] = x
-        for unit in self.units:
-            width = unit.in_channels
+        for width, unit in zip(self.widths, self.units):
             features[:, width : width + self.growth_rate] = unit.forward(features[:, :width], train)
         return features
 
     def backward(self, dout):
         grad = channel_major(dout.shape, dout.dtype)
         grad[...] = dout
-        for unit in reversed(self.units):
-            width = unit.in_channels
+        for width, unit in zip(reversed(self.widths), reversed(self.units)):
             grad[:, :width] += unit.backward(grad[:, width : width + self.growth_rate])
         return grad[:, : self.in_channels]
 
 
-class Transition:
+def transition(in_channels: int, out_channels: int, rng, dtype) -> Chain:
     """BN -> ReLU -> 2x2 avg pool -> 1x1 conv to the compressed width. Pooling
     first equals the planned conv-then-pool exactly in real arithmetic (both
     are linear, the conv acts per position) and runs the conv on 4x fewer rows."""
-
-    def __init__(self, in_channels: int, out_channels: int, rng, dtype):
-        self.bn = BatchNorm(in_channels, dtype=dtype)
-        self.relu = ReLU()
-        self.conv = Conv2d(in_channels, out_channels, 1, rng=rng, dtype=dtype)
-        self.pool = AvgPool2d()
-
-    def forward(self, x, train=False):
-        h = self.pool.forward(self.relu.forward(self.bn.forward(x, train), train), train)
-        return self.conv.forward(h, train)
-
-    def backward(self, dout):
-        d = self.pool.backward(self.conv.backward(dout))
-        return self.bn.backward(self.relu.backward(d))
+    return Chain(bn=BatchNorm(in_channels, dtype=dtype), relu=ReLU(), pool=AvgPool2d(),
+                 conv=Conv2d(in_channels, out_channels, 1, rng=rng, dtype=dtype))
 
 
-class ClassifierHead:
+def classifier_head(in_channels: int, num_classes: int, rng, dtype) -> Chain:
     """BN -> ReLU -> global average pool -> fully-connected logits."""
-
-    def __init__(self, in_channels: int, num_classes: int, rng, dtype):
-        self.bn = BatchNorm(in_channels, dtype=dtype)
-        self.relu = ReLU()
-        self.pool = GlobalAvgPool()
-        self.fc = Linear(in_channels, num_classes, rng=rng, dtype=dtype)
-
-    def forward(self, x, train=False):
-        h = self.pool.forward(self.relu.forward(self.bn.forward(x, train), train), train)
-        return self.fc.forward(h.reshape(h.shape[0], -1), train)
-
-    def backward(self, dout):
-        d = self.fc.backward(dout)[:, :, None, None]
-        return self.bn.backward(self.relu.backward(self.pool.backward(d)))
+    return Chain(bn=BatchNorm(in_channels, dtype=dtype), relu=ReLU(), pool=GlobalAvgPool(),
+                 fc=Linear(in_channels, num_classes, rng=rng, dtype=dtype))
 
 
 class Model:
@@ -205,35 +186,28 @@ class Model:
     """
 
     def __init__(self, config: DenseNetConfig, seed: int, dtype=np.float32):
-        config.validate()
-        plan_architecture(config)  # reject collapsing geometries up front
+        plan = plan_architecture(config)  # validates, and rejects collapsing geometries
         self.config = config
         self.seed = seed
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        units = config.units_per_block()
 
-        stages: list[tuple[str, object]] = []
-        stages.append(("initial_conv",
-                       Conv2d(config.input_channels, config.first_conv_channels, 3,
-                              rng=rng, dtype=dtype)))
-        channels = config.first_conv_channels
-        self.blocks: list[DenseBlock] = []
-        for b in range(1, config.blocks + 1):
-            block = DenseBlock(channels, config.growth_rate, units,
-                               config.bottleneck, rng, dtype)
-            self.blocks.append(block)
-            stages.append((f"block{b}", block))
-            channels = block.out_channels
-            if b < config.blocks:
-                reduced = transition_output_channels(channels, config.compression)
-                stages.append((f"transition{b}", Transition(channels, reduced, rng, dtype)))
-                channels = reduced
-        stages.append(("classifier", ClassifierHead(channels, config.num_classes, rng, dtype)))
-        self._stages = stages
+        def build(stage):
+            cin, cout = stage.in_channels, stage.out_channels
+            if stage.kind == "initial-conv":
+                return Conv2d(cin, cout, 3, rng=rng, dtype=dtype)
+            if stage.kind == "dense-block":
+                return DenseBlock(cin, config.growth_rate, config.units_per_block(),
+                                  config.bottleneck, rng, dtype)
+            if stage.kind == "transition":
+                return transition(cin, cout, rng, dtype)
+            return classifier_head(cin, cout, rng, dtype)
+
+        self._stages = [(stage.name, build(stage)) for stage in plan.stages]
+        self.blocks = [stage for _, stage in self._stages if isinstance(stage, DenseBlock)]
 
         # rebind every tensor and every gradient to a view of its arena
-        layers = [layer for _, stage in stages for _, layer in walk(stage)]
+        layers = [layer for _, stage in self._stages for _, layer in walk(stage)]
         params = [(layer, key) for layer in layers for key in getattr(layer, "PARAMS", ())]
         slots = params + [(layer, key) for layer in layers for key in getattr(layer, "STATE", ())]
         self.tensors = np.concatenate([getattr(layer, key).ravel() for layer, key in slots])

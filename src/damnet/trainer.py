@@ -66,7 +66,6 @@ class TrainConfig:
 class ScheduleState:
     lr: float
     best_metric: float | None = None
-    epochs_since_improvement: int = 0
     halving: bool = False
 
 
@@ -83,24 +82,15 @@ def schedule_step(state: ScheduleState, val_metric: float,
     improved = improvement >= cfg.improvement_threshold
 
     if not improved and state.halving:
-        next_state = replace(
-            state,
-            best_metric=_better(state.best_metric, val_metric),
-            epochs_since_improvement=state.epochs_since_improvement + 1,
-        )
-        return next_state, True
+        return replace(state, best_metric=_better(state.best_metric, val_metric)), True
 
     lr = state.lr
     halving = state.halving or not improved
     if halving:
         lr = lr * cfg.halving_factor
     stop = lr < cfg.min_lr
-    next_state = ScheduleState(
-        lr=lr,
-        best_metric=_better(state.best_metric, val_metric),
-        epochs_since_improvement=0 if improved else state.epochs_since_improvement + 1,
-        halving=halving,
-    )
+    next_state = ScheduleState(lr=lr, best_metric=_better(state.best_metric, val_metric),
+                               halving=halving)
     return next_state, stop
 
 
@@ -172,11 +162,11 @@ def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
                         left: int = 5, right: int = 5) -> FrameDataset:
     """Normalize (optionally), splice context and flatten a labeled corpus.
 
-    Every utterance is checked (labels, geometry) before anything is
-    allocated. Each utterance is then normalised and spliced on its own and
-    written into its rows of one preallocated (N, C, left+1+right, F) float32
-    array, so the peak is about the output plus one utterance's temporaries,
-    never a second copy of the corpus.
+    Every utterance is checked (labels, at least one frame, geometry) before
+    anything is allocated. Each utterance is then normalised and spliced on
+    its own and written into its rows of one preallocated
+    (N, C, left+1+right, F) float32 array, so the peak is about the output
+    plus one utterance's temporaries, never a second copy of the corpus.
     """
     if not utterances:
         raise DataError("no utterances to build a dataset from")
@@ -186,6 +176,8 @@ def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
     for utt in utterances:
         if utt.labels is None:
             raise DataError(f"utterance '{utt.utt_id}' has no frame labels")
+        if utt.num_frames < 1:
+            raise DataError(f"utterance '{utt.utt_id}' has no frames")
         if utt.frames.shape[1:] != geometry:
             raise ShapeError(
                 f"utterance '{utt.utt_id}' has geometry {utt.frames.shape[1:]}, "
@@ -349,7 +341,6 @@ def fit(model: Model, train_data: FrameDataset, val_data: FrameDataset,
     velocity: dict = {}
     state = ScheduleState(lr=cfg.initial_lr)
     history: list[Metrics] = []
-    best_loss = None
     best_snapshot = None
     for epoch in range(1, cfg.max_epochs + 1):
         epoch_metrics = train_epoch(model, train_data, cfg, rng,
@@ -358,8 +349,7 @@ def fit(model: Model, train_data: FrameDataset, val_data: FrameDataset,
         epoch_metrics = replace(epoch_metrics, val_loss=result.loss,
                                 val_accuracy=result.accuracy)
         history.append(epoch_metrics)
-        if best_loss is None or result.loss < best_loss:
-            best_loss = result.loss
+        if state.best_metric is None or result.loss < state.best_metric:
             best_snapshot = model.tensors.copy()
         state, stop = schedule_step(state, result.loss, cfg)
         if stop:

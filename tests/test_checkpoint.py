@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from damnet.builder import DenseNetConfig
-from damnet.checkpoint import load_checkpoint, save_checkpoint
+from damnet.checkpoint import _layout_fingerprint, load_checkpoint, save_checkpoint
 from damnet.exceptions import DamnetError, FormatError
 from damnet.features import UtteranceFeatures, read_archive, write_archive
 from damnet.layers import softmax_cross_entropy
@@ -87,6 +87,18 @@ def test_names_and_values_follow_the_arena(tmp_path):
     assert data[blob_offset(data) + 8 : -4] == model.tensors.astype("<f4").tobytes()
     assert data == with_crc(data[:-4])
     assert load_checkpoint(path).tensors.tobytes() == model.tensors.tobytes()
+
+
+@pytest.mark.parametrize("config,fingerprint,tensors", [
+    (DenseNetConfig(variant="plain", depth=22, num_classes=1500), 0x76D7CBD2, 107),
+    (DenseNetConfig(variant="BC", depth=41, compression=0.5, num_classes=1500), 0xE6E0E1C2, 197),
+], ids=["plain22", "bc41"])
+def test_layout_is_pinned(config, fingerprint, tensors):
+    # literals, so renaming or reordering a stage's layers cannot pass
+    # unnoticed: every checkpoint saved before such a change would stop loading
+    model = build_model(config, 0)
+    assert len(model.named_tensors()) == tensors
+    assert _layout_fingerprint(model) == fingerprint
 
 
 def edit_blob(data: bytes, edit: str) -> bytes:

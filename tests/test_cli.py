@@ -6,8 +6,15 @@ import pytest
 
 from damnet.builder import DenseNetConfig, plan_architecture
 from damnet.cli import main
-from damnet.features import frame_count, FilterbankConfig, read_archive
+from damnet.features import (
+    FilterbankConfig,
+    UtteranceFeatures,
+    frame_count,
+    read_archive,
+    write_archive,
+)
 from damnet.model import build_model, count_parameters
+from damnet.trainer import make_synthetic_dataset
 
 
 def run_cli(capsys, *args):
@@ -197,6 +204,15 @@ def write_stats(path, name):
     return path
 
 
+def write_archive_with_empty_utterance(path, classes):
+    """A synthetic archive whose last utterance, 'silent', has no frames."""
+    utts = make_synthetic_dataset(classes, 4, 4.0, seed=5)
+    utts.append(UtteranceFeatures("silent", np.zeros((0, 3, 40), np.float32),
+                                  np.zeros(0, np.int64)))
+    write_archive(utts, path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """Train once on separable synthetic data; reused by several tests.
@@ -303,6 +319,14 @@ class TestTrainEval:
         assert str(stats) in err
         assert out == ""
 
+    def test_empty_utterance_is_io_error(self, capsys, trained, tmp_path):
+        archive = write_archive_with_empty_utterance(tmp_path / "empty.fbk", 10)
+        code, out, err = run_cli(capsys, "eval",
+                                 "--set", f"checkpoint={trained['checkpoint']}",
+                                 "--set", f"eval_archive={archive}")
+        assert (code, out) == (3, ""), err
+        assert "'silent'" in err
+
     def test_missing_checkpoint_is_io_error(self, capsys, trained):
         code, _, err = run_cli(capsys, "eval",
                                "--set", "checkpoint=/nonexistent/model.ckpt",
@@ -406,6 +430,17 @@ class TestExitCodes:
                                "--set", "initial_lr=1e12")
         assert code == 4
         assert "non-finite loss" in err
+
+    def test_empty_utterance_exits_3(self, capsys, tmp_path):
+        archive = write_archive_with_empty_utterance(tmp_path / "t.fbk", 4)
+        code, _, err = run_cli(capsys, "train", "--seed", "1",
+                               "--set", f"train_archive={archive}",
+                               "--set", f"val_archive={archive}",
+                               "--set", f"checkpoint={tmp_path / 'm.ckpt'}",
+                               "--set", "depth=7", "--set", "num_classes=4")
+        assert code == 3
+        assert "'silent'" in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_missing_archive_exits_3(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "train",

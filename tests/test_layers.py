@@ -18,7 +18,7 @@ from damnet.layers import (
     softmax_cross_entropy,
 )
 from damnet.builder import DenseNetConfig
-from damnet.model import DenseBlock, Transition, build_model, named_arrays
+from damnet.model import DenseBlock, build_model, named_arrays, transition
 
 
 def rng(seed=0):
@@ -61,22 +61,22 @@ class TestDenseWiring:
     @pytest.mark.parametrize("h,w", [(4, 6), (5, 7), (9, 38)])
     def test_transition_pool_first_equals_conv_first(self, h, w):
         r = rng(h * w)
-        transition = Transition(6, 3, rng=r, dtype=np.float64)
+        stage = transition(6, 3, rng=r, dtype=np.float64)
         x = r.standard_normal((3, 6, h, w))
         dout = r.standard_normal((3, 3, h // 2, w // 2))
-        out = transition.forward(x, train=True)
-        dx = transition.backward(dout)
-        grad_weight = transition.conv.grad_weight.copy()
+        out = stage.forward(x, train=True)
+        dx = stage.backward(dout)
+        grad_weight = stage.conv.grad_weight.copy()
 
         # reference: the planned order, 1x1 conv then pool, same weights
         pool = AvgPool2d()
-        hidden = transition.relu.forward(transition.bn.forward(x, train=True), train=True)
-        reference = pool.forward(transition.conv.forward(hidden, train=True), train=True)
+        hidden = stage.relu.forward(stage.bn.forward(x, train=True), train=True)
+        reference = pool.forward(stage.conv.forward(hidden, train=True), train=True)
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
-        d = transition.conv.backward(pool.backward(dout))
-        d = transition.bn.backward(transition.relu.backward(d))
+        d = stage.conv.backward(pool.backward(dout))
+        d = stage.bn.backward(stage.relu.backward(d))
         np.testing.assert_allclose(dx, d, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grad_weight, transition.conv.grad_weight, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad_weight, stage.conv.grad_weight, rtol=0, atol=1e-12)
 
 
 def conv_reference(x, weight, pad):
@@ -287,7 +287,7 @@ class TestAvgPool:
 class TestGlobalAvgPool:
     def test_constant(self):
         out = GlobalAvgPool().forward(np.full((1, 3, 2, 9), 4.0))
-        assert out.shape == (1, 3, 1, 1)
+        assert out.shape == (1, 3)
         np.testing.assert_array_equal(out, 4.0)
 
     def test_direct_mean(self):
@@ -365,8 +365,8 @@ def test_pool_shape_formula(h, w):
 
 
 def as_channel_major(x):
-    """The same values as ``x`` over (C, N, H, W) memory."""
-    return np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    """The same values as ``x``, (N, C, ...), over (C, N, ...) memory."""
+    return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 class TestChannelMajorLayout:

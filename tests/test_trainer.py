@@ -561,6 +561,13 @@ class TestBuildFrameDataset:
         with pytest.raises(DataError):
             build_frame_dataset(utts)
 
+    def test_empty_utterance_named(self):
+        utts = make_synthetic_dataset(2, 3, 1.0, seed=0)
+        utts.insert(1, UtteranceFeatures("silent", np.zeros((0, 3, 40), np.float32),
+                                         np.zeros(0, np.int64)))
+        with pytest.raises(DataError, match="'silent'"):
+            build_frame_dataset(utts)
+
     def test_shapes(self):
         utts = make_synthetic_dataset(3, 4, 1.0, seed=0)
         data = build_frame_dataset(utts)
