@@ -76,7 +76,8 @@ def check_layer(layer, x: np.ndarray, *, eps: float = DEFAULT_EPS, rng=None) -> 
     def objective():
         return float((layer.forward(x, True) * projection).sum())
 
-    dx = layer.backward(projection)
+    # objective() reruns train forwards, which may reuse the memory dx is in
+    dx = np.array(layer.backward(projection))
     tensors = {"x": x}
     analytic = {"x": dx}
     for key in getattr(layer, "PARAMS", ()):

@@ -5,8 +5,8 @@ channels, height, width), whatever their memory layout. The model stores
 its activations channel-major: (C, N, H, W) memory seen through
 ``.transpose(1, 0, 2, 3)`` (see ``channel_major``), so a convolution's
 GEMMs run on one flat (C, N*H*W) grid and a dense block's channel slices
-are contiguous. Elementwise layers keep their input's layout because
-ufunc outputs do; the pools' backward passes allocate channel-major.
+are contiguous. Elementwise layers keep their input's layout, as ufunc
+outputs do; the pools' backward passes write channel-major.
 Training runs in float32; gradient checking builds float64 layers because
 central differences are unreliable in single precision. A layer class
 names its tensors once: ``PARAMS`` the trainable ones and ``STATE`` the
@@ -16,16 +16,36 @@ overwrites in place, so a ``Model`` can rebind them all to views of its
 flat arenas and a standalone layer still works.
 
 ``forward(x, train=False)`` is pure: it reads the parameters and running
-statistics and writes nothing, so infer-mode forwards may run concurrently
-on one layer. No infer-mode forward mixes frames: every product runs per
-image or per frame, so a frame's output never depends on its batch.
+statistics, writes nothing and allocates its results, so infer-mode
+forwards may run concurrently on one layer. No infer-mode forward mixes
+frames: every product runs per image or per frame, so a frame's output
+never depends on its batch.
 ``forward(x, train=True)`` keeps what ``backward()`` needs in one field,
 ``_cache``, and updates batchnorm running statistics, so a
 train forward and its backward must be serialized, and backward needs a
 train-mode forward before it.
+
+Train mode gives every large array a fixed lifetime, so a training step
+reuses the memory of the last one instead of allocating it again:
+
+- *Step state*, what a train forward keeps for backward (the conv's padded
+  grid, batchnorm's normalized input, the ReLU mask), lives in the layer's
+  ``_cache``. It is reused while the shape, dtype and layout repeat, and
+  replaced when they change, as on an epoch's last partial batch. A layer
+  copies what it keeps, except ``Linear``, which keeps its small input.
+- *Scratch* holds everything else: a train-mode result of ``forward`` or
+  ``backward`` (apart from the small global-pool and linear outputs) is a
+  view into per-thread buffers (``scratch``), valid until the next
+  train-mode call in the same thread. A caller that keeps one across train
+  calls must copy it. The buffers live as long as their thread does (about
+  160 MB for plain-22 at batch 256) and are shared by every model that
+  trains in it.
 """
 
 from __future__ import annotations
+
+import math
+import threading
 
 import numpy as np
 
@@ -50,10 +70,61 @@ def pool_output_size(extent: int) -> int:
     return extent // 2
 
 
-def channel_major(shape, dtype, alloc=np.empty) -> np.ndarray:
-    """An (N, C, H, W) array over (C, N, H, W) memory, from ``np.empty`` or ``np.zeros``."""
-    n, c, h, w = shape
-    return alloc((c, n, h, w), dtype=dtype).transpose(1, 0, 2, 3)
+def _shaped(flat, shape, channel_major: bool) -> np.ndarray:
+    if channel_major:
+        n, c, h, w = shape
+        return flat.reshape(c, n, h, w).transpose(1, 0, 2, 3)
+    return flat.reshape(shape)
+
+
+def channel_major(shape, dtype) -> np.ndarray:
+    """A new (N, C, H, W) array over (C, N, H, W) memory."""
+    return _shaped(np.empty(math.prod(shape), dtype=dtype), shape, True)
+
+
+def is_channel_major(x: np.ndarray) -> bool:
+    """Whether the 4-D ``x`` lies in memory channel-major, (C, N, H, W)."""
+    return x.ndim == 4 and x.strides[1] > x.strides[0]
+
+
+class _Scratch(threading.local):
+    """One thread's scratch: byte buffers by name, and the pair buffer handed out last."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.last_pair = 1
+
+
+_SCRATCH = _Scratch()
+
+
+def scratch(name: str, shape, dtype, channel_major: bool = False) -> np.ndarray:
+    """This thread's scratch buffer ``name`` seen as a ``shape`` array of
+    ``dtype``, channel-major or C-order; it grows when a request does not fit.
+
+    The buffers hold bytes, so one serves every dtype. Train mode uses three:
+    ``"taps"`` (a conv's per-tap products and shifted output gradient, the
+    pool's row sums), ``"block"`` (a dense block's features, then their
+    gradient) and ``"pair"``, which names two buffers handed out in turn. A
+    layer's pair result thus never overwrites the pair array it was given.
+    """
+    state = _SCRATCH
+    if name == "pair":
+        state.last_pair ^= 1
+        name = f"pair{state.last_pair}"
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buffer = state.buffers.get(name)
+    if buffer is None or buffer.size < nbytes:
+        buffer = state.buffers[name] = np.empty(nbytes, np.uint8)
+    return _shaped(buffer[:nbytes].view(dtype), shape, channel_major)
+
+
+def step_state(kept, shape, dtype, channel_major: bool = False, alloc=np.empty) -> np.ndarray:
+    """``kept`` again if it has this shape, dtype and layout; else a new array from ``alloc``."""
+    if (kept is not None and kept.shape == tuple(shape) and kept.dtype == dtype
+            and is_channel_major(kept) == channel_major):
+        return kept
+    return _shaped(alloc(math.prod(shape), dtype=dtype), shape, channel_major)
 
 
 class Conv2d:
@@ -114,50 +185,61 @@ class Conv2d:
         if oh < 1 or ow < 1:
             raise ShapeError(f"conv2d: {h}x{w} input is smaller than a {k}x{k} kernel with pad {p}")
         hp, wp = h + 2 * p, w + 2 * p
-        if p:
+        if train:
+            # only the interior is ever written, so the halo stays zero
+            grid = self._cache = step_state(self._cache, (c, n, hp, wp), x.dtype, alloc=np.zeros)
+            grid[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+        elif p:
             grid = np.zeros((c, n, hp, wp), dtype=x.dtype)
             grid[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
         else:
             grid = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
         grid = grid.reshape(c, -1)
         matrix, shifts = self._taps(wp)
+        dtype = np.result_type(matrix, grid)
         if train:
-            self._cache = (x.shape, grid)
-            per_tap = matrix @ grid
+            per_tap = np.matmul(matrix, grid, out=scratch("taps", (k * k * co, grid.shape[1]), dtype))
         else:
-            per_tap = np.empty((k * k * co, grid.shape[1]), dtype=np.result_type(matrix, grid))
+            per_tap = np.empty((k * k * co, grid.shape[1]), dtype=dtype)
             np.matmul(matrix, grid.reshape(c, n, -1).transpose(1, 0, 2),
                       out=per_tap.reshape(k * k * co, n, -1).transpose(1, 0, 2))
         if k == 1:
             out = per_tap
         else:
             span = grid.shape[1] - shifts[-1]
-            out = np.empty((co, grid.shape[1]), dtype=per_tap.dtype)
+            out = (scratch("pair", (co, grid.shape[1]), dtype) if train
+                   else np.empty((co, grid.shape[1]), dtype=dtype))
             out[:, :span] = per_tap[:co, :span]
             for t, shift in enumerate(shifts[1:], 1):
                 out[:, :span] += per_tap[t * co : (t + 1) * co, shift : shift + span]
         return out.reshape(co, n, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        (n, c, h, w), grid = self._cache
-        (oh, ow), k, p, co = dout.shape[2:], self.kernel_size, self.pad, self.out_channels
-        hp, wp = h + 2 * p, w + 2 * p
+        grid = self._cache
+        (c, n, hp, wp), k, p, co = grid.shape, self.kernel_size, self.pad, self.out_channels
+        grid = grid.reshape(c, -1)
+        oh, ow = dout.shape[2:]
         matrix, shifts = self._taps(wp)
         if k == 1:
             shifted = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(co, -1)
         else:
-            placed = np.zeros((co, n, hp, wp), dtype=dout.dtype)
+            placed = scratch("pair", (co, n, hp, wp), dout.dtype)
             placed[:, :, :oh, :ow] = dout.transpose(1, 0, 2, 3)
+            placed[:, :, :oh, ow:] = 0
+            placed[:, :, oh:] = 0
             placed = placed.reshape(co, -1)
             span = placed.shape[1] - shifts[-1]
-            shifted = np.zeros((k * k, co, placed.shape[1]), dtype=dout.dtype)
+            shifted = scratch("taps", (k * k, co, placed.shape[1]), dout.dtype)
             for t, shift in enumerate(shifts):
+                shifted[t, :, :shift] = 0
                 shifted[t, :, shift : shift + span] = placed[:, :span]
+                shifted[t, :, shift + span :] = 0
             shifted = shifted.reshape(k * k * co, -1)
         grad = shifted @ grid.T
         self.grad_weight[...] = grad.reshape(k, k, co, c).transpose(2, 3, 0, 1)
-        dgrid = (matrix.T @ shifted).reshape(c, n, hp, wp)
-        return dgrid[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
+        dgrid = scratch("pair", (c, n, hp, wp), np.result_type(matrix, shifted))
+        np.matmul(matrix.T, shifted, out=dgrid.reshape(c, -1))
+        return dgrid[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
 
 
 class BatchNorm:
@@ -201,7 +283,10 @@ class BatchNorm:
                 f"degenerate batch: {samples_per_channel} sample per channel, need >= 2"
             )
         mean = np.einsum("nchw->c", x) / samples_per_channel
-        xhat = x - self._per_channel(mean)
+        layout = is_channel_major(x)
+        kept = self._cache[0] if self._cache else None
+        xhat = np.subtract(x, self._per_channel(mean),
+                           out=step_state(kept, x.shape, x.dtype, layout))
         # centred second moment: no cancellation from E[x^2] - E[x]^2
         var = np.einsum("nchw,nchw->c", xhat, xhat) / samples_per_channel
         self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
@@ -209,7 +294,8 @@ class BatchNorm:
         inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= self._per_channel(inv)
         self._cache = (xhat, inv)
-        out = xhat * self._per_channel(self.gamma)
+        out = scratch("pair", x.shape, np.result_type(xhat, self.gamma), layout)
+        np.multiply(xhat, self._per_channel(self.gamma), out=out)
         out += self._per_channel(self.beta)
         return out
 
@@ -220,7 +306,9 @@ class BatchNorm:
         scale = self._per_channel(self.gamma * inv)
         # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
         count = dout.size // self.num_channels
-        dx = xhat * self._per_channel(-self.grad_gamma / count)
+        dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma),
+                     is_channel_major(xhat))
+        np.multiply(xhat, self._per_channel(-self.grad_gamma / count), out=dx)
         dx += dout
         dx -= self._per_channel(self.grad_beta / count)
         dx *= scale
@@ -236,11 +324,13 @@ class ReLU:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if not train:
             return np.maximum(x, 0)
-        self._cache = x > 0
-        return x * self._cache
+        layout = is_channel_major(x)
+        self._cache = np.greater(x, 0, out=step_state(self._cache, x.shape, bool, layout))
+        return np.multiply(x, self._cache, out=scratch("pair", x.shape, x.dtype, layout))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return dout * self._cache
+        out = scratch("pair", dout.shape, dout.dtype, is_channel_major(dout))
+        return np.multiply(dout, self._cache, out=out)
 
 
 class AvgPool2d:
@@ -253,19 +343,26 @@ class AvgPool2d:
         n, c, h, w = x.shape
         if h < 2 or w < 2:
             raise ShapeError(f"avgpool2d needs spatial extents >= 2, got {h}x{w}")
+        oh, ow = pool_output_size(h), pool_output_size(w)
+        rows = out = None
         if train:
             self._cache = x.shape
-        oh, ow = pool_output_size(h), pool_output_size(w)
-        rows = x[:, :, 0 : 2 * oh : 2, : 2 * ow] + x[:, :, 1 : 2 * oh : 2, : 2 * ow]
-        out = rows[:, :, :, 0::2] + rows[:, :, :, 1::2]
+            layout = is_channel_major(x)
+            rows = scratch("taps", (n, c, oh, 2 * ow), x.dtype, layout)
+            out = scratch("pair", (n, c, oh, ow), x.dtype, layout)
+        rows = np.add(x[:, :, 0 : 2 * oh : 2, : 2 * ow], x[:, :, 1 : 2 * oh : 2, : 2 * ow], out=rows)
+        out = np.add(rows[:, :, :, 0::2], rows[:, :, :, 1::2], out=out)
         out *= 0.25
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        (oh, ow), quarter = dout.shape[2:], dout * 0.25
-        dx = channel_major(self._cache, dout.dtype, np.zeros)
+        oh, ow = dout.shape[2:]
+        dx = scratch("pair", self._cache, dout.dtype, channel_major=True)
         for i, j in np.ndindex(2, 2):
-            dx[:, :, i : 2 * oh : 2, j : 2 * ow : 2] = quarter
+            np.multiply(dout, 0.25, out=dx[:, :, i : 2 * oh : 2, j : 2 * ow : 2])
+        # the dropped odd row and column get no gradient
+        dx[:, :, 2 * oh :] = 0
+        dx[:, :, :, 2 * ow :] = 0
         return dx
 
 
@@ -284,7 +381,7 @@ class GlobalAvgPool:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         n, c, h, w = self._cache
-        dx = channel_major(self._cache, dout.dtype)
+        dx = scratch("pair", self._cache, dout.dtype, channel_major=True)
         dx[...] = dout.reshape(n, c, 1, 1) / (h * w)
         return dx
 

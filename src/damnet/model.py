@@ -39,6 +39,7 @@ from .layers import (
     Linear,
     ReLU,
     channel_major,
+    scratch,
 )
 
 
@@ -65,13 +66,6 @@ def named_arrays(stages, kind: str, prefix: str = "") -> dict[str, np.ndarray]:
             for stage_name, stage in stages
             for name, layer in walk(stage, stage_name)
             for key in getattr(layer, kind, ())}
-
-
-def _drop_backward_state(layer) -> None:
-    """Set the ``_cache`` field of ``layer`` and of every layer under it to None."""
-    for _, part in walk(layer):
-        if hasattr(part, "_cache"):
-            part._cache = None
 
 
 class Chain:
@@ -136,14 +130,16 @@ class DenseBlock:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"dense block expects (N, {self.in_channels}, H, W), got {x.shape}")
         n, _, h, w = x.shape
-        features = channel_major((n, self.out_channels, h, w), x.dtype)
+        shape = (n, self.out_channels, h, w)
+        features = (scratch("block", shape, x.dtype, channel_major=True) if train
+                    else channel_major(shape, x.dtype))
         features[:, : self.in_channels] = x
         for width, unit in zip(self.widths, self.units):
             features[:, width : width + self.growth_rate] = unit.forward(features[:, :width], train)
         return features
 
     def backward(self, dout):
-        grad = channel_major(dout.shape, dout.dtype)
+        grad = scratch("block", dout.shape, dout.dtype, channel_major=True)
         grad[...] = dout
         for width, unit in zip(reversed(self.widths), reversed(self.units)):
             grad[:, :width] += unit.backward(grad[:, width : width + self.growth_rate])
@@ -168,13 +164,16 @@ class Model:
     """Ordered parameterized layer graph with dense-block wiring.
 
     Infer-mode forwards are pure: they read the weights and running
-    statistics and write nothing, so they may run concurrently on one model,
-    and a frame's logits never depend on the rest of its batch.
-    Train-mode forwards update the batchnorm running statistics and keep
-    each layer's backward state until the next train forward, so train
-    forwards and backwards must be serialized, and ``backward`` needs a
-    train-mode forward before it. ``backward`` returns the input gradient as
-    a non-contiguous (N, C, H, W) view of channel-major memory.
+    statistics, write nothing and allocate what they compute, so they may
+    run concurrently on one model, and a frame's logits never depend on the
+    rest of its batch. Train-mode forwards update the batchnorm running
+    statistics and keep each layer's backward state in that layer, reusing
+    its memory while the batch shape repeats, so train forwards and
+    backwards must be serialized, and ``backward`` needs a train-mode
+    forward before it. Everything else a train step computes lives in
+    per-thread scratch (``layers.scratch``), shared by every model that
+    trains in the thread, so models may train in turn or in separate
+    threads.
 
     Every tensor is a view of one flat arena, ``tensors``: first the
     trainable ones, then the batchnorm running statistics, each group in
@@ -234,19 +233,16 @@ class Model:
             )
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """Logits (N, num_classes) for the (N, C, H, W) input, in a new array."""
         self._check_input(x)
-        if train:
-            # Free the last step's backward state at once. Replaced layer by
-            # layer, it interleaves with this step's arrays in the heap, which
-            # then grows with every step (with glibc malloc, about 120 MB over
-            # ten plain-22 steps at batch 256).
-            for _, stage in self._stages:
-                _drop_backward_state(stage)
         for _, stage in self._stages:
             x = stage.forward(x, train)
         return x
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
+        """Overwrite ``grads`` from the last train forward's state and return
+        the input gradient: a non-contiguous (N, C, H, W) view of channel-major
+        scratch memory, valid until the next train-mode call in this thread."""
         d = dlogits
         for _, stage in reversed(self._stages):
             d = stage.backward(d)

@@ -398,22 +398,6 @@ class TestModel:
         for key, value in backward_state(model).items():
             assert value is after_step[key], key
 
-    def test_dropping_backward_state_reaches_every_layer(self):
-        from damnet.layers import softmax_cross_entropy
-        from damnet.model import _drop_backward_state
-
-        cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,
-                             compression=0.5, num_classes=5, first_conv_channels=8)
-        model = build_model(cfg, seed=0)
-        x = rng(6).standard_normal((4, 3, 11, 40)).astype(np.float32)
-        logits = model.forward(x, train=True)
-        model.backward(softmax_cross_entropy(logits, np.arange(4))[1])
-        for _, stage in model.stages():
-            _drop_backward_state(stage)
-        fields = backward_state(model)
-        assert {field for _, field in fields} == set(BACKWARD_STATE)
-        assert [key for key, value in fields.items() if value is not None] == []
-
 
 class TestParameterArena:
     def test_named_views_share_the_arenas(self):

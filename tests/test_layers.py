@@ -32,8 +32,8 @@ class TestDenseWiring:
         block = DenseBlock(5, 3, 4, bottleneck=bottleneck, rng=r, dtype=np.float64)
         x = r.standard_normal((3, 5, 4, 6))
         dout = r.standard_normal((3, block.out_channels, 4, 6))
-        out = block.forward(x, train=True)
-        dx = block.backward(dout)
+        out = block.forward(x, train=True).copy()
+        dx = block.backward(dout).copy()
         grads = {name: g.copy()
                  for name, g in named_arrays([("block", block)], "PARAMS", "grad_").items()}
 
@@ -41,7 +41,7 @@ class TestDenseWiring:
         # each unit's input gradient split back onto its sources
         features = [x]
         for unit in block.units:
-            features.append(unit.forward(np.concatenate(features, axis=1), train=True))
+            features.append(unit.forward(np.concatenate(features, axis=1), train=True).copy())
         np.testing.assert_allclose(out, np.concatenate(features, axis=1), rtol=0, atol=1e-12)
         sizes = [f.shape[1] for f in features]
         accum = [g.copy() for g in np.split(dout, np.cumsum(sizes)[:-1], axis=1)]
@@ -64,8 +64,8 @@ class TestDenseWiring:
         stage = transition(6, 3, rng=r, dtype=np.float64)
         x = r.standard_normal((3, 6, h, w))
         dout = r.standard_normal((3, 3, h // 2, w // 2))
-        out = stage.forward(x, train=True)
-        dx = stage.backward(dout)
+        out = stage.forward(x, train=True).copy()
+        dx = stage.backward(dout).copy()
         grad_weight = stage.conv.grad_weight.copy()
 
         # reference: the planned order, 1x1 conv then pool, same weights
@@ -378,12 +378,12 @@ class TestChannelMajorLayout:
         results = []
         for layout in (np.ascontiguousarray, as_channel_major):
             layer = make()
-            out = layer.forward(layout(x), train=train)
+            out = layer.forward(layout(x), train=train).copy()
             if not train:
                 results.append((out, None, {}))
                 continue
             dout = layout(rng(seed + 1).standard_normal(out.shape))
-            dx = layer.backward(dout)
+            dx = layer.backward(dout).copy()
             grads = named_arrays([("layer", layer)], "PARAMS", "grad_")
             results.append((out, dx, {k: v.copy() for k, v in grads.items()}))
         (out_a, dx_a, grads_a), (out_b, dx_b, grads_b) = results
