@@ -316,6 +316,8 @@ def write_archive(utterances: list[UtteranceFeatures], path) -> None:
             yield struct.pack("<I", len(encoded)) + encoded + struct.pack("<III", *utt.frames.shape)
             yield np.ascontiguousarray(utt.frames, dtype="<f4").tobytes()
             if utt.labels is not None:
+                if len(utt.labels) and not 0 <= utt.labels.min() <= utt.labels.max() < 2**32:
+                    raise DataError(f"utterance '{utt.utt_id}': label ids must be in [0, 2^32)")
                 yield LABEL_MAGIC + np.ascontiguousarray(utt.labels, dtype="<u4").tobytes()
 
     write_with_crc32(path, chunks())
@@ -400,10 +402,14 @@ def read_wav(path) -> tuple[np.ndarray, int]:
             raw = handle.readframes(handle.getnframes())
     except (wave.Error, EOFError) as exc:
         raise FormatError(f"bad WAV file {path}: {exc}") from exc
+    except RuntimeError as exc:  # wave's bare error for a chunk that overruns its parent
+        raise FormatError(f"bad WAV file {path}: a chunk size overruns the file") from exc
     if channels != 1:
         raise DataError(f"{path}: expected mono audio, got {channels} channels")
     if width != 2:
         raise DataError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
+    if len(raw) % width:
+        raise FormatError(f"bad WAV file {path}: {len(raw)} data bytes is not whole samples")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return samples, rate
 
@@ -442,7 +448,7 @@ def read_label_file(path) -> np.ndarray:
     try:
         labels = np.array([int(token) for token in Path(path).read_text().split()],
                           dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"bad label file {path}: {exc}") from exc
     if labels.size and labels.min() < 0:
         raise DataError(f"bad label file {path}: negative class id")

@@ -5,8 +5,8 @@ channels, height, width), whatever their memory layout. The model stores
 its activations channel-major: (C, N, H, W) memory seen through
 ``.transpose(1, 0, 2, 3)`` (see ``channel_major``), so a convolution's
 GEMMs run on one flat (C, N*H*W) grid and a dense block's channel slices
-are contiguous. Elementwise layers keep their input's layout, as ufunc
-outputs do; the pools' backward passes write channel-major.
+are contiguous. Every train-mode result is channel-major, whatever the
+input's layout; infer-mode ufunc outputs follow their input's layout.
 Training runs in float32; gradient checking builds float64 layers because
 central differences are unreliable in single precision. A layer class
 names its tensors once: ``PARAMS`` the trainable ones and ``STATE`` the
@@ -30,7 +30,7 @@ reuses the memory of the last one instead of allocating it again:
 
 - *Step state*, what a train forward keeps for backward (the conv's padded
   grid, batchnorm's normalized input, the ReLU mask), lives in the layer's
-  ``_cache``. It is reused while the shape, dtype and layout repeat, and
+  ``_cache``. It is reused while the shape and dtype repeat, and
   replaced when they change, as on an epoch's last partial batch. A layer
   copies what it keeps, except ``Linear``, which keeps its small input.
 - *Scratch* holds everything else: a train-mode result of ``forward`` or
@@ -82,11 +82,6 @@ def channel_major(shape, dtype) -> np.ndarray:
     return _shaped(np.empty(math.prod(shape), dtype=dtype), shape, True)
 
 
-def is_channel_major(x: np.ndarray) -> bool:
-    """Whether the 4-D ``x`` lies in memory channel-major, (C, N, H, W)."""
-    return x.ndim == 4 and x.strides[1] > x.strides[0]
-
-
 class _Scratch(threading.local):
     """One thread's scratch: byte buffers by name, and the pair buffer handed out last."""
 
@@ -120,9 +115,8 @@ def scratch(name: str, shape, dtype, channel_major: bool = False) -> np.ndarray:
 
 
 def step_state(kept, shape, dtype, channel_major: bool = False, alloc=np.empty) -> np.ndarray:
-    """``kept`` again if it has this shape, dtype and layout; else a new array from ``alloc``."""
-    if (kept is not None and kept.shape == tuple(shape) and kept.dtype == dtype
-            and is_channel_major(kept) == channel_major):
+    """``kept`` again if it has this shape and dtype; else a new array from ``alloc``."""
+    if kept is not None and kept.shape == tuple(shape) and kept.dtype == dtype:
         return kept
     return _shaped(alloc(math.prod(shape), dtype=dtype), shape, channel_major)
 
@@ -283,10 +277,9 @@ class BatchNorm:
                 f"degenerate batch: {samples_per_channel} sample per channel, need >= 2"
             )
         mean = np.einsum("nchw->c", x) / samples_per_channel
-        layout = is_channel_major(x)
         kept = self._cache[0] if self._cache else None
         xhat = np.subtract(x, self._per_channel(mean),
-                           out=step_state(kept, x.shape, x.dtype, layout))
+                           out=step_state(kept, x.shape, x.dtype, channel_major=True))
         # centred second moment: no cancellation from E[x^2] - E[x]^2
         var = np.einsum("nchw,nchw->c", xhat, xhat) / samples_per_channel
         self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
@@ -294,7 +287,7 @@ class BatchNorm:
         inv = 1.0 / np.sqrt(var + BN_EPSILON)
         xhat *= self._per_channel(inv)
         self._cache = (xhat, inv)
-        out = scratch("pair", x.shape, np.result_type(xhat, self.gamma), layout)
+        out = scratch("pair", x.shape, np.result_type(xhat, self.gamma), channel_major=True)
         np.multiply(xhat, self._per_channel(self.gamma), out=out)
         out += self._per_channel(self.beta)
         return out
@@ -306,8 +299,7 @@ class BatchNorm:
         scale = self._per_channel(self.gamma * inv)
         # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
         count = dout.size // self.num_channels
-        dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma),
-                     is_channel_major(xhat))
+        dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma), channel_major=True)
         np.multiply(xhat, self._per_channel(-self.grad_gamma / count), out=dx)
         dx += dout
         dx -= self._per_channel(self.grad_beta / count)
@@ -324,12 +316,12 @@ class ReLU:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if not train:
             return np.maximum(x, 0)
-        layout = is_channel_major(x)
-        self._cache = np.greater(x, 0, out=step_state(self._cache, x.shape, bool, layout))
-        return np.multiply(x, self._cache, out=scratch("pair", x.shape, x.dtype, layout))
+        mask = self._cache = step_state(self._cache, x.shape, bool, channel_major=True)
+        np.greater(x, 0, out=mask)
+        return np.multiply(x, mask, out=scratch("pair", x.shape, x.dtype, channel_major=True))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        out = scratch("pair", dout.shape, dout.dtype, is_channel_major(dout))
+        out = scratch("pair", dout.shape, dout.dtype, channel_major=True)
         return np.multiply(dout, self._cache, out=out)
 
 
@@ -347,9 +339,8 @@ class AvgPool2d:
         rows = out = None
         if train:
             self._cache = x.shape
-            layout = is_channel_major(x)
-            rows = scratch("taps", (n, c, oh, 2 * ow), x.dtype, layout)
-            out = scratch("pair", (n, c, oh, ow), x.dtype, layout)
+            rows = scratch("taps", (n, c, oh, 2 * ow), x.dtype, channel_major=True)
+            out = scratch("pair", (n, c, oh, ow), x.dtype, channel_major=True)
         rows = np.add(x[:, :, 0 : 2 * oh : 2, : 2 * ow], x[:, :, 1 : 2 * oh : 2, : 2 * ow], out=rows)
         out = np.add(rows[:, :, :, 0::2], rows[:, :, :, 1::2], out=out)
         out *= 0.25

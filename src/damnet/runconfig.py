@@ -4,11 +4,11 @@ Every key is valid for every subcommand; unknown keys are rejected.
 Flag overrides (--set, --seed, --deterministic) win over the file.
 
 The fields of ``DenseNetConfig``, ``FilterbankConfig`` and ``TrainConfig``
-are keys here without being listed: each field is a key of the same name
-(except the two in ``_KEY_OF_FIELD``), in field order, with the field's
-default and the default's type as its parser (``_parse_bool`` for bools,
-``_parse_float``, which rejects nan and infinities, for floats).
-``config_from`` builds a dataclass back from those keys. The remaining
+are keys here without being listed: each field is a key of the same name,
+in field order, with the field's default and the default's type as its
+parser (``_parse_bool`` for bools, ``_parse_float``, which rejects nan and
+infinities, for floats). ``config_from`` builds a dataclass back from
+those keys, so a validation error names the key the user set. The remaining
 keys (context, deltas, validation split, synthetic data, paths) are
 written out below.
 """
@@ -42,22 +42,11 @@ def _parse_float(raw: str) -> float:
     return value
 
 
-# Run-config keys that differ from their dataclass field's name.
-_KEY_OF_FIELD = {
-    "halving_factor": "lr_halving_factor",
-    "improvement_threshold": "lr_improvement_threshold",
-}
-
-
-def _key(field) -> str:
-    return _KEY_OF_FIELD.get(field.name, field.name)
-
-
 def _field_entries(cls) -> dict:
     """One (parser, default) entry per field of ``cls``, in field order."""
     return {
-        _key(f): ({bool: _parse_bool, float: _parse_float}.get(type(f.default), type(f.default)),
-                  f.default)
+        f.name: ({bool: _parse_bool, float: _parse_float}.get(type(f.default), type(f.default)),
+                 f.default)
         for f in fields(cls)
     }
 
@@ -130,7 +119,7 @@ def load_run_config(path=None, overrides=()) -> dict:
 
 def config_from(cls, config: dict):
     """Build ``cls`` from the run-config keys of its fields and validate it."""
-    built = cls(**{f.name: config[_key(f)] for f in fields(cls)})
+    built = cls(**{f.name: config[f.name] for f in fields(cls)})
     built.validate()
     return built
 

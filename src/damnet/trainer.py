@@ -37,8 +37,8 @@ class TrainConfig:
     batch_size: int = 256
     max_epochs: int = 20
     momentum: float = 0.9
-    halving_factor: float = 0.5
-    improvement_threshold: float = 0.002
+    lr_halving_factor: float = 0.5
+    lr_improvement_threshold: float = 0.002
     min_lr: float = 1e-5
     seed: int = 0
     deterministic: bool = False
@@ -52,12 +52,11 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 < self.halving_factor < 1.0:
-            raise ConfigError(f"halving_factor must be in (0, 1), got {self.halving_factor}")
-        if not 0.0 <= self.improvement_threshold < math.inf:
-            raise ConfigError(
-                f"improvement_threshold must be finite and >= 0, got {self.improvement_threshold}"
-            )
+        if not 0.0 < self.lr_halving_factor < 1.0:
+            raise ConfigError(f"lr_halving_factor must be in (0, 1), got {self.lr_halving_factor}")
+        if not 0.0 <= self.lr_improvement_threshold < math.inf:
+            raise ConfigError(f"lr_improvement_threshold must be finite and >= 0, "
+                              f"got {self.lr_improvement_threshold}")
         if not 0.0 < self.min_lr < math.inf:
             raise ConfigError(f"min_lr must be positive and finite, got {self.min_lr}")
 
@@ -79,7 +78,7 @@ def schedule_step(state: ScheduleState, val_metric: float,
         improvement = math.inf
     else:
         improvement = (state.best_metric - val_metric) / max(abs(state.best_metric), 1e-12)
-    improved = improvement >= cfg.improvement_threshold
+    improved = improvement >= cfg.lr_improvement_threshold
 
     if not improved and state.halving:
         return replace(state, best_metric=_better(state.best_metric, val_metric)), True
@@ -87,7 +86,7 @@ def schedule_step(state: ScheduleState, val_metric: float,
     lr = state.lr
     halving = state.halving or not improved
     if halving:
-        lr = lr * cfg.halving_factor
+        lr = lr * cfg.lr_halving_factor
     stop = lr < cfg.min_lr
     next_state = ScheduleState(lr=lr, best_metric=_better(state.best_metric, val_metric),
                                halving=halving)
@@ -195,38 +194,28 @@ def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
     return FrameDataset(features, labels)
 
 
-def sgd_update(params: dict, grads: dict, velocity: dict, lr: float,
-               momentum: float) -> dict:
-    """In-place SGD step: v = momentum * v - lr * g; p += v."""
+def sgd_update(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray, lr: float,
+               momentum: float) -> None:
+    """In-place SGD step on three like-shaped arrays: v = momentum * v - lr * g; p += v."""
     if lr < 0:
         raise ConfigError(f"learning rate must be >= 0, got {lr}")
-    for name, param in params.items():
-        grad = grads.get(name)
-        if grad is None:
-            raise DataError(f"no gradient for parameter '{name}' (backward not run?)")
-        if grad.shape != param.shape:
-            raise ShapeError(
-                f"gradient shape {grad.shape} does not match parameter "
-                f"'{name}' shape {param.shape}"
-            )
-        vel = velocity.get(name)
-        if vel is None:
-            vel = np.zeros_like(param)
-            velocity[name] = vel
-        vel *= momentum
-        vel -= lr * grad
-        param += vel
-    return params
+    if not params.shape == grads.shape == velocity.shape:
+        raise ShapeError(f"SGD shapes differ: {params.shape}, {grads.shape}, {velocity.shape}")
+    velocity *= momentum
+    velocity -= lr * grads
+    params += velocity
 
 
 def train_epoch(model: Model, data: FrameDataset, cfg: TrainConfig, rng,
                 *, lr: float | None = None, velocity: dict | None = None,
                 epoch: int = 1) -> Metrics:
-    """One pass over the shuffled frames with per-batch SGD updates."""
+    """One pass over the shuffled frames with per-batch SGD updates; the momentum
+    is ``velocity["params"]``, made on first use and kept in the caller's dict."""
     if len(data) == 0:
         raise DataError("empty training data")
     lr = cfg.initial_lr if lr is None else lr
     velocity = {} if velocity is None else velocity
+    velocity.setdefault("params", np.zeros_like(model.params))
     order = rng.permutation(len(data))
     total_loss = 0.0
     correct = 0
@@ -245,7 +234,7 @@ def train_epoch(model: Model, data: FrameDataset, cfg: TrainConfig, rng,
         total_loss += loss * len(idx)
         correct += int((logits.argmax(axis=1) == targets).sum())
         model.backward(dlogits)
-        sgd_update({"params": model.params}, {"params": model.grads}, velocity, lr, cfg.momentum)
+        sgd_update(model.params, model.grads, velocity["params"], lr, cfg.momentum)
     seconds = 0.0 if cfg.deterministic else time.perf_counter() - started
     return Metrics(
         epoch=epoch, lr=lr,

@@ -179,6 +179,35 @@ class TestFeaturize:
         assert code == 3
         assert str(manifest) in err
 
+    def featurize_exit_code(self, capsys, tmp_path, manifest):
+        code, _, err = run_cli(capsys, "featurize",
+                               "--set", f"manifest={manifest}",
+                               "--set", f"output_archive={tmp_path / 'x.fbk'}",
+                               "--set", f"stats_file={tmp_path / 'x.json'}")
+        assert not (tmp_path / "x.fbk").exists()
+        return code, err
+
+    @pytest.mark.parametrize("offset,value", [(16, 0x10000),  # fmt chunk overruns the file
+                                              (4, 36 + 8 + 101)])  # odd count of data bytes
+    def test_corrupted_wav_header_exits_3(self, capsys, tmp_path, offset, value):
+        manifest = self.make_corpus(tmp_path, count=2)
+        wav = tmp_path / "utt1.wav"
+        data = bytearray(wav.read_bytes())
+        data[offset : offset + 4] = value.to_bytes(4, "little")
+        wav.write_bytes(bytes(data))
+        code, err = self.featurize_exit_code(capsys, tmp_path, manifest)
+        assert code == 3
+        assert "utt1" in err and "bad WAV file" in err
+
+    @pytest.mark.parametrize("label", [2**32 + 1, 10**20])
+    def test_label_outside_u32_exits_3(self, capsys, tmp_path, label):
+        manifest = self.make_corpus(tmp_path, count=2)
+        lab = tmp_path / "utt1.lab"
+        lab.write_text(lab.read_text().replace("2", str(label), 1))
+        code, err = self.featurize_exit_code(capsys, tmp_path, manifest)
+        assert code == 3
+        assert "utt1" in err
+
     def test_missing_audio_names_utterance(self, capsys, tmp_path):
         manifest = tmp_path / "bad.scp"
         manifest.write_text(f"lost {tmp_path / 'nope.wav'}\n")
@@ -354,6 +383,17 @@ class TestNonFiniteFloats:
                                "--set", "log_floor=nan")
         assert code == 2
         assert "log_floor" in err
+
+
+@pytest.mark.parametrize("key,value", [("lr_halving_factor", "2"),
+                                       ("lr_improvement_threshold", "-1")])
+def test_train_range_error_names_the_key_set(capsys, tmp_path, key, value):
+    code, _, err = run_cli(capsys, "train",
+                           "--set", f"train_archive={tmp_path / 'none.fbk'}",
+                           "--set", f"checkpoint={tmp_path / 'm.ckpt'}",
+                           "--set", f"{key}={value}")
+    assert code == 2
+    assert key in err
 
 
 class TestTrainValidation:

@@ -1,3 +1,4 @@
+import contextlib
 import wave
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damnet.exceptions import ConfigError, DataError, FormatError, ShapeError
+from damnet.exceptions import ConfigError, DamnetError, DataError, FormatError, ShapeError
 from damnet.features import (
     CmvnStats,
     FilterbankConfig,
@@ -276,6 +277,15 @@ class TestArchive:
         write_archive(loaded, second)
         assert path.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("label", [-1, 2**32 + 1])
+    def test_labels_outside_u32_rejected(self, tmp_path, label):
+        utt = make_utterance(0, utt_id="wide")
+        utt.labels[-1] = label
+        path = tmp_path / "data.fbk"
+        with pytest.raises(DataError, match="'wide'"):
+            write_archive([make_utterance(1), utt], path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.fbk"
         path.write_bytes(b"XXXX" + b"\x00" * 8)
@@ -365,6 +375,23 @@ class TestWav:
         with pytest.raises(FormatError):
             read_wav(path)
 
+    def test_corruption_fuzz(self, tmp_path):
+        """One-byte flips in the first 64 bytes, and cuts: featurizing a
+        corrupted WAV either works or fails with a package error."""
+        path = tmp_path / "a.wav"
+        write_test_wav(path, rng(4).standard_normal(4000) * 0.1)
+        data = path.read_bytes()
+        r = rng(5)
+        corrupted = [data[:cut] for cut in r.integers(0, len(data), 200)]
+        for position, mask in zip(r.integers(0, 64, 1200), r.integers(1, 256, 1200)):
+            flipped = bytearray(data)
+            flipped[position] ^= mask
+            corrupted.append(bytes(flipped))
+        for case in corrupted:
+            path.write_bytes(case)
+            with contextlib.suppress(DamnetError):
+                featurize_manifest([ManifestEntry("fuzz", path)], FilterbankConfig())
+
 
 class TestManifest:
     def test_parse(self, tmp_path):
@@ -387,6 +414,9 @@ class TestManifest:
         path.write_text("0 1 2\n3\n")
         np.testing.assert_array_equal(read_label_file(path), [0, 1, 2, 3])
         path.write_text("0 -1\n")
+        with pytest.raises(DataError):
+            read_label_file(path)
+        path.write_text(f"0 {10**20}\n")
         with pytest.raises(DataError):
             read_label_file(path)
 

@@ -420,6 +420,16 @@ class TestChannelMajorLayout:
         self.run_both(lambda: DenseBlock(5, 3, 3, bottleneck=bottleneck, rng=rng(4),
                                          dtype=np.float64), (3, 5, 4, 6))
 
+    @pytest.mark.parametrize("layer", [lambda: BatchNorm(4), ReLU, AvgPool2d],
+                             ids=["BatchNorm", "ReLU", "AvgPool2d"])
+    def test_train_results_are_channel_major_for_c_order_input(self, layer):
+        layer = layer()
+        x = rng(2).standard_normal((3, 4, 5, 7)).astype(np.float32)
+        out = layer.forward(x, train=True)
+        assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+        dx = layer.backward(np.ones(out.shape, np.float32))
+        assert dx.transpose(1, 0, 2, 3).flags.c_contiguous
+
     def test_train_forward_keeps_block_features_channel_major(self):
         cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, compression=0.5,
                              num_classes=5)

@@ -16,7 +16,7 @@ def test_prefixed_training_keys_set_their_fields():
     config = load_run_config(overrides=["lr_halving_factor=0.25",
                                         "lr_improvement_threshold=0.01"])
     train = config_from(TrainConfig, config)
-    assert (train.halving_factor, train.improvement_threshold) == (0.25, 0.01)
+    assert (train.lr_halving_factor, train.lr_improvement_threshold) == (0.25, 0.01)
 
 
 def test_keys_parse_as_their_field_types():

@@ -53,33 +53,33 @@ def small_dataset(num_classes=5, frames_per_class=6, separation=6.0, seed=0):
 
 class TestSgdUpdate:
     def test_plain_step(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([0.5])}
-        sgd_update(params, grads, {}, lr=0.1, momentum=0.0)
-        assert params["w"].item() == pytest.approx(0.95)
+        params = np.array([1.0])
+        grads = np.array([0.5])
+        sgd_update(params, grads, np.zeros(1), lr=0.1, momentum=0.0)
+        assert params.item() == pytest.approx(0.95)
 
     def test_zero_grads_leave_params(self):
-        params = {"w": np.array([2.0])}
-        velocity = {"w": np.array([0.4])}
-        sgd_update(params, {"w": np.array([0.0])}, velocity, lr=0.1, momentum=0.5)
-        assert velocity["w"].item() == pytest.approx(0.2)  # decayed by momentum only
-        assert params["w"].item() == pytest.approx(2.2)    # moved by the velocity
+        params = np.array([2.0])
+        velocity = np.array([0.4])
+        sgd_update(params, np.array([0.0]), velocity, lr=0.1, momentum=0.5)
+        assert velocity.item() == pytest.approx(0.2)  # decayed by momentum only
+        assert params.item() == pytest.approx(2.2)    # moved by the velocity
 
     def test_matches_hand_recurrence(self):
-        params = {"w": np.array([1.0])}
-        velocity = {}
+        params = np.array([1.0])
+        velocity = np.zeros(1)
         grads = [np.array([0.3]), np.array([-0.2])]
         for g in grads:
-            sgd_update(params, {"w": g}, velocity, lr=0.1, momentum=0.9)
+            sgd_update(params, g, velocity, lr=0.1, momentum=0.9)
         v1 = -0.1 * 0.3
         w1 = 1.0 + v1
         v2 = 0.9 * v1 - 0.1 * (-0.2)
         w2 = w1 + v2
-        assert params["w"].item() == pytest.approx(w2)
+        assert params.item() == pytest.approx(w2)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            sgd_update({"w": np.zeros(3)}, {"w": np.zeros(4)}, {}, 0.1, 0.0)
+            sgd_update(np.zeros(3), np.zeros(4), np.zeros(3), 0.1, 0.0)
 
 
 def test_default_training_configuration():
@@ -87,8 +87,8 @@ def test_default_training_configuration():
     assert cfg.initial_lr == 0.01
     assert cfg.batch_size == 256
     assert cfg.max_epochs == 20
-    assert cfg.halving_factor == 0.5
-    assert cfg.improvement_threshold == 0.002
+    assert cfg.lr_halving_factor == 0.5
+    assert cfg.lr_improvement_threshold == 0.002
     assert cfg.min_lr == 1e-5
 
 
@@ -96,7 +96,7 @@ def test_default_training_configuration():
 @pytest.mark.parametrize("cls,field", [
     (TrainConfig, "initial_lr"),
     (TrainConfig, "min_lr"),
-    (TrainConfig, "improvement_threshold"),
+    (TrainConfig, "lr_improvement_threshold"),
     (FilterbankConfig, "log_floor"),
     (FilterbankConfig, "frame_length_ms"),
     (FilterbankConfig, "frame_shift_ms"),
@@ -219,11 +219,13 @@ class TestTrainEpoch:
         model = build_model(SMALL_MODEL, seed=2)
         cfg = TrainConfig(batch_size=len(data), momentum=0.9)
         reference = {k: v.copy() for k, v in model.named_params().items()}
-        velocity, reference_velocity = {}, {}
+        velocity = {}
+        reference_velocity = {k: np.zeros_like(v) for k, v in reference.items()}
         for epoch in range(2):
             train_epoch(model, data, cfg, rng(epoch), lr=0.05, velocity=velocity)
-            grads = {k: g.copy() for k, g in model.named_grads().items()}
-            sgd_update(reference, grads, reference_velocity, 0.05, cfg.momentum)
+            for name, grad in model.named_grads().items():
+                sgd_update(reference[name], grad.copy(), reference_velocity[name], 0.05,
+                           cfg.momentum)
         for name, tensor in model.named_params().items():
             assert tensor.tobytes() == reference[name].tobytes(), name
 
@@ -466,7 +468,8 @@ class TestLossDecreaseSanity:
             for lr in (1e-3, 1e-4, 1e-5):
                 for name, tensor in model.named_params().items():
                     tensor[...] = snapshot[name]
-                sgd_update(model.named_params(), grads, {}, lr, 0.0)
+                for name, tensor in model.named_params().items():
+                    sgd_update(tensor, grads[name], np.zeros_like(tensor), lr, 0.0)
                 loss_after, _ = softmax_cross_entropy(model.forward(x, train=True), y)
                 if loss_after < loss_before:
                     decreased = True
