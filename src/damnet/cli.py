@@ -106,8 +106,8 @@ def cmd_featurize(config: dict) -> int:
     filterbank = config_from(FilterbankConfig, config)
     entries = parse_manifest(manifest)
     utterances = featurize_manifest(entries, filterbank, add_deltas=config["add_deltas"])
+    stats = compute_cmvn_stats(utterances)  # rejects the corpus before any file is written
     write_archive(utterances, archive_path)
-    stats = compute_cmvn_stats(utterances)
     save_cmvn_stats(stats, stats_path, filterbank)
     total = sum(u.num_frames for u in utterances)
     print(f"featurized {len(utterances)} utterances, {total} frames -> {archive_path}")
@@ -119,7 +119,7 @@ def _stats_sidecar(checkpoint_path: str) -> str:
     return checkpoint_path + ".cmvn.json"
 
 
-def _load_datasets(config: dict, stats_out: str):
+def _load_datasets(config: dict):
     train_path = require_path(config, "train_archive", "to train")
     train_utts = read_archive(train_path)
     if config["val_archive"]:
@@ -132,12 +132,10 @@ def _load_datasets(config: dict, stats_out: str):
         stats = load_cmvn_stats(config["cmvn_stats"])
     else:
         stats = compute_cmvn_stats(train_utts)
-    # persist whichever stats the model is trained with, so eval can reuse them
-    save_cmvn_stats(stats, stats_out)
     left, right = config["context_left"], config["context_right"]
     train_data = build_frame_dataset(train_utts, stats, left, right)
     val_data = build_frame_dataset(val_utts, stats, left, right)
-    return train_data, val_data
+    return train_data, val_data, stats
 
 
 def _check_geometry(model, data) -> None:
@@ -166,13 +164,16 @@ def cmd_train(config: dict) -> int:
             f"model input_height={model_config.input_height} does not match "
             f"context window of {context} frames"
         )
-    stats_out = _stats_sidecar(checkpoint_path)
-    train_data, val_data = _load_datasets(config, stats_out)
+    train_data, val_data, stats = _load_datasets(config)
     model = build_model(model_config, train_config.seed)
     _check_geometry(model, train_data)
     _check_geometry(model, val_data)
     history = fit(model, train_data, val_data, train_config)
     save_checkpoint(model, checkpoint_path)
+    # persist whichever stats the model was trained with, so eval can reuse them;
+    # written after the checkpoint, so a run that fails leaves neither
+    stats_out = _stats_sidecar(checkpoint_path)
+    save_cmvn_stats(stats, stats_out)
     if config["metrics_log"]:
         with atomic_write(config["metrics_log"]) as handle:
             handle.write("".join(format_metrics_line(m) + "\n" for m in history).encode())

@@ -4,7 +4,7 @@ Every layer takes and returns arrays of logical NCHW shape (batch,
 channels, height, width), whatever their memory layout. The model stores
 its activations channel-major: (C, N, H, W) memory seen through
 ``.transpose(1, 0, 2, 3)`` (see ``channel_major``), so a convolution's
-GEMMs run on one flat (C, N*H*W) grid and a dense block's channel slices
+GEMMs run on flat (C, N*H*W) grids and a dense block's channel slices
 are contiguous. Every train-mode result is channel-major, whatever the
 input's layout; infer-mode ufunc outputs follow their input's layout.
 Training runs in float32; gradient checking builds float64 layers because
@@ -25,6 +25,16 @@ never depends on its batch.
 train forward and its backward must be serialized, and backward needs a
 train-mode forward before it.
 
+Train mode splits the large primitives into work items fixed by shape: a
+convolution runs per panel of ``PANEL_FRAMES`` whole images, batchnorm and
+ReLU per chunk of at least ``CHANNEL_CHUNK`` channels. ``fan_out`` runs the
+items of one call on a pool of one thread per usable core, with numpy's
+bundled OpenBLAS held at one thread (``one_blas_thread``), or in the calling
+thread. Each item writes its own slice of the results and any partial sums
+are added in item order, so a train step run inside ``one_blas_thread``, as
+``trainer.train_epoch`` runs each, gives the same bits on any number of
+cores and under any OpenBLAS thread count.
+
 Train mode gives every large array a fixed lifetime, so a training step
 reuses the memory of the last one instead of allocating it again:
 
@@ -38,14 +48,20 @@ reuses the memory of the last one instead of allocating it again:
   view into per-thread buffers (``scratch``), valid until the next
   train-mode call in the same thread. A caller that keeps one across train
   calls must copy it. The buffers live as long as their thread does (about
-  160 MB for plain-22 at batch 256) and are shared by every model that
+  110 MB in the calling thread for plain-22 at batch 256, plus a
+  panel-sized 4 MB in each pool thread) and are shared by every model that
   trains in it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +70,13 @@ from .exceptions import ConfigError, DataError, ShapeError
 BN_EPSILON = 1e-5
 # Running statistics update: new = BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch.
 BN_MOMENTUM = 0.9
+
+# Train-mode work items: whole images per convolution panel, and channels per
+# batchnorm or ReLU chunk, raised until a chunk holds ITEM_ELEMENTS values, so
+# small batches do not pay for many tiny items. They depend on the shapes only.
+PANEL_FRAMES = 16
+CHANNEL_CHUNK = 8
+ITEM_ELEMENTS = 1 << 18
 
 
 def he_normal(rng, shape, fan_in: int, dtype) -> np.ndarray:
@@ -97,11 +120,12 @@ def scratch(name: str, shape, dtype, channel_major: bool = False) -> np.ndarray:
     """This thread's scratch buffer ``name`` seen as a ``shape`` array of
     ``dtype``, channel-major or C-order; it grows when a request does not fit.
 
-    The buffers hold bytes, so one serves every dtype. Train mode uses three:
-    ``"taps"`` (a conv's per-tap products and shifted output gradient, the
-    pool's row sums), ``"block"`` (a dense block's features, then their
-    gradient) and ``"pair"``, which names two buffers handed out in turn. A
-    layer's pair result thus never overwrites the pair array it was given.
+    The buffers hold bytes, so one serves every dtype. Train mode uses four:
+    ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
+    the pool's row sums), ``"partials"`` (a conv's per-panel weight
+    gradients), ``"block"`` (a dense block's features, then their gradient)
+    and ``"pair"``, which names two buffers handed out in turn. A layer's pair
+    result thus never overwrites the pair array it was given.
     """
     state = _SCRATCH
     if name == "pair":
@@ -121,27 +145,135 @@ def step_state(kept, shape, dtype, channel_major: bool = False, alloc=np.empty) 
     return _shaped(alloc(math.prod(shape), dtype=dtype), shape, channel_major)
 
 
+def usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """numpy's bundled OpenBLAS if it exports its thread-count functions, else None."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"):
+        lib = ctypes.CDLL(str(path))
+        if (hasattr(lib, "scipy_openblas_get_num_threads64_")
+                and hasattr(lib, "scipy_openblas_set_num_threads64_")):
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            return lib
+    return None
+
+
+class _PoolThread(threading.local):
+    inside = False  # set in the pool's own threads
+
+
+_BLAS_LOCK = threading.RLock()
+_POOL_THREAD = _PoolThread()
+_pool = None  # created by the first fan-out that runs in parallel
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, restoring the previous
+    count on exit, also on an exception. Threads serialize here, so no caller
+    restores another's count; one thread may nest it. In a pool thread it does
+    nothing, as the fan-out that runs the thread's item holds it."""
+    blas = _openblas()
+    if blas is None or _POOL_THREAD.inside:
+        yield
+        return
+    with _BLAS_LOCK:
+        saved = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(1)
+        try:
+            yield
+        finally:
+            blas.scipy_openblas_set_num_threads64_(saved)
+
+
+def _mark_pool_thread():
+    _POOL_THREAD.inside = True
+
+
+def fan_out(work, count: int) -> None:
+    """Run ``work(0)``, ..., ``work(count - 1)``, each at most once, in any
+    order and on any thread, and return when all are done. If an item raises,
+    items not yet taken may be skipped, and the first exception is raised
+    once no item runs any more.
+
+    With two or more items, two or more usable cores and numpy's bundled
+    OpenBLAS, ``min(count, cores)`` pool threads take items in turn while
+    the calling thread waits inside ``one_blas_thread``. Otherwise the items
+    run in the calling thread, and always in a pool thread: its caller may
+    hold the guard while it waits for the pool. The layers' train-mode items call
+    numpy only, never a layer's public ``forward`` or ``backward``, which a
+    profiler may wrap with state that is not per thread.
+    """
+    workers = min(count, usable_cores()) if count > 1 else 1
+    if workers < 2 or _POOL_THREAD.inside or _openblas() is None:
+        for i in range(count):
+            work(i)
+        return
+    global _pool
+    with one_blas_thread():
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # kept out of import time
+            _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="damnet",
+                                       initializer=_mark_pool_thread)
+        items = iter(range(count))  # handed out one at a time under the GIL
+
+        def drain():
+            for i in items:
+                work(i)
+
+        helpers = [_pool.submit(drain) for _ in range(workers)]
+        for helper in helpers:
+            helper.exception()  # wait for every helper, failed or not
+        for helper in helpers:
+            helper.result()
+
+
+def _chunks(count: int, size: int):
+    """Slices of ``range(count)`` of ``size`` each, the last one shorter."""
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _channel_chunks(shape):
+    """Channel slices of an (N, C, H, W) train-mode array, one per work item."""
+    n, c, h, w = shape
+    return _chunks(c, max(CHANNEL_CHUNK, -(-ITEM_ELEMENTS // (n * h * w))))
+
+
 class Conv2d:
     """2-D stride-1 convolution without bias; batchnorm always follows it.
 
-    Shifted GEMM over the whole batch: the input is zero-padded once into a
-    channel-major (C_in, N, Hp, Wp) grid of row pitch Wp = W + 2*pad, seen
-    flat as (C_in, N*Hp*Wp). A product with the weights as (k*k*C_out, C_in)
-    gives every tap at every grid position, and output q = y*Wp + x of an
-    image sums tap (i, j)'s row at q + i*Wp + j; the shift-adds run once over
-    the flat batch. A kept output (y < H_out, x < W_out) reads at most
-    q + (k-1)*(Wp+1) <= Hp*Wp - 1, inside its own image's grid. Reads that
-    spill past a row end, or past one image's grid into the next, belong to
-    outputs with x >= W_out or y >= H_out, which the crop drops. Backward
-    places ``dout`` on the same grid, shifts it once per tap into a
-    (k*k*C_out, N*Hp*Wp) matrix and gets dW and dX from one GEMM each.
+    Shifted GEMM: the input is zero-padded into a channel-major
+    (C_in, N, Hp, Wp) grid of row pitch Wp = W + 2*pad, seen flat as
+    (C_in, N*Hp*Wp). A product with the weights as (k*k*C_out, C_in) gives
+    every tap at every grid position, and output q = y*Wp + x of an image
+    sums tap (i, j)'s row at q + i*Wp + j. A kept output (y < H_out,
+    x < W_out) reads at most q + (k-1)*(Wp+1) <= Hp*Wp - 1, inside its own
+    image's grid. Reads that spill past a row end, or past one image's grid
+    into the next, belong to outputs with x >= W_out or y >= H_out, which the
+    crop drops. Backward places ``dout`` on the same grid, shifts it once per
+    tap into a (k*k*C_out, columns) matrix and gets dW and dX from one GEMM
+    each.
 
-    Train mode runs each direction as one GEMM over the whole batch:
-    batchnorm already makes every train-mode frame depend on its batch.
-    BLAS rounds a GEMM's columns differently by their position in it, so
-    infer mode runs one GEMM per image, on strided (C_in, Hp*Wp) views of
-    the grid, and no frame's infer output depends on the rest of its batch.
-    The output is a channel-major view; a 1x1 conv's is contiguous.
+    Train mode runs both directions per panel of ``PANEL_FRAMES`` whole
+    images (``fan_out``): a panel fills its images' grid, runs its own GEMMs
+    and shift-adds into its own output columns, and needs no halo. Its kept
+    outputs read only their own images, by the argument above; in backward,
+    a shifted ``dout`` column before a panel's first would read the previous
+    image's last rows and columns, which are cropped outputs and so zero.
+    Each panel writes its dX columns and a dW partial, and the partials are
+    summed in panel order. BLAS rounds a GEMM's columns differently by their
+    position in it, so infer mode runs one GEMM per image, on strided
+    (C_in, Hp*Wp) views of the grid, and no frame's infer output depends on
+    the rest of its batch. The output is a channel-major view; a 1x1 conv's
+    is contiguous.
     """
 
     PARAMS = ("weight",)
@@ -171,6 +303,15 @@ class Conv2d:
         matrix = self.weight.transpose(2, 3, 0, 1).reshape(-1, self.in_channels)
         return matrix, [i * pitch + j for i in range(k) for j in range(k)]
 
+    def _shift_add(self, per_tap, out, shifts):
+        """out[:, q] = sum over taps t of per_tap's tap-t rows at q + shifts[t],
+        for every q whose reads stay inside ``per_tap``."""
+        co = self.out_channels
+        span = per_tap.shape[1] - shifts[-1]
+        out[:, :span] = per_tap[:co, :span]
+        for t, shift in enumerate(shifts[1:], 1):
+            out[:, :span] += per_tap[t * co : (t + 1) * co, shift : shift + span]
+
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(f"conv2d expects (N, {self.in_channels}, H, W), got {x.shape}")
@@ -179,60 +320,83 @@ class Conv2d:
         if oh < 1 or ow < 1:
             raise ShapeError(f"conv2d: {h}x{w} input is smaller than a {k}x{k} kernel with pad {p}")
         hp, wp = h + 2 * p, w + 2 * p
-        if train:
-            # only the interior is ever written, so the halo stays zero
-            grid = self._cache = step_state(self._cache, (c, n, hp, wp), x.dtype, alloc=np.zeros)
-            grid[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
-        elif p:
-            grid = np.zeros((c, n, hp, wp), dtype=x.dtype)
-            grid[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
-        else:
-            grid = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
-        grid = grid.reshape(c, -1)
         matrix, shifts = self._taps(wp)
-        dtype = np.result_type(matrix, grid)
+        dtype = np.result_type(matrix, x)
         if train:
-            per_tap = np.matmul(matrix, grid, out=scratch("taps", (k * k * co, grid.shape[1]), dtype))
+            # only the interior is ever written, so the border stays zero
+            grid = self._cache = step_state(self._cache, (c, n, hp, wp), x.dtype, alloc=np.zeros)
+            out = scratch("pair", (co, n, hp, wp), dtype)
+            flat_grid, flat_out, image = grid.reshape(c, -1), out.reshape(co, -1), hp * wp
+            panels = _chunks(n, PANEL_FRAMES)
+
+            def panel(i):
+                frames = panels[i]
+                grid[:, frames, p : p + h, p : p + w] = x[frames].transpose(1, 0, 2, 3)
+                columns = slice(frames.start * image, frames.stop * image)
+                if k == 1:
+                    np.matmul(matrix, flat_grid[:, columns], out=flat_out[:, columns])
+                    return
+                per_tap = scratch("taps", (k * k * co, columns.stop - columns.start), dtype)
+                np.matmul(matrix, flat_grid[:, columns], out=per_tap)
+                self._shift_add(per_tap, flat_out[:, columns], shifts)
+
+            fan_out(panel, len(panels))
         else:
-            per_tap = np.empty((k * k * co, grid.shape[1]), dtype=dtype)
+            if p:
+                grid = np.zeros((c, n, hp, wp), dtype=x.dtype)
+                grid[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+            else:
+                grid = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+            per_tap = np.empty((k * k * co, n * hp * wp), dtype=dtype)
             np.matmul(matrix, grid.reshape(c, n, -1).transpose(1, 0, 2),
                       out=per_tap.reshape(k * k * co, n, -1).transpose(1, 0, 2))
-        if k == 1:
             out = per_tap
-        else:
-            span = grid.shape[1] - shifts[-1]
-            out = (scratch("pair", (co, grid.shape[1]), dtype) if train
-                   else np.empty((co, grid.shape[1]), dtype=dtype))
-            out[:, :span] = per_tap[:co, :span]
-            for t, shift in enumerate(shifts[1:], 1):
-                out[:, :span] += per_tap[t * co : (t + 1) * co, shift : shift + span]
+            if k > 1:
+                out = np.empty((co, n * hp * wp), dtype=dtype)
+                self._shift_add(per_tap, out, shifts)
         return out.reshape(co, n, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         grid = self._cache
         (c, n, hp, wp), k, p, co = grid.shape, self.kernel_size, self.pad, self.out_channels
-        grid = grid.reshape(c, -1)
         oh, ow = dout.shape[2:]
         matrix, shifts = self._taps(wp)
+        dtype = np.result_type(matrix, dout)
+        flat_grid, image = grid.reshape(c, -1), hp * wp
+        dout = dout.transpose(1, 0, 2, 3)
         if k == 1:
-            shifted = np.ascontiguousarray(dout.transpose(1, 0, 2, 3)).reshape(co, -1)
-        else:
-            placed = scratch("pair", (co, n, hp, wp), dout.dtype)
-            placed[:, :, :oh, :ow] = dout.transpose(1, 0, 2, 3)
-            placed[:, :, :oh, ow:] = 0
-            placed[:, :, oh:] = 0
-            placed = placed.reshape(co, -1)
-            span = placed.shape[1] - shifts[-1]
-            shifted = scratch("taps", (k * k, co, placed.shape[1]), dout.dtype)
-            for t, shift in enumerate(shifts):
-                shifted[t, :, :shift] = 0
-                shifted[t, :, shift : shift + span] = placed[:, :span]
-                shifted[t, :, shift + span :] = 0
-            shifted = shifted.reshape(k * k * co, -1)
-        grad = shifted @ grid.T
-        self.grad_weight[...] = grad.reshape(k, k, co, c).transpose(2, 3, 0, 1)
-        dgrid = scratch("pair", (c, n, hp, wp), np.result_type(matrix, shifted))
-        np.matmul(matrix.T, shifted, out=dgrid.reshape(c, -1))
+            dout = np.ascontiguousarray(dout).reshape(co, -1)
+        panels = _chunks(n, PANEL_FRAMES)
+        # not from "pair": a second pair request would hand out the one holding ``dout``
+        partials = scratch("partials", (len(panels), k * k * co, c), dtype)
+        dgrid = scratch("pair", (c, n, hp, wp), dtype)
+        flat_dgrid = dgrid.reshape(c, -1)
+
+        def panel(i):
+            frames = panels[i]
+            columns = slice(frames.start * image, frames.stop * image)
+            if k == 1:
+                shifted = dout[:, columns]
+            else:
+                width = columns.stop - columns.start
+                shifted = scratch("taps", (k * k, co, width), dout.dtype)
+                # tap 0 has shift 0: it is ``dout`` placed on the panel's grid
+                placed = shifted[0].reshape(co, -1, hp, wp)
+                placed[:, :, :oh, :ow] = dout[:, frames]
+                placed[:, :, :oh, ow:] = 0
+                placed[:, :, oh:] = 0
+                span = width - shifts[-1]
+                for t, shift in enumerate(shifts[1:], 1):
+                    shifted[t, :, :shift] = 0
+                    shifted[t, :, shift : shift + span] = shifted[0, :, :span]
+                    shifted[t, :, shift + span :] = 0
+                shifted = shifted.reshape(k * k * co, width)
+            np.matmul(shifted, flat_grid[:, columns].T, out=partials[i])
+            np.matmul(matrix.T, shifted, out=flat_dgrid[:, columns])
+
+        fan_out(panel, len(panels))
+        grad = partials.sum(axis=0).reshape(k, k, co, c)
+        self.grad_weight[...] = grad.transpose(2, 3, 0, 1)
         return dgrid[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
 
 
@@ -241,8 +405,10 @@ class BatchNorm:
 
     Train mode normalizes with batch statistics over (batch, height,
     width), updates the running estimates in place and keeps the
-    normalized input for backward. Infer mode folds the running estimates
-    into one per-channel ``x * scale + shift`` and writes nothing.
+    normalized input for backward. Each chunk of channels (``fan_out``)
+    does all of this for its own channels, as no channel reads another's.
+    Infer mode folds the running estimates into one per-channel
+    ``x * scale + shift`` and writes nothing.
     """
 
     PARAMS = ("gamma", "beta")
@@ -258,8 +424,9 @@ class BatchNorm:
         self.grad_beta = np.zeros(num_channels, dtype=dtype)
         self._cache = None
 
-    def _per_channel(self, arr):
-        return arr.reshape(1, self.num_channels, 1, 1)
+    @staticmethod
+    def _per_channel(arr):
+        return arr.reshape(1, -1, 1, 1)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.num_channels:
@@ -276,39 +443,53 @@ class BatchNorm:
             raise DataError(
                 f"degenerate batch: {samples_per_channel} sample per channel, need >= 2"
             )
-        mean = np.einsum("nchw->c", x) / samples_per_channel
         kept = self._cache[0] if self._cache else None
-        xhat = np.subtract(x, self._per_channel(mean),
-                           out=step_state(kept, x.shape, x.dtype, channel_major=True))
-        # centred second moment: no cancellation from E[x^2] - E[x]^2
-        var = np.einsum("nchw,nchw->c", xhat, xhat) / samples_per_channel
-        self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
-        self.running_var[...] = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
-        inv = 1.0 / np.sqrt(var + BN_EPSILON)
-        xhat *= self._per_channel(inv)
-        self._cache = (xhat, inv)
+        xhat = step_state(kept, x.shape, x.dtype, channel_major=True)
+        inv = np.empty(self.num_channels, dtype=x.dtype)
         out = scratch("pair", x.shape, np.result_type(xhat, self.gamma), channel_major=True)
-        np.multiply(xhat, self._per_channel(self.gamma), out=out)
-        out += self._per_channel(self.beta)
+        chunks = _channel_chunks(x.shape)
+
+        def chunk(i):
+            ch = chunks[i]
+            mean = np.einsum("nchw->c", x[:, ch]) / samples_per_channel
+            centred = np.subtract(x[:, ch], self._per_channel(mean), out=xhat[:, ch])
+            # centred second moment: no cancellation from E[x^2] - E[x]^2
+            var = np.einsum("nchw,nchw->c", centred, centred) / samples_per_channel
+            self.running_mean[ch] = BN_MOMENTUM * self.running_mean[ch] + (1.0 - BN_MOMENTUM) * mean
+            self.running_var[ch] = BN_MOMENTUM * self.running_var[ch] + (1.0 - BN_MOMENTUM) * var
+            inv[ch] = 1.0 / np.sqrt(var + BN_EPSILON)
+            centred *= self._per_channel(inv[ch])
+            np.multiply(centred, self._per_channel(self.gamma[ch]), out=out[:, ch])
+            out[:, ch] += self._per_channel(self.beta[ch])
+
+        fan_out(chunk, len(chunks))
+        self._cache = (xhat, inv)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         xhat, inv = self._cache
-        self.grad_gamma[...] = np.einsum("nchw,nchw->c", dout, xhat)
-        self.grad_beta[...] = np.einsum("nchw->c", dout)
-        scale = self._per_channel(self.gamma * inv)
-        # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
         count = dout.size // self.num_channels
         dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma), channel_major=True)
-        np.multiply(xhat, self._per_channel(-self.grad_gamma / count), out=dx)
-        dx += dout
-        dx -= self._per_channel(self.grad_beta / count)
-        dx *= scale
+        chunks = _channel_chunks(dout.shape)
+
+        def chunk(i):
+            ch = chunks[i]
+            grad_gamma = self.grad_gamma[ch]
+            grad_gamma[...] = np.einsum("nchw,nchw->c", dout[:, ch], xhat[:, ch])
+            self.grad_beta[ch] = np.einsum("nchw->c", dout[:, ch])
+            # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
+            part = np.multiply(xhat[:, ch], self._per_channel(-grad_gamma / count), out=dx[:, ch])
+            part += dout[:, ch]
+            part -= self._per_channel(self.grad_beta[ch] / count)
+            part *= self._per_channel(self.gamma[ch] * inv[ch])
+
+        fan_out(chunk, len(chunks))
         return dx
 
 
 class ReLU:
-    """Elementwise max(0, x); the subgradient at exactly 0 is 0."""
+    """Elementwise max(0, x); the subgradient at exactly 0 is 0. Train mode
+    runs per chunk of ``CHANNEL_CHUNK`` channels."""
 
     def __init__(self):
         self._cache = None
@@ -317,12 +498,26 @@ class ReLU:
         if not train:
             return np.maximum(x, 0)
         mask = self._cache = step_state(self._cache, x.shape, bool, channel_major=True)
-        np.greater(x, 0, out=mask)
-        return np.multiply(x, mask, out=scratch("pair", x.shape, x.dtype, channel_major=True))
+        out = scratch("pair", x.shape, x.dtype, channel_major=True)
+        chunks = _channel_chunks(x.shape)
+
+        def chunk(i):
+            ch = chunks[i]
+            np.greater(x[:, ch], 0, out=mask[:, ch])
+            np.multiply(x[:, ch], mask[:, ch], out=out[:, ch])
+
+        fan_out(chunk, len(chunks))
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         out = scratch("pair", dout.shape, dout.dtype, channel_major=True)
-        return np.multiply(dout, self._cache, out=out)
+        chunks = _channel_chunks(dout.shape)
+
+        def chunk(i):
+            np.multiply(dout[:, chunks[i]], self._cache[:, chunks[i]], out=out[:, chunks[i]])
+
+        fan_out(chunk, len(chunks))
+        return out
 
 
 class AvgPool2d:

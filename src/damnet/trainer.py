@@ -8,27 +8,20 @@ rate falls below the floor, or when the epoch budget runs out.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-import threading
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DivergenceError, ShapeError
 from .features import UtteranceFeatures, apply_cmvn, splice_context
-from .layers import softmax_cross_entropy
+from .layers import fan_out, one_blas_thread, softmax_cross_entropy, usable_cores
 from .model import Model
 
 # Frames per evaluation shard. Infer forwards are per image, so neither this
 # nor the number of threads can change a result.
 SHARD_FRAMES = 64
-_SHARD_LOCK = threading.Lock()
-_pool = None  # created by the first sharded batch
 
 
 @dataclass(frozen=True)
@@ -210,7 +203,15 @@ def train_epoch(model: Model, data: FrameDataset, cfg: TrainConfig, rng,
                 *, lr: float | None = None, velocity: dict | None = None,
                 epoch: int = 1) -> Metrics:
     """One pass over the shuffled frames with per-batch SGD updates; the momentum
-    is ``velocity["params"]``, made on first use and kept in the caller's dict."""
+    is ``velocity["params"]``, made on first use and kept in the caller's dict.
+
+    Each step runs inside ``layers.one_blas_thread``: numpy's bundled OpenBLAS
+    is held at one thread, and the step's convolution panels and batchnorm and
+    ReLU channel chunks run on one pool thread per usable core (see
+    ``layers.fan_out``). The work items are fixed by the batch shape, so the
+    results are bitwise the same on any number of cores and under any
+    OpenBLAS thread count. The thread count is restored after every step, also
+    when a step raises."""
     if len(data) == 0:
         raise DataError("empty training data")
     lr = cfg.initial_lr if lr is None else lr
@@ -224,17 +225,18 @@ def train_epoch(model: Model, data: FrameDataset, cfg: TrainConfig, rng,
         idx = order[start : start + cfg.batch_size]
         batch = data.features[idx]
         targets = data.labels[idx]
-        logits = model.forward(batch, train=True)
-        loss, dlogits = softmax_cross_entropy(logits, targets)
-        if not math.isfinite(loss):
-            raise DivergenceError(
-                f"non-finite loss in epoch {epoch}, batch {batch_index}",
-                batch_index=batch_index,
-            )
-        total_loss += loss * len(idx)
-        correct += int((logits.argmax(axis=1) == targets).sum())
-        model.backward(dlogits)
-        sgd_update(model.params, model.grads, velocity["params"], lr, cfg.momentum)
+        with one_blas_thread():
+            logits = model.forward(batch, train=True)
+            loss, dlogits = softmax_cross_entropy(logits, targets)
+            if not math.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite loss in epoch {epoch}, batch {batch_index}",
+                    batch_index=batch_index,
+                )
+            total_loss += loss * len(idx)
+            correct += int((logits.argmax(axis=1) == targets).sum())
+            model.backward(dlogits)
+            sgd_update(model.params, model.grads, velocity["params"], lr, cfg.momentum)
     seconds = 0.0 if cfg.deterministic else time.perf_counter() - started
     return Metrics(
         epoch=epoch, lr=lr,
@@ -255,50 +257,26 @@ class EvalResult:
         return 1.0 - self.accuracy
 
 
-@functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS if it exports its thread-count functions, else None."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so"):
-        lib = ctypes.CDLL(str(path))
-        if (hasattr(lib, "scipy_openblas_get_num_threads64_")
-                and hasattr(lib, "scipy_openblas_set_num_threads64_")):
-            lib.scipy_openblas_get_num_threads64_.argtypes = []
-            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads64_.restype = None
-            return lib
-    return None
-
-
 def _infer_logits(model: Model, batch: np.ndarray) -> np.ndarray:
     """One batch's infer logits, sharded as ``evaluate`` describes."""
-    global _pool
     starts = range(0, len(batch), SHARD_FRAMES)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    blas = _openblas() if min(cores or 1, len(starts)) > 1 else None
-    if blas is None:
+    if len(starts) < 2 or usable_cores() < 2:
         return model.forward(batch, train=False)
-    with _SHARD_LOCK:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # kept out of import time
-            _pool = ThreadPoolExecutor(cores, thread_name_prefix="damnet-eval")
-        saved = blas.scipy_openblas_get_num_threads64_()
-        blas.scipy_openblas_set_num_threads64_(1)
-        try:
-            shards = [_pool.submit(model.forward, batch[s : s + SHARD_FRAMES], train=False)
-                      for s in starts]
-            for shard in shards:
-                shard.exception()  # wait for every shard, failed or not, before restoring
-            return np.concatenate([shard.result() for shard in shards])
-        finally:
-            blas.scipy_openblas_set_num_threads64_(saved)
+    shards = [None] * len(starts)
+
+    def shard(i):
+        shards[i] = model.forward(batch[starts[i] : starts[i] + SHARD_FRAMES], train=False)
+
+    fan_out(shard, len(shards))
+    return np.concatenate(shards)
 
 
 def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalResult:
     """Infer-mode loss, frame accuracy and confusion counts, bitwise those of
-    whole-batch forwards. Batches run as SHARD_FRAMES-frame shards on every usable
-    core with OpenBLAS at one thread (concurrent calls serialize on this); on one
-    core or without numpy's bundled OpenBLAS, they run serially."""
+    whole-batch forwards. Batches run as SHARD_FRAMES-frame shards on the pool
+    that training uses, one thread per usable core, with OpenBLAS at one thread
+    (``layers.fan_out``; concurrent calls and training steps serialize on this);
+    on one core or without numpy's bundled OpenBLAS, they run serially."""
     if len(data) == 0:
         raise DataError("empty evaluation data")
     num_classes = model.config.num_classes

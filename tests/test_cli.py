@@ -208,6 +208,18 @@ class TestFeaturize:
         assert code == 3
         assert "utt1" in err
 
+    @pytest.mark.parametrize("corpus", ["comment-only", "one-short-wav"])
+    def test_corpus_without_stats_leaves_no_file(self, capsys, tmp_path, corpus):
+        manifest = tmp_path / "corpus.scp"
+        if corpus == "comment-only":
+            manifest.write_text("# no utterances\n")
+        else:
+            write_test_wav(tmp_path / "short.wav", np.zeros(400))
+            manifest.write_text(f"short {tmp_path / 'short.wav'}\n")
+        code, _ = self.featurize_exit_code(capsys, tmp_path, manifest)
+        assert code == 3
+        assert not (tmp_path / "x.json").exists()
+
     def test_missing_audio_names_utterance(self, capsys, tmp_path):
         manifest = tmp_path / "bad.scp"
         manifest.write_text(f"lost {tmp_path / 'nope.wav'}\n")
@@ -421,6 +433,25 @@ class TestTrainValidation:
         assert code == 3
         assert str(stats) in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("override,message", [
+        (("--set", "num_classes=3"), "contains label 3"),
+        (("--set", "input_width=39"), "geometry"),
+    ], ids=["num_classes", "input_width"])
+    def test_rejected_run_leaves_no_file(self, capsys, tmp_path, override, message):
+        archive = tmp_path / "train.fbk"
+        assert main(["synthdata", "--seed", "1",
+                     "--set", f"output_archive={archive}",
+                     "--set", "synth_classes=4",
+                     "--set", "synth_frames_per_class=8"]) == 0
+        checkpoint = tmp_path / "m.ckpt"
+        code, _, err = run_cli(capsys, "train", "--seed", "1",
+                               "--set", f"train_archive={archive}",
+                               "--set", f"checkpoint={checkpoint}",
+                               "--set", "depth=7", *override)
+        assert code == 2
+        assert message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.fbk"]
 
     def test_auto_validation_split(self, capsys, tmp_path):
         archive = tmp_path / "train.fbk"

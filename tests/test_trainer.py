@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damnet import trainer
+from damnet import layers
 from damnet.builder import DenseNetConfig
 from damnet.exceptions import ConfigError, DataError, DivergenceError, ShapeError
 from damnet.features import (
@@ -360,7 +360,7 @@ def whole_batch_reference(model, data, batch_size):
 @pytest.fixture
 def blas_threads():
     """Get the OpenBLAS thread count; set it to 2 for the test, restored after."""
-    lib = trainer._openblas()
+    lib = layers._openblas()
     if lib is None:
         pytest.skip("numpy has no bundled OpenBLAS")
     saved = lib.scipy_openblas_get_num_threads64_()
@@ -376,7 +376,7 @@ class TestShardedEvaluate:
     def test_bitwise_equal_to_whole_batch_forwards(self, c13_model, monkeypatch,
                                                    size, batch_size, blas):
         if blas == "missing":
-            monkeypatch.setattr(trainer, "_openblas", lambda: None)
+            monkeypatch.setattr(layers, "_openblas", lambda: None)
         data = random_frames(size, seed=size)
         result = evaluate(c13_model, data, batch_size=batch_size)
         loss, accuracy, confusion = whole_batch_reference(c13_model, data, batch_size)
@@ -387,7 +387,7 @@ class TestShardedEvaluate:
     def test_shards_run_with_one_blas_thread_and_restore_it(self, c13_model, monkeypatch,
                                                             blas_threads):
         # two usable cores even on a one-core runner, so the sharded path runs
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1})
         seen = []
 
         def forward(x, train):
@@ -401,14 +401,14 @@ class TestShardedEvaluate:
 
     def test_shard_error_reaches_caller_and_restores_blas(self, c13_model, monkeypatch,
                                                           blas_threads):
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1})
         with pytest.raises(ShapeError):
             evaluate(c13_model, random_frames(200, width=39))
         assert blas_threads() == 2
 
     def test_concurrent_sharded_calls_restore_blas(self, c13_model, monkeypatch,
                                                    blas_threads):
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1})
         data = random_frames(200)
         expected = whole_batch_reference(c13_model, data, 256)[0]
         workers = 4
@@ -437,8 +437,8 @@ class TestShardedEvaluate:
         def no_lookup():
             raise AssertionError("OpenBLAS looked up on one core")
 
-        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(trainer, "_openblas", no_lookup)
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(layers, "_openblas", no_lookup)
         sizes = []
 
         def forward(x, train):
