@@ -50,6 +50,8 @@ def _parse_config_text(text: str, offset: int) -> tuple[DenseNetConfig, int]:
             f.name: type(f.default)(values[f.name]) for f in fields(DenseNetConfig)
         })
         seed = int(values["seed"])
+        if seed < 0:
+            raise FormatError(f"negative checkpoint seed {seed}", offset=offset)
         # infer-mode batchnorm folds epsilon into every output: a model
         # trained with other constants would silently compute something else
         for key, expected in (("bn_epsilon", BN_EPSILON), ("bn_momentum", BN_MOMENTUM)):
@@ -84,14 +86,14 @@ def load_checkpoint(path) -> Model:
     reader = ByteReader(Path(path).read_bytes(), "checkpoint")
     magic = reader.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
+        raise FormatError(f"bad checkpoint magic {bytes(magic)!r}", offset=0)
     version = reader.u32("version")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", offset=4)
     config_len = reader.u32("config length")
     config_offset = reader.offset
     try:
-        config_text = reader.take(config_len, "config").decode("utf-8")
+        config_text = str(reader.take(config_len, "config"), "utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"undecodable checkpoint config: {exc}", offset=config_offset) from exc
     config, seed = _parse_config_text(config_text, config_offset)

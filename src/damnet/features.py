@@ -325,21 +325,23 @@ def write_archive(utterances: list[UtteranceFeatures], path) -> None:
 
 class ByteReader:
     """Sequential reader over one binary file (archive or checkpoint) held in
-    memory. Reading past the end raises ``FormatError`` naming the field,
-    the ``context`` (for example "record 3") and the byte offset."""
+    memory. A field is a ``memoryview`` of the data, not a copy. Reading past
+    the end raises ``FormatError`` naming the field, the ``context`` (for
+    example "record 3") and the byte offset."""
 
     def __init__(self, data: bytes, what: str):
         self.data = data
+        self.view = memoryview(data)
         self.offset = 0
         self.what = what
         self.context = "header"
 
-    def take(self, count: int, field: str) -> bytes:
+    def take(self, count: int, field: str) -> memoryview:
         if self.offset + count > len(self.data):
             raise FormatError(
                 f"truncated {self.what}: {field} in {self.context}", offset=self.offset
             )
-        chunk = self.data[self.offset : self.offset + count]
+        chunk = self.view[self.offset : self.offset + count]
         self.offset += count
         return chunk
 
@@ -357,7 +359,7 @@ class ByteReader:
         stored = self.u32("CRC32")
         if self.remaining:
             raise FormatError(f"{self.remaining} trailing bytes", offset=self.offset)
-        if zlib.crc32(memoryview(self.data)[:end]) != stored:  # a view: archives are large
+        if zlib.crc32(self.view[:end]) != stored:
             raise FormatError(f"{self.what} fails its CRC32 check", offset=end)
 
 
@@ -365,7 +367,7 @@ def read_archive(path) -> list[UtteranceFeatures]:
     reader = ByteReader(Path(path).read_bytes(), "archive")
     magic = reader.take(4, "magic")
     if magic != ARCHIVE_MAGIC:
-        raise FormatError(f"bad archive magic {magic!r}", offset=0)
+        raise FormatError(f"bad archive magic {bytes(magic)!r}", offset=0)
     version = reader.u32("version")
     if version != ARCHIVE_VERSION:
         raise FormatError(f"unsupported archive version {version}", offset=4)
@@ -375,7 +377,7 @@ def read_archive(path) -> list[UtteranceFeatures]:
         reader.context = f"record {index}"
         id_len = reader.u32("id length")
         try:
-            utt_id = reader.take(id_len, "id").decode("utf-8")
+            utt_id = str(reader.take(id_len, "id"), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(
                 f"undecodable id in record {index}: {exc}", offset=reader.offset - id_len

@@ -99,28 +99,28 @@ def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EP
         results[name] = max(results.get(name, 0.0), err)
 
     for i in range(instances):
-        x = rng.standard_normal((2, 3, 5, 6))
+        x = rng.standard_normal((3, 2, 5, 6))
         conv = Conv2d(3, 4, 3, pad=i % 2, rng=rng, dtype=np.float64)
         record("conv2d_3x3", check_layer(conv, x, eps=eps, rng=rng))
 
-        x = rng.standard_normal((2, 5, 4, 6))
+        x = rng.standard_normal((5, 2, 4, 6))
         conv = Conv2d(5, 3, 1, rng=rng, dtype=np.float64)
         record("conv2d_1x1", check_layer(conv, x, eps=eps, rng=rng))
 
-        x = rng.standard_normal((8, 3, 2, 2))
+        x = rng.standard_normal((3, 8, 2, 2))
         bn = BatchNorm(3, dtype=np.float64)
         bn.gamma[...] = rng.standard_normal(3) * 0.5 + 1.0
         bn.beta[...] = rng.standard_normal(3) * 0.1
         record("batchnorm", check_layer(bn, x, eps=eps, rng=rng))
 
         # keep samples away from the kink at 0 so central differences are valid
-        x = rng.uniform(0.2, 1.5, size=(3, 4, 5, 6)) * rng.choice([-1.0, 1.0], size=(3, 4, 5, 6))
+        x = rng.uniform(0.2, 1.5, size=(4, 3, 5, 6)) * rng.choice([-1.0, 1.0], size=(4, 3, 5, 6))
         record("relu", check_layer(ReLU(), x, eps=eps, rng=rng))
 
-        x = rng.standard_normal((2, 3, 5, 7))
+        x = rng.standard_normal((3, 2, 5, 7))
         record("avgpool2d", check_layer(AvgPool2d(), x, eps=eps, rng=rng))
 
-        x = rng.standard_normal((2, 4, 2, 9))
+        x = rng.standard_normal((4, 2, 2, 9))
         record("global_avgpool", check_layer(GlobalAvgPool(), x, eps=eps, rng=rng))
 
         x = rng.standard_normal((4, 7))

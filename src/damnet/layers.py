@@ -1,12 +1,11 @@
 """Layer primitives with explicit forward and backward passes.
 
-Every layer takes and returns arrays of logical NCHW shape (batch,
-channels, height, width), whatever their memory layout. The model stores
-its activations channel-major: (C, N, H, W) memory seen through
-``.transpose(1, 0, 2, 3)`` (see ``channel_major``), so a convolution's
-GEMMs run on flat (C, N*H*W) grids and a dense block's channel slices
-are contiguous. Every train-mode result is channel-major, whatever the
-input's layout; infer-mode ufunc outputs follow their input's layout.
+Every layer takes and returns channel-major arrays of shape (channels,
+batch, height, width), so a convolution's GEMMs run on flat (C, N*H*W)
+grids and a channel chunk ``x[ch]`` or a dense block's prefix is one
+contiguous slab; only ``GlobalAvgPool`` leaves this order, for the (N, C)
+features that ``Linear`` takes. A train-mode (C, N, H, W) result is
+C-contiguous, or a crop of C-contiguous memory from a convolution.
 Training runs in float32; gradient checking builds float64 layers because
 central differences are unreliable in single precision. A layer class
 names its tensors once: ``PARAMS`` the trainable ones and ``STATE`` the
@@ -93,18 +92,6 @@ def pool_output_size(extent: int) -> int:
     return extent // 2
 
 
-def _shaped(flat, shape, channel_major: bool) -> np.ndarray:
-    if channel_major:
-        n, c, h, w = shape
-        return flat.reshape(c, n, h, w).transpose(1, 0, 2, 3)
-    return flat.reshape(shape)
-
-
-def channel_major(shape, dtype) -> np.ndarray:
-    """A new (N, C, H, W) array over (C, N, H, W) memory."""
-    return _shaped(np.empty(math.prod(shape), dtype=dtype), shape, True)
-
-
 class _Scratch(threading.local):
     """One thread's scratch: byte buffers by name, and the pair buffer handed out last."""
 
@@ -116,9 +103,9 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-def scratch(name: str, shape, dtype, channel_major: bool = False) -> np.ndarray:
-    """This thread's scratch buffer ``name`` seen as a ``shape`` array of
-    ``dtype``, channel-major or C-order; it grows when a request does not fit.
+def scratch(name: str, shape, dtype) -> np.ndarray:
+    """This thread's scratch buffer ``name`` seen as a C-order ``shape`` array
+    of ``dtype``; it grows when a request does not fit.
 
     The buffers hold bytes, so one serves every dtype. Train mode uses four:
     ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
@@ -135,14 +122,14 @@ def scratch(name: str, shape, dtype, channel_major: bool = False) -> np.ndarray:
     buffer = state.buffers.get(name)
     if buffer is None or buffer.size < nbytes:
         buffer = state.buffers[name] = np.empty(nbytes, np.uint8)
-    return _shaped(buffer[:nbytes].view(dtype), shape, channel_major)
+    return buffer[:nbytes].view(dtype).reshape(shape)
 
 
-def step_state(kept, shape, dtype, channel_major: bool = False, alloc=np.empty) -> np.ndarray:
+def step_state(kept, shape, dtype, alloc=np.empty) -> np.ndarray:
     """``kept`` again if it has this shape and dtype; else a new array from ``alloc``."""
     if kept is not None and kept.shape == tuple(shape) and kept.dtype == dtype:
         return kept
-    return _shaped(alloc(math.prod(shape), dtype=dtype), shape, channel_major)
+    return alloc(shape, dtype=dtype)
 
 
 def usable_cores() -> int:
@@ -242,9 +229,8 @@ def _chunks(count: int, size: int):
 
 
 def _channel_chunks(shape):
-    """Channel slices of an (N, C, H, W) train-mode array, one per work item."""
-    n, c, h, w = shape
-    return _chunks(c, max(CHANNEL_CHUNK, -(-ITEM_ELEMENTS // (n * h * w))))
+    """Channel slices of a (C, N, H, W) train-mode array, one per work item."""
+    return _chunks(shape[0], max(CHANNEL_CHUNK, -(-ITEM_ELEMENTS // math.prod(shape[1:]))))
 
 
 class Conv2d:
@@ -272,8 +258,8 @@ class Conv2d:
     summed in panel order. BLAS rounds a GEMM's columns differently by their
     position in it, so infer mode runs one GEMM per image, on strided
     (C_in, Hp*Wp) views of the grid, and no frame's infer output depends on
-    the rest of its batch. The output is a channel-major view; a 1x1 conv's
-    is contiguous.
+    the rest of its batch. The output is a crop of a C-contiguous
+    (C_out, N, Hp, Wp) array; a 1x1 conv's is contiguous.
     """
 
     PARAMS = ("weight",)
@@ -313,9 +299,9 @@ class Conv2d:
             out[:, :span] += per_tap[t * co : (t + 1) * co, shift : shift + span]
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(f"conv2d expects (N, {self.in_channels}, H, W), got {x.shape}")
-        (n, c, h, w), k, p, co = x.shape, self.kernel_size, self.pad, self.out_channels
+        if x.ndim != 4 or x.shape[0] != self.in_channels:
+            raise ShapeError(f"conv2d expects ({self.in_channels}, N, H, W), got {x.shape}")
+        (c, n, h, w), k, p, co = x.shape, self.kernel_size, self.pad, self.out_channels
         oh, ow = conv_output_size(h, k, p), conv_output_size(w, k, p)
         if oh < 1 or ow < 1:
             raise ShapeError(f"conv2d: {h}x{w} input is smaller than a {k}x{k} kernel with pad {p}")
@@ -331,7 +317,7 @@ class Conv2d:
 
             def panel(i):
                 frames = panels[i]
-                grid[:, frames, p : p + h, p : p + w] = x[frames].transpose(1, 0, 2, 3)
+                grid[:, frames, p : p + h, p : p + w] = x[:, frames]
                 columns = slice(frames.start * image, frames.stop * image)
                 if k == 1:
                     np.matmul(matrix, flat_grid[:, columns], out=flat_out[:, columns])
@@ -344,9 +330,9 @@ class Conv2d:
         else:
             if p:
                 grid = np.zeros((c, n, hp, wp), dtype=x.dtype)
-                grid[:, :, p : p + h, p : p + w] = x.transpose(1, 0, 2, 3)
+                grid[:, :, p : p + h, p : p + w] = x
             else:
-                grid = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+                grid = np.ascontiguousarray(x)
             per_tap = np.empty((k * k * co, n * hp * wp), dtype=dtype)
             np.matmul(matrix, grid.reshape(c, n, -1).transpose(1, 0, 2),
                       out=per_tap.reshape(k * k * co, n, -1).transpose(1, 0, 2))
@@ -354,7 +340,7 @@ class Conv2d:
             if k > 1:
                 out = np.empty((co, n * hp * wp), dtype=dtype)
                 self._shift_add(per_tap, out, shifts)
-        return out.reshape(co, n, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
+        return out.reshape(co, n, hp, wp)[:, :, :oh, :ow]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         grid = self._cache
@@ -363,9 +349,8 @@ class Conv2d:
         matrix, shifts = self._taps(wp)
         dtype = np.result_type(matrix, dout)
         flat_grid, image = grid.reshape(c, -1), hp * wp
-        dout = dout.transpose(1, 0, 2, 3)
         if k == 1:
-            dout = np.ascontiguousarray(dout).reshape(co, -1)
+            dout = dout.reshape(co, -1)
         panels = _chunks(n, PANEL_FRAMES)
         # not from "pair": a second pair request would hand out the one holding ``dout``
         partials = scratch("partials", (len(panels), k * k * co, c), dtype)
@@ -397,7 +382,7 @@ class Conv2d:
         fan_out(panel, len(panels))
         grad = partials.sum(axis=0).reshape(k, k, co, c)
         self.grad_weight[...] = grad.transpose(2, 3, 0, 1)
-        return dgrid[:, :, p : hp - p, p : wp - p].transpose(1, 0, 2, 3)
+        return dgrid[:, :, p : hp - p, p : wp - p]
 
 
 class BatchNorm:
@@ -426,41 +411,41 @@ class BatchNorm:
 
     @staticmethod
     def _per_channel(arr):
-        return arr.reshape(1, -1, 1, 1)
+        return arr.reshape(-1, 1, 1, 1)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.num_channels:
+        if x.ndim != 4 or x.shape[0] != self.num_channels:
             raise ShapeError(
-                f"batchnorm expects (N, {self.num_channels}, H, W), got {x.shape}"
+                f"batchnorm expects ({self.num_channels}, N, H, W), got {x.shape}"
             )
         if not train:
             scale = self.gamma / np.sqrt(self.running_var + BN_EPSILON)
             out = x * self._per_channel(scale)
             out += self._per_channel(self.beta - self.running_mean * scale)
             return out
-        samples_per_channel = x.shape[0] * x.shape[2] * x.shape[3]
+        samples_per_channel = x[0].size
         if samples_per_channel < 2:
             raise DataError(
                 f"degenerate batch: {samples_per_channel} sample per channel, need >= 2"
             )
         kept = self._cache[0] if self._cache else None
-        xhat = step_state(kept, x.shape, x.dtype, channel_major=True)
+        xhat = step_state(kept, x.shape, x.dtype)
         inv = np.empty(self.num_channels, dtype=x.dtype)
-        out = scratch("pair", x.shape, np.result_type(xhat, self.gamma), channel_major=True)
+        out = scratch("pair", x.shape, np.result_type(xhat, self.gamma))
         chunks = _channel_chunks(x.shape)
 
         def chunk(i):
             ch = chunks[i]
-            mean = np.einsum("nchw->c", x[:, ch]) / samples_per_channel
-            centred = np.subtract(x[:, ch], self._per_channel(mean), out=xhat[:, ch])
+            mean = np.einsum("cnhw->c", x[ch]) / samples_per_channel
+            centred = np.subtract(x[ch], self._per_channel(mean), out=xhat[ch])
             # centred second moment: no cancellation from E[x^2] - E[x]^2
-            var = np.einsum("nchw,nchw->c", centred, centred) / samples_per_channel
+            var = np.einsum("cnhw,cnhw->c", centred, centred) / samples_per_channel
             self.running_mean[ch] = BN_MOMENTUM * self.running_mean[ch] + (1.0 - BN_MOMENTUM) * mean
             self.running_var[ch] = BN_MOMENTUM * self.running_var[ch] + (1.0 - BN_MOMENTUM) * var
             inv[ch] = 1.0 / np.sqrt(var + BN_EPSILON)
             centred *= self._per_channel(inv[ch])
-            np.multiply(centred, self._per_channel(self.gamma[ch]), out=out[:, ch])
-            out[:, ch] += self._per_channel(self.beta[ch])
+            np.multiply(centred, self._per_channel(self.gamma[ch]), out=out[ch])
+            out[ch] += self._per_channel(self.beta[ch])
 
         fan_out(chunk, len(chunks))
         self._cache = (xhat, inv)
@@ -469,17 +454,17 @@ class BatchNorm:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         xhat, inv = self._cache
         count = dout.size // self.num_channels
-        dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma), channel_major=True)
+        dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma))
         chunks = _channel_chunks(dout.shape)
 
         def chunk(i):
             ch = chunks[i]
             grad_gamma = self.grad_gamma[ch]
-            grad_gamma[...] = np.einsum("nchw,nchw->c", dout[:, ch], xhat[:, ch])
-            self.grad_beta[ch] = np.einsum("nchw->c", dout[:, ch])
+            grad_gamma[...] = np.einsum("cnhw,cnhw->c", dout[ch], xhat[ch])
+            self.grad_beta[ch] = np.einsum("cnhw->c", dout[ch])
             # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
-            part = np.multiply(xhat[:, ch], self._per_channel(-grad_gamma / count), out=dx[:, ch])
-            part += dout[:, ch]
+            part = np.multiply(xhat[ch], self._per_channel(-grad_gamma / count), out=dx[ch])
+            part += dout[ch]
             part -= self._per_channel(self.grad_beta[ch] / count)
             part *= self._per_channel(self.gamma[ch] * inv[ch])
 
@@ -497,24 +482,24 @@ class ReLU:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if not train:
             return np.maximum(x, 0)
-        mask = self._cache = step_state(self._cache, x.shape, bool, channel_major=True)
-        out = scratch("pair", x.shape, x.dtype, channel_major=True)
+        mask = self._cache = step_state(self._cache, x.shape, bool)
+        out = scratch("pair", x.shape, x.dtype)
         chunks = _channel_chunks(x.shape)
 
         def chunk(i):
             ch = chunks[i]
-            np.greater(x[:, ch], 0, out=mask[:, ch])
-            np.multiply(x[:, ch], mask[:, ch], out=out[:, ch])
+            np.greater(x[ch], 0, out=mask[ch])
+            np.multiply(x[ch], mask[ch], out=out[ch])
 
         fan_out(chunk, len(chunks))
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        out = scratch("pair", dout.shape, dout.dtype, channel_major=True)
+        out = scratch("pair", dout.shape, dout.dtype)
         chunks = _channel_chunks(dout.shape)
 
         def chunk(i):
-            np.multiply(dout[:, chunks[i]], self._cache[:, chunks[i]], out=out[:, chunks[i]])
+            np.multiply(dout[chunks[i]], self._cache[chunks[i]], out=out[chunks[i]])
 
         fan_out(chunk, len(chunks))
         return out
@@ -527,15 +512,15 @@ class AvgPool2d:
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
+        c, n, h, w = x.shape
         if h < 2 or w < 2:
             raise ShapeError(f"avgpool2d needs spatial extents >= 2, got {h}x{w}")
         oh, ow = pool_output_size(h), pool_output_size(w)
         rows = out = None
         if train:
             self._cache = x.shape
-            rows = scratch("taps", (n, c, oh, 2 * ow), x.dtype, channel_major=True)
-            out = scratch("pair", (n, c, oh, ow), x.dtype, channel_major=True)
+            rows = scratch("taps", (c, n, oh, 2 * ow), x.dtype)
+            out = scratch("pair", (c, n, oh, ow), x.dtype)
         rows = np.add(x[:, :, 0 : 2 * oh : 2, : 2 * ow], x[:, :, 1 : 2 * oh : 2, : 2 * ow], out=rows)
         out = np.add(rows[:, :, :, 0::2], rows[:, :, :, 1::2], out=out)
         out *= 0.25
@@ -543,7 +528,7 @@ class AvgPool2d:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         oh, ow = dout.shape[2:]
-        dx = scratch("pair", self._cache, dout.dtype, channel_major=True)
+        dx = scratch("pair", self._cache, dout.dtype)
         for i, j in np.ndindex(2, 2):
             np.multiply(dout, 0.25, out=dx[:, :, i : 2 * oh : 2, j : 2 * ow : 2])
         # the dropped odd row and column get no gradient
@@ -553,22 +538,22 @@ class AvgPool2d:
 
 
 class GlobalAvgPool:
-    """Mean over all spatial positions, one value per channel: (N, C, H, W) -> (N, C)."""
+    """Mean over all spatial positions, one value per channel: (C, N, H, W) -> (N, C)."""
 
     def __init__(self):
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[2] < 1 or x.shape[3] < 1:
-            raise ShapeError(f"global_avgpool expects (N, C, H, W), got {x.shape}")
+            raise ShapeError(f"global_avgpool expects (C, N, H, W), got {x.shape}")
         if train:
             self._cache = x.shape
-        return x.mean(axis=(2, 3))
+        return x.mean(axis=(2, 3)).T
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._cache
-        dx = scratch("pair", self._cache, dout.dtype, channel_major=True)
-        dx[...] = dout.reshape(n, c, 1, 1) / (h * w)
+        c, n, h, w = self._cache
+        dx = scratch("pair", self._cache, dout.dtype)
+        dx[...] = dout.T.reshape(c, n, 1, 1) / (h * w)
         return dx
 
 

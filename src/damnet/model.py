@@ -7,12 +7,13 @@ then the convolutions of a unit, the pool and 1x1 conv of a transition, or
 the global pool and fc layer of the classifier. A chain's keywords name its
 tensors, as in ``transition1.conv.weight``, and so fix the checkpoint layout.
 
-Activations have logical (N, C, H, W) shape over channel-major (C, N, H, W)
-memory (``layers.channel_major``): the initial conv makes the one
-channel-major copy of the input, and every stage keeps that layout. Each
-dense block keeps its features in one (N, C_out, H, W) buffer: unit n
-reads the channel prefix holding the block input and the n-1 prior unit
-outputs, and writes its growth_rate channels after it; channel-major, the
+``Model.forward`` takes (N, C, H, W) frames and every stage passes on
+channel-major (C, N, H, W) activations (see ``layers``): ``forward`` hands
+the stages a transposed view of its input, the initial conv copies it into
+its own grid, and ``backward`` returns the input gradient transposed back.
+Each dense block keeps its features in one (C_out, N, H, W) buffer: unit n
+reads the prefix ``features[:width]`` holding the block input and the n-1
+prior unit outputs, and writes its growth_rate channels after it, so the
 prefix and each unit's slab are contiguous. Backward runs the units in
 reverse, adding each one's input gradient into the prefix of one gradient
 buffer, so a unit's output gradient is complete when it runs.
@@ -38,7 +39,6 @@ from .layers import (
     GlobalAvgPool,
     Linear,
     ReLU,
-    channel_major,
     scratch,
 )
 
@@ -127,23 +127,21 @@ class DenseBlock:
         return sum(1 + (width - self.in_channels) // self.growth_rate for width in self.widths)
 
     def forward(self, x, train=False):
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(f"dense block expects (N, {self.in_channels}, H, W), got {x.shape}")
-        n, _, h, w = x.shape
-        shape = (n, self.out_channels, h, w)
-        features = (scratch("block", shape, x.dtype, channel_major=True) if train
-                    else channel_major(shape, x.dtype))
-        features[:, : self.in_channels] = x
+        if x.ndim != 4 or x.shape[0] != self.in_channels:
+            raise ShapeError(f"dense block expects ({self.in_channels}, N, H, W), got {x.shape}")
+        shape = (self.out_channels, *x.shape[1:])
+        features = scratch("block", shape, x.dtype) if train else np.empty(shape, x.dtype)
+        features[: self.in_channels] = x
         for width, unit in zip(self.widths, self.units):
-            features[:, width : width + self.growth_rate] = unit.forward(features[:, :width], train)
+            features[width : width + self.growth_rate] = unit.forward(features[:width], train)
         return features
 
     def backward(self, dout):
-        grad = scratch("block", dout.shape, dout.dtype, channel_major=True)
+        grad = scratch("block", dout.shape, dout.dtype)
         grad[...] = dout
         for width, unit in zip(reversed(self.widths), reversed(self.units)):
-            grad[:, :width] += unit.backward(grad[:, width : width + self.growth_rate])
-        return grad[:, : self.in_channels]
+            grad[:width] += unit.backward(grad[width : width + self.growth_rate])
+        return grad[: self.in_channels]
 
 
 def transition(in_channels: int, out_channels: int, rng, dtype) -> Chain:
@@ -235,18 +233,19 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Logits (N, num_classes) for the (N, C, H, W) input, in a new array."""
         self._check_input(x)
+        x = x.transpose(1, 0, 2, 3)
         for _, stage in self._stages:
             x = stage.forward(x, train)
         return x
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Overwrite ``grads`` from the last train forward's state and return
-        the input gradient: a non-contiguous (N, C, H, W) view of channel-major
-        scratch memory, valid until the next train-mode call in this thread."""
+        the (N, C, H, W) input gradient: a transposed view of scratch memory,
+        valid until the next train-mode call in this thread."""
         d = dlogits
         for _, stage in reversed(self._stages):
             d = stage.backward(d)
-        return d
+        return d.transpose(1, 0, 2, 3)
 
     def named_params(self) -> dict[str, np.ndarray]:
         return named_arrays(self._stages, "PARAMS")

@@ -114,6 +114,8 @@ def load_run_config(path=None, overrides=()) -> dict:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, raw = item.partition("=")
         _apply(config, key, raw, "--set")
+    if config["seed"] < 0:
+        raise ConfigError(f"invalid value for 'seed': must be >= 0, got {config['seed']}")
     return config
 
 

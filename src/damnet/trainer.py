@@ -302,7 +302,8 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
 def fit(model: Model, train_data: FrameDataset, val_data: FrameDataset,
         cfg: TrainConfig) -> list[Metrics]:
     """Full training loop with the halving schedule and best-validation
-    snapshotting; the model ends holding the best-validation parameters."""
+    snapshotting; the model ends holding the best-validation parameters.
+    A non-finite validation loss raises ``DivergenceError``."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     velocity: dict = {}
@@ -313,6 +314,8 @@ def fit(model: Model, train_data: FrameDataset, val_data: FrameDataset,
         epoch_metrics = train_epoch(model, train_data, cfg, rng,
                                     lr=state.lr, velocity=velocity, epoch=epoch)
         result = evaluate(model, val_data, batch_size=cfg.batch_size)
+        if not math.isfinite(result.loss):
+            raise DivergenceError(f"non-finite validation loss in epoch {epoch}")
         epoch_metrics = replace(epoch_metrics, val_loss=result.loss,
                                 val_accuracy=result.accuracy)
         history.append(epoch_metrics)

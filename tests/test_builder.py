@@ -208,7 +208,7 @@ class TestModel:
             cfg = random_config(r)
             table = plan_architecture(cfg)
             model = build_model(cfg, seed=0)
-            x = r.standard_normal((2, 3, 11, 40)).astype(np.float32)
+            x = r.standard_normal((3, 2, 11, 40)).astype(np.float32)
             trace = []
             for name, stage in model.stages():
                 x = stage.forward(x, False)
@@ -219,7 +219,7 @@ class TestModel:
                 if stage.kind == "classifier":
                     assert shape == (2, cfg.num_classes)
                 else:
-                    assert shape == (2, stage.out_channels, *stage.out_size)
+                    assert shape == (stage.out_channels, 2, *stage.out_size)
 
     def test_same_seed_same_parameters(self):
         cfg = DenseNetConfig(variant="C", depth=13, blocks=3, compression=0.5,

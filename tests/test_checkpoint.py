@@ -134,6 +134,17 @@ def test_invalid_config_with_valid_crc_is_format_error(tmp_path):
     assert "num_classes" in str(err.value)
 
 
+def test_negative_seed_with_valid_crc_is_format_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    rewrite_config(path, lambda text: text.replace("\nseed=0\n", "\nseed=-1\n"))
+    path.write_bytes(with_crc(path.read_bytes()[:-4]))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.offset == CONFIG_OFFSET
+    assert "seed -1" in str(err.value)
+
+
 def test_truncation_raises_only_format_error(tmp_path):
     data = three_record_archive(tmp_path / "data.fbk").read_bytes()
     cut_path = tmp_path / "cut.fbk"

@@ -1,5 +1,6 @@
 import json
 import wave
+import zlib
 
 import numpy as np
 import pytest
@@ -368,6 +369,19 @@ class TestTrainEval:
         assert (code, out) == (3, ""), err
         assert "'silent'" in err
 
+    def test_negative_seed_checkpoint_is_io_error(self, capsys, trained, tmp_path):
+        data = trained["checkpoint"].read_bytes()
+        length = int.from_bytes(data[8:12], "little")
+        text = data[12 : 12 + length].replace(b"\nseed=3\n", b"\nseed=-1\n")
+        body = data[:8] + len(text).to_bytes(4, "little") + text + data[12 + length : -4]
+        corrupted = tmp_path / "seed.ckpt"
+        corrupted.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        code, out, err = run_cli(capsys, "eval",
+                                 "--set", f"checkpoint={corrupted}",
+                                 "--set", f"eval_archive={trained['train_archive']}")
+        assert (code, out) == (3, ""), err
+        assert "seed -1" in err
+
     def test_missing_checkpoint_is_io_error(self, capsys, trained):
         code, _, err = run_cli(capsys, "eval",
                                "--set", "checkpoint=/nonexistent/model.ckpt",
@@ -501,6 +515,38 @@ class TestExitCodes:
                                "--set", "initial_lr=1e12")
         assert code == 4
         assert "non-finite loss" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr", ["1e3", "1e6"])
+    def test_divergence_in_the_last_epoch_exits_4_and_leaves_no_file(self, capsys, tmp_path,
+                                                                      lr):
+        # the training loss stays finite; only the validation loss is not
+        archive = tmp_path / "train.fbk"
+        assert main(["synthdata", "--seed", "5",
+                     "--set", f"output_archive={archive}",
+                     "--set", "synth_classes=10",
+                     "--set", "synth_frames_per_class=40"]) == 0
+        code, _, err = run_cli(capsys, "train", "--seed", "5",
+                               "--set", f"train_archive={archive}",
+                               "--set", f"checkpoint={tmp_path / 'm.ckpt'}",
+                               "--set", f"metrics_log={tmp_path / 'm.log'}",
+                               "--set", "variant=C", "--set", "depth=13",
+                               "--set", "compression=0.5", "--set", "num_classes=10",
+                               "--set", "batch_size=100", "--set", "max_epochs=1",
+                               "--set", f"initial_lr={lr}")
+        assert code == 4
+        assert "validation loss in epoch 1" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.fbk"]
+
+    @pytest.mark.parametrize("command", ["train", "synthdata", "gradcheck"])
+    def test_negative_seed_is_config_error(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command, "--seed", "-1",
+                                 "--set", f"train_archive={tmp_path / 'none.fbk'}",
+                                 "--set", f"output_archive={tmp_path / 'x.fbk'}",
+                                 "--set", f"checkpoint={tmp_path / 'm.ckpt'}")
+        assert (code, out) == (2, ""), err
+        assert "'seed'" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_utterance_exits_3(self, capsys, tmp_path):
         archive = write_archive_with_empty_utterance(tmp_path / "t.fbk", 4)

@@ -18,7 +18,7 @@ def rng(seed=0):
 
 def test_relu_away_from_kink_is_nearly_exact():
     r = rng(1)
-    x = r.uniform(0.3, 1.5, size=(2, 3, 4, 4)) * r.choice([-1.0, 1.0], size=(2, 3, 4, 4))
+    x = r.uniform(0.3, 1.5, size=(3, 2, 4, 4)) * r.choice([-1.0, 1.0], size=(3, 2, 4, 4))
     assert check_layer(ReLU(), x, rng=r) < 1e-7
 
 
@@ -32,7 +32,7 @@ def test_conv3x3_on_single_map():
 def test_batchnorm_train_batch8():
     r = rng(3)
     bn = BatchNorm(2, dtype=np.float64)
-    err = check_layer(bn, r.standard_normal((8, 2, 2, 2)), rng=r)
+    err = check_layer(bn, r.standard_normal((2, 8, 2, 2)), rng=r)
     assert err < 1e-4
 
 

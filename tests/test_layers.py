@@ -30,8 +30,8 @@ class TestDenseWiring:
     def test_dense_block_matches_explicit_concatenation(self, bottleneck):
         r = rng(4)
         block = DenseBlock(5, 3, 4, bottleneck=bottleneck, rng=r, dtype=np.float64)
-        x = r.standard_normal((3, 5, 4, 6))
-        dout = r.standard_normal((3, block.out_channels, 4, 6))
+        x = r.standard_normal((5, 3, 4, 6))
+        dout = r.standard_normal((block.out_channels, 3, 4, 6))
         out = block.forward(x, train=True).copy()
         dx = block.backward(dout).copy()
         grads = {name: g.copy()
@@ -41,13 +41,13 @@ class TestDenseWiring:
         # each unit's input gradient split back onto its sources
         features = [x]
         for unit in block.units:
-            features.append(unit.forward(np.concatenate(features, axis=1), train=True).copy())
-        np.testing.assert_allclose(out, np.concatenate(features, axis=1), rtol=0, atol=1e-12)
-        sizes = [f.shape[1] for f in features]
-        accum = [g.copy() for g in np.split(dout, np.cumsum(sizes)[:-1], axis=1)]
+            features.append(unit.forward(np.concatenate(features), train=True).copy())
+        np.testing.assert_allclose(out, np.concatenate(features), rtol=0, atol=1e-12)
+        sizes = [f.shape[0] for f in features]
+        accum = [g.copy() for g in np.split(dout, np.cumsum(sizes)[:-1])]
         for n in range(len(block.units), 0, -1):
             din = block.units[n - 1].backward(accum[n])
-            for i, part in enumerate(np.split(din, np.cumsum(sizes[:n])[:-1], axis=1)):
+            for i, part in enumerate(np.split(din, np.cumsum(sizes[:n])[:-1])):
                 accum[i] += part
         np.testing.assert_allclose(dx, accum[0], rtol=0, atol=1e-12)
         for name, g in named_arrays([("block", block)], "PARAMS", "grad_").items():
@@ -56,13 +56,13 @@ class TestDenseWiring:
     def test_dense_block_rejects_wrong_width(self):
         block = DenseBlock(5, 3, 2, bottleneck=False, rng=rng(), dtype=np.float64)
         with pytest.raises(ShapeError):
-            block.forward(np.zeros((2, 4, 3, 3)))
+            block.forward(np.zeros((4, 2, 3, 3)))
 
     @pytest.mark.parametrize("h,w", [(4, 6), (5, 7), (9, 38)])
     def test_transition_pool_first_equals_conv_first(self, h, w):
         r = rng(h * w)
         stage = transition(6, 3, rng=r, dtype=np.float64)
-        x = r.standard_normal((3, 6, h, w))
+        x = r.standard_normal((6, 3, h, w))
         dout = r.standard_normal((3, 3, h // 2, w // 2))
         out = stage.forward(x, train=True).copy()
         dx = stage.backward(dout).copy()
@@ -80,24 +80,24 @@ class TestDenseWiring:
 
 
 def conv_reference(x, weight, pad):
-    """Direct-summation convolution oracle (nested loops)."""
-    n, cin, h, w = x.shape
+    """Direct-summation convolution oracle (nested loops) on (C, N, H, W) arrays."""
+    cin, n, h, w = x.shape
     cout, _, kh, kw = weight.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh = h + 2 * pad - kh + 1
     ow = w + 2 * pad - kw + 1
-    out = np.zeros((n, cout, oh, ow))
+    out = np.zeros((cout, n, oh, ow))
     for b in range(n):
         for o in range(cout):
             for i in range(oh):
                 for j in range(ow):
-                    out[b, o, i, j] = (xp[b, :, i : i + kh, j : j + kw] * weight[o]).sum()
+                    out[o, b, i, j] = (xp[:, b, i : i + kh, j : j + kw] * weight[o]).sum()
     return out
 
 
 def conv_reference_adjoint(x, weight, pad, dout):
     """Input and weight gradients of conv_reference by direct summation."""
-    n, cin, h, w = x.shape
+    cin, n, h, w = x.shape
     cout, _, kh, kw = weight.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     dxp = np.zeros_like(xp)
@@ -106,21 +106,21 @@ def conv_reference_adjoint(x, weight, pad, dout):
         for o in range(cout):
             for i in range(dout.shape[2]):
                 for j in range(dout.shape[3]):
-                    dxp[b, :, i : i + kh, j : j + kw] += dout[b, o, i, j] * weight[o]
-                    dw[o] += dout[b, o, i, j] * xp[b, :, i : i + kh, j : j + kw]
+                    dxp[:, b, i : i + kh, j : j + kw] += dout[o, b, i, j] * weight[o]
+                    dw[o] += dout[o, b, i, j] * xp[:, b, i : i + kh, j : j + kw]
     return dxp[:, :, pad : pad + h, pad : pad + w], dw
 
 
 class TestConv2d:
     def test_initial_conv_geometry(self):
         conv = Conv2d(3, 16, 3, pad=0, rng=rng())
-        out = conv.forward(rng().standard_normal((2, 3, 11, 40)).astype(np.float32))
-        assert out.shape == (2, 16, 9, 38)
+        out = conv.forward(rng().standard_normal((3, 2, 11, 40)).astype(np.float32))
+        assert out.shape == (16, 2, 9, 38)
 
     def test_identity_1x1_kernel(self):
         conv = Conv2d(1, 1, 1)
         conv.weight[...] = 1.0
-        x = rng().standard_normal((2, 1, 4, 5)).astype(np.float32)
+        x = rng().standard_normal((1, 2, 4, 5)).astype(np.float32)
         np.testing.assert_allclose(conv.forward(x), x, rtol=1e-6)
 
     def test_2x2_kernel_direct_sum(self):
@@ -134,7 +134,7 @@ class TestConv2d:
     def test_channel_mismatch(self):
         conv = Conv2d(3, 4, 3)
         with pytest.raises(ShapeError):
-            conv.forward(np.zeros((1, 2, 5, 5)))
+            conv.forward(np.zeros((2, 1, 5, 5)))
 
     @pytest.mark.parametrize("kernel,in_channels,pad", [
         (3, 1, 1), (3, 2, 0), (1, 1, 0), (3, 1, 0), (3, 4, 1), (2, 2, 1),
@@ -147,7 +147,7 @@ class TestConv2d:
         for h, w in shapes:
             r = rng(kernel * 100 + in_channels * 10 + pad + h * w)
             conv = Conv2d(in_channels, 3, kernel, pad=pad, rng=r, dtype=np.float64)
-            x = r.standard_normal((3, in_channels, h, w))
+            x = r.standard_normal((in_channels, 3, h, w))
             out = conv.forward(x, train=True)
             np.testing.assert_allclose(out, conv_reference(x, conv.weight, pad),
                                        rtol=0, atol=1e-12)
@@ -160,25 +160,25 @@ class TestConv2d:
     @settings(max_examples=30, deadline=None)
     def test_shape_formula_matches_realized(self, h, w, kernel, pad):
         conv = Conv2d(1, 2, kernel, pad=pad, rng=rng(), dtype=np.float64)
-        x = np.zeros((3, 1, h, w))
+        x = np.zeros((1, 3, h, w))
         oh, ow = conv_output_size(h, kernel, pad), conv_output_size(w, kernel, pad)
         if oh < 1 or ow < 1:
             with pytest.raises(ShapeError):
                 conv.forward(x)
             return
-        assert conv.forward(x).shape == (3, 2, oh, ow)
+        assert conv.forward(x).shape == (2, 3, oh, ow)
 
 
 class TestBatchNorm:
     def test_constant_per_channel_train(self):
         bn = BatchNorm(3, dtype=np.float64)
-        x = np.ones((4, 3, 2, 2)) * np.array([1.0, -2.0, 7.0]).reshape(1, 3, 1, 1)
+        x = np.ones((3, 4, 2, 2)) * np.array([1.0, -2.0, 7.0]).reshape(3, 1, 1, 1)
         out = bn.forward(x, train=True)
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
     def test_two_point_batch_closed_form(self):
         bn = BatchNorm(1, dtype=np.float64)
-        x = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1)
+        x = np.array([-1.0, 1.0]).reshape(1, 2, 1, 1)
         out = bn.forward(x, train=True)
         expected = 1.0 / np.sqrt(1.0 + 1e-5)  # (x - mean) / sqrt(var + eps)
         np.testing.assert_allclose(out.ravel(), [-expected, expected], atol=1e-12)
@@ -198,8 +198,8 @@ class TestBatchNorm:
         bn.running_var[...] = r.uniform(0.1, 4.0, size=5)
         bn.gamma[...] = r.standard_normal(5) + 1.5
         bn.beta[...] = r.standard_normal(5)
-        x = r.standard_normal((3, 5, 4, 6)) * 3.0
-        rm, rv, gamma, beta = (v.reshape(1, 5, 1, 1) for v in
+        x = r.standard_normal((5, 3, 4, 6)) * 3.0
+        rm, rv, gamma, beta = (v.reshape(5, 1, 1, 1) for v in
                                (bn.running_mean, bn.running_var, bn.gamma, bn.beta))
         expected = gamma * (x - rm) / np.sqrt(rv + BN_EPSILON) + beta
         np.testing.assert_allclose(bn.forward(x, train=False), expected, rtol=0, atol=1e-12)
@@ -207,11 +207,11 @@ class TestBatchNorm:
     def test_degenerate_batch(self):
         bn = BatchNorm(3)
         with pytest.raises(DataError):
-            bn.forward(np.zeros((1, 3, 1, 1), dtype=np.float32), train=True)
+            bn.forward(np.zeros((3, 1, 1, 1), dtype=np.float32), train=True)
 
     def test_running_statistics_update(self):
         bn = BatchNorm(1, dtype=np.float64)
-        x = np.array([0.0, 2.0]).reshape(2, 1, 1, 1)
+        x = np.array([0.0, 2.0]).reshape(1, 2, 1, 1)
         bn.forward(x, train=True)
         # new = 0.9 * old + 0.1 * batch; batch mean 1, batch var 1
         assert bn.running_mean.item() == pytest.approx(0.1)
@@ -220,37 +220,37 @@ class TestBatchNorm:
     def test_infer_mode_has_no_side_effects(self):
         bn = BatchNorm(2)
         before = (bn.running_mean.copy(), bn.running_var.copy())
-        bn.forward(rng().standard_normal((3, 2, 2, 2)).astype(np.float32), train=False)
+        bn.forward(rng().standard_normal((2, 3, 2, 2)).astype(np.float32), train=False)
         np.testing.assert_array_equal(bn.running_mean, before[0])
         np.testing.assert_array_equal(bn.running_var, before[1])
 
     def test_train_output_moments(self):
         bn = BatchNorm(4, dtype=np.float64)
         bn.beta[...] = np.array([0.0, 1.0, -2.0, 0.5])
-        x = rng(3).standard_normal((16, 4, 3, 5)) * 3.0 + 1.0
+        x = rng(3).standard_normal((4, 16, 3, 5)) * 3.0 + 1.0
         out = bn.forward(x, train=True)
-        np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), bn.beta, atol=1e-5)
+        np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), bn.beta, atol=1e-5)
         bn.beta[...] = 0.0
         out = bn.forward(x, train=True)
-        np.testing.assert_allclose(out.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
+        np.testing.assert_allclose(out.var(axis=(1, 2, 3)), 1.0, atol=1e-3)
 
 
 class TestReLU:
     def test_definition(self):
         relu = ReLU()
-        out = relu.forward(np.array([[-1.0, 0.0, 2.0]]).reshape(1, 3, 1, 1))
+        out = relu.forward(np.array([[-1.0, 0.0, 2.0]]).reshape(3, 1, 1, 1))
         np.testing.assert_array_equal(out.ravel(), [0.0, 0.0, 2.0])
 
     def test_dead_region(self):
         relu = ReLU()
-        x = -np.abs(rng().standard_normal((2, 3, 4, 4))) - 0.1
+        x = -np.abs(rng().standard_normal((3, 2, 4, 4))) - 0.1
         out = relu.forward(x, train=True)
         np.testing.assert_array_equal(out, 0.0)
         np.testing.assert_array_equal(relu.backward(np.ones_like(x)), 0.0)
 
     def test_idempotent(self):
         relu = ReLU()
-        x = rng(5).standard_normal((3, 2, 4, 4))
+        x = rng(5).standard_normal((2, 3, 4, 4))
         once = relu.forward(x)
         np.testing.assert_array_equal(relu.forward(once), once)
 
@@ -263,12 +263,12 @@ class TestReLU:
 class TestAvgPool:
     def test_table_shapes(self):
         pool = AvgPool2d()
-        assert pool.forward(np.zeros((1, 2, 9, 38), dtype=np.float32)).shape == (1, 2, 4, 19)
-        assert pool.forward(np.zeros((1, 2, 4, 19), dtype=np.float32)).shape == (1, 2, 2, 9)
+        assert pool.forward(np.zeros((2, 1, 9, 38), dtype=np.float32)).shape == (2, 1, 4, 19)
+        assert pool.forward(np.zeros((2, 1, 4, 19), dtype=np.float32)).shape == (2, 1, 2, 9)
 
     def test_constant_preserved(self):
         pool = AvgPool2d()
-        out = pool.forward(np.full((2, 3, 5, 6), 2.5))
+        out = pool.forward(np.full((3, 2, 5, 6), 2.5))
         np.testing.assert_array_equal(out, 2.5)
 
     def test_too_small(self):
@@ -286,7 +286,7 @@ class TestAvgPool:
 
 class TestGlobalAvgPool:
     def test_constant(self):
-        out = GlobalAvgPool().forward(np.full((1, 3, 2, 9), 4.0))
+        out = GlobalAvgPool().forward(np.full((3, 1, 2, 9), 4.0))
         assert out.shape == (1, 3)
         np.testing.assert_array_equal(out, 4.0)
 
@@ -297,7 +297,7 @@ class TestGlobalAvgPool:
     def test_backward_spreads_uniformly(self):
         pool = GlobalAvgPool()
         pool.forward(np.zeros((1, 1, 2, 9)), train=True)
-        dx = pool.backward(np.ones((1, 1, 1, 1)))
+        dx = pool.backward(np.ones((1, 1)))
         np.testing.assert_allclose(dx, 1.0 / 18.0)
 
 
@@ -364,19 +364,20 @@ def test_pool_shape_formula(h, w):
     assert out.shape[2:] == (pool_output_size(h), pool_output_size(w))
 
 
-def as_channel_major(x):
-    """The same values as ``x``, (N, C, ...), over (C, N, ...) memory."""
+def as_strided(x):
+    """The same values as ``x``, (C, N, ...), over (N, C, ...) memory."""
     return np.ascontiguousarray(x.swapaxes(0, 1)).swapaxes(0, 1)
 
 
 class TestChannelMajorLayout:
-    """Layers give the same results on NCHW-contiguous and channel-major input."""
+    """Layers give the same results on C-order and strided (C, N, H, W) input,
+    and reject an array whose leading axis is not their channel count."""
 
     def run_both(self, make, shape, train=True, seed=0):
         r = rng(seed)
         x = r.standard_normal(shape)
         results = []
-        for layout in (np.ascontiguousarray, as_channel_major):
+        for layout in (np.ascontiguousarray, as_strided):
             layer = make()
             out = layer.forward(layout(x), train=train).copy()
             if not train:
@@ -398,7 +399,7 @@ class TestChannelMajorLayout:
     @pytest.mark.parametrize("kernel,pad", [(1, 0), (1, 1), (3, 0), (3, 1)])
     def test_conv2d(self, kernel, pad):
         self.run_both(lambda: Conv2d(4, 5, kernel, pad=pad, rng=rng(9), dtype=np.float64),
-                      (3, 4, 5, 7))
+                      (4, 3, 5, 7))
 
     @pytest.mark.parametrize("train", [True, False])
     def test_batchnorm(self, train):
@@ -409,26 +410,26 @@ class TestChannelMajorLayout:
             bn.running_mean[...] = [0.2, -0.1, 0.0, 0.4]
             bn.running_var[...] = [0.5, 2.0, 1.0, 1.5]
             return bn
-        self.run_both(make, (3, 4, 5, 7), train=train)
+        self.run_both(make, (4, 3, 5, 7), train=train)
 
     @pytest.mark.parametrize("layer", [ReLU, AvgPool2d, GlobalAvgPool])
     def test_parameter_free_layers(self, layer):
-        self.run_both(layer, (3, 4, 5, 7))
+        self.run_both(layer, (4, 3, 5, 7))
 
     @pytest.mark.parametrize("bottleneck", [False, True])
     def test_dense_block(self, bottleneck):
         self.run_both(lambda: DenseBlock(5, 3, 3, bottleneck=bottleneck, rng=rng(4),
-                                         dtype=np.float64), (3, 5, 4, 6))
+                                         dtype=np.float64), (5, 3, 4, 6))
 
     @pytest.mark.parametrize("layer", [lambda: BatchNorm(4), ReLU, AvgPool2d],
                              ids=["BatchNorm", "ReLU", "AvgPool2d"])
     def test_train_results_are_channel_major_for_c_order_input(self, layer):
         layer = layer()
-        x = rng(2).standard_normal((3, 4, 5, 7)).astype(np.float32)
+        x = rng(2).standard_normal((4, 3, 5, 7)).astype(np.float32)
         out = layer.forward(x, train=True)
-        assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert out.flags.c_contiguous
         dx = layer.backward(np.ones(out.shape, np.float32))
-        assert dx.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert dx.shape == x.shape and dx.flags.c_contiguous
 
     def test_train_forward_keeps_block_features_channel_major(self):
         cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, compression=0.5,
@@ -443,5 +444,16 @@ class TestChannelMajorLayout:
             block.forward = record
         model.forward(rng(5).standard_normal((4, 3, 11, 40)).astype(np.float32), train=True)
         assert len(features) == len(model.blocks)
-        for out in features:
-            assert out.transpose(1, 0, 2, 3).flags.c_contiguous
+        for out, block in zip(features, model.blocks):
+            assert out.shape[:2] == (block.out_channels, 4)
+            assert out.flags.c_contiguous
+
+    @pytest.mark.parametrize("layer", [
+        lambda: Conv2d(4, 5, 3, pad=1), lambda: Conv2d(4, 5, 1), lambda: BatchNorm(4),
+        lambda: DenseBlock(4, 3, 2, bottleneck=True, rng=rng(), dtype=np.float32),
+    ], ids=["Conv2d-3x3", "Conv2d-1x1", "BatchNorm", "DenseBlock"])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_rejects_batch_major_input(self, layer, train):
+        # (N, C, H, W) with N != C: the leading axis is not the channel count
+        with pytest.raises(ShapeError):
+            layer().forward(np.zeros((3, 4, 5, 7), np.float32), train=train)

@@ -83,14 +83,14 @@ class TestBitwiseAcrossCores:
 
 
 def reference_conv(x, weight, pad):
-    """Whole-batch direct convolution: out[n,o,y,x] = sum W[o,c,i,j] xp[n,c,y+i,x+j]."""
+    """Whole-batch direct convolution: out[o,n,y,x] = sum W[o,c,i,j] xp[c,n,y+i,x+j]."""
     k = weight.shape[2]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     oh, ow = xp.shape[2] - k + 1, xp.shape[3] - k + 1
-    out = np.zeros((x.shape[0], weight.shape[0], oh, ow))
+    out = np.zeros((weight.shape[0], x.shape[1], oh, ow))
     for i in range(k):
         for j in range(k):
-            out += np.einsum("oc,nchw->nohw", weight[:, :, i, j], xp[:, :, i : i + oh, j : j + ow])
+            out += np.einsum("oc,cnhw->onhw", weight[:, :, i, j], xp[:, :, i : i + oh, j : j + ow])
     return out
 
 
@@ -103,22 +103,22 @@ def reference_conv_backward(x, weight, pad, dout):
     for i in range(k):
         for j in range(k):
             window = (slice(None), slice(None), slice(i, i + oh), slice(j, j + ow))
-            dw[:, :, i, j] = np.einsum("nohw,nchw->oc", dout, xp[window])
-            dxp[window] += np.einsum("oc,nohw->nchw", weight[:, :, i, j], dout)
+            dw[:, :, i, j] = np.einsum("onhw,cnhw->oc", dout, xp[window])
+            dxp[window] += np.einsum("oc,onhw->cnhw", weight[:, :, i, j], dout)
     return dw, dxp[:, :, pad : xp.shape[2] - pad, pad : xp.shape[3] - pad]
 
 
 def reference_batchnorm(x, gamma, beta, dout):
     """Unchunked train-mode batchnorm: output, dx, dgamma, dbeta, mean, var."""
-    axes = (0, 2, 3)
+    axes = (1, 2, 3)
     mean = x.mean(axis=axes, keepdims=True)
     var = ((x - mean) ** 2).mean(axis=axes, keepdims=True)
     xhat = (x - mean) / np.sqrt(var + layers.BN_EPSILON)
-    g = gamma.reshape(1, -1, 1, 1)
-    out = g * xhat + beta.reshape(1, -1, 1, 1)
+    g = gamma.reshape(-1, 1, 1, 1)
+    out = g * xhat + beta.reshape(-1, 1, 1, 1)
     dgamma = (dout * xhat).sum(axis=axes)
     dbeta = dout.sum(axis=axes)
-    count = x.size // x.shape[1]
+    count = x.size // x.shape[0]
     dx = g / np.sqrt(var + layers.BN_EPSILON) * (
         dout - dbeta.reshape(g.shape) / count - xhat * dgamma.reshape(g.shape) / count)
     return out, dx, dgamma, dbeta, mean.ravel(), var.ravel()
@@ -137,7 +137,7 @@ class TestFloat64Reference:
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(n * 10 + k + pad)
         conv = Conv2d(13, 7, k, pad=pad, rng=r, dtype=np.float64)
-        x = r.standard_normal((n, 13, 9, 38))
+        x = r.standard_normal((13, n, 9, 38))
         out = conv.forward(x, train=True)
         assert_close(out, reference_conv(x, conv.weight, pad))
         dout = r.standard_normal(out.shape)
@@ -147,13 +147,13 @@ class TestFloat64Reference:
         assert_close(dx, dx_ref)
 
     @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("shape", [(100, 21, 9, 38), (5, 21, 9, 38), (256, 19, 2, 9)])
+    @pytest.mark.parametrize("shape", [(21, 100, 9, 38), (21, 5, 9, 38), (19, 256, 2, 9)])
     def test_batchnorm_and_relu_match_unchunked_reference(self, monkeypatch, cores, shape):
         use_cores(monkeypatch, cores)
-        r = np.random.default_rng(shape[0])
-        bn = BatchNorm(shape[1], dtype=np.float64)
-        bn.gamma[...] = r.uniform(0.5, 1.5, shape[1])
-        bn.beta[...] = r.standard_normal(shape[1])
+        r = np.random.default_rng(shape[1])
+        bn = BatchNorm(shape[0], dtype=np.float64)
+        bn.gamma[...] = r.uniform(0.5, 1.5, shape[0])
+        bn.beta[...] = r.standard_normal(shape[0])
         x = r.standard_normal(shape) * 3 + 1
         dout = r.standard_normal(shape)
         out_ref, dx_ref, dgamma, dbeta, mean, var = reference_batchnorm(x, bn.gamma, bn.beta, dout)
@@ -171,7 +171,7 @@ class TestFloat64Reference:
     def test_items_split_the_batch_and_channels(self):
         # the shapes above do run as several items
         assert len(layers._chunks(37, layers.PANEL_FRAMES)) == 3
-        assert [c.stop - c.start for c in layers._channel_chunks((100, 21, 9, 38))] == [8, 8, 5]
+        assert [c.stop - c.start for c in layers._channel_chunks((21, 100, 9, 38))] == [8, 8, 5]
 
 
 class TestBlasGuard:

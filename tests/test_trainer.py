@@ -495,6 +495,13 @@ class TestFit:
         result = evaluate(model, val, batch_size=8)
         assert result.loss == pytest.approx(best.val_loss, rel=1e-6)
 
+    def test_non_finite_validation_loss_is_divergence(self):
+        train = small_dataset(seed=2)
+        val = FrameDataset(np.full((6, 3, 11, 40), np.nan, np.float32), np.zeros(6, np.int64))
+        model = build_model(SMALL_MODEL, seed=2)
+        with pytest.raises(DivergenceError, match="validation loss in epoch 1"):
+            fit(model, train, val, TrainConfig(batch_size=8, max_epochs=3, seed=2))
+
 
 class TestSplitValidation:
     def test_multi_utterance_split(self):
