@@ -256,7 +256,8 @@ def load_cmvn_stats(path) -> CmvnStats:
             var=np.asarray(payload["var"], dtype=np.float64),
             frame_count=int(payload["frame_count"]),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # OverflowError: int(1e400) or a huge integer; RecursionError: deep nesting
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"bad statistics file {path}: {exc}") from exc
     if stats.mean.shape != stats.var.shape:
         problem = f"mean has shape {stats.mean.shape}, var {stats.var.shape}"

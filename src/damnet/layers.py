@@ -16,23 +16,25 @@ flat arenas and a standalone layer still works.
 
 ``forward(x, train=False)`` is pure: it reads the parameters and running
 statistics, writes nothing and allocates its results, so infer-mode
-forwards may run concurrently on one layer. No infer-mode forward mixes
-frames: every product runs per image or per frame, so a frame's output
-never depends on its batch.
+forwards may run concurrently on one layer (their convolution panels
+serialize on the pool, as below). No infer-mode forward mixes frames: every
+product runs per image or per frame, so a frame's output never depends on
+its batch.
 ``forward(x, train=True)`` keeps what ``backward()`` needs in one field,
 ``_cache``, and updates batchnorm running statistics, so a
 train forward and its backward must be serialized, and backward needs a
 train-mode forward before it.
 
-Train mode splits the large primitives into work items fixed by shape: a
-convolution runs per panel of ``PANEL_FRAMES`` whole images, batchnorm and
-ReLU per chunk of at least ``CHANNEL_CHUNK`` channels. ``fan_out`` runs the
-items of one call on a pool of one thread per usable core, with numpy's
-bundled OpenBLAS held at one thread (``one_blas_thread``), or in the calling
-thread. Each item writes its own slice of the results and any partial sums
-are added in item order, so a train step run inside ``one_blas_thread``, as
-``trainer.train_epoch`` runs each, gives the same bits on any number of
-cores and under any OpenBLAS thread count.
+The large primitives run as work items fixed by shape: a convolution, in
+both modes, per panel of ``PANEL_FRAMES`` whole images, and train-mode
+batchnorm and ReLU per chunk of at least ``CHANNEL_CHUNK`` channels.
+``fan_out`` runs the items of one call on a pool of one thread per usable
+core, with numpy's bundled OpenBLAS held at one thread
+(``one_blas_thread``), or in the calling thread. Each item writes its own
+slice of the results and any partial sums are added in item order, so a
+train step run inside ``one_blas_thread``, as ``trainer.train_epoch`` runs
+each, gives the same bits on any number of cores and under any OpenBLAS
+thread count.
 
 Train mode gives every large array a fixed lifetime, so a training step
 reuses the memory of the last one instead of allocating it again:
@@ -70,7 +72,7 @@ BN_EPSILON = 1e-5
 # Running statistics update: new = BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch.
 BN_MOMENTUM = 0.9
 
-# Train-mode work items: whole images per convolution panel, and channels per
+# Work items: whole images per convolution panel, and channels per train-mode
 # batchnorm or ReLU chunk, raised until a chunk holds ITEM_ELEMENTS values, so
 # small batches do not pay for many tiny items. They depend on the shapes only.
 PANEL_FRAMES = 16
@@ -191,21 +193,23 @@ def fan_out(work, count: int) -> None:
     items not yet taken may be skipped, and the first exception is raised
     once no item runs any more.
 
-    With two or more items, two or more usable cores and numpy's bundled
-    OpenBLAS, ``min(count, cores)`` pool threads take items in turn while
-    the calling thread waits inside ``one_blas_thread``. Otherwise the items
-    run in the calling thread, and always in a pool thread: its caller may
-    hold the guard while it waits for the pool. The layers' train-mode items call
+    With two or more usable cores the items run inside ``one_blas_thread``,
+    a lone item too, so that it rounds as it would on the pool. With two or
+    more items and numpy's bundled OpenBLAS, ``min(count, cores)`` pool
+    threads take them in turn while the calling thread waits. Otherwise the
+    items run in the calling thread, and always in a pool thread: its caller
+    may hold the guard while it waits for the pool. The layers' items call
     numpy only, never a layer's public ``forward`` or ``backward``, which a
     profiler may wrap with state that is not per thread.
     """
-    workers = min(count, usable_cores()) if count > 1 else 1
-    if workers < 2 or _POOL_THREAD.inside or _openblas() is None:
-        for i in range(count):
-            work(i)
-        return
+    cores = usable_cores()
+    workers = min(count, cores)
     global _pool
-    with one_blas_thread():
+    with one_blas_thread() if cores > 1 else contextlib.nullcontext():
+        if workers < 2 or _POOL_THREAD.inside or _openblas() is None:
+            for i in range(count):
+                work(i)
+            return
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor  # kept out of import time
             _pool = ThreadPoolExecutor(os.cpu_count() or 1, thread_name_prefix="damnet",
@@ -248,16 +252,16 @@ class Conv2d:
     tap into a (k*k*C_out, columns) matrix and gets dW and dX from one GEMM
     each.
 
-    Train mode runs both directions per panel of ``PANEL_FRAMES`` whole
-    images (``fan_out``): a panel fills its images' grid, runs its own GEMMs
-    and shift-adds into its own output columns, and needs no halo. Its kept
-    outputs read only their own images, by the argument above; in backward,
+    Forward, in both modes, and backward run per panel of ``PANEL_FRAMES``
+    whole images (``fan_out``): a panel fills its images' grid, runs its own
+    GEMMs and shift-adds into its own output columns, and needs no halo. Its
+    kept outputs read only their own images, by the argument above; in backward,
     a shifted ``dout`` column before a panel's first would read the previous
     image's last rows and columns, which are cropped outputs and so zero.
     Each panel writes its dX columns and a dW partial, and the partials are
     summed in panel order. BLAS rounds a GEMM's columns differently by their
-    position in it, so infer mode runs one GEMM per image, on strided
-    (C_in, Hp*Wp) views of the grid, and no frame's infer output depends on
+    position in it, so an infer panel runs one GEMM per image, on strided
+    (C_in, Hp*Wp) views of its grid, and no frame's infer output depends on
     the rest of its batch. The output is a crop of a C-contiguous
     (C_out, N, Hp, Wp) array; a 1x1 conv's is contiguous.
     """
@@ -312,34 +316,32 @@ class Conv2d:
             # only the interior is ever written, so the border stays zero
             grid = self._cache = step_state(self._cache, (c, n, hp, wp), x.dtype, alloc=np.zeros)
             out = scratch("pair", (co, n, hp, wp), dtype)
-            flat_grid, flat_out, image = grid.reshape(c, -1), out.reshape(co, -1), hp * wp
-            panels = _chunks(n, PANEL_FRAMES)
+        else:
+            # an unpadded grid would be a copy of the input, which infer only reads
+            grid = np.zeros((c, n, hp, wp), dtype=x.dtype) if p else x
+            out = np.empty((co, n, hp, wp), dtype=dtype)
+        flat_out, image = out.reshape(co, -1), hp * wp
+        panels = _chunks(n, PANEL_FRAMES)
 
-            def panel(i):
-                frames = panels[i]
+        def panel(i):
+            frames = panels[i]
+            if grid is not x:
                 grid[:, frames, p : p + h, p : p + w] = x[:, frames]
-                columns = slice(frames.start * image, frames.stop * image)
-                if k == 1:
-                    np.matmul(matrix, flat_grid[:, columns], out=flat_out[:, columns])
-                    return
-                per_tap = scratch("taps", (k * k * co, columns.stop - columns.start), dtype)
-                np.matmul(matrix, flat_grid[:, columns], out=per_tap)
+            columns = slice(frames.start * image, frames.stop * image)
+            taps = (k * k * co, columns.stop - columns.start)
+            if k == 1:
+                per_tap = flat_out[:, columns]
+            else:
+                per_tap = scratch("taps", taps, dtype) if train else np.empty(taps, dtype)
+            if train:
+                np.matmul(matrix, grid.reshape(c, -1)[:, columns], out=per_tap)
+            else:  # one GEMM per image
+                np.matmul(matrix, grid[:, frames].reshape(c, -1, image).transpose(1, 0, 2),
+                          out=per_tap.reshape(k * k * co, -1, image).transpose(1, 0, 2))
+            if k > 1:
                 self._shift_add(per_tap, flat_out[:, columns], shifts)
 
-            fan_out(panel, len(panels))
-        else:
-            if p:
-                grid = np.zeros((c, n, hp, wp), dtype=x.dtype)
-                grid[:, :, p : p + h, p : p + w] = x
-            else:
-                grid = np.ascontiguousarray(x)
-            per_tap = np.empty((k * k * co, n * hp * wp), dtype=dtype)
-            np.matmul(matrix, grid.reshape(c, n, -1).transpose(1, 0, 2),
-                      out=per_tap.reshape(k * k * co, n, -1).transpose(1, 0, 2))
-            out = per_tap
-            if k > 1:
-                out = np.empty((co, n * hp * wp), dtype=dtype)
-                self._shift_add(per_tap, out, shifts)
+        fan_out(panel, len(panels))
         return out.reshape(co, n, hp, wp)[:, :, :oh, :ow]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

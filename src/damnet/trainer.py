@@ -16,7 +16,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, DivergenceError, ShapeError
 from .features import UtteranceFeatures, apply_cmvn, splice_context
-from .layers import fan_out, one_blas_thread, softmax_cross_entropy, usable_cores
+from .layers import fan_out, one_blas_thread, softmax_cross_entropy
 from .model import Model
 
 # Frames per evaluation shard. Infer forwards are per image, so neither this
@@ -260,8 +260,6 @@ class EvalResult:
 def _infer_logits(model: Model, batch: np.ndarray) -> np.ndarray:
     """One batch's infer logits, sharded as ``evaluate`` describes."""
     starts = range(0, len(batch), SHARD_FRAMES)
-    if len(starts) < 2 or usable_cores() < 2:
-        return model.forward(batch, train=False)
     shards = [None] * len(starts)
 
     def shard(i):
@@ -276,7 +274,8 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
     whole-batch forwards. Batches run as SHARD_FRAMES-frame shards on the pool
     that training uses, one thread per usable core, with OpenBLAS at one thread
     (``layers.fan_out``; concurrent calls and training steps serialize on this);
-    on one core or without numpy's bundled OpenBLAS, they run serially."""
+    on one core or without numpy's bundled OpenBLAS, the shards run in turn in
+    the calling thread."""
     if len(data) == 0:
         raise DataError("empty evaluation data")
     num_classes = model.config.num_classes

@@ -232,17 +232,22 @@ class TestFeaturize:
         assert "lost" in err
 
 
+def stats_text(mean, var):
+    return json.dumps({"frame_count": 10, "mean": mean.tolist(), "var": var.tolist()})
+
+
 MALFORMED_STATS = {
-    "nan-mean": (np.full((3, 40), np.nan), np.ones((3, 40))),
-    "zero-var": (np.zeros((3, 40)), np.linspace(0.0, 1.0, 120).reshape(3, 40)),
-    "shape": (np.zeros((3, 40)), np.ones(40)),
+    "nan-mean": stats_text(np.full((3, 40), np.nan), np.ones((3, 40))),
+    "zero-var": stats_text(np.zeros((3, 40)), np.linspace(0.0, 1.0, 120).reshape(3, 40)),
+    "shape": stats_text(np.zeros((3, 40)), np.ones(40)),
+    "frame-count-overflow": '{"frame_count": 1e400, "mean": [0.0], "var": [1.0]}',
+    "mean-overflow": '{"frame_count": 10, "mean": [1' + "0" * 400 + '], "var": [1.0]}',
+    "deep-nesting": '{"frame_count": 10, "mean": ' + "[" * 3000 + "]" * 3000 + ', "var": [1.0]}',
 }
 
 
 def write_stats(path, name):
-    mean, var = MALFORMED_STATS[name]
-    path.write_text(json.dumps({"frame_count": 10, "mean": mean.tolist(),
-                                "var": var.tolist()}))
+    path.write_text(MALFORMED_STATS[name])
     return path
 
 

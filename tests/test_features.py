@@ -20,12 +20,14 @@ from damnet.features import (
     featurize_manifest,
     featurize_utterance,
     frame_count,
+    load_cmvn_stats,
     mel_filter_edges,
     mel_filterbank,
     parse_manifest,
     read_archive,
     read_label_file,
     read_wav,
+    save_cmvn_stats,
     splice_context,
     write_archive,
 )
@@ -220,6 +222,35 @@ class TestCmvn:
     def test_empty_corpus(self):
         with pytest.raises(DataError):
             compute_cmvn_stats([])
+
+    @pytest.mark.parametrize("text", [
+        '{"frame_count": 1e400, "mean": [0.0], "var": [1.0]}',
+        '{"frame_count": 2, "mean": [1' + "0" * 400 + '], "var": [1.0]}',
+        '{"frame_count": 2, "mean": ' + "[" * 3000 + "]" * 3000 + ', "var": [1.0]}',
+    ], ids=["frame-count-overflow", "mean-overflow", "deep-nesting"])
+    def test_malformed_stats_file(self, tmp_path, text):
+        path = tmp_path / "stats.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="stats.json"):
+            load_cmvn_stats(path)
+
+    def test_stats_file_corruption_fuzz(self, tmp_path):
+        """One-byte flips and cuts: a corrupted stats file either loads or
+        fails with FormatError."""
+        path = tmp_path / "stats.json"
+        save_cmvn_stats(compute_cmvn_stats([make_utterance(1, frames=6)]), path,
+                        FilterbankConfig())
+        data = path.read_bytes()
+        r = rng(6)
+        corrupted = [data[:cut] for cut in r.integers(0, len(data), 200)]
+        for position, mask in zip(r.integers(0, len(data), 1200), r.integers(1, 256, 1200)):
+            flipped = bytearray(data)
+            flipped[position] ^= mask
+            corrupted.append(bytes(flipped))
+        for case in corrupted:
+            path.write_bytes(case)
+            with contextlib.suppress(FormatError):
+                load_cmvn_stats(path)
 
 
 class TestSplice:

@@ -1,8 +1,10 @@
-"""Train-mode work items on the shared pool: convolution panels of whole
-images, batchnorm and ReLU channel chunks, and the OpenBLAS guard.
+"""Work items on the shared pool: convolution panels of whole images in
+both modes, train-mode batchnorm and ReLU channel chunks, and the OpenBLAS
+guard.
 
-Items are fixed by shape, so results must be bitwise the same with one
-worker or two and under any OpenBLAS thread count.
+Items are fixed by shape, so training results must be bitwise the same with
+one worker or two and under any OpenBLAS thread count, and a frame's infer
+logits must not depend on its batch.
 """
 
 import hashlib
@@ -25,6 +27,10 @@ PLAIN = DenseNetConfig(variant="plain", depth=7, growth_rate=6, compression=1.0,
                        num_classes=9, first_conv_channels=8)
 BC = DenseNetConfig(variant="BC", depth=10, growth_rate=6, compression=0.5,
                     num_classes=9, first_conv_channels=10)
+# 64 -> 48 channel 1x1 bottlenecks, a size whose float64 GEMMs OpenBLAS can
+# round differently on one thread and on several
+WIDE_BC = DenseNetConfig(variant="BC", depth=8, blocks=1, growth_rate=12, compression=0.5,
+                         num_classes=9, first_conv_channels=64)
 
 
 @pytest.fixture
@@ -130,16 +136,19 @@ def assert_close(got, want, rtol=1e-12):
 
 
 class TestFloat64Reference:
-    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("cores,train", [(1, True), (2, True), (1, False), (2, False)],
+                             ids=["1", "2", "1-infer", "2-infer"])
     @pytest.mark.parametrize("n", [5, 37])
     @pytest.mark.parametrize("k,pad", [(3, 1), (3, 0), (1, 0)])
-    def test_conv_matches_whole_batch_reference(self, monkeypatch, cores, n, k, pad):
+    def test_conv_matches_whole_batch_reference(self, monkeypatch, cores, train, n, k, pad):
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(n * 10 + k + pad)
         conv = Conv2d(13, 7, k, pad=pad, rng=r, dtype=np.float64)
         x = r.standard_normal((13, n, 9, 38))
-        out = conv.forward(x, train=True)
+        out = conv.forward(x, train=train)
         assert_close(out, reference_conv(x, conv.weight, pad))
+        if not train:
+            return
         dout = r.standard_normal(out.shape)
         dx = conv.backward(dout)
         dw, dx_ref = reference_conv_backward(x, conv.weight, pad, dout)
@@ -172,6 +181,22 @@ class TestFloat64Reference:
         # the shapes above do run as several items
         assert len(layers._chunks(37, layers.PANEL_FRAMES)) == 3
         assert [c.stop - c.start for c in layers._channel_chunks((21, 100, 9, 38))] == [8, 8, 5]
+
+
+class TestInferPerFrame:
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("config", [PLAIN, BC, WIDE_BC], ids=["plain", "BC", "wide-BC"])
+    def test_logits_do_not_depend_on_the_batch(self, monkeypatch, config, dtype, cores):
+        # rows at the start and end of the first panel, the second panel's
+        # first row and the last row of a short third panel
+        use_cores(monkeypatch, cores)
+        model = build_model(config, seed=2, dtype=dtype)
+        x = frames(37, config.num_classes, seed=3, dtype=dtype)[0]
+        logits = model.forward(x, train=False)
+        for row in (0, 15, 16, 36):
+            single = model.forward(x[row : row + 1], train=False)
+            np.testing.assert_array_equal(logits[row : row + 1], single)
 
 
 class TestBlasGuard:

@@ -433,7 +433,7 @@ class TestShardedEvaluate:
         assert losses == [expected] * (3 * workers)
         assert blas_threads() == 2
 
-    def test_one_core_runs_whole_batches_without_blas(self, c13_model, monkeypatch):
+    def test_one_core_runs_shards_inline_without_blas(self, c13_model, monkeypatch):
         def no_lookup():
             raise AssertionError("OpenBLAS looked up on one core")
 
@@ -447,7 +447,7 @@ class TestShardedEvaluate:
 
         monkeypatch.setattr(c13_model, "forward", forward)
         evaluate(c13_model, random_frames(257), batch_size=256)
-        assert sizes == [256, 1]
+        assert sizes == [64, 64, 64, 64, 1]
 
 
 class TestLossDecreaseSanity:
