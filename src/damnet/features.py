@@ -245,12 +245,27 @@ def save_cmvn_stats(stats: CmvnStats, path, filterbank: FilterbankConfig | None 
         payload["filterbank"] = {**asdict(filterbank),
                                  "high_freq": filterbank.resolved_high_freq}
     with atomic_write(path) as handle:
-        handle.write((json.dumps(payload, sort_keys=True, indent=2) + "\n").encode())
+        handle.write(_stats_text(payload).encode())
+
+
+def _canonical_json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _stats_text(payload: dict) -> str:
+    """A statistics file: ``payload`` as canonical JSON plus a ``crc32`` key,
+    the CRC32 of the canonical JSON of the payload without it."""
+    crc = zlib.crc32(_canonical_json(payload).encode())
+    return _canonical_json({**payload, "crc32": crc}) + "\n"
 
 
 def load_cmvn_stats(path) -> CmvnStats:
     try:
         payload = json.loads(Path(path).read_text())
+        crc = payload["crc32"]  # TypeError if the file holds no JSON object
+        del payload["crc32"]
+        if crc != zlib.crc32(_canonical_json(payload).encode()):
+            raise FormatError(f"bad statistics file {path}: CRC mismatch")
         stats = CmvnStats(
             mean=np.asarray(payload["mean"], dtype=np.float64),
             var=np.asarray(payload["var"], dtype=np.float64),

@@ -44,14 +44,18 @@ reuses the memory of the last one instead of allocating it again:
   ``_cache``. It is reused while the shape and dtype repeat, and
   replaced when they change, as on an epoch's last partial batch. A layer
   copies what it keeps, except ``Linear``, which keeps its small input.
+  A dense block keeps one normalized copy of its features, which its
+  units' ``bn1`` keep views of, and a ReLU run inside a conv keeps no mask:
+  the conv's grid holds the ReLU output. For plain-22 at batch 256 the step
+  state is about 360 MiB.
 - *Scratch* holds everything else: a train-mode result of ``forward`` or
   ``backward`` (apart from the small global-pool and linear outputs) is a
   view into per-thread buffers (``scratch``), valid until the next
   train-mode call in the same thread. A caller that keeps one across train
   calls must copy it. The buffers live as long as their thread does (about
-  110 MB in the calling thread for plain-22 at batch 256, plus a
-  panel-sized 4 MB in each pool thread) and are shared by every model that
-  trains in it.
+  110 MiB in the calling thread for plain-22 at batch 256, plus about 9 MiB
+  of panel- and chunk-sized buffers in each pool thread) and are shared by
+  every model that trains in it.
 """
 
 from __future__ import annotations
@@ -109,12 +113,14 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     """This thread's scratch buffer ``name`` seen as a C-order ``shape`` array
     of ``dtype``; it grows when a request does not fit.
 
-    The buffers hold bytes, so one serves every dtype. Train mode uses four:
+    The buffers hold bytes, so one serves every dtype. Train mode uses
     ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
-    the pool's row sums), ``"partials"`` (a conv's per-panel weight
-    gradients), ``"block"`` (a dense block's features, then their gradient)
-    and ``"pair"``, which names two buffers handed out in turn. A layer's pair
-    result thus never overwrites the pair array it was given.
+    the pool's row sums), ``"act"`` (a conv panel's batchnorm and ReLU
+    output), ``"partials"`` (a conv's per-panel weight gradients),
+    ``"chunk"`` and ``"mask"`` (a channel chunk's terms of a shared
+    batchnorm's backward), ``"block"`` (a dense block's features, then their
+    gradient) and ``"pair"``, which names two buffers handed out in turn. A
+    layer's pair result thus never overwrites the pair array it was given.
     """
     state = _SCRATCH
     if name == "pair":
@@ -264,6 +270,11 @@ class Conv2d:
     (C_in, Hp*Wp) views of its grid, and no frame's infer output depends on
     the rest of its batch. The output is a crop of a C-contiguous
     (C_out, N, Hp, Wp) array; a 1x1 conv's is contiguous.
+
+    Given a per-channel ``scale`` and ``shift``, a panel fills its grid with
+    ``max(x * scale + shift, 0)``: a batchnorm and ReLU before the conv, run
+    while the panel's images are in cache (an unpadded infer grid is filled
+    whole, before the panels). The ReLU's mask is then ``kept_input() > 0``.
     """
 
     PARAMS = ("weight",)
@@ -302,7 +313,7 @@ class Conv2d:
         for t, shift in enumerate(shifts[1:], 1):
             out[:, :span] += per_tap[t * co : (t + 1) * co, shift : shift + span]
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, scale=None, shift=None) -> np.ndarray:
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ShapeError(f"conv2d expects ({self.in_channels}, N, H, W), got {x.shape}")
         (c, n, h, w), k, p, co = x.shape, self.kernel_size, self.pad, self.out_channels
@@ -317,16 +328,33 @@ class Conv2d:
             grid = self._cache = step_state(self._cache, (c, n, hp, wp), x.dtype, alloc=np.zeros)
             out = scratch("pair", (co, n, hp, wp), dtype)
         else:
+            if scale is not None and not p:
+                # an unpadded grid is filled whole: a panel's rows of a channel
+                # are short, and per panel the fill took 2.5 times as long at
+                # 200 channels, 64 frames and 4x19 on one core
+                x = x * _per_channel(scale)
+                x += _per_channel(shift)
+                np.maximum(x, 0, out=x)
+                scale = None
             # an unpadded grid would be a copy of the input, which infer only reads
-            grid = np.zeros((c, n, hp, wp), dtype=x.dtype) if p else x
+            grid = x if not p and scale is None else np.zeros((c, n, hp, wp), dtype=x.dtype)
             out = np.empty((co, n, hp, wp), dtype=dtype)
         flat_out, image = out.reshape(co, -1), hp * wp
         panels = _chunks(n, PANEL_FRAMES)
 
         def panel(i):
             frames = panels[i]
-            if grid is not x:
-                grid[:, frames, p : p + h, p : p + w] = x[:, frames]
+            interior = grid[:, frames, p : p + h, p : p + w]
+            if scale is not None:
+                # a per-channel broadcast over a strided interior is slow
+                shape = (c, frames.stop - frames.start, h, w)
+                act = (interior if not p else scratch("act", shape, grid.dtype) if train
+                       else np.empty(shape, grid.dtype))
+                np.multiply(x[:, frames], _per_channel(scale), out=act)
+                act += _per_channel(shift)
+                np.maximum(act, 0, out=interior)
+            elif grid is not x:
+                interior[...] = x[:, frames]
             columns = slice(frames.start * image, frames.stop * image)
             taps = (k * k * co, columns.stop - columns.start)
             if k == 1:
@@ -343,6 +371,11 @@ class Conv2d:
 
         fan_out(panel, len(panels))
         return out.reshape(co, n, hp, wp)[:, :, :oh, :ow]
+
+    def kept_input(self) -> np.ndarray:
+        """The last train forward's input, as its grid holds it."""
+        (_, _, hp, wp), p = self._cache.shape, self.pad
+        return self._cache[:, :, p : hp - p, p : wp - p]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         grid = self._cache
@@ -387,15 +420,54 @@ class Conv2d:
         return dgrid[:, :, p : hp - p, p : wp - p]
 
 
+def _per_channel(arr):
+    return arr.reshape(-1, 1, 1, 1)
+
+
+def normalize(x: np.ndarray, xhat: np.ndarray):
+    """Batch statistics of a (C, N, H, W) chunk over (N, H, W): writes
+    ``xhat = (x - mean) * inv`` with ``inv = 1 / sqrt(var + eps)`` and
+    returns (mean, var, inv)."""
+    count = x[0].size
+    if count < 2:
+        raise DataError(f"degenerate batch: {count} sample per channel, need >= 2")
+    mean = np.einsum("cnhw->c", x) / count
+    centred = np.subtract(x, _per_channel(mean), out=xhat)
+    # centred second moment: no cancellation from E[x^2] - E[x]^2
+    var = np.einsum("cnhw,cnhw->c", centred, centred) / count
+    inv = 1.0 / np.sqrt(var + BN_EPSILON)
+    centred *= _per_channel(inv)
+    return mean, var, inv
+
+
+def project(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, sums: np.ndarray) -> None:
+    """Subtract ``inv * (mean(D) + xhat * mean(D * xhat))`` from ``dx``, the
+    mean terms of batchnorm's input gradient ``inv * (D - mean(D) - xhat *
+    mean(D * xhat))``, given ``sums`` of D and D * xhat per channel."""
+    means = inv * sums / xhat[0].size
+    chunks = _channel_chunks(dx.shape)
+
+    def chunk(i):
+        ch = chunks[i]
+        part = np.multiply(xhat[ch], _per_channel(means[1, ch]),
+                           out=scratch("chunk", xhat[ch].shape, dx.dtype))
+        part += _per_channel(means[0, ch])
+        dx[ch] -= part
+
+    fan_out(chunk, len(chunks))
+
+
 class BatchNorm:
     """Per-channel batch normalization with running statistics.
 
     Train mode normalizes with batch statistics over (batch, height,
-    width), updates the running estimates in place and keeps the
-    normalized input for backward. Each chunk of channels (``fan_out``)
-    does all of this for its own channels, as no channel reads another's.
+    width), each chunk of channels (``fan_out``) its own channels, as no
+    channel reads another's, then updates the running estimates in place
+    and keeps the normalized input for backward (``keep_batch``).
     Infer mode folds the running estimates into one per-channel
-    ``x * scale + shift`` and writes nothing.
+    ``x * scale + shift`` (``folded``) and writes nothing.
+
+    A dense unit's ``bn1`` does not run ``forward`` (see ``DenseBlock``).
     """
 
     PARAMS = ("gamma", "beta")
@@ -411,9 +483,17 @@ class BatchNorm:
         self.grad_beta = np.zeros(num_channels, dtype=dtype)
         self._cache = None
 
-    @staticmethod
-    def _per_channel(arr):
-        return arr.reshape(-1, 1, 1, 1)
+    def folded(self):
+        """Infer mode's per-channel (scale, shift)."""
+        scale = self.gamma / np.sqrt(self.running_var + BN_EPSILON)
+        return scale, self.beta - self.running_mean * scale
+
+    def keep_batch(self, xhat, mean, var, inv):
+        """Fold a train batch's statistics into the running estimates, and
+        keep its ``xhat`` and ``inv`` (see ``normalize``) for backward."""
+        self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
+        self.running_var[...] = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
+        self._cache = (xhat, inv)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.ndim != 4 or x.shape[0] != self.num_channels:
@@ -421,36 +501,23 @@ class BatchNorm:
                 f"batchnorm expects ({self.num_channels}, N, H, W), got {x.shape}"
             )
         if not train:
-            scale = self.gamma / np.sqrt(self.running_var + BN_EPSILON)
-            out = x * self._per_channel(scale)
-            out += self._per_channel(self.beta - self.running_mean * scale)
+            scale, shift = self.folded()
+            out = x * _per_channel(scale)
+            out += _per_channel(shift)
             return out
-        samples_per_channel = x[0].size
-        if samples_per_channel < 2:
-            raise DataError(
-                f"degenerate batch: {samples_per_channel} sample per channel, need >= 2"
-            )
-        kept = self._cache[0] if self._cache else None
-        xhat = step_state(kept, x.shape, x.dtype)
-        inv = np.empty(self.num_channels, dtype=x.dtype)
+        xhat = step_state(self._cache[0] if self._cache else None, x.shape, x.dtype)
+        stats = np.empty((3, self.num_channels), dtype=x.dtype)  # mean, var, inv
         out = scratch("pair", x.shape, np.result_type(xhat, self.gamma))
         chunks = _channel_chunks(x.shape)
 
         def chunk(i):
             ch = chunks[i]
-            mean = np.einsum("cnhw->c", x[ch]) / samples_per_channel
-            centred = np.subtract(x[ch], self._per_channel(mean), out=xhat[ch])
-            # centred second moment: no cancellation from E[x^2] - E[x]^2
-            var = np.einsum("cnhw,cnhw->c", centred, centred) / samples_per_channel
-            self.running_mean[ch] = BN_MOMENTUM * self.running_mean[ch] + (1.0 - BN_MOMENTUM) * mean
-            self.running_var[ch] = BN_MOMENTUM * self.running_var[ch] + (1.0 - BN_MOMENTUM) * var
-            inv[ch] = 1.0 / np.sqrt(var + BN_EPSILON)
-            centred *= self._per_channel(inv[ch])
-            np.multiply(centred, self._per_channel(self.gamma[ch]), out=out[ch])
-            out[ch] += self._per_channel(self.beta[ch])
+            stats[:, ch] = normalize(x[ch], xhat[ch])
+            np.multiply(xhat[ch], _per_channel(self.gamma[ch]), out=out[ch])
+            out[ch] += _per_channel(self.beta[ch])
 
         fan_out(chunk, len(chunks))
-        self._cache = (xhat, inv)
+        self.keep_batch(xhat, *stats)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -465,13 +532,34 @@ class BatchNorm:
             grad_gamma[...] = np.einsum("cnhw,cnhw->c", dout[ch], xhat[ch])
             self.grad_beta[ch] = np.einsum("cnhw->c", dout[ch])
             # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
-            part = np.multiply(xhat[ch], self._per_channel(-grad_gamma / count), out=dx[ch])
+            part = np.multiply(xhat[ch], _per_channel(-grad_gamma / count), out=dx[ch])
             part += dout[ch]
-            part -= self._per_channel(self.grad_beta[ch] / count)
-            part *= self._per_channel(self.gamma[ch] * inv[ch])
+            part -= _per_channel(self.grad_beta[ch] / count)
+            part *= _per_channel(self.gamma[ch] * inv[ch])
 
         fan_out(chunk, len(chunks))
         return dx
+
+    def backward_relu(self, dout: np.ndarray, relu_out: np.ndarray, dx: np.ndarray) -> None:
+        """Backward through this batchnorm and the ReLU whose output is
+        ``relu_out``, from its output gradient ``dout``, with the mean terms
+        left to ``project``: sets the parameter gradients and adds
+        ``gamma * inv * dh`` into ``dx``."""
+        xhat, inv = self._cache
+        chunks = _channel_chunks(dout.shape)
+
+        def chunk(i):
+            ch = chunks[i]
+            # copied first: a strided array times a bool one is slow
+            dh = scratch("chunk", xhat[ch].shape, dout.dtype)
+            dh[...] = dout[ch]
+            dh *= np.greater(relu_out[ch], 0, out=scratch("mask", dh.shape, bool))
+            self.grad_gamma[ch] = np.einsum("cnhw,cnhw->c", dh, xhat[ch])
+            self.grad_beta[ch] = np.einsum("cnhw->c", dh)
+            dh *= _per_channel(self.gamma[ch] * inv[ch])
+            dx[ch] += dh
+
+        fan_out(chunk, len(chunks))
 
 
 class ReLU:

@@ -6,6 +6,8 @@ run in order forward and in reverse backward: a pre-activation BN -> ReLU,
 then the convolutions of a unit, the pool and 1x1 conv of a transition, or
 the global pool and fc layer of the classifier. A chain's keywords name its
 tensors, as in ``transition1.conv.weight``, and so fix the checkpoint layout.
+A dense unit's first BN -> ReLU runs inside its first conv instead
+(``DenseUnit``).
 
 ``Model.forward`` takes (N, C, H, W) frames and every stage passes on
 channel-major (C, N, H, W) activations (see ``layers``): ``forward`` hands
@@ -39,7 +41,12 @@ from .layers import (
     GlobalAvgPool,
     Linear,
     ReLU,
+    _channel_chunks,
+    fan_out,
+    normalize,
+    project,
     scratch,
+    step_state,
 )
 
 
@@ -92,22 +99,46 @@ class Chain:
         return dout
 
 
-def dense_unit(in_channels: int, growth_rate: int, bottleneck: bool, rng, dtype) -> Chain:
+class DenseUnit(Chain):
     """One dense-block layer: BN -> ReLU -> 3x3 conv (pad 1) producing
     growth_rate maps, preceded in the BC variant by BN -> ReLU -> 1x1
-    conv producing 4 * growth_rate maps."""
-    layers = {"bn1": BatchNorm(in_channels, dtype=dtype), "relu1": ReLU()}
-    width = in_channels
-    if bottleneck:
-        width = BOTTLENECK_FACTOR * growth_rate
-        layers.update(conv1x1=Conv2d(in_channels, width, 1, rng=rng, dtype=dtype),
-                      bn2=BatchNorm(width, dtype=dtype), relu2=ReLU())
-    return Chain(**layers, conv3x3=Conv2d(width, growth_rate, 3, pad=1, rng=rng, dtype=dtype))
+    conv producing 4 * growth_rate maps.
+
+    ``bn1`` is not in the chain: the first conv applies its scale and shift
+    and the ReLU, in train mode to the input as the block normalized it
+    (``DenseBlock``), in infer mode to the raw input with the running
+    statistics folded in. ``backward`` stops at the ReLU output.
+    """
+
+    def __init__(self, in_channels: int, growth_rate: int, bottleneck: bool, rng, dtype):
+        self.bn1 = BatchNorm(in_channels, dtype=dtype)  # first, for the checkpoint's order
+        layers, width = {}, in_channels
+        if bottleneck:
+            width = BOTTLENECK_FACTOR * growth_rate
+            layers.update(conv1x1=Conv2d(in_channels, width, 1, rng=rng, dtype=dtype),
+                          bn2=BatchNorm(width, dtype=dtype), relu2=ReLU())
+        super().__init__(**layers, conv3x3=Conv2d(width, growth_rate, 3, pad=1, rng=rng,
+                                                  dtype=dtype))
+
+    def forward(self, x, train=False):
+        bn, (first, *rest) = self.bn1, self._order
+        x = first.forward(x, train, *((bn.gamma, bn.beta) if train else bn.folded()))
+        for layer in rest:
+            x = layer.forward(x, train)
+        return x
 
 
 class DenseBlock:
     """Dense units with full concatenation wiring over one feature buffer;
-    unit n reads the first ``widths[n-1]`` channels."""
+    unit n reads the first ``widths[n-1]`` channels.
+
+    A channel's batch statistics are the same for every unit that reads it,
+    so in train mode the block normalizes each slab of channels once, before
+    the first unit that reads it, into one ``xhat`` that every unit's bn1
+    keeps a view of. In backward each bn1 adds ``gamma * inv * dh`` to the
+    input gradient; once every unit that reads a slab has run, the slab's
+    batchnorm mean terms are subtracted for all of them at once.
+    """
 
     def __init__(self, in_channels: int, growth_rate: int, num_units: int,
                  bottleneck: bool, rng, dtype):
@@ -115,8 +146,9 @@ class DenseBlock:
         self.growth_rate = growth_rate
         self.widths = tuple(block_input_channels(in_channels, growth_rate, n)
                             for n in range(1, num_units + 1))
-        self.units = [dense_unit(width, growth_rate, bottleneck, rng, dtype)
+        self.units = [DenseUnit(width, growth_rate, bottleneck, rng, dtype)
                       for width in self.widths]
+        self._cache = None
 
     @property
     def out_channels(self) -> int:
@@ -126,21 +158,45 @@ class DenseBlock:
         # a unit reading the block input and k prior outputs has k + 1 sources
         return sum(1 + (width - self.in_channels) // self.growth_rate for width in self.widths)
 
+    def _slabs(self):
+        """(start, width, unit), the unit the first to read channels start..width"""
+        return zip((0, *self.widths[:-1]), self.widths, self.units)
+
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ShapeError(f"dense block expects ({self.in_channels}, N, H, W), got {x.shape}")
         shape = (self.out_channels, *x.shape[1:])
         features = scratch("block", shape, x.dtype) if train else np.empty(shape, x.dtype)
         features[: self.in_channels] = x
-        for width, unit in zip(self.widths, self.units):
-            features[width : width + self.growth_rate] = unit.forward(features[:width], train)
+        if train:
+            read = (self.widths[-1], *x.shape[1:])
+            xhat = step_state(self._cache[0] if self._cache else None, read, x.dtype)
+            stats = np.empty((3, read[0]), x.dtype)  # mean, var, inv
+            self._cache = (xhat, stats[2])
+        for start, width, unit in self._slabs():
+            if train:
+                chunks = [slice(start + c.start, start + c.stop)
+                          for c in _channel_chunks(features[start:width].shape)]
+
+                def chunk(i):
+                    stats[:, chunks[i]] = normalize(features[chunks[i]], xhat[chunks[i]])
+
+                fan_out(chunk, len(chunks))
+                unit.bn1.keep_batch(xhat[:width], *stats[:, :width])
+            source = xhat if train else features
+            features[width : width + self.growth_rate] = unit.forward(source[:width], train)
         return features
 
     def backward(self, dout):
+        xhat, inv = self._cache
         grad = scratch("block", dout.shape, dout.dtype)
         grad[...] = dout
-        for width, unit in zip(reversed(self.widths), reversed(self.units)):
-            grad[:width] += unit.backward(grad[width : width + self.growth_rate])
+        sums = np.zeros((2, len(inv)), inv.dtype)  # of gamma * grad_beta, gamma * grad_gamma
+        for start, width, unit in reversed(list(self._slabs())):
+            bn, d = unit.bn1, unit.backward(grad[width : width + self.growth_rate])
+            bn.backward_relu(d, unit._order[0].kept_input(), grad[:width])
+            sums[:, :width] += bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma))
+            project(grad[start:width], xhat[start:width], inv[start:width], sums[:, start:width])
         return grad[: self.in_channels]
 
 

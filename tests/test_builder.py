@@ -399,6 +399,31 @@ class TestModel:
             assert value is after_step[key], key
 
 
+    def test_blocks_keep_one_normalization_and_units_no_relu_mask(self):
+        from damnet.layers import softmax_cross_entropy
+
+        cfg = DenseNetConfig(variant="plain", depth=13, blocks=3, growth_rate=4,
+                             num_classes=5, first_conv_channels=8)
+        model = build_model(cfg, seed=0)
+        x = rng(6).standard_normal((4, 3, 11, 40)).astype(np.float32)
+        model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(4))[1])
+        state = backward_state(model)
+        for name, block in model.stages():
+            if not isinstance(block, DenseBlock):
+                continue
+            xhat, inv = state[(name, "_cache")]
+            assert xhat.shape[0] == inv.shape[0] == block.widths[-1]
+            in_units = {path: value for (path, _), value in state.items()
+                        if path.startswith(f"{name}.units.")}
+            # a unit keeps its conv grids and views of the block's xhat, no ReLU mask
+            assert not [path for path in in_units if ".relu" in path]
+            for path, value in in_units.items():
+                if ".bn1." in path:
+                    assert value[0].base is not None and np.shares_memory(value[0], xhat), path
+                else:
+                    assert ".conv3x3." in path, path
+
+
 class TestParameterArena:
     def test_named_views_share_the_arenas(self):
         cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,

@@ -232,17 +232,24 @@ class TestFeaturize:
         assert "lost" in err
 
 
-def stats_text(mean, var):
-    return json.dumps({"frame_count": 10, "mean": mean.tolist(), "var": var.tolist()})
+def stats_text(frame_count, mean, var):
+    """A statistics file with a valid CRC32: canonical JSON plus a ``crc32``
+    key over the canonical JSON of the rest."""
+    payload = {"frame_count": frame_count, "mean": mean, "var": var}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps({**payload, "crc32": zlib.crc32(canonical.encode())},
+                      sort_keys=True, separators=(",", ":"))
 
 
 MALFORMED_STATS = {
-    "nan-mean": stats_text(np.full((3, 40), np.nan), np.ones((3, 40))),
-    "zero-var": stats_text(np.zeros((3, 40)), np.linspace(0.0, 1.0, 120).reshape(3, 40)),
-    "shape": stats_text(np.zeros((3, 40)), np.ones(40)),
-    "frame-count-overflow": '{"frame_count": 1e400, "mean": [0.0], "var": [1.0]}',
-    "mean-overflow": '{"frame_count": 10, "mean": [1' + "0" * 400 + '], "var": [1.0]}',
+    "nan-mean": stats_text(10, np.full((3, 40), np.nan).tolist(), np.ones((3, 40)).tolist()),
+    "zero-var": stats_text(10, np.zeros((3, 40)).tolist(),
+                           np.linspace(0.0, 1.0, 120).reshape(3, 40).tolist()),
+    "shape": stats_text(10, np.zeros((3, 40)).tolist(), np.ones(40).tolist()),
+    "frame-count-overflow": stats_text(float("inf"), [0.0], [1.0]),
+    "mean-overflow": stats_text(10, [10**400], [1.0]),
     "deep-nesting": '{"frame_count": 10, "mean": ' + "[" * 3000 + "]" * 3000 + ', "var": [1.0]}',
+    "no-crc": '{"frame_count": 10, "mean": [0.0], "var": [1.0]}',
 }
 
 

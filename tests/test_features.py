@@ -1,5 +1,8 @@
 import contextlib
+import functools
+import json
 import wave
+import zlib
 
 import numpy as np
 import pytest
@@ -173,6 +176,15 @@ def make_utterance(seed, frames=10, channels=3, bins=8, labels=True, utt_id=None
     )
 
 
+def with_crc(text):
+    """The JSON object ``text`` as a statistics file holds it: canonical JSON
+    (sorted keys, no spaces) plus a ``crc32`` key, the CRC32 of the canonical
+    JSON of the rest."""
+    payload = json.loads(text)
+    canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    return canonical({**payload, "crc32": zlib.crc32(canonical(payload).encode())})
+
+
 class TestCmvn:
     def test_identical_frames_floor_variance(self):
         frames = np.tile(rng().standard_normal((1, 3, 8)), (6, 1, 1)).astype(np.float32)
@@ -224,22 +236,39 @@ class TestCmvn:
             compute_cmvn_stats([])
 
     @pytest.mark.parametrize("text", [
-        '{"frame_count": 1e400, "mean": [0.0], "var": [1.0]}',
-        '{"frame_count": 2, "mean": [1' + "0" * 400 + '], "var": [1.0]}',
+        with_crc('{"frame_count": 1e400, "mean": [0.0], "var": [1.0]}'),
+        with_crc('{"frame_count": 2, "mean": [1' + "0" * 400 + '], "var": [1.0]}'),
         '{"frame_count": 2, "mean": ' + "[" * 3000 + "]" * 3000 + ', "var": [1.0]}',
-    ], ids=["frame-count-overflow", "mean-overflow", "deep-nesting"])
+        '{"frame_count": 2, "mean": [0.0], "var": [1.0]}',
+        with_crc('{"frame_count": 2, "mean": [0.0], "var": [1.0]}').replace(
+            '"frame_count":2', '"frame_count":3'),
+        '[' + with_crc('{"frame_count": 2, "mean": [0.0], "var": [1.0]}') + ']',
+    ], ids=["frame-count-overflow", "mean-overflow", "deep-nesting", "no-crc", "crc-mismatch",
+            "not-an-object"])
     def test_malformed_stats_file(self, tmp_path, text):
         path = tmp_path / "stats.json"
         path.write_text(text)
         with pytest.raises(FormatError, match="stats.json"):
             load_cmvn_stats(path)
 
-    def test_stats_file_corruption_fuzz(self, tmp_path):
-        """One-byte flips and cuts: a corrupted stats file either loads or
-        fails with FormatError."""
+    def test_stats_file_is_canonical_json_with_crc(self, tmp_path):
         path = tmp_path / "stats.json"
-        save_cmvn_stats(compute_cmvn_stats([make_utterance(1, frames=6)]), path,
-                        FilterbankConfig())
+        stats = compute_cmvn_stats([make_utterance(1, frames=6)])
+        save_cmvn_stats(stats, path, FilterbankConfig())
+        text = path.read_text()
+        payload = json.loads(text)
+        del payload["crc32"]
+        assert text == with_crc(json.dumps(payload)) + "\n"
+        loaded = load_cmvn_stats(path)
+        np.testing.assert_array_equal(loaded.mean, stats.mean)
+        np.testing.assert_array_equal(loaded.var, stats.var)
+
+    def test_stats_file_corruption_fuzz(self, tmp_path):
+        """One-byte flips and cuts: a corrupted stats file either fails with
+        FormatError or loads the saved statistics unchanged."""
+        path = tmp_path / "stats.json"
+        stats = compute_cmvn_stats([make_utterance(1, frames=6)])
+        save_cmvn_stats(stats, path, FilterbankConfig())
         data = path.read_bytes()
         r = rng(6)
         corrupted = [data[:cut] for cut in r.integers(0, len(data), 200)]
@@ -250,7 +279,10 @@ class TestCmvn:
         for case in corrupted:
             path.write_bytes(case)
             with contextlib.suppress(FormatError):
-                load_cmvn_stats(path)
+                loaded = load_cmvn_stats(path)
+                assert loaded.frame_count == stats.frame_count, case
+                assert loaded.mean.tobytes() == stats.mean.tobytes(), case
+                assert loaded.var.tobytes() == stats.var.tobytes(), case
 
 
 class TestSplice:

@@ -10,6 +10,7 @@ from damnet.gradcheck import (
     max_relative_error,
 )
 from damnet.layers import BatchNorm, Conv2d, ReLU, softmax_cross_entropy
+from damnet.model import DenseBlock, named_arrays
 
 
 def rng(seed=0):
@@ -34,6 +35,29 @@ def test_batchnorm_train_batch8():
     bn = BatchNorm(2, dtype=np.float64)
     err = check_layer(bn, r.standard_normal((2, 8, 2, 2)), rng=r)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("bottleneck", [False, True], ids=["plain", "BC"])
+def test_dense_block(bottleneck):
+    # the block normalizes its features for all its units and finishes their
+    # first batchnorm's backward, so it is checked as a whole
+    r = rng(7)
+    block = DenseBlock(3, 2, 3, bottleneck=bottleneck, rng=r, dtype=np.float64)
+    params = named_arrays([("block", block)], "PARAMS")
+    for name, value in params.items():
+        if name.endswith((".gamma", ".beta")):
+            value[...] = r.uniform(0.5, 1.5, value.shape) * r.choice([-1.0, 1.0], value.shape)
+    x = r.standard_normal((3, 4, 3, 5))
+    projection = r.standard_normal((block.out_channels, 4, 3, 5))
+
+    def objective():
+        return float((block.forward(x, True) * projection).sum())
+
+    objective()
+    dx = np.array(block.backward(projection))
+    grads = named_arrays([("block", block)], "PARAMS", "grad_")
+    analytic = {"x": dx, **{name: grad.copy() for name, grad in grads.items()}}
+    assert finite_diff_check(objective, {"x": x, **params}, analytic) < GRADCHECK_TOLERANCE
 
 
 def test_softmax_cross_entropy_four_classes():

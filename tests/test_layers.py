@@ -18,11 +18,18 @@ from damnet.layers import (
     softmax_cross_entropy,
 )
 from damnet.builder import DenseNetConfig
-from damnet.model import DenseBlock, build_model, named_arrays, transition
+from damnet.model import Chain, DenseBlock, build_model, named_arrays, transition
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def explicit_chain(unit):
+    """A dense unit's own layers as a chain of standalone layers that runs its
+    bn1 forward and adds the ReLU between bn1 and the first conv."""
+    layers = {name: layer for name, layer in vars(unit).items() if hasattr(layer, "backward")}
+    return Chain(bn1=layers.pop("bn1"), relu1=ReLU(), **layers)
 
 
 class TestDenseWiring:
@@ -37,16 +44,18 @@ class TestDenseWiring:
         grads = {name: g.copy()
                  for name, g in named_arrays([("block", block)], "PARAMS", "grad_").items()}
 
-        # reference: the same units wired by explicit concatenation, with
-        # each unit's input gradient split back onto its sources
+        # reference: each unit's layers run as a standalone BN -> ReLU -> conv
+        # chain, wired by explicit concatenation, with each unit's input
+        # gradient split back onto its sources
+        units = [explicit_chain(unit) for unit in block.units]
         features = [x]
-        for unit in block.units:
+        for unit in units:
             features.append(unit.forward(np.concatenate(features), train=True).copy())
         np.testing.assert_allclose(out, np.concatenate(features), rtol=0, atol=1e-12)
         sizes = [f.shape[0] for f in features]
         accum = [g.copy() for g in np.split(dout, np.cumsum(sizes)[:-1])]
-        for n in range(len(block.units), 0, -1):
-            din = block.units[n - 1].backward(accum[n])
+        for n in range(len(units), 0, -1):
+            din = units[n - 1].backward(accum[n])
             for i, part in enumerate(np.split(din, np.cumsum(sizes[:n])[:-1])):
                 accum[i] += part
         np.testing.assert_allclose(dx, accum[0], rtol=0, atol=1e-12)

@@ -183,6 +183,88 @@ class TestFloat64Reference:
         assert [c.stop - c.start for c in layers._channel_chunks((21, 100, 9, 38))] == [8, 8, 5]
 
 
+def random_batchnorm(r, channels, dtype):
+    bn = BatchNorm(channels, dtype=dtype)
+    bn.gamma[...] = r.uniform(0.5, 1.5, channels) * r.choice([-1.0, 1.0], channels)
+    bn.beta[...] = r.normal(0.0, 0.5, channels)
+    bn.running_mean[...] = r.normal(0.0, 0.5, channels)
+    bn.running_var[...] = r.uniform(0.5, 2.0, channels)
+    return bn
+
+
+class TestFusedPreActivation:
+    """A dense unit's BN -> ReLU runs inside its first conv's panels, and its
+    mask is read back from the conv's grid; standalone layers are the
+    reference."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("n", [5, 37])
+    @pytest.mark.parametrize("k,pad", [(3, 1), (1, 0)])
+    def test_fused_forward_matches_explicit_chain(self, monkeypatch, cores, train, n, k, pad):
+        # the same arithmetic in the same order: equal in float32
+        use_cores(monkeypatch, cores)
+        r = np.random.default_rng(n * 10 + k)
+        bn = random_batchnorm(r, 13, np.float32)
+        conv = Conv2d(13, 7, k, pad=pad, rng=r)
+        x = (r.standard_normal((13, n, 9, 38)) * 2 + 0.5).astype(np.float32)
+        explicit = conv.forward(ReLU().forward(bn.forward(x, train), train), train).copy()
+        if train:  # the grid holds the ReLU output: the fused forward must write it anew
+            conv.kept_input()[...] = np.nan
+            fused = conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
+        else:
+            fused = conv.forward(x, False, *bn.folded())
+        np.testing.assert_array_equal(fused, explicit)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_grid_mask_backward_matches_stored_mask(self, monkeypatch, cores, dtype, rtol):
+        use_cores(monkeypatch, cores)
+        r = np.random.default_rng(3)
+        bn, relu = random_batchnorm(r, 21, dtype), ReLU()
+        conv = Conv2d(21, 5, 3, pad=1, rng=r, dtype=dtype)
+        x = (r.standard_normal((21, 37, 9, 38)) * 2 + 0.5).astype(dtype)
+        dout = r.standard_normal((5, 37, 9, 38)).astype(dtype)
+        conv.forward(relu.forward(bn.forward(x, True), True), True)
+        d = conv.backward(dout)
+        dx = bn.backward(relu.backward(d)).copy()
+        grad_gamma, grad_beta = bn.grad_gamma.copy(), bn.grad_beta.copy()
+
+        conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
+        d = conv.backward(dout)
+        shared = np.zeros_like(x)
+        bn.backward_relu(d, conv.kept_input(), shared)
+        np.testing.assert_array_equal(bn.grad_gamma, grad_gamma)
+        np.testing.assert_array_equal(bn.grad_beta, grad_beta)
+        layers.project(shared, *bn._cache, bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma)))
+        assert_close(shared, dx, rtol)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("config", [PLAIN, BC], ids=["plain", "BC"])
+    def test_block_forward_matches_standalone_units(self, monkeypatch, cores, config):
+        # the block normalizes each slab once; per channel those are the
+        # statistics a standalone batchnorm computes over the whole prefix, in
+        # float32 too (einsum rounds a channel's sum alike in any chunk of two
+        # or more channels, and no chunk here has one)
+        use_cores(monkeypatch, cores)
+        fused, explicit = (build_model(config, seed=5).blocks[0] for _ in range(2))
+        x = np.random.default_rng(6).standard_normal(
+            (fused.in_channels, 37, 9, 38)).astype(np.float32)
+        out = fused.forward(x, train=True)
+        features = x
+        for unit in explicit.units:
+            layers_after_relu = [layer for name, layer in vars(unit).items()
+                                 if name != "bn1" and hasattr(layer, "backward")]
+            h = ReLU().forward(unit.bn1.forward(features, train=True), train=True)
+            for layer in layers_after_relu:
+                h = layer.forward(h, train=True)
+            features = np.concatenate([features, h])
+        np.testing.assert_array_equal(out, features)
+        for a, b in zip(fused.units, explicit.units):
+            np.testing.assert_array_equal(a.bn1.running_mean, b.bn1.running_mean)
+            np.testing.assert_array_equal(a.bn1.running_var, b.bn1.running_var)
+
+
 class TestInferPerFrame:
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
