@@ -115,7 +115,7 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
 
     The buffers hold bytes, so one serves every dtype. Train mode uses
     ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
-    the pool's row sums), ``"act"`` (a conv panel's batchnorm and ReLU
+    the pool's row sums), ``"act"`` (a padded conv panel's batchnorm and ReLU
     output), ``"partials"`` (a conv's per-panel weight gradients),
     ``"chunk"`` and ``"mask"`` (a channel chunk's terms of a shared
     batchnorm's backward), ``"block"`` (a dense block's features, then their
@@ -273,8 +273,9 @@ class Conv2d:
 
     Given a per-channel ``scale`` and ``shift``, a panel fills its grid with
     ``max(x * scale + shift, 0)``: a batchnorm and ReLU before the conv, run
-    while the panel's images are in cache (an unpadded infer grid is filled
-    whole, before the panels). The ReLU's mask is then ``kept_input() > 0``.
+    while the panel's images are in cache (an unpadded grid is filled per
+    channel chunk, before the panels). The ReLU's mask is then
+    ``kept_input() > 0``.
     """
 
     PARAMS = ("weight",)
@@ -328,17 +329,25 @@ class Conv2d:
             grid = self._cache = step_state(self._cache, (c, n, hp, wp), x.dtype, alloc=np.zeros)
             out = scratch("pair", (co, n, hp, wp), dtype)
         else:
-            if scale is not None and not p:
-                # an unpadded grid is filled whole: a panel's rows of a channel
-                # are short, and per panel the fill took 2.5 times as long at
-                # 200 channels, 64 frames and 4x19 on one core
-                x = x * _per_channel(scale)
-                x += _per_channel(shift)
-                np.maximum(x, 0, out=x)
-                scale = None
             # an unpadded grid would be a copy of the input, which infer only reads
-            grid = x if not p and scale is None else np.zeros((c, n, hp, wp), dtype=x.dtype)
+            grid = x if not p else np.zeros((c, n, hp, wp), dtype=x.dtype)
             out = np.empty((co, n, hp, wp), dtype=dtype)
+        if scale is not None and not p:
+            # an unpadded grid is filled before the panels, per channel chunk,
+            # as a panel's rows of a channel are short: a 1x1 conv's train
+            # forward at (200, 256, 4, 19) took 5.3-5.9 ms so, against 6.8-8.3
+            # with one whole fill and 8.8-9.3 per panel (2 cores)
+            grid = grid if train else np.empty(x.shape, np.result_type(x, scale))
+            fills = _channel_chunks(x.shape)
+
+            def fill(i):
+                ch = fills[i]
+                np.multiply(x[ch], _per_channel(scale[ch]), out=grid[ch])
+                grid[ch] += _per_channel(shift[ch])
+                np.maximum(grid[ch], 0, out=grid[ch])
+
+            fan_out(fill, len(fills))
+            x, scale = grid, None
         flat_out, image = out.reshape(co, -1), hp * wp
         panels = _chunks(n, PANEL_FRAMES)
 
@@ -348,8 +357,7 @@ class Conv2d:
             if scale is not None:
                 # a per-channel broadcast over a strided interior is slow
                 shape = (c, frames.stop - frames.start, h, w)
-                act = (interior if not p else scratch("act", shape, grid.dtype) if train
-                       else np.empty(shape, grid.dtype))
+                act = scratch("act", shape, grid.dtype) if train else np.empty(shape, grid.dtype)
                 np.multiply(x[:, frames], _per_channel(scale), out=act)
                 act += _per_channel(shift)
                 np.maximum(act, 0, out=interior)
@@ -467,7 +475,8 @@ class BatchNorm:
     Infer mode folds the running estimates into one per-channel
     ``x * scale + shift`` (``folded``) and writes nothing.
 
-    A dense unit's ``bn1`` does not run ``forward`` (see ``DenseBlock``).
+    A dense unit's ``bn1`` keeps a view of its block's ``xhat`` instead
+    (see ``DenseBlock``), which ``forward`` never writes.
     """
 
     PARAMS = ("gamma", "beta")
@@ -505,7 +514,9 @@ class BatchNorm:
             out = x * _per_channel(scale)
             out += _per_channel(shift)
             return out
-        xhat = step_state(self._cache[0] if self._cache else None, x.shape, x.dtype)
+        # a view is a dense block's xhat (``keep_batch``), not this layer's to overwrite
+        kept = self._cache[0] if self._cache and self._cache[0].base is None else None
+        xhat = step_state(kept, x.shape, x.dtype)
         stats = np.empty((3, self.num_channels), dtype=x.dtype)  # mean, var, inv
         out = scratch("pair", x.shape, np.result_type(xhat, self.gamma))
         chunks = _channel_chunks(x.shape)
@@ -520,46 +531,39 @@ class BatchNorm:
         self.keep_batch(xhat, *stats)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, relu_out=None, dx=None) -> np.ndarray:
+        """The input gradient from the output gradient ``dout``, in scratch.
+        Given the output ``relu_out`` of a ReLU after this batchnorm and its
+        output gradient ``dout``, backward through both instead and add
+        ``gamma * inv * dh`` into ``dx``, leaving the mean terms to ``project``."""
         xhat, inv = self._cache
         count = dout.size // self.num_channels
-        dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma))
+        if relu_out is None:
+            dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma))
         chunks = _channel_chunks(dout.shape)
 
         def chunk(i):
-            ch = chunks[i]
-            grad_gamma = self.grad_gamma[ch]
-            grad_gamma[...] = np.einsum("cnhw,cnhw->c", dout[ch], xhat[ch])
-            self.grad_beta[ch] = np.einsum("cnhw->c", dout[ch])
+            ch, dh = chunks[i], dout[chunks[i]]
+            if relu_out is not None:
+                # copied first: a strided array times a bool one is slow
+                dh = scratch("chunk", xhat[ch].shape, dout.dtype)
+                dh[...] = dout[ch]
+                dh *= np.greater(relu_out[ch], 0, out=scratch("mask", dh.shape, bool))
+            self.grad_gamma[ch] = np.einsum("cnhw,cnhw->c", dh, xhat[ch])
+            self.grad_beta[ch] = np.einsum("cnhw->c", dh)
+            scale = _per_channel(self.gamma[ch] * inv[ch])
+            if relu_out is not None:
+                dh *= scale
+                dx[ch] += dh
+                return
             # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
-            part = np.multiply(xhat[ch], _per_channel(-grad_gamma / count), out=dx[ch])
-            part += dout[ch]
+            part = np.multiply(xhat[ch], _per_channel(-self.grad_gamma[ch] / count), out=dx[ch])
+            part += dh
             part -= _per_channel(self.grad_beta[ch] / count)
-            part *= _per_channel(self.gamma[ch] * inv[ch])
+            part *= scale
 
         fan_out(chunk, len(chunks))
         return dx
-
-    def backward_relu(self, dout: np.ndarray, relu_out: np.ndarray, dx: np.ndarray) -> None:
-        """Backward through this batchnorm and the ReLU whose output is
-        ``relu_out``, from its output gradient ``dout``, with the mean terms
-        left to ``project``: sets the parameter gradients and adds
-        ``gamma * inv * dh`` into ``dx``."""
-        xhat, inv = self._cache
-        chunks = _channel_chunks(dout.shape)
-
-        def chunk(i):
-            ch = chunks[i]
-            # copied first: a strided array times a bool one is slow
-            dh = scratch("chunk", xhat[ch].shape, dout.dtype)
-            dh[...] = dout[ch]
-            dh *= np.greater(relu_out[ch], 0, out=scratch("mask", dh.shape, bool))
-            self.grad_gamma[ch] = np.einsum("cnhw,cnhw->c", dh, xhat[ch])
-            self.grad_beta[ch] = np.einsum("cnhw->c", dh)
-            dh *= _per_channel(self.gamma[ch] * inv[ch])
-            dx[ch] += dh
-
-        fan_out(chunk, len(chunks))
 
 
 class ReLU:

@@ -194,7 +194,7 @@ class DenseBlock:
         sums = np.zeros((2, len(inv)), inv.dtype)  # of gamma * grad_beta, gamma * grad_gamma
         for start, width, unit in reversed(list(self._slabs())):
             bn, d = unit.bn1, unit.backward(grad[width : width + self.growth_rate])
-            bn.backward_relu(d, unit._order[0].kept_input(), grad[:width])
+            bn.backward(d, unit._order[0].kept_input(), grad[:width])
             sums[:, :width] += bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma))
             project(grad[start:width], xhat[start:width], inv[start:width], sums[:, start:width])
         return grad[: self.in_channels]

@@ -62,6 +62,16 @@ class TestDenseWiring:
         for name, g in named_arrays([("block", block)], "PARAMS", "grad_").items():
             np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
+    def test_unit_batchnorm_forward_keeps_block_normalization(self):
+        # a unit's bn1 keeps a view of its block's xhat, which a later
+        # standalone bn1 forward of the same shape must not overwrite
+        r = rng(5)
+        block = DenseBlock(5, 3, 3, bottleneck=False, rng=r, dtype=np.float64)
+        block.forward(r.standard_normal((5, 3, 4, 6)), train=True)
+        xhat = block._cache[0].copy()
+        block.units[1].bn1.forward(r.standard_normal((8, 3, 4, 6)), train=True)
+        np.testing.assert_array_equal(block._cache[0], xhat)
+
     def test_dense_block_rejects_wrong_width(self):
         block = DenseBlock(5, 3, 2, bottleneck=False, rng=rng(), dtype=np.float64)
         with pytest.raises(ShapeError):

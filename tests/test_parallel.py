@@ -233,7 +233,7 @@ class TestFusedPreActivation:
         conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
         d = conv.backward(dout)
         shared = np.zeros_like(x)
-        bn.backward_relu(d, conv.kept_input(), shared)
+        bn.backward(d, conv.kept_input(), shared)
         np.testing.assert_array_equal(bn.grad_gamma, grad_gamma)
         np.testing.assert_array_equal(bn.grad_beta, grad_beta)
         layers.project(shared, *bn._cache, bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma)))
