@@ -47,13 +47,13 @@ reuses the memory of the last one instead of allocating it again:
   A dense block keeps one normalized copy of its features, which its
   units' ``bn1`` keep views of, and a ReLU run inside a conv keeps no mask:
   the conv's grid holds the ReLU output. For plain-22 at batch 256 the step
-  state is about 360 MiB.
+  state is about 316 MiB.
 - *Scratch* holds everything else: a train-mode result of ``forward`` or
   ``backward`` (apart from the small global-pool and linear outputs) is a
   view into per-thread buffers (``scratch``), valid until the next
   train-mode call in the same thread. A caller that keeps one across train
   calls must copy it. The buffers live as long as their thread does (about
-  110 MiB in the calling thread for plain-22 at batch 256, plus about 9 MiB
+  105 MiB in the calling thread for plain-22 at batch 256, plus about 9 MiB
   of panel- and chunk-sized buffers in each pool thread) and are shared by
   every model that trains in it.
 """
@@ -115,8 +115,9 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
 
     The buffers hold bytes, so one serves every dtype. Train mode uses
     ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
-    the pool's row sums), ``"act"`` (a padded conv panel's batchnorm and ReLU
-    output), ``"partials"`` (a conv's per-panel weight gradients),
+    the pool's row sums), ``"placed"`` (that output gradient on the grid
+    pitch), ``"act"`` (a padded conv panel's batchnorm and ReLU output),
+    ``"partials"`` (a conv's per-panel weight gradients),
     ``"chunk"`` and ``"mask"`` (a channel chunk's terms of a shared
     batchnorm's backward), ``"block"`` (a dense block's features, then their
     gradient) and ``"pair"``, which names two buffers handed out in turn. A
@@ -246,30 +247,36 @@ def _channel_chunks(shape):
 class Conv2d:
     """2-D stride-1 convolution without bias; batchnorm always follows it.
 
-    Shifted GEMM: the input is zero-padded into a channel-major
-    (C_in, N, Hp, Wp) grid of row pitch Wp = W + 2*pad, seen flat as
-    (C_in, N*Hp*Wp). A product with the weights as (k*k*C_out, C_in) gives
-    every tap at every grid position, and output q = y*Wp + x of an image
-    sums tap (i, j)'s row at q + i*Wp + j. A kept output (y < H_out,
-    x < W_out) reads at most q + (k-1)*(Wp+1) <= Hp*Wp - 1, inside its own
-    image's grid. Reads that spill past a row end, or past one image's grid
-    into the next, belong to outputs with x >= W_out or y >= H_out, which the
-    crop drops. Backward places ``dout`` on the same grid, shifts it once per
-    tap into a (k*k*C_out, columns) matrix and gets dW and dX from one GEMM
-    each.
+    Shifted GEMM on a grid whose images share their zero padding: image m
+    is R = H + e rows of pitch P = W + e in columns m*R*P to (m+1)*R*P of a
+    channel-major (C_in, L + N*R*P) grid, its H x W interior after the
+    L = pad*P + pad zeros that start its columns. The e zero rows and
+    columns between two interiors are the bottom and right padding of one
+    image and the top and left padding of the next; e = pad + max(0, pad -
+    k + 1), so an output row, W + 2*pad - k + 1 wide, fits a pitch also when
+    k < 2*pad + 1. For pad 0 (the initial conv and the 1x1s) e = L = 0. A
+    product with the weights as (k*k*C_out, C_in) gives every tap at every
+    grid column, and output q = m*R*P + y*P + x sums tap (i, j)'s row at
+    q + i*P + j. A kept output (y < H_out, x < W_out) reads zeros and its
+    own image's interior only, below column (m+1)*R*P + L; reads that reach
+    another interior belong to outputs that the crop drops. Backward places
+    ``dout`` on the same pitch, shifts it once per tap into a
+    (k*k*C_out, columns) matrix and gets dW and dX from one GEMM each.
 
     Forward, in both modes, and backward run per panel of ``PANEL_FRAMES``
-    whole images (``fan_out``): a panel fills its images' grid, runs its own
-    GEMMs and shift-adds into its own output columns, and needs no halo. Its
-    kept outputs read only their own images, by the argument above; in backward,
-    a shifted ``dout`` column before a panel's first would read the previous
-    image's last rows and columns, which are cropped outputs and so zero.
-    Each panel writes its dX columns and a dW partial, and the partials are
-    summed in panel order. BLAS rounds a GEMM's columns differently by their
-    position in it, so an infer panel runs one GEMM per image, on strided
-    (C_in, Hp*Wp) views of its grid, and no frame's infer output depends on
-    the rest of its batch. The output is a crop of a C-contiguous
-    (C_out, N, Hp, Wp) array; a 1x1 conv's is contiguous.
+    whole images (``fan_out``) and write no halo. A panel fills its images'
+    interiors and shift-adds into its own output columns; its GEMM also
+    reads the L columns after its last image, padding that no panel writes,
+    as the grid is zero outside the interiors from allocation on. In
+    backward a panel computes dX on its own columns and takes its
+    neighbours' ``dout`` columns as zeros, as no kept output reads another
+    image's interior. Each panel writes its dX columns and a dW partial, and
+    the partials are summed in panel order. BLAS rounds a GEMM's columns
+    differently by their position in it, so an infer panel runs one GEMM
+    per image over its own R*P columns, zeros the L columns after them, and
+    no frame's infer output depends on the rest of its batch. The output is
+    a crop of a C-contiguous (C_out, N, R, P) array; a 1x1 conv's is
+    contiguous.
 
     Given a per-channel ``scale`` and ``shift``, a panel fills its grid with
     ``max(x * scale + shift, 0)``: a batchnorm and ReLU before the conv, run
@@ -297,7 +304,19 @@ class Conv2d:
         else:
             self.weight = he_normal(rng, shape, fan_in, dtype)
         self.grad_weight = np.zeros(shape, dtype=dtype)
-        self._cache = None
+        self._cache = None  # (grid, input shape)
+
+    def _layout(self, h: int, w: int):
+        """An (h, w) image's grid: row pitch P, rows per image R, leading zeros L."""
+        k, p = self.kernel_size, self.pad
+        e = p + max(0, p - k + 1)
+        return w + e, h + e, p * (w + e) + p
+
+    def _interior(self, grid, shape):
+        """The (C, N, H, W) images of ``grid``, a flat grid of input ``shape``."""
+        _, n, h, w = shape
+        pitch, rows, lead = self._layout(h, w)
+        return grid[:, lead:].reshape(-1, n, rows, pitch)[:, :, :h, :w]
 
     def _taps(self, pitch: int):
         """(k*k*C_out, C_in) weights, row t*C_out + o for tap t = i*k + j; tap shifts."""
@@ -309,7 +328,7 @@ class Conv2d:
         """out[:, q] = sum over taps t of per_tap's tap-t rows at q + shifts[t],
         for every q whose reads stay inside ``per_tap``."""
         co = self.out_channels
-        span = per_tap.shape[1] - shifts[-1]
+        span = min(out.shape[1], per_tap.shape[1] - shifts[-1])
         out[:, :span] = per_tap[:co, :span]
         for t, shift in enumerate(shifts[1:], 1):
             out[:, :span] += per_tap[t * co : (t + 1) * co, shift : shift + span]
@@ -321,111 +340,116 @@ class Conv2d:
         oh, ow = conv_output_size(h, k, p), conv_output_size(w, k, p)
         if oh < 1 or ow < 1:
             raise ShapeError(f"conv2d: {h}x{w} input is smaller than a {k}x{k} kernel with pad {p}")
-        hp, wp = h + 2 * p, w + 2 * p
-        matrix, shifts = self._taps(wp)
+        pitch, rows, lead = self._layout(h, w)
+        image = rows * pitch
+        matrix, shifts = self._taps(pitch)
         dtype = np.result_type(matrix, x)
         if train:
-            # only the interior is ever written, so the border stays zero
-            grid = self._cache = step_state(self._cache, (c, n, hp, wp), x.dtype, alloc=np.zeros)
-            out = scratch("pair", (co, n, hp, wp), dtype)
+            # only the interiors are ever written, so the shared padding stays zero
+            kept = self._cache[0] if self._cache and self._cache[1] == x.shape else None
+            grid = step_state(kept, (c, lead + n * image), x.dtype, alloc=np.zeros)
+            self._cache = (grid, x.shape)
+            out = scratch("pair", (co, n * image), dtype)
         else:
             # an unpadded grid would be a copy of the input, which infer only reads
-            grid = x if not p else np.zeros((c, n, hp, wp), dtype=x.dtype)
-            out = np.empty((co, n, hp, wp), dtype=dtype)
+            grid = x.reshape(c, -1) if not p and scale is None else np.zeros(
+                (c, lead + n * image), x.dtype)
+            out = np.empty((co, n * image), dtype=dtype)
+        interior = self._interior(grid, x.shape)
+        # whether each panel fills its images' interiors, and whether a GEMM writes the output
+        fill, direct = p or (train and scale is None), k == 1 and not lead
         if scale is not None and not p:
             # an unpadded grid is filled before the panels, per channel chunk,
             # as a panel's rows of a channel are short: a 1x1 conv's train
             # forward at (200, 256, 4, 19) took 5.3-5.9 ms so, against 6.8-8.3
             # with one whole fill and 8.8-9.3 per panel (2 cores)
-            grid = grid if train else np.empty(x.shape, np.result_type(x, scale))
             fills = _channel_chunks(x.shape)
 
-            def fill(i):
+            def fill_chunk(i):
                 ch = fills[i]
-                np.multiply(x[ch], _per_channel(scale[ch]), out=grid[ch])
-                grid[ch] += _per_channel(shift[ch])
-                np.maximum(grid[ch], 0, out=grid[ch])
+                np.multiply(x[ch], _per_channel(scale[ch]), out=interior[ch])
+                interior[ch] += _per_channel(shift[ch])
+                np.maximum(interior[ch], 0, out=interior[ch])
 
-            fan_out(fill, len(fills))
-            x, scale = grid, None
-        flat_out, image = out.reshape(co, -1), hp * wp
+            fan_out(fill_chunk, len(fills))
         panels = _chunks(n, PANEL_FRAMES)
 
         def panel(i):
             frames = panels[i]
-            interior = grid[:, frames, p : p + h, p : p + w]
-            if scale is not None:
+            if p and scale is not None:
                 # a per-channel broadcast over a strided interior is slow
-                shape = (c, frames.stop - frames.start, h, w)
+                shape = x[:, frames].shape
                 act = scratch("act", shape, grid.dtype) if train else np.empty(shape, grid.dtype)
                 np.multiply(x[:, frames], _per_channel(scale), out=act)
                 act += _per_channel(shift)
-                np.maximum(act, 0, out=interior)
-            elif grid is not x:
-                interior[...] = x[:, frames]
-            columns = slice(frames.start * image, frames.stop * image)
-            taps = (k * k * co, columns.stop - columns.start)
-            if k == 1:
-                per_tap = flat_out[:, columns]
+                np.maximum(act, 0, out=interior[:, frames])
+            elif fill:
+                interior[:, frames] = x[:, frames]
+            own = slice(frames.start * image, frames.stop * image)  # its output columns
+            taps = (k * k * co, own.stop - own.start + lead)
+            if direct:
+                per_tap = out[:, own]
             else:
                 per_tap = scratch("taps", taps, dtype) if train else np.empty(taps, dtype)
             if train:
-                np.matmul(matrix, grid.reshape(c, -1)[:, columns], out=per_tap)
-            else:  # one GEMM per image
-                np.matmul(matrix, grid[:, frames].reshape(c, -1, image).transpose(1, 0, 2),
-                          out=per_tap.reshape(k * k * co, -1, image).transpose(1, 0, 2))
-            if k > 1:
-                self._shift_add(per_tap, flat_out[:, columns], shifts)
+                np.matmul(matrix, grid[:, own.start : own.stop + lead], out=per_tap)
+            else:  # one GEMM per image; the L columns after the last are padding
+                np.matmul(matrix, grid[:, own].reshape(c, -1, image).transpose(1, 0, 2),
+                          out=per_tap[:, : taps[1] - lead].reshape(
+                              k * k * co, -1, image).transpose(1, 0, 2))
+                per_tap[:, taps[1] - lead :] = 0
+            if not direct:
+                self._shift_add(per_tap, out[:, own], shifts)
 
         fan_out(panel, len(panels))
-        return out.reshape(co, n, hp, wp)[:, :, :oh, :ow]
+        return out.reshape(co, n, rows, pitch)[:, :, :oh, :ow]
 
     def kept_input(self) -> np.ndarray:
         """The last train forward's input, as its grid holds it."""
-        (_, _, hp, wp), p = self._cache.shape, self.pad
-        return self._cache[:, :, p : hp - p, p : wp - p]
+        return self._interior(*self._cache)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        grid = self._cache
-        (c, n, hp, wp), k, p, co = grid.shape, self.kernel_size, self.pad, self.out_channels
+        grid, shape = self._cache
+        (c, n, h, w), k, co = shape, self.kernel_size, self.out_channels
+        pitch, rows, lead = self._layout(h, w)
+        image = rows * pitch
         oh, ow = dout.shape[2:]
-        matrix, shifts = self._taps(wp)
+        matrix, shifts = self._taps(pitch)
         dtype = np.result_type(matrix, dout)
-        flat_grid, image = grid.reshape(c, -1), hp * wp
-        if k == 1:
+        direct = k == 1 and not lead  # ``dout`` is already the shifted matrix
+        if direct:
             dout = dout.reshape(co, -1)
         panels = _chunks(n, PANEL_FRAMES)
         # not from "pair": a second pair request would hand out the one holding ``dout``
         partials = scratch("partials", (len(panels), k * k * co, c), dtype)
-        dgrid = scratch("pair", (c, n, hp, wp), dtype)
-        flat_dgrid = dgrid.reshape(c, -1)
+        dgrid = scratch("pair", (c, lead + n * image), dtype)
+        left = max(0, shifts[-1] - lead)
 
         def panel(i):
             frames = panels[i]
-            columns = slice(frames.start * image, frames.stop * image)
-            if k == 1:
-                shifted = dout[:, columns]
+            width = (frames.stop - frames.start) * image
+            if direct:
+                shifted = dout[:, frames.start * image : frames.stop * image]
             else:
-                width = columns.stop - columns.start
+                # ``dout`` on the grid pitch, between zero halos for its neighbours' columns
+                placed = scratch("placed", (co, left + width + lead), dout.dtype)
+                placed[:, :left], placed[:, left + width :] = 0, 0
+                cells = placed[:, left : left + width].reshape(co, -1, rows, pitch)
+                cells[:, :, :oh, :ow] = dout[:, frames]
+                cells[:, :, :oh, ow:] = 0
+                cells[:, :, oh:] = 0
                 shifted = scratch("taps", (k * k, co, width), dout.dtype)
-                # tap 0 has shift 0: it is ``dout`` placed on the panel's grid
-                placed = shifted[0].reshape(co, -1, hp, wp)
-                placed[:, :, :oh, :ow] = dout[:, frames]
-                placed[:, :, :oh, ow:] = 0
-                placed[:, :, oh:] = 0
-                span = width - shifts[-1]
-                for t, shift in enumerate(shifts[1:], 1):
-                    shifted[t, :, :shift] = 0
-                    shifted[t, :, shift : shift + span] = shifted[0, :, :span]
-                    shifted[t, :, shift + span :] = 0
+                for t, shift in enumerate(shifts):
+                    shifted[t] = placed[:, left + lead - shift : left + lead - shift + width]
                 shifted = shifted.reshape(k * k * co, width)
-            np.matmul(shifted, flat_grid[:, columns].T, out=partials[i])
-            np.matmul(matrix.T, shifted, out=flat_dgrid[:, columns])
+            columns = slice(lead + frames.start * image, lead + frames.stop * image)
+            np.matmul(shifted, grid[:, columns].T, out=partials[i])
+            np.matmul(matrix.T, shifted, out=dgrid[:, columns])
 
         fan_out(panel, len(panels))
         grad = partials.sum(axis=0).reshape(k, k, co, c)
         self.grad_weight[...] = grad.transpose(2, 3, 0, 1)
-        return dgrid[:, :, p : hp - p, p : wp - p]
+        return self._interior(dgrid, shape)
 
 
 def _per_channel(arr):

@@ -424,6 +424,26 @@ class TestModel:
                     assert ".conv3x3." in path, path
 
 
+    def test_padded_conv_grids_share_their_padding(self):
+        # each image takes (H+1)*(W+1) grid columns, one zero row and column
+        # shared with the next, plus W+2 leading zeros per grid
+        from damnet.layers import softmax_cross_entropy
+
+        cfg = DenseNetConfig(variant="plain", depth=13, blocks=3, growth_rate=4,
+                             num_classes=5, first_conv_channels=8)
+        model = build_model(cfg, seed=0)
+        x = rng(6).standard_normal((6, 3, 11, 40)).astype(np.float32)
+        model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(6) % 5)[1])
+        extents = set()
+        for name, value in backward_state(model).items():
+            if ".conv3x3." not in name[0]:
+                continue
+            grid, (c, n, h, w) = value
+            assert grid.size == c * ((w + 2) + n * (h + 1) * (w + 1)), name
+            extents.add((h, w))
+        assert extents == {(9, 38), (4, 19), (2, 9)}
+
+
 class TestParameterArena:
     def test_named_views_share_the_arenas(self):
         cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,

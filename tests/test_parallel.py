@@ -139,12 +139,19 @@ class TestFloat64Reference:
     @pytest.mark.parametrize("cores,train", [(1, True), (2, True), (1, False), (2, False)],
                              ids=["1", "2", "1-infer", "2-infer"])
     @pytest.mark.parametrize("n", [5, 37])
-    @pytest.mark.parametrize("k,pad", [(3, 1), (3, 0), (1, 0)])
-    def test_conv_matches_whole_batch_reference(self, monkeypatch, cores, train, n, k, pad):
+    # at 2x9, 1x4 and 1x1 with pad 1 a panel's GEMM reads the next image's
+    # shared padding, at 1x1 three of its four grid columns
+    @pytest.mark.parametrize("k,pad,extent", [
+        pytest.param(3, 1, (9, 38), id="3-1"), pytest.param(3, 0, (9, 38), id="3-0"),
+        pytest.param(1, 0, (9, 38), id="1-0"), pytest.param(3, 1, (2, 9), id="3-1-2x9"),
+        pytest.param(3, 1, (1, 4), id="3-1-1x4"), pytest.param(3, 1, (1, 1), id="3-1-1x1"),
+    ])
+    def test_conv_matches_whole_batch_reference(self, monkeypatch, cores, train, n, k, pad,
+                                                extent):
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(n * 10 + k + pad)
         conv = Conv2d(13, 7, k, pad=pad, rng=r, dtype=np.float64)
-        x = r.standard_normal((13, n, 9, 38))
+        x = r.standard_normal((13, n, *extent))
         out = conv.forward(x, train=train)
         assert_close(out, reference_conv(x, conv.weight, pad))
         if not train:
@@ -181,6 +188,27 @@ class TestFloat64Reference:
         # the shapes above do run as several items
         assert len(layers._chunks(37, layers.PANEL_FRAMES)) == 3
         assert [c.stop - c.start for c in layers._channel_chunks((21, 100, 9, 38))] == [8, 8, 5]
+
+
+class TestSharedPadding:
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "scale-shift"])
+    def test_grid_outside_the_interiors_stays_zero(self, monkeypatch, cores, fused):
+        # neighbouring images share their zero rows and columns, so one
+        # stray write there would corrupt two images
+        use_cores(monkeypatch, cores)
+        r = np.random.default_rng(8)
+        conv = Conv2d(5, 4, 3, pad=1, rng=r)
+        affine = (r.uniform(0.5, 1.5, 5).astype(np.float32),
+                  r.normal(1.0, 0.5, 5).astype(np.float32)) if fused else ()
+        for n in (37, 37, 20, 20):  # the batch-size change replaces the step state
+            x = (r.standard_normal((5, n, 4, 7)) + 3).astype(np.float32)
+            conv.forward(x, True, *affine)
+            grid, interior = conv._cache[0], conv.kept_input()
+            assert np.shares_memory(grid, interior) and interior.shape == x.shape
+            assert np.count_nonzero(interior) > 0
+            interior[...] = 0
+            assert np.count_nonzero(grid) == 0
 
 
 def random_batchnorm(r, channels, dtype):
