@@ -62,24 +62,29 @@ def finite_diff_check(objective, tensors: dict, analytic: dict, eps: float = DEF
     return worst
 
 
-def check_layer(layer, x: np.ndarray, *, eps: float = DEFAULT_EPS, rng=None) -> float:
+def check_layer(layer, x: np.ndarray, *, eps: float = DEFAULT_EPS, rng=None,
+                scale=None, shift=None) -> float:
     """Finite-difference check of one layer's input and parameter gradients.
 
     Every forward runs in train mode, which backward needs. The scalar
     objective is sum(forward(x) * R) for a fixed random projection R, so
-    its gradient w.r.t. the output is exactly R.
+    its gradient w.r.t. the output is exactly R. Given ``scale`` and
+    ``shift``, a pool runs its fused batchnorm scale and shift and ReLU
+    (``layers._Pool``), and their gradients are checked too.
     """
     rng = np.random.default_rng(0) if rng is None else rng
-    out = layer.forward(x, True)
+    fused = () if scale is None else (scale, shift)
+    out = layer.forward(x, True, *fused)
     projection = rng.standard_normal(out.shape)
 
     def objective():
-        return float((layer.forward(x, True) * projection).sum())
+        return float((layer.forward(x, True, *fused) * projection).sum())
 
     # objective() reruns train forwards, which may reuse the memory dx is in
-    dx = np.array(layer.backward(projection))
-    tensors = {"x": x}
-    analytic = {"x": dx}
+    fused_grads = [np.zeros_like(t) for t in fused]
+    dx = np.array(layer.backward(projection, *fused_grads))
+    tensors = {"x": x, **dict(zip(("scale", "shift"), fused))}
+    analytic = {"x": dx, **dict(zip(("scale", "shift"), fused_grads))}
     for key in getattr(layer, "PARAMS", ()):
         tensors[f"param:{key}"] = getattr(layer, key)
         analytic[f"param:{key}"] = np.array(getattr(layer, "grad_" + key))
@@ -117,11 +122,18 @@ def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EP
         x = rng.uniform(0.2, 1.5, size=(4, 3, 5, 6)) * rng.choice([-1.0, 1.0], size=(4, 3, 5, 6))
         record("relu", check_layer(ReLU(), x, eps=eps, rng=rng))
 
-        x = rng.standard_normal((3, 2, 5, 7))
-        record("avgpool2d", check_layer(AvgPool2d(), x, eps=eps, rng=rng))
-
-        x = rng.standard_normal((4, 2, 2, 9))
-        record("global_avgpool", check_layer(GlobalAvgPool(), x, eps=eps, rng=rng))
+        # a pool alone, or after a fused batchnorm scale and shift and ReLU
+        # whose inputs keep away from the kink
+        for name, pool, shape in (("avgpool2d", AvgPool2d(), (3, 2, 5, 7)),
+                                  ("global_avgpool", GlobalAvgPool(), (4, 2, 2, 9))):
+            if i % 2 == 0:
+                record(name, check_layer(pool, rng.standard_normal(shape), eps=eps, rng=rng))
+                continue
+            scale = rng.uniform(0.5, 1.5, shape[0]) * rng.choice([-1.0, 1.0], shape[0])
+            shift = rng.normal(0.0, 0.5, shape[0])
+            pre = rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+            x = (pre - shift[:, None, None, None]) / scale[:, None, None, None]
+            record(name, check_layer(pool, x, eps=eps, rng=rng, scale=scale, shift=shift))
 
         x = rng.standard_normal((4, 7))
         record("linear", check_layer(Linear(7, 5, rng=rng, dtype=np.float64), x, eps=eps, rng=rng))

@@ -26,8 +26,9 @@ train forward and its backward must be serialized, and backward needs a
 train-mode forward before it.
 
 The large primitives run as work items fixed by shape: a convolution, in
-both modes, per panel of ``PANEL_FRAMES`` whole images, and train-mode
-batchnorm and ReLU per chunk of at least ``CHANNEL_CHUNK`` channels.
+both modes, per panel of ``PANEL_FRAMES`` whole images, a pool, in both
+modes, and train-mode batchnorm and ReLU per chunk of at least
+``CHANNEL_CHUNK`` channels.
 ``fan_out`` runs the items of one call on a pool of one thread per usable
 core, with numpy's bundled OpenBLAS held at one thread
 (``one_blas_thread``), or in the calling thread. Each item writes its own
@@ -45,15 +46,16 @@ reuses the memory of the last one instead of allocating it again:
   replaced when they change, as on an epoch's last partial batch. A layer
   copies what it keeps, except ``Linear``, which keeps its small input.
   A dense block keeps one normalized copy of its features, which its
-  units' ``bn1`` keep views of, and a ReLU run inside a conv keeps no mask:
-  the conv's grid holds the ReLU output. For plain-22 at batch 256 the step
-  state is about 316 MiB.
+  units' ``bn1`` and the batchnorm and pool after the block keep views of,
+  and a ReLU run inside a conv or pool keeps no mask: the conv's grid holds
+  the ReLU output, and the pool recomputes the mask. For plain-22 at batch
+  256 the step state is about 264 MiB.
 - *Scratch* holds everything else: a train-mode result of ``forward`` or
   ``backward`` (apart from the small global-pool and linear outputs) is a
   view into per-thread buffers (``scratch``), valid until the next
   train-mode call in the same thread. A caller that keeps one across train
   calls must copy it. The buffers live as long as their thread does (about
-  105 MiB in the calling thread for plain-22 at batch 256, plus about 9 MiB
+  85 MiB in the calling thread for plain-22 at batch 256, plus about 10 MiB
   of panel- and chunk-sized buffers in each pool thread) and are shared by
   every model that trains in it.
 """
@@ -115,13 +117,15 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
 
     The buffers hold bytes, so one serves every dtype. Train mode uses
     ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
-    the pool's row sums), ``"placed"`` (that output gradient on the grid
-    pitch), ``"act"`` (a padded conv panel's batchnorm and ReLU output),
-    ``"partials"`` (a conv's per-panel weight gradients),
-    ``"chunk"`` and ``"mask"`` (a channel chunk's terms of a shared
-    batchnorm's backward), ``"block"`` (a dense block's features, then their
-    gradient) and ``"pair"``, which names two buffers handed out in turn. A
-    layer's pair result thus never overwrites the pair array it was given.
+    a pool chunk's row sums and their gradient), ``"placed"`` (that output gradient on the grid
+    pitch), ``"act"`` (a padded conv panel's batchnorm and ReLU output, a
+    pool chunk's batchnorm output in backward), ``"partials"`` (a conv's
+    per-panel weight gradients), ``"chunk"`` and ``"mask"`` (a channel
+    chunk's terms of a batchnorm's backward, a pool chunk's ReLU output and
+    mask), ``"block"`` (a dense block's features, then
+    their gradient, which a pool writes) and ``"pair"``, which names two
+    buffers handed out in turn. A layer's pair result thus never overwrites
+    the pair array it was given.
     """
     state = _SCRATCH
     if name == "pair":
@@ -473,10 +477,10 @@ def normalize(x: np.ndarray, xhat: np.ndarray):
 
 
 def project(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, sums: np.ndarray) -> None:
-    """Subtract ``inv * (mean(D) + xhat * mean(D * xhat))`` from ``dx``, the
-    mean terms of batchnorm's input gradient ``inv * (D - mean(D) - xhat *
-    mean(D * xhat))``, given ``sums`` of D and D * xhat per channel."""
-    means = inv * sums / xhat[0].size
+    """Turn D, the gradient of ``xhat`` in ``dx``, into batchnorm's input
+    gradient ``inv * (D - mean(D) - xhat * mean(D * xhat))`` in place, given
+    ``sums`` of D and D * xhat per channel."""
+    means = sums / xhat[0].size
     chunks = _channel_chunks(dx.shape)
 
     def chunk(i):
@@ -485,6 +489,7 @@ def project(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, sums: np.ndarray)
                            out=scratch("chunk", xhat[ch].shape, dx.dtype))
         part += _per_channel(means[0, ch])
         dx[ch] -= part
+        dx[ch] *= _per_channel(inv[ch])
 
     fan_out(chunk, len(chunks))
 
@@ -499,8 +504,9 @@ class BatchNorm:
     Infer mode folds the running estimates into one per-channel
     ``x * scale + shift`` (``folded``) and writes nothing.
 
-    A dense unit's ``bn1`` keeps a view of its block's ``xhat`` instead
-    (see ``DenseBlock``), which ``forward`` never writes.
+    The batchnorm of a dense unit, a transition or the classifier keeps a
+    view of the ``xhat`` of the block before it instead (see
+    ``DenseBlock``), which ``forward`` never writes.
     """
 
     PARAMS = ("gamma", "beta")
@@ -559,7 +565,8 @@ class BatchNorm:
         """The input gradient from the output gradient ``dout``, in scratch.
         Given the output ``relu_out`` of a ReLU after this batchnorm and its
         output gradient ``dout``, backward through both instead and add
-        ``gamma * inv * dh`` into ``dx``, leaving the mean terms to ``project``."""
+        ``gamma * dh``, the gradient of ``xhat``, into ``dx``, leaving the
+        rest to ``project``."""
         xhat, inv = self._cache
         count = dout.size // self.num_channels
         if relu_out is None:
@@ -575,16 +582,15 @@ class BatchNorm:
                 dh *= np.greater(relu_out[ch], 0, out=scratch("mask", dh.shape, bool))
             self.grad_gamma[ch] = np.einsum("cnhw,cnhw->c", dh, xhat[ch])
             self.grad_beta[ch] = np.einsum("cnhw->c", dh)
-            scale = _per_channel(self.gamma[ch] * inv[ch])
             if relu_out is not None:
-                dh *= scale
+                dh *= _per_channel(self.gamma[ch])
                 dx[ch] += dh
                 return
             # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
             part = np.multiply(xhat[ch], _per_channel(-self.grad_gamma[ch] / count), out=dx[ch])
             part += dh
             part -= _per_channel(self.grad_beta[ch] / count)
-            part *= scale
+            part *= _per_channel(self.gamma[ch] * inv[ch])
 
         fan_out(chunk, len(chunks))
         return dx
@@ -623,56 +629,106 @@ class ReLU:
         return out
 
 
-class AvgPool2d:
-    """2x2 average pooling with stride 2; trailing odd row/column dropped."""
+class _Pool:
+    """A pooling layer, run per channel chunk (``fan_out``). Given a
+    per-channel ``scale`` and ``shift``, it pools ``max(x * scale + shift,
+    0)``, the batchnorm and ReLU before it, in the same items and with
+    nothing stored: on a dense block's ``xhat`` with gamma and beta in train
+    mode, on its features with ``BatchNorm.folded()`` in infer mode.
+    Backward recomputes the ReLU mask, writes the gradients of ``scale`` and
+    ``shift`` into ``dscale`` and ``dshift``, and returns the input gradient
+    (``scale * dh``, dh the ReLU input's) in scratch ``"block"``."""
 
     def __init__(self):
-        self._cache = None
+        self._cache = None  # (input, scale, shift)
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, scale=None, shift=None) -> np.ndarray:
+        out = self._output(x, train)
+        chunks = _channel_chunks(x.shape)
+
+        def chunk(i):
+            ch, act = chunks[i], x[chunks[i]]
+            if scale is not None:
+                act = np.multiply(act, _per_channel(scale[ch]),
+                                  out=scratch("chunk", act.shape, x.dtype) if train else None)
+                act += _per_channel(shift[ch])
+                np.maximum(act, 0, out=act)
+            self._pool(act, out[ch], train)
+
+        fan_out(chunk, len(chunks))
+        if train:
+            self._cache = (x, scale, shift)
+        return out
+
+    def backward(self, dout: np.ndarray, dscale=None, dshift=None) -> np.ndarray:
+        x, scale, shift = self._cache
+        dx = scratch("block", x.shape, dout.dtype)
+        chunks = _channel_chunks(x.shape)
+
+        def chunk(i):
+            ch, dh = chunks[i], dx[chunks[i]]
+            self._spread(dout, ch, dh)
+            if scale is None:
+                return
+            act = np.multiply(x[ch], _per_channel(scale[ch]), out=scratch("act", dh.shape, x.dtype))
+            act += _per_channel(shift[ch])
+            dh *= np.greater(act, 0, out=scratch("mask", dh.shape, bool))
+            dscale[ch] = np.einsum("cnhw,cnhw->c", dh, x[ch])
+            dshift[ch] = np.einsum("cnhw->c", dh)
+            dh *= _per_channel(scale[ch])
+
+        fan_out(chunk, len(chunks))
+        return dx
+
+
+class AvgPool2d(_Pool):
+    """2x2 average pooling with stride 2; trailing odd row/column dropped."""
+
+    def _output(self, x, train):
         c, n, h, w = x.shape
         if h < 2 or w < 2:
             raise ShapeError(f"avgpool2d needs spatial extents >= 2, got {h}x{w}")
-        oh, ow = pool_output_size(h), pool_output_size(w)
-        rows = out = None
-        if train:
-            self._cache = x.shape
-            rows = scratch("taps", (c, n, oh, 2 * ow), x.dtype)
-            out = scratch("pair", (c, n, oh, ow), x.dtype)
-        rows = np.add(x[:, :, 0 : 2 * oh : 2, : 2 * ow], x[:, :, 1 : 2 * oh : 2, : 2 * ow], out=rows)
-        out = np.add(rows[:, :, :, 0::2], rows[:, :, :, 1::2], out=out)
-        out *= 0.25
-        return out
+        shape = (c, n, pool_output_size(h), pool_output_size(w))
+        return scratch("pair", shape, x.dtype) if train else np.empty(shape, x.dtype)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def _pool(self, x, out, train):
+        oh, ow = out.shape[2:]
+        shape = (*x.shape[:2], oh, 2 * ow)
+        rows = np.add(x[:, :, 0 : 2 * oh : 2, : 2 * ow], x[:, :, 1 : 2 * oh : 2, : 2 * ow],
+                      out=scratch("taps", shape, x.dtype) if train else None)
+        np.add(rows[:, :, :, 0::2], rows[:, :, :, 1::2], out=out)
+        out *= 0.25
+
+    def _spread(self, dout, ch, dx):
+        # the adjoint of _pool: each value twice along a row, then each row twice
         oh, ow = dout.shape[2:]
-        dx = scratch("pair", self._cache, dout.dtype)
-        for i, j in np.ndindex(2, 2):
-            np.multiply(dout, 0.25, out=dx[:, :, i : 2 * oh : 2, j : 2 * ow : 2])
+        rows = scratch("taps", (*dx.shape[:2], oh, 2 * ow), dx.dtype)
+        np.multiply(dout[ch], 0.25, out=rows[:, :, :, 0::2])
+        rows[:, :, :, 1::2] = rows[:, :, :, 0::2]
+        dx[:, :, 0 : 2 * oh : 2, : 2 * ow] = rows
+        dx[:, :, 1 : 2 * oh : 2, : 2 * ow] = rows
         # the dropped odd row and column get no gradient
         dx[:, :, 2 * oh :] = 0
         dx[:, :, :, 2 * ow :] = 0
-        return dx
 
 
-class GlobalAvgPool:
+class GlobalAvgPool(_Pool):
     """Mean over all spatial positions, one value per channel: (C, N, H, W) -> (N, C)."""
 
-    def __init__(self):
-        self._cache = None
+    def forward(self, x: np.ndarray, train: bool = False, scale=None, shift=None) -> np.ndarray:
+        return super().forward(x, train, scale, shift).T
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _output(self, x, train):
         if x.ndim != 4 or x.shape[2] < 1 or x.shape[3] < 1:
             raise ShapeError(f"global_avgpool expects (C, N, H, W), got {x.shape}")
-        if train:
-            self._cache = x.shape
-        return x.mean(axis=(2, 3)).T
+        return np.empty(x.shape[:2], x.dtype)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        c, n, h, w = self._cache
-        dx = scratch("pair", self._cache, dout.dtype)
-        dx[...] = dout.T.reshape(c, n, 1, 1) / (h * w)
-        return dx
+    def _pool(self, x, out, train):
+        np.mean(x, axis=(2, 3), out=out)
+
+    def _spread(self, dout, ch, dx):
+        h, w = dx.shape[2:]
+        dx[...] = dout.T[ch, :, None, None] / (h * w)
 
 
 class Linear:

@@ -6,8 +6,8 @@ run in order forward and in reverse backward: a pre-activation BN -> ReLU,
 then the convolutions of a unit, the pool and 1x1 conv of a transition, or
 the global pool and fc layer of the classifier. A chain's keywords name its
 tensors, as in ``transition1.conv.weight``, and so fix the checkpoint layout.
-A dense unit's first BN -> ReLU runs inside its first conv instead
-(``DenseUnit``).
+The BN -> ReLU runs inside the first layer after it, a conv or a pool, on
+the features the dense block before it normalized (``Chain``).
 
 ``Model.forward`` takes (N, C, H, W) frames and every stage passes on
 channel-major (C, N, H, W) activations (see ``layers``): ``forward`` hands
@@ -76,11 +76,17 @@ def named_arrays(stages, kind: str, prefix: str = "") -> dict[str, np.ndarray]:
 
 
 class Chain:
-    """Named layers run in order by ``forward`` and in reverse by ``backward``.
+    """A pre-activation BN -> ReLU and the layers after it, run in order by
+    ``forward`` and in reverse by ``backward``.
 
     Each layer becomes an attribute under its keyword, so ``walk`` names its
-    tensors ``<stage>.<keyword>.<tensor>``. The order is fixed here: later
-    attributes (such as wrappers a profiler sets) are never run as layers.
+    tensors ``<stage>.<keyword>.<tensor>``; the batchnorm comes first. The
+    next layer applies its scale and shift and the ReLU, in train mode to
+    the input as the dense block before it normalized it (``DenseBlock``),
+    in infer mode to the raw input with the running statistics folded in;
+    its backward sets the batchnorm's gradients and returns that of the
+    block's ``xhat``. The order is fixed here: later attributes (such as
+    wrappers a profiler sets) are never run as layers.
     """
 
     def __init__(self, **layers):
@@ -89,14 +95,17 @@ class Chain:
         self._order = tuple(layers.values())
 
     def forward(self, x, train=False):
-        for layer in self._order:
+        bn, first, *rest = self._order
+        x = first.forward(x, train, *((bn.gamma, bn.beta) if train else bn.folded()))
+        for layer in rest:
             x = layer.forward(x, train)
         return x
 
     def backward(self, dout):
-        for layer in reversed(self._order):
+        bn, first, *rest = self._order
+        for layer in reversed(rest):
             dout = layer.backward(dout)
-        return dout
+        return first.backward(dout, bn.grad_gamma, bn.grad_beta)
 
 
 class DenseUnit(Chain):
@@ -104,40 +113,35 @@ class DenseUnit(Chain):
     growth_rate maps, preceded in the BC variant by BN -> ReLU -> 1x1
     conv producing 4 * growth_rate maps.
 
-    ``bn1`` is not in the chain: the first conv applies its scale and shift
-    and the ReLU, in train mode to the input as the block normalized it
-    (``DenseBlock``), in infer mode to the raw input with the running
-    statistics folded in. ``backward`` stops at the ReLU output.
+    ``backward`` stops at the ReLU output; the block runs ``bn1``'s backward.
     """
 
     def __init__(self, in_channels: int, growth_rate: int, bottleneck: bool, rng, dtype):
-        self.bn1 = BatchNorm(in_channels, dtype=dtype)  # first, for the checkpoint's order
         layers, width = {}, in_channels
         if bottleneck:
             width = BOTTLENECK_FACTOR * growth_rate
             layers.update(conv1x1=Conv2d(in_channels, width, 1, rng=rng, dtype=dtype),
                           bn2=BatchNorm(width, dtype=dtype), relu2=ReLU())
-        super().__init__(**layers, conv3x3=Conv2d(width, growth_rate, 3, pad=1, rng=rng,
-                                                  dtype=dtype))
+        super().__init__(bn1=BatchNorm(in_channels, dtype=dtype), **layers,
+                         conv3x3=Conv2d(width, growth_rate, 3, pad=1, rng=rng, dtype=dtype))
 
-    def forward(self, x, train=False):
-        bn, (first, *rest) = self.bn1, self._order
-        x = first.forward(x, train, *((bn.gamma, bn.beta) if train else bn.folded()))
-        for layer in rest:
-            x = layer.forward(x, train)
-        return x
+    def backward(self, dout):
+        for layer in reversed(self._order[1:]):
+            dout = layer.backward(dout)
+        return dout
 
 
 class DenseBlock:
     """Dense units with full concatenation wiring over one feature buffer;
     unit n reads the first ``widths[n-1]`` channels.
 
-    A channel's batch statistics are the same for every unit that reads it,
-    so in train mode the block normalizes each slab of channels once, before
-    the first unit that reads it, into one ``xhat`` that every unit's bn1
-    keeps a view of. In backward each bn1 adds ``gamma * inv * dh`` to the
-    input gradient; once every unit that reads a slab has run, the slab's
-    batchnorm mean terms are subtracted for all of them at once.
+    A channel's batch statistics are the same for every layer that reads
+    it, so in train mode the block normalizes each slab of channels once,
+    before the first reader, into one ``xhat``, the train output, that every
+    unit's bn1 and the batchnorm after the block (``_head``, set by
+    ``Model``) keep views of. In backward, from the gradient of ``xhat``,
+    each reader adds ``gamma * dh``; once every reader of a slab has run,
+    its batchnorm backward is finished for all of them at once.
     """
 
     def __init__(self, in_channels: int, growth_rate: int, num_units: int,
@@ -148,6 +152,7 @@ class DenseBlock:
                             for n in range(1, num_units + 1))
         self.units = [DenseUnit(width, growth_rate, bottleneck, rng, dtype)
                       for width in self.widths]
+        self._head = ()  # (the batchnorm after the block,); a tuple, so walk skips it
         self._cache = None
 
     @property
@@ -169,32 +174,46 @@ class DenseBlock:
         features = scratch("block", shape, x.dtype) if train else np.empty(shape, x.dtype)
         features[: self.in_channels] = x
         if train:
-            read = (self.widths[-1], *x.shape[1:])
-            xhat = step_state(self._cache[0] if self._cache else None, read, x.dtype)
-            stats = np.empty((3, read[0]), x.dtype)  # mean, var, inv
+            xhat = step_state(self._cache[0] if self._cache else None, shape, x.dtype)
+            stats = np.empty((3, shape[0]), x.dtype)  # mean, var, inv
             self._cache = (xhat, stats[2])
+
+        def normalize_slab(start, width):
+            chunks = [slice(start + c.start, start + c.stop)
+                      for c in _channel_chunks(features[start:width].shape)]
+
+            def chunk(i):
+                stats[:, chunks[i]] = normalize(features[chunks[i]], xhat[chunks[i]])
+
+            fan_out(chunk, len(chunks))
+
         for start, width, unit in self._slabs():
             if train:
-                chunks = [slice(start + c.start, start + c.stop)
-                          for c in _channel_chunks(features[start:width].shape)]
-
-                def chunk(i):
-                    stats[:, chunks[i]] = normalize(features[chunks[i]], xhat[chunks[i]])
-
-                fan_out(chunk, len(chunks))
+                normalize_slab(start, width)
                 unit.bn1.keep_batch(xhat[:width], *stats[:, :width])
             source = xhat if train else features
             features[width : width + self.growth_rate] = unit.forward(source[:width], train)
-        return features
+        if not train:
+            return features
+        normalize_slab(self.widths[-1], shape[0])
+        for bn in self._head:
+            bn.keep_batch(xhat[:], *stats)  # a view, which its own forward never reuses
+        return xhat
 
     def backward(self, dout):
         xhat, inv = self._cache
         grad = scratch("block", dout.shape, dout.dtype)
-        grad[...] = dout
-        sums = np.zeros((2, len(inv)), inv.dtype)  # of gamma * grad_beta, gamma * grad_gamma
+        grad[...] = dout  # no copy when the head's pool wrote it there
+        if self._head:  # its pool summed gamma * dh and gamma * dh * xhat already
+            (bn,) = self._head
+            sums = bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma))
+        else:
+            sums = np.stack((np.einsum("cnhw->c", dout), np.einsum("cnhw,cnhw->c", dout, xhat)))
+        last = self.widths[-1]
+        project(grad[last:], xhat[last:], inv[last:], sums[:, last:])
         for start, width, unit in reversed(list(self._slabs())):
             bn, d = unit.bn1, unit.backward(grad[width : width + self.growth_rate])
-            bn.backward(d, unit._order[0].kept_input(), grad[:width])
+            bn.backward(d, unit._order[1].kept_input(), grad[:width])
             sums[:, :width] += bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma))
             project(grad[start:width], xhat[start:width], inv[start:width], sums[:, start:width])
         return grad[: self.in_channels]
@@ -204,13 +223,13 @@ def transition(in_channels: int, out_channels: int, rng, dtype) -> Chain:
     """BN -> ReLU -> 2x2 avg pool -> 1x1 conv to the compressed width. Pooling
     first equals the planned conv-then-pool exactly in real arithmetic (both
     are linear, the conv acts per position) and runs the conv on 4x fewer rows."""
-    return Chain(bn=BatchNorm(in_channels, dtype=dtype), relu=ReLU(), pool=AvgPool2d(),
+    return Chain(bn=BatchNorm(in_channels, dtype=dtype), pool=AvgPool2d(),
                  conv=Conv2d(in_channels, out_channels, 1, rng=rng, dtype=dtype))
 
 
 def classifier_head(in_channels: int, num_classes: int, rng, dtype) -> Chain:
     """BN -> ReLU -> global average pool -> fully-connected logits."""
-    return Chain(bn=BatchNorm(in_channels, dtype=dtype), relu=ReLU(), pool=GlobalAvgPool(),
+    return Chain(bn=BatchNorm(in_channels, dtype=dtype), pool=GlobalAvgPool(),
                  fc=Linear(in_channels, num_classes, rng=rng, dtype=dtype))
 
 
@@ -258,19 +277,24 @@ class Model:
 
         self._stages = [(stage.name, build(stage)) for stage in plan.stages]
         self.blocks = [stage for _, stage in self._stages if isinstance(stage, DenseBlock)]
+        for (_, stage), (_, head) in zip(self._stages, self._stages[1:]):
+            if isinstance(stage, DenseBlock):
+                stage._head = (head.bn,)
 
-        # rebind every tensor and every gradient to a view of its arena
+        # move every tensor, and point every gradient, into a view of its arena
         layers = [layer for _, stage in self._stages for _, layer in walk(stage)]
         params = [(layer, key) for layer in layers for key in getattr(layer, "PARAMS", ())]
         slots = params + [(layer, key) for layer in layers for key in getattr(layer, "STATE", ())]
-        self.tensors = np.concatenate([getattr(layer, key).ravel() for layer, key in slots])
+        self.tensors = np.empty(sum(getattr(layer, key).size for layer, key in slots), dtype)
         self.params = self.tensors[: sum(getattr(layer, key).size for layer, key in params)]
         self.grads = np.zeros_like(self.params)
         offset = 0
         for layer, key in slots:
             value = getattr(layer, key)
             end = offset + value.size
-            setattr(layer, key, self.tensors[offset:end].reshape(value.shape))
+            slot = self.tensors[offset:end].reshape(value.shape)
+            slot[...] = value
+            setattr(layer, key, slot)
             if end <= self.params.size:
                 setattr(layer, "grad_" + key, self.grads[offset:end].reshape(value.shape))
             offset = end

@@ -206,11 +206,11 @@ def train_epoch(model: Model, data: FrameDataset, cfg: TrainConfig, rng,
     is ``velocity["params"]``, made on first use and kept in the caller's dict.
 
     Each step runs inside ``layers.one_blas_thread``: numpy's bundled OpenBLAS
-    is held at one thread, and the step's convolution panels and batchnorm and
-    ReLU channel chunks run on one pool thread per usable core (see
-    ``layers.fan_out``). The work items are fixed by the batch shape, so the
-    results are bitwise the same on any number of cores and under any
-    OpenBLAS thread count. The thread count is restored after every step, also
+    is held at one thread, and the step's convolution panels and its
+    batchnorm, ReLU and pool channel chunks run on one pool thread per
+    usable core (see ``layers.fan_out``). The work items are fixed by the
+    batch shape, so the results are bitwise the same on any number of cores
+    and under any OpenBLAS thread count. The thread count is restored after every step, also
     when a step raises."""
     if len(data) == 0:
         raise DataError("empty training data")

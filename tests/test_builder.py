@@ -339,7 +339,8 @@ class TestModel:
     def test_whole_model_gradient_matches_finite_differences(
             self, variant, depth, blocks, compression, seed):
         from damnet.gradcheck import finite_diff_check
-        from damnet.layers import ReLU, softmax_cross_entropy
+        from damnet.layers import softmax_cross_entropy
+        from damnet.model import walk
 
         cfg = DenseNetConfig(variant=variant, depth=depth, blocks=blocks,
                              growth_rate=2, compression=compression,
@@ -352,19 +353,13 @@ class TestModel:
         eps = 1e-5
 
         # central differences are only valid away from ReLU kinks: this
-        # seed gives every pre-activation a margin far above eps
-        margins = []
-        original_forward = ReLU.forward
-
-        def tracking_forward(relu_self, values, train=False):
-            margins.append(float(np.abs(values).min()))
-            return original_forward(relu_self, values, train)
-
-        ReLU.forward = tracking_forward
-        try:
-            model.forward(x, train=True)
-        finally:
-            ReLU.forward = original_forward
+        # seed gives every pre-activation, a batchnorm's xhat * gamma + beta
+        # (a ReLU follows each), a margin far above eps
+        model.forward(x, train=True)
+        margins = [np.abs(layer._cache[0] * layer.gamma[:, None, None, None]
+                          + layer.beta[:, None, None, None]).min()
+                   for _, stage in model.stages() for _, layer in walk(stage)
+                   if isinstance(layer, BatchNorm)]
         assert min(margins) > 50 * eps, "seed lands too close to a ReLU kink"
 
         def objective():
@@ -412,7 +407,7 @@ class TestModel:
             if not isinstance(block, DenseBlock):
                 continue
             xhat, inv = state[(name, "_cache")]
-            assert xhat.shape[0] == inv.shape[0] == block.widths[-1]
+            assert xhat.shape[0] == inv.shape[0] == block.out_channels
             in_units = {path: value for (path, _), value in state.items()
                         if path.startswith(f"{name}.units.")}
             # a unit keeps its conv grids and views of the block's xhat, no ReLU mask
@@ -422,6 +417,31 @@ class TestModel:
                     assert value[0].base is not None and np.shares_memory(value[0], xhat), path
                 else:
                     assert ".conv3x3." in path, path
+
+    def test_heads_keep_no_normalization_or_mask_of_their_own(self):
+        # a transition's and the classifier's batchnorm and pool keep views
+        # of the block's xhat; the pool recomputes the ReLU mask from it
+        from damnet.layers import softmax_cross_entropy
+
+        cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,
+                             compression=0.5, num_classes=5, first_conv_channels=8)
+        model = build_model(cfg, seed=0)
+        x = rng(6).standard_normal((4, 3, 11, 40)).astype(np.float32)
+        model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(4))[1])
+        state, stages = backward_state(model), model.stages()
+        heads = [(head_name, block) for (_, block), (head_name, _) in zip(stages, stages[1:])
+                 if isinstance(block, DenseBlock)]
+        assert [name for name, _ in heads] == ["transition1", "transition2", "classifier"]
+        for head_name, block in heads:
+            xhat = block._cache[0]
+            in_head = {path: value for (path, _), value in state.items()
+                       if path.startswith(f"{head_name}.")}
+            assert sorted(in_head) == sorted(f"{head_name}.{layer}.0" for layer in (
+                "bn", "pool", "conv" if head_name != "classifier" else "fc"))
+            for layer in ("bn", "pool"):
+                kept = in_head[f"{head_name}.{layer}.0"][0]
+                assert kept.shape == xhat.shape and np.shares_memory(kept, xhat), layer
+            assert in_head[f"{head_name}.bn.0"][0].base is not None
 
 
     def test_padded_conv_grids_share_their_padding(self):

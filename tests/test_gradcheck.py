@@ -10,7 +10,7 @@ from damnet.gradcheck import (
     max_relative_error,
 )
 from damnet.layers import BatchNorm, Conv2d, ReLU, softmax_cross_entropy
-from damnet.model import DenseBlock, named_arrays
+from damnet.model import DenseBlock, classifier_head, named_arrays, transition
 
 
 def rng(seed=0):
@@ -56,6 +56,37 @@ def test_dense_block(bottleneck):
     objective()
     dx = np.array(block.backward(projection))
     grads = named_arrays([("block", block)], "PARAMS", "grad_")
+    analytic = {"x": dx, **{name: grad.copy() for name, grad in grads.items()}}
+    assert finite_diff_check(objective, {"x": x, **params}, analytic) < GRADCHECK_TOLERANCE
+
+
+@pytest.mark.parametrize("head", [transition, classifier_head])
+@pytest.mark.parametrize("bottleneck", [False, True], ids=["plain", "BC"])
+def test_dense_block_with_head(bottleneck, head):
+    # the head's batchnorm and ReLU run in its pool on the block's xhat, and
+    # the block finishes that batchnorm's backward, so both are checked as one
+    r = rng(8)
+    block = DenseBlock(3, 2, 3, bottleneck=bottleneck, rng=r, dtype=np.float64)
+    stage = head(block.out_channels, 4, r, np.float64)
+    block._head = (stage.bn,)
+    stages = [("block", block), ("head", stage)]
+    params = named_arrays(stages, "PARAMS")
+    for name, value in params.items():
+        if name.endswith((".gamma", ".beta")):
+            value[...] = r.uniform(0.5, 1.5, value.shape) * r.choice([-1.0, 1.0], value.shape)
+    x = r.standard_normal((3, 4, 4, 5))
+
+    def forward():
+        return stage.forward(block.forward(x, True), True)
+
+    projection = r.standard_normal(forward().shape)
+
+    def objective():
+        return float((forward() * projection).sum())
+
+    objective()
+    dx = np.array(block.backward(stage.backward(projection)))
+    grads = named_arrays(stages, "PARAMS", "grad_")
     analytic = {"x": dx, **{name: grad.copy() for name, grad in grads.items()}}
     assert finite_diff_check(objective, {"x": x, **params}, analytic) < GRADCHECK_TOLERANCE
 

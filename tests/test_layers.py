@@ -18,18 +18,35 @@ from damnet.layers import (
     softmax_cross_entropy,
 )
 from damnet.builder import DenseNetConfig
-from damnet.model import Chain, DenseBlock, build_model, named_arrays, transition
+from damnet.model import DenseBlock, build_model, named_arrays, transition
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+class Sequence:
+    """Standalone layers run in order by forward and in reverse by backward."""
+
+    def __init__(self, *layers):
+        self.layers = layers
+
+    def forward(self, x, train=False):
+        for layer in self.layers:
+            x = layer.forward(x, train)
+        return x
+
+    def backward(self, dout):
+        for layer in reversed(self.layers):
+            dout = layer.backward(dout)
+        return dout
+
+
 def explicit_chain(unit):
-    """A dense unit's own layers as a chain of standalone layers that runs its
-    bn1 forward and adds the ReLU between bn1 and the first conv."""
-    layers = {name: layer for name, layer in vars(unit).items() if hasattr(layer, "backward")}
-    return Chain(bn1=layers.pop("bn1"), relu1=ReLU(), **layers)
+    """A dense unit's own layers as standalone layers in order that run its
+    bn1 forward and add the ReLU between bn1 and the first conv."""
+    bn1, *layers = [layer for layer in vars(unit).values() if hasattr(layer, "backward")]
+    return Sequence(bn1, ReLU(), *layers)
 
 
 class TestDenseWiring:
@@ -46,14 +63,18 @@ class TestDenseWiring:
 
         # reference: each unit's layers run as a standalone BN -> ReLU -> conv
         # chain, wired by explicit concatenation, with each unit's input
-        # gradient split back onto its sources
+        # gradient split back onto its sources; a standalone block's train
+        # output is its features normalized, as a batchnorm with gamma 1 and
+        # beta 0 gives them
         units = [explicit_chain(unit) for unit in block.units]
         features = [x]
         for unit in units:
             features.append(unit.forward(np.concatenate(features), train=True).copy())
-        np.testing.assert_allclose(out, np.concatenate(features), rtol=0, atol=1e-12)
+        normalized = BatchNorm(block.out_channels, dtype=np.float64)
+        np.testing.assert_allclose(out, normalized.forward(np.concatenate(features), train=True),
+                                   rtol=0, atol=1e-12)
         sizes = [f.shape[0] for f in features]
-        accum = [g.copy() for g in np.split(dout, np.cumsum(sizes)[:-1])]
+        accum = [g.copy() for g in np.split(normalized.backward(dout), np.cumsum(sizes)[:-1])]
         for n in range(len(units), 0, -1):
             din = units[n - 1].backward(accum[n])
             for i, part in enumerate(np.split(din, np.cumsum(sizes[:n])[:-1])):
@@ -79,23 +100,31 @@ class TestDenseWiring:
 
     @pytest.mark.parametrize("h,w", [(4, 6), (5, 7), (9, 38)])
     def test_transition_pool_first_equals_conv_first(self, h, w):
+        # in train mode a transition reads its block's xhat and applies its
+        # batchnorm's gamma and beta and the ReLU in its pool
         r = rng(h * w)
         stage = transition(6, 3, rng=r, dtype=np.float64)
-        x = r.standard_normal((6, 3, h, w))
+        gamma = stage.bn.gamma[...] = r.uniform(0.5, 1.5, 6) * r.choice([-1.0, 1.0], 6)
+        beta = stage.bn.beta[...] = r.normal(0.0, 0.5, 6)
+        xhat = r.standard_normal((6, 3, h, w))
         dout = r.standard_normal((3, 3, h // 2, w // 2))
-        out = stage.forward(x, train=True).copy()
+        out = stage.forward(xhat, train=True).copy()
         dx = stage.backward(dout).copy()
-        grad_weight = stage.conv.grad_weight.copy()
+        grads = [g.copy() for g in (stage.conv.grad_weight, stage.bn.grad_gamma,
+                                    stage.bn.grad_beta)]
 
-        # reference: the planned order, 1x1 conv then pool, same weights
-        pool = AvgPool2d()
-        hidden = stage.relu.forward(stage.bn.forward(x, train=True), train=True)
+        # reference: the planned order, BN scale and shift -> ReLU -> 1x1 conv
+        # then pool, same weights
+        pool, relu = AvgPool2d(), ReLU()
+        hidden = relu.forward(xhat * gamma[:, None, None, None] + beta[:, None, None, None],
+                              train=True)
         reference = pool.forward(stage.conv.forward(hidden, train=True), train=True)
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
-        d = stage.conv.backward(pool.backward(dout))
-        d = stage.bn.backward(stage.relu.backward(d))
-        np.testing.assert_allclose(dx, d, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grad_weight, stage.conv.grad_weight, rtol=0, atol=1e-12)
+        dh = relu.backward(stage.conv.backward(pool.backward(dout)))
+        np.testing.assert_allclose(dx, dh * gamma[:, None, None, None], rtol=0, atol=1e-12)
+        for got, want in zip(grads, (stage.conv.grad_weight, np.einsum("cnhw,cnhw->c", dh, xhat),
+                                     dh.sum(axis=(1, 2, 3)))):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def conv_reference(x, weight, pad):

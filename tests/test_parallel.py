@@ -271,26 +271,60 @@ class TestFusedPreActivation:
     @pytest.mark.parametrize("config", [PLAIN, BC], ids=["plain", "BC"])
     def test_block_forward_matches_standalone_units(self, monkeypatch, cores, config):
         # the block normalizes each slab once; per channel those are the
-        # statistics a standalone batchnorm computes over the whole prefix, in
-        # float32 too (einsum rounds a channel's sum alike in any chunk of two
-        # or more channels, and no chunk here has one)
+        # statistics a standalone batchnorm computes over the whole prefix,
+        # and the transition's over the whole output, in float32 too (einsum
+        # rounds a channel's sum alike in any chunk of two or more channels,
+        # and no chunk here has one)
         use_cores(monkeypatch, cores)
-        fused, explicit = (build_model(config, seed=5).blocks[0] for _ in range(2))
+        fused, explicit = (build_model(config, seed=5) for _ in range(2))
         x = np.random.default_rng(6).standard_normal(
-            (fused.in_channels, 37, 9, 38)).astype(np.float32)
-        out = fused.forward(x, train=True)
+            (fused.blocks[0].in_channels, 37, 9, 38)).astype(np.float32)
+        out = fused.blocks[0].forward(x, train=True)
         features = x
-        for unit in explicit.units:
+        for unit in explicit.blocks[0].units:
             layers_after_relu = [layer for name, layer in vars(unit).items()
                                  if name != "bn1" and hasattr(layer, "backward")]
             h = ReLU().forward(unit.bn1.forward(features, train=True), train=True)
             for layer in layers_after_relu:
                 h = layer.forward(h, train=True)
             features = np.concatenate([features, h])
-        np.testing.assert_array_equal(out, features)
-        for a, b in zip(fused.units, explicit.units):
-            np.testing.assert_array_equal(a.bn1.running_mean, b.bn1.running_mean)
-            np.testing.assert_array_equal(a.bn1.running_var, b.bn1.running_var)
+        head = dict(explicit.stages())["transition1"].bn
+        head.forward(features, train=True)
+        np.testing.assert_array_equal(out, head._cache[0])
+        pairs = [(a.bn1, b.bn1) for a, b in zip(fused.blocks[0].units, explicit.blocks[0].units)]
+        for a, b in pairs + [(dict(fused.stages())["transition1"].bn, head)]:
+            np.testing.assert_array_equal(a.running_mean, b.running_mean)
+            np.testing.assert_array_equal(a.running_var, b.running_var)
+
+
+class TestFusedHead:
+    """A transition's or the classifier's BN -> ReLU runs inside its pool's
+    channel chunks, with the mask recomputed in backward; standalone layers
+    are the reference."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
+    @pytest.mark.parametrize("extent", [(9, 38), (5, 7), (2, 9)])
+    @pytest.mark.parametrize("pool", [layers.AvgPool2d, layers.GlobalAvgPool])
+    def test_fused_head_matches_explicit_chain(self, monkeypatch, cores, train, extent, pool):
+        use_cores(monkeypatch, cores)
+        r = np.random.default_rng(extent[0] * 100 + extent[1])
+        bn, relu, explicit, fused = random_batchnorm(r, 21, np.float64), ReLU(), pool(), pool()
+        x = r.standard_normal((21, 37, *extent)) * 2 + 0.5
+        out = explicit.forward(relu.forward(bn.forward(x, train), train), train).copy()
+        if not train:
+            np.testing.assert_array_equal(fused.forward(x, False, *bn.folded()), out)
+            return
+        xhat, inv = bn._cache
+        np.testing.assert_array_equal(fused.forward(xhat, True, bn.gamma, bn.beta), out)
+        dout = r.standard_normal(out.shape)
+        dx = bn.backward(relu.backward(explicit.backward(dout))).copy()
+        grad_gamma, grad_beta = np.empty(21), np.empty(21)
+        d = fused.backward(dout, grad_gamma, grad_beta)
+        np.testing.assert_array_equal(grad_gamma, bn.grad_gamma)
+        np.testing.assert_array_equal(grad_beta, bn.grad_beta)
+        layers.project(d, xhat, inv, bn.gamma * np.stack((grad_beta, grad_gamma)))
+        assert_close(d, dx)
 
 
 class TestInferPerFrame:
