@@ -10,12 +10,12 @@ import numpy as np
 
 from .exceptions import ConfigError, NumericError
 from .layers import (
+    BN_EPSILON,
     AvgPool2d,
     BatchNorm,
     Conv2d,
     GlobalAvgPool,
     Linear,
-    ReLU,
     softmax_cross_entropy,
 )
 
@@ -63,31 +63,39 @@ def finite_diff_check(objective, tensors: dict, analytic: dict, eps: float = DEF
 
 
 def check_layer(layer, x: np.ndarray, *, eps: float = DEFAULT_EPS, rng=None,
-                scale=None, shift=None) -> float:
+                scale=None, shift=None, bn=None) -> float:
     """Finite-difference check of one layer's input and parameter gradients.
 
     Every forward runs in train mode, which backward needs. The scalar
     objective is sum(forward(x) * R) for a fixed random projection R, so
     its gradient w.r.t. the output is exactly R. Given ``scale`` and
     ``shift``, a pool runs its fused batchnorm scale and shift and ReLU
-    (``layers._Pool``), and their gradients are checked too.
+    (``layers._Pool``), and their gradients are checked too. Given a
+    batchnorm ``bn``, a conv runs after it, applying its gamma and beta and
+    the ReLU, and the batchnorm's gradients are checked too.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     fused = () if scale is None else (scale, shift)
-    out = layer.forward(x, True, *fused)
-    projection = rng.standard_normal(out.shape)
+    applied = fused if bn is None else (bn.gamma, bn.beta)
+
+    def forward():
+        return layer.forward(x if bn is None else bn.forward(x, True), True, *applied)
+
+    projection = rng.standard_normal(forward().shape)
 
     def objective():
-        return float((layer.forward(x, True, *fused) * projection).sum())
+        return float((forward() * projection).sum())
 
     # objective() reruns train forwards, which may reuse the memory dx is in
     fused_grads = [np.zeros_like(t) for t in fused]
-    dx = np.array(layer.backward(projection, *fused_grads))
+    dx = layer.backward(projection, *fused_grads)
+    dx = np.array(dx if bn is None else bn.backward(dx, layer.kept_input()))
     tensors = {"x": x, **dict(zip(("scale", "shift"), fused))}
     analytic = {"x": dx, **dict(zip(("scale", "shift"), fused_grads))}
-    for key in getattr(layer, "PARAMS", ()):
-        tensors[f"param:{key}"] = getattr(layer, key)
-        analytic[f"param:{key}"] = np.array(getattr(layer, "grad_" + key))
+    for part in (layer, bn):
+        for key in getattr(part, "PARAMS", ()):
+            tensors[f"param:{key}"] = getattr(part, key)
+            analytic[f"param:{key}"] = np.array(getattr(part, "grad_" + key))
     return finite_diff_check(objective, tensors, analytic, eps=eps)
 
 
@@ -103,6 +111,16 @@ def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EP
     def record(name, err):
         results[name] = max(results.get(name, 0.0), err)
 
+    def after_batchnorm(pre, k):
+        """Check a k x k conv after a batchnorm whose gamma and beta undo its
+        normalization, so the ReLU between them takes the samples ``pre``."""
+        c = pre.shape[0]
+        bn = BatchNorm(c, dtype=np.float64)
+        bn.gamma[...] = np.sqrt(pre.var(axis=(1, 2, 3)) + BN_EPSILON)
+        bn.beta[...] = pre.mean(axis=(1, 2, 3))
+        conv = Conv2d(c, 2, k, pad=k // 2, rng=rng, dtype=np.float64)
+        return check_layer(conv, pre, eps=eps, rng=rng, bn=bn)
+
     for i in range(instances):
         x = rng.standard_normal((3, 2, 5, 6))
         conv = Conv2d(3, 4, 3, pad=i % 2, rng=rng, dtype=np.float64)
@@ -112,15 +130,12 @@ def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EP
         conv = Conv2d(5, 3, 1, rng=rng, dtype=np.float64)
         record("conv2d_1x1", check_layer(conv, x, eps=eps, rng=rng))
 
-        x = rng.standard_normal((3, 8, 2, 2))
-        bn = BatchNorm(3, dtype=np.float64)
-        bn.gamma[...] = rng.standard_normal(3) * 0.5 + 1.0
-        bn.beta[...] = rng.standard_normal(3) * 0.1
-        record("batchnorm", check_layer(bn, x, eps=eps, rng=rng))
-
-        # keep samples away from the kink at 0 so central differences are valid
-        x = rng.uniform(0.2, 1.5, size=(4, 3, 5, 6)) * rng.choice([-1.0, 1.0], size=(4, 3, 5, 6))
-        record("relu", check_layer(ReLU(), x, eps=eps, rng=rng))
+        # a batchnorm, the ReLU and a conv, the ReLU's inputs all > 0 (linear), then of
+        # either sign, away from the kink so central differences hold; a batchnorm's
+        # mean terms can cancel near 0 at a masked input, so those shapes are small
+        record("batchnorm", after_batchnorm(rng.uniform(0.2, 1.5, size=(3, 8, 2, 2)), 1))
+        x = rng.uniform(0.2, 1.5, size=(2, 2, 3, 4)) * rng.choice([-1.0, 1.0], size=(2, 2, 3, 4))
+        record("relu", after_batchnorm(x, 3))
 
         # a pool alone, or after a fused batchnorm scale and shift and ReLU
         # whose inputs keep away from the kink

@@ -27,8 +27,8 @@ train-mode forward before it.
 
 The large primitives run as work items fixed by shape: a convolution, in
 both modes, per panel of ``PANEL_FRAMES`` whole images, a pool, in both
-modes, and train-mode batchnorm and ReLU per chunk of at least
-``CHANNEL_CHUNK`` channels.
+modes, and train-mode batchnorm per chunk of at least ``CHANNEL_CHUNK``
+channels.
 ``fan_out`` runs the items of one call on a pool of one thread per usable
 core, with numpy's bundled OpenBLAS held at one thread
 (``one_blas_thread``), or in the calling thread. Each item writes its own
@@ -41,15 +41,15 @@ Train mode gives every large array a fixed lifetime, so a training step
 reuses the memory of the last one instead of allocating it again:
 
 - *Step state*, what a train forward keeps for backward (the conv's padded
-  grid, batchnorm's normalized input, the ReLU mask), lives in the layer's
-  ``_cache``. It is reused while the shape and dtype repeat, and
-  replaced when they change, as on an epoch's last partial batch. A layer
-  copies what it keeps, except ``Linear``, which keeps its small input.
-  A dense block keeps one normalized copy of its features, which its
-  units' ``bn1`` and the batchnorm and pool after the block keep views of,
-  and a ReLU run inside a conv or pool keeps no mask: the conv's grid holds
-  the ReLU output, and the pool recomputes the mask. For plain-22 at batch
-  256 the step state is about 264 MiB.
+  grid, batchnorm's normalized input), lives in the layer's ``_cache``. It
+  is reused while the shape and dtype repeat, and replaced when they
+  change, as on an epoch's last partial batch. A layer copies what it
+  keeps, except ``Linear``, which keeps its small input. A dense block
+  keeps one normalized copy of its features, which its units' ``bn1`` and
+  the batchnorm and pool after the block keep views of. Every ReLU runs
+  inside the conv or pool after a batchnorm and keeps no mask: the conv's
+  grid holds the ReLU output, and the pool recomputes the mask. For
+  plain-22 at batch 256 the step state is about 264 MiB.
 - *Scratch* holds everything else: a train-mode result of ``forward`` or
   ``backward`` (apart from the small global-pool and linear outputs) is a
   view into per-thread buffers (``scratch``), valid until the next
@@ -79,7 +79,7 @@ BN_EPSILON = 1e-5
 BN_MOMENTUM = 0.9
 
 # Work items: whole images per convolution panel, and channels per train-mode
-# batchnorm or ReLU chunk, raised until a chunk holds ITEM_ELEMENTS values, so
+# batchnorm or pool chunk, raised until a chunk holds ITEM_ELEMENTS values, so
 # small batches do not pay for many tiny items. They depend on the shapes only.
 PANEL_FRAMES = 16
 CHANNEL_CHUNK = 8
@@ -460,20 +460,29 @@ def _per_channel(arr):
     return arr.reshape(-1, 1, 1, 1)
 
 
-def normalize(x: np.ndarray, xhat: np.ndarray):
-    """Batch statistics of a (C, N, H, W) chunk over (N, H, W): writes
-    ``xhat = (x - mean) * inv`` with ``inv = 1 / sqrt(var + eps)`` and
-    returns (mean, var, inv)."""
+def normalize(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+    """Batch statistics of a (C, N, H, W) array over (N, H, W), each chunk
+    of channels its own item (``fan_out``), as no channel reads another's:
+    writes ``xhat = (x - mean) * inv`` with ``inv = 1 / sqrt(var + eps)``
+    and returns the (3, C) rows mean, var, inv."""
     count = x[0].size
     if count < 2:
         raise DataError(f"degenerate batch: {count} sample per channel, need >= 2")
-    mean = np.einsum("cnhw->c", x) / count
-    centred = np.subtract(x, _per_channel(mean), out=xhat)
-    # centred second moment: no cancellation from E[x^2] - E[x]^2
-    var = np.einsum("cnhw,cnhw->c", centred, centred) / count
-    inv = 1.0 / np.sqrt(var + BN_EPSILON)
-    centred *= _per_channel(inv)
-    return mean, var, inv
+    stats = np.empty((3, x.shape[0]), x.dtype)
+    chunks = _channel_chunks(x.shape)
+
+    def chunk(i):
+        ch = chunks[i]
+        mean = np.einsum("cnhw->c", x[ch]) / count
+        centred = np.subtract(x[ch], _per_channel(mean), out=xhat[ch])
+        # centred second moment: no cancellation from E[x^2] - E[x]^2
+        var = np.einsum("cnhw,cnhw->c", centred, centred) / count
+        inv = 1.0 / np.sqrt(var + BN_EPSILON)
+        centred *= _per_channel(inv)
+        stats[:, ch] = mean, var, inv
+
+    fan_out(chunk, len(chunks))
+    return stats
 
 
 def project(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, sums: np.ndarray) -> None:
@@ -495,18 +504,17 @@ def project(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, sums: np.ndarray)
 
 
 class BatchNorm:
-    """Per-channel batch normalization with running statistics.
+    """Per-channel batch normalization with running statistics, whose scale,
+    shift and ReLU the conv or pool after it applies (``Conv2d``, ``_Pool``):
+    in train mode ``gamma`` and ``beta`` to the normalized input, in infer
+    mode ``folded()`` to the raw input.
 
-    Train mode normalizes with batch statistics over (batch, height,
-    width), each chunk of channels (``fan_out``) its own channels, as no
-    channel reads another's, then updates the running estimates in place
-    and keeps the normalized input for backward (``keep_batch``).
-    Infer mode folds the running estimates into one per-channel
-    ``x * scale + shift`` (``folded``) and writes nothing.
-
-    The batchnorm of a dense unit, a transition or the classifier keeps a
-    view of the ``xhat`` of the block before it instead (see
-    ``DenseBlock``), which ``forward`` never writes.
+    Train mode normalizes with batch statistics over (batch, height, width)
+    (``normalize``), updates the running estimates in place and keeps the
+    normalized input for backward (``keep_batch``). The batchnorm of a dense
+    unit's first layer, a transition or the classifier keeps a view of the
+    ``xhat`` of the block before it instead (see ``DenseBlock``), which
+    ``forward`` never writes.
     """
 
     PARAMS = ("gamma", "beta")
@@ -535,58 +543,45 @@ class BatchNorm:
         self._cache = (xhat, inv)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """What the next layer scales, shifts and ReLUs: the kept ``xhat``
+        in train mode, ``x`` itself in infer mode."""
         if x.ndim != 4 or x.shape[0] != self.num_channels:
             raise ShapeError(
                 f"batchnorm expects ({self.num_channels}, N, H, W), got {x.shape}"
             )
         if not train:
-            scale, shift = self.folded()
-            out = x * _per_channel(scale)
-            out += _per_channel(shift)
-            return out
+            return x
         # a view is a dense block's xhat (``keep_batch``), not this layer's to overwrite
         kept = self._cache[0] if self._cache and self._cache[0].base is None else None
         xhat = step_state(kept, x.shape, x.dtype)
-        stats = np.empty((3, self.num_channels), dtype=x.dtype)  # mean, var, inv
-        out = scratch("pair", x.shape, np.result_type(xhat, self.gamma))
-        chunks = _channel_chunks(x.shape)
+        self.keep_batch(xhat, *normalize(x, xhat))
+        return xhat
 
-        def chunk(i):
-            ch = chunks[i]
-            stats[:, ch] = normalize(x[ch], xhat[ch])
-            np.multiply(xhat[ch], _per_channel(self.gamma[ch]), out=out[ch])
-            out[ch] += _per_channel(self.beta[ch])
-
-        fan_out(chunk, len(chunks))
-        self.keep_batch(xhat, *stats)
-        return out
-
-    def backward(self, dout: np.ndarray, relu_out=None, dx=None) -> np.ndarray:
-        """The input gradient from the output gradient ``dout``, in scratch.
-        Given the output ``relu_out`` of a ReLU after this batchnorm and its
-        output gradient ``dout``, backward through both instead and add
-        ``gamma * dh``, the gradient of ``xhat``, into ``dx``, leaving the
-        rest to ``project``."""
+    def backward(self, dout: np.ndarray, relu_out: np.ndarray, dx=None) -> np.ndarray:
+        """Backward through this batchnorm and the ReLU after it, given that
+        ReLU's output ``relu_out`` and output gradient ``dout``: the input
+        gradient, in scratch. Given ``dx``, add ``gamma * dh``, the gradient
+        of ``xhat``, into it instead and leave the rest to ``project``."""
         xhat, inv = self._cache
         count = dout.size // self.num_channels
-        if relu_out is None:
+        full = dx is None
+        if full:
             dx = scratch("pair", xhat.shape, np.result_type(xhat, self.grad_gamma))
         chunks = _channel_chunks(dout.shape)
 
         def chunk(i):
-            ch, dh = chunks[i], dout[chunks[i]]
-            if relu_out is not None:
-                # copied first: a strided array times a bool one is slow
-                dh = scratch("chunk", xhat[ch].shape, dout.dtype)
-                dh[...] = dout[ch]
-                dh *= np.greater(relu_out[ch], 0, out=scratch("mask", dh.shape, bool))
+            ch = chunks[i]
+            # copied first: a strided array times a bool one is slow
+            dh = scratch("chunk", xhat[ch].shape, dout.dtype)
+            dh[...] = dout[ch]
+            dh *= np.greater(relu_out[ch], 0, out=scratch("mask", dh.shape, bool))
             self.grad_gamma[ch] = np.einsum("cnhw,cnhw->c", dh, xhat[ch])
             self.grad_beta[ch] = np.einsum("cnhw->c", dh)
-            if relu_out is not None:
+            if not full:
                 dh *= _per_channel(self.gamma[ch])
                 dx[ch] += dh
                 return
-            # gamma * inv * (dout - mean(dout) - xhat * mean(dout * xhat))
+            # gamma * inv * (dh - mean(dh) - xhat * mean(dh * xhat))
             part = np.multiply(xhat[ch], _per_channel(-self.grad_gamma[ch] / count), out=dx[ch])
             part += dh
             part -= _per_channel(self.grad_beta[ch] / count)
@@ -594,39 +589,6 @@ class BatchNorm:
 
         fan_out(chunk, len(chunks))
         return dx
-
-
-class ReLU:
-    """Elementwise max(0, x); the subgradient at exactly 0 is 0. Train mode
-    runs per chunk of ``CHANNEL_CHUNK`` channels."""
-
-    def __init__(self):
-        self._cache = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if not train:
-            return np.maximum(x, 0)
-        mask = self._cache = step_state(self._cache, x.shape, bool)
-        out = scratch("pair", x.shape, x.dtype)
-        chunks = _channel_chunks(x.shape)
-
-        def chunk(i):
-            ch = chunks[i]
-            np.greater(x[ch], 0, out=mask[ch])
-            np.multiply(x[ch], mask[ch], out=out[ch])
-
-        fan_out(chunk, len(chunks))
-        return out
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        out = scratch("pair", dout.shape, dout.dtype)
-        chunks = _channel_chunks(dout.shape)
-
-        def chunk(i):
-            np.multiply(dout[chunks[i]], self._cache[chunks[i]], out=out[chunks[i]])
-
-        fan_out(chunk, len(chunks))
-        return out
 
 
 class _Pool:

@@ -3,11 +3,11 @@
 ``Model`` builds one stage per ``plan_architecture`` record. Every dense
 unit, transition and the classifier is a ``Chain`` of named primitives,
 run in order forward and in reverse backward: a pre-activation BN -> ReLU,
-then the convolutions of a unit, the pool and 1x1 conv of a transition, or
-the global pool and fc layer of the classifier. A chain's keywords name its
-tensors, as in ``transition1.conv.weight``, and so fix the checkpoint layout.
-The BN -> ReLU runs inside the first layer after it, a conv or a pool, on
-the features the dense block before it normalized (``Chain``).
+then the convolutions of a unit (a BC unit's with a second BN -> ReLU
+between them), the pool and 1x1 conv of a transition, or the global pool
+and fc layer of the classifier. A chain's keywords name its tensors, as in
+``transition1.conv.weight``, and so fix the checkpoint layout. Each
+BN -> ReLU runs inside the conv or pool after it (``Chain``).
 
 ``Model.forward`` takes (N, C, H, W) frames and every stage passes on
 channel-major (C, N, H, W) activations (see ``layers``): ``forward`` hands
@@ -40,9 +40,6 @@ from .layers import (
     Conv2d,
     GlobalAvgPool,
     Linear,
-    ReLU,
-    _channel_chunks,
-    fan_out,
     normalize,
     project,
     scratch,
@@ -80,13 +77,14 @@ class Chain:
     ``forward`` and in reverse by ``backward``.
 
     Each layer becomes an attribute under its keyword, so ``walk`` names its
-    tensors ``<stage>.<keyword>.<tensor>``; the batchnorm comes first. The
-    next layer applies its scale and shift and the ReLU, in train mode to
-    the input as the dense block before it normalized it (``DenseBlock``),
-    in infer mode to the raw input with the running statistics folded in;
-    its backward sets the batchnorm's gradients and returns that of the
-    block's ``xhat``. The order is fixed here: later attributes (such as
-    wrappers a profiler sets) are never run as layers.
+    tensors ``<stage>.<keyword>.<tensor>``; a batchnorm comes first. The
+    layer after a batchnorm applies its scale and shift and the ReLU (see
+    ``BatchNorm``). The first batchnorm's input is already normalized in
+    train mode, by the dense block before it (``DenseBlock``), so only a
+    later one runs its ``forward``. ``backward`` runs a transition's or the
+    classifier's: its pool sets the batchnorm's gradients and returns that
+    of the block's ``xhat``. The order is fixed here: later attributes (such
+    as wrappers a profiler sets) are never run as layers.
     """
 
     def __init__(self, **layers):
@@ -95,10 +93,13 @@ class Chain:
         self._order = tuple(layers.values())
 
     def forward(self, x, train=False):
-        bn, first, *rest = self._order
-        x = first.forward(x, train, *((bn.gamma, bn.beta) if train else bn.folded()))
+        bn, *rest = self._order
         for layer in rest:
-            x = layer.forward(x, train)
+            if isinstance(layer, BatchNorm):
+                bn, x = layer, layer.forward(x, train)
+            else:
+                fused = () if bn is None else (bn.gamma, bn.beta) if train else bn.folded()
+                bn, x = None, layer.forward(x, train, *fused)
         return x
 
     def backward(self, dout):
@@ -113,7 +114,8 @@ class DenseUnit(Chain):
     growth_rate maps, preceded in the BC variant by BN -> ReLU -> 1x1
     conv producing 4 * growth_rate maps.
 
-    ``backward`` stops at the ReLU output; the block runs ``bn1``'s backward.
+    ``backward`` stops at ``bn1``'s ReLU output; the block runs ``bn1``'s
+    backward. ``bn2`` reads its ReLU mask back from the 3x3 conv's grid.
     """
 
     def __init__(self, in_channels: int, growth_rate: int, bottleneck: bool, rng, dtype):
@@ -121,13 +123,14 @@ class DenseUnit(Chain):
         if bottleneck:
             width = BOTTLENECK_FACTOR * growth_rate
             layers.update(conv1x1=Conv2d(in_channels, width, 1, rng=rng, dtype=dtype),
-                          bn2=BatchNorm(width, dtype=dtype), relu2=ReLU())
+                          bn2=BatchNorm(width, dtype=dtype))
         super().__init__(bn1=BatchNorm(in_channels, dtype=dtype), **layers,
                          conv3x3=Conv2d(width, growth_rate, 3, pad=1, rng=rng, dtype=dtype))
 
     def backward(self, dout):
-        for layer in reversed(self._order[1:]):
-            dout = layer.backward(dout)
+        dout = self.conv3x3.backward(dout)
+        if hasattr(self, "bn2"):
+            dout = self.conv1x1.backward(self.bn2.backward(dout, self.conv3x3.kept_input()))
         return dout
 
 
@@ -179,13 +182,7 @@ class DenseBlock:
             self._cache = (xhat, stats[2])
 
         def normalize_slab(start, width):
-            chunks = [slice(start + c.start, start + c.stop)
-                      for c in _channel_chunks(features[start:width].shape)]
-
-            def chunk(i):
-                stats[:, chunks[i]] = normalize(features[chunks[i]], xhat[chunks[i]])
-
-            fan_out(chunk, len(chunks))
+            stats[:, start:width] = normalize(features[start:width], xhat[start:width])
 
         for start, width, unit in self._slabs():
             if train:

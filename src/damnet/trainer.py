@@ -207,7 +207,7 @@ def train_epoch(model: Model, data: FrameDataset, cfg: TrainConfig, rng,
 
     Each step runs inside ``layers.one_blas_thread``: numpy's bundled OpenBLAS
     is held at one thread, and the step's convolution panels and its
-    batchnorm, ReLU and pool channel chunks run on one pool thread per
+    batchnorm and pool channel chunks run on one pool thread per
     usable core (see ``layers.fan_out``). The work items are fixed by the
     batch shape, so the results are bitwise the same on any number of cores
     and under any OpenBLAS thread count. The thread count is restored after every step, also

@@ -397,26 +397,33 @@ class TestModel:
     def test_blocks_keep_one_normalization_and_units_no_relu_mask(self):
         from damnet.layers import softmax_cross_entropy
 
-        cfg = DenseNetConfig(variant="plain", depth=13, blocks=3, growth_rate=4,
-                             num_classes=5, first_conv_channels=8)
-        model = build_model(cfg, seed=0)
-        x = rng(6).standard_normal((4, 3, 11, 40)).astype(np.float32)
-        model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(4))[1])
-        state = backward_state(model)
-        for name, block in model.stages():
-            if not isinstance(block, DenseBlock):
-                continue
-            xhat, inv = state[(name, "_cache")]
-            assert xhat.shape[0] == inv.shape[0] == block.out_channels
-            in_units = {path: value for (path, _), value in state.items()
-                        if path.startswith(f"{name}.units.")}
-            # a unit keeps its conv grids and views of the block's xhat, no ReLU mask
-            assert not [path for path in in_units if ".relu" in path]
-            for path, value in in_units.items():
-                if ".bn1." in path:
-                    assert value[0].base is not None and np.shares_memory(value[0], xhat), path
-                else:
-                    assert ".conv3x3." in path, path
+        configs = [DenseNetConfig(variant="plain", depth=13, blocks=3, growth_rate=4,
+                                  num_classes=5, first_conv_channels=8),
+                   DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,
+                                  compression=0.5, num_classes=5, first_conv_channels=8)]
+        for cfg in configs:
+            model = build_model(cfg, seed=0)
+            x = rng(6).standard_normal((4, 3, 11, 40)).astype(np.float32)
+            model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(4))[1])
+            state = backward_state(model)
+            for name, block in model.stages():
+                if not isinstance(block, DenseBlock):
+                    continue
+                xhat, inv = state[(name, "_cache")]
+                assert xhat.shape[0] == inv.shape[0] == block.out_channels
+                in_units = {path: value for (path, _), value in state.items()
+                            if path.startswith(f"{name}.units.")}
+                # a unit keeps its conv grids, a bn1 view of the block's
+                # xhat and a BC unit bn2's own xhat, and no ReLU mask
+                kinds = {path.split(".")[-2] for path in in_units}
+                assert kinds == ({"bn1", "conv1x1", "bn2", "conv3x3"} if cfg.bottleneck
+                                 else {"bn1", "conv3x3"}), kinds
+                for path, value in in_units.items():
+                    if ".bn1." in path:
+                        assert value[0].base is not None and np.shares_memory(value[0], xhat), path
+                    elif ".bn2." in path:
+                        assert value[0].base is None and value[0].shape[0] == 4 * 4, path
+                        assert not np.shares_memory(value[0], xhat), path
 
     def test_heads_keep_no_normalization_or_mask_of_their_own(self):
         # a transition's and the classifier's batchnorm and pool keep views

@@ -9,7 +9,7 @@ from damnet.gradcheck import (
     gradcheck_report,
     max_relative_error,
 )
-from damnet.layers import BatchNorm, Conv2d, ReLU, softmax_cross_entropy
+from damnet.layers import AvgPool2d, BatchNorm, Conv2d, softmax_cross_entropy
 from damnet.model import DenseBlock, classifier_head, named_arrays, transition
 
 
@@ -18,9 +18,10 @@ def rng(seed=0):
 
 
 def test_relu_away_from_kink_is_nearly_exact():
+    # the ReLU a pool runs after its scale and shift, on pre-activations x
     r = rng(1)
     x = r.uniform(0.3, 1.5, size=(3, 2, 4, 4)) * r.choice([-1.0, 1.0], size=(3, 2, 4, 4))
-    assert check_layer(ReLU(), x, rng=r) < 1e-7
+    assert check_layer(AvgPool2d(), x, rng=r, scale=np.ones(3), shift=np.zeros(3)) < 1e-7
 
 
 def test_conv3x3_on_single_map():
@@ -31,9 +32,12 @@ def test_conv3x3_on_single_map():
 
 
 def test_batchnorm_train_batch8():
+    # with a conv after it, whose ReLU beta 10 keeps linear
     r = rng(3)
     bn = BatchNorm(2, dtype=np.float64)
-    err = check_layer(bn, r.standard_normal((2, 8, 2, 2)), rng=r)
+    bn.beta[...] = 10.0
+    conv = Conv2d(2, 3, 1, rng=r, dtype=np.float64)
+    err = check_layer(conv, r.standard_normal((2, 8, 2, 2)), rng=r, bn=bn)
     assert err < 1e-4
 
 

@@ -11,42 +11,44 @@ from damnet.layers import (
     Conv2d,
     GlobalAvgPool,
     Linear,
-    ReLU,
     conv_output_size,
     pool_output_size,
     softmax,
     softmax_cross_entropy,
 )
 from damnet.builder import DenseNetConfig
-from damnet.model import DenseBlock, build_model, named_arrays, transition
+from damnet.model import DenseBlock, DenseUnit, build_model, named_arrays, transition
+from test_parallel import reference_batchnorm
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-class Sequence:
-    """Standalone layers run in order by forward and in reverse by backward."""
+class ExplicitChain:
+    """A dense unit's BN -> ReLU -> conv steps, each batchnorm by
+    ``reference_batchnorm`` and each ReLU by ``np.maximum``, with the unit's
+    convs run as standalone layers. ``backward`` returns the unit's input
+    gradient and writes every gradient of the unit's layers."""
 
-    def __init__(self, *layers):
-        self.layers = layers
+    def __init__(self, unit):
+        layers = [layer for layer in vars(unit).values() if hasattr(layer, "backward")]
+        self.steps = list(zip(layers[0::2], layers[1::2]))  # (batchnorm, conv)
 
-    def forward(self, x, train=False):
-        for layer in self.layers:
-            x = layer.forward(x, train)
+    def forward(self, x, train=True):
+        self.kept = []  # each batchnorm's input and output
+        for bn, conv in self.steps:
+            pre = reference_batchnorm(x, bn.gamma, bn.beta, np.zeros_like(x))[0]
+            self.kept.append((x, pre))
+            x = conv.forward(np.maximum(pre, 0), train).copy()
         return x
 
     def backward(self, dout):
-        for layer in reversed(self.layers):
-            dout = layer.backward(dout)
+        for (bn, conv), (x, pre) in reversed(list(zip(self.steps, self.kept))):
+            d = conv.backward(dout) * (pre > 0)
+            dout, bn.grad_gamma[...], bn.grad_beta[...] = reference_batchnorm(
+                x, bn.gamma, bn.beta, d)[1:4]
         return dout
-
-
-def explicit_chain(unit):
-    """A dense unit's own layers as standalone layers in order that run its
-    bn1 forward and add the ReLU between bn1 and the first conv."""
-    bn1, *layers = [layer for layer in vars(unit).values() if hasattr(layer, "backward")]
-    return Sequence(bn1, ReLU(), *layers)
 
 
 class TestDenseWiring:
@@ -66,21 +68,45 @@ class TestDenseWiring:
         # gradient split back onto its sources; a standalone block's train
         # output is its features normalized, as a batchnorm with gamma 1 and
         # beta 0 gives them
-        units = [explicit_chain(unit) for unit in block.units]
+        units = [ExplicitChain(unit) for unit in block.units]
         features = [x]
         for unit in units:
-            features.append(unit.forward(np.concatenate(features), train=True).copy())
-        normalized = BatchNorm(block.out_channels, dtype=np.float64)
-        np.testing.assert_allclose(out, normalized.forward(np.concatenate(features), train=True),
-                                   rtol=0, atol=1e-12)
+            features.append(unit.forward(np.concatenate(features), train=True))
+        ones, zeros = np.ones(block.out_channels), np.zeros(block.out_channels)
+        normalized, dnormalized = reference_batchnorm(np.concatenate(features), ones, zeros,
+                                                      dout)[:2]
+        np.testing.assert_allclose(out, normalized, rtol=0, atol=1e-12)
         sizes = [f.shape[0] for f in features]
-        accum = [g.copy() for g in np.split(normalized.backward(dout), np.cumsum(sizes)[:-1])]
+        accum = [g.copy() for g in np.split(dnormalized, np.cumsum(sizes)[:-1])]
         for n in range(len(units), 0, -1):
             din = units[n - 1].backward(accum[n])
             for i, part in enumerate(np.split(din, np.cumsum(sizes[:n])[:-1])):
                 accum[i] += part
         np.testing.assert_allclose(dx, accum[0], rtol=0, atol=1e-12)
         for name, g in named_arrays([("block", block)], "PARAMS", "grad_").items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_bc_unit_matches_float64_reference(self):
+        # bn2 normalizes the 1x1 conv's output into its own xhat; the 3x3
+        # conv applies bn2's gamma and beta and the ReLU, and its grid holds
+        # the ReLU output that bn2's backward reads the mask from
+        r = rng(12)
+        unit = DenseUnit(5, 3, bottleneck=True, rng=r, dtype=np.float64)
+        for bn in (unit.bn1, unit.bn2):
+            c = bn.num_channels
+            bn.gamma[...] = r.uniform(0.5, 1.5, c) * r.choice([-1.0, 1.0], c)
+            bn.beta[...] = r.normal(0.0, 0.5, c)
+        x = r.standard_normal((5, 4, 4, 6))
+        dout = r.standard_normal((3, 4, 4, 6))
+        out = unit.forward(unit.bn1.forward(x, train=True), train=True).copy()
+        dx = unit.bn1.backward(unit.backward(dout), unit.conv1x1.kept_input()).copy()
+        grads = {name: g.copy()
+                 for name, g in named_arrays([("unit", unit)], "PARAMS", "grad_").items()}
+
+        reference = ExplicitChain(unit)
+        np.testing.assert_allclose(out, reference.forward(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, reference.backward(dout), rtol=0, atol=1e-12)
+        for name, g in named_arrays([("unit", unit)], "PARAMS", "grad_").items():
             np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
 
     def test_unit_batchnorm_forward_keeps_block_normalization(self):
@@ -115,12 +141,11 @@ class TestDenseWiring:
 
         # reference: the planned order, BN scale and shift -> ReLU -> 1x1 conv
         # then pool, same weights
-        pool, relu = AvgPool2d(), ReLU()
-        hidden = relu.forward(xhat * gamma[:, None, None, None] + beta[:, None, None, None],
-                              train=True)
-        reference = pool.forward(stage.conv.forward(hidden, train=True), train=True)
+        pool = AvgPool2d()
+        pre = xhat * gamma[:, None, None, None] + beta[:, None, None, None]
+        reference = pool.forward(stage.conv.forward(np.maximum(pre, 0), train=True), train=True)
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
-        dh = relu.backward(stage.conv.backward(pool.backward(dout)))
+        dh = stage.conv.backward(pool.backward(dout)) * (pre > 0)
         np.testing.assert_allclose(dx, dh * gamma[:, None, None, None], rtol=0, atol=1e-12)
         for got, want in zip(grads, (stage.conv.grad_weight, np.einsum("cnhw,cnhw->c", dh, xhat),
                                      dh.sum(axis=(1, 2, 3)))):
@@ -232,10 +257,15 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.ravel(), [-expected, expected], atol=1e-12)
 
     def test_infer_mode_closed_form(self):
+        # infer forward hands the next layer its input, which that layer
+        # scales and shifts by folded()
         bn = BatchNorm(1, dtype=np.float64)
         bn.gamma[...] = 2.0
         bn.beta[...] = 3.0
-        out = bn.forward(np.ones((1, 1, 1, 1)), train=False)
+        x = np.ones((1, 1, 1, 1))
+        assert bn.forward(x, train=False) is x
+        scale, shift = bn.folded()
+        out = x * scale + shift
         assert abs(out.item() - 5.0) < 1e-4
         assert out.item() == pytest.approx(2.0 / np.sqrt(1.0 + 1e-5) + 3.0, abs=1e-12)
 
@@ -250,7 +280,9 @@ class TestBatchNorm:
         rm, rv, gamma, beta = (v.reshape(5, 1, 1, 1) for v in
                                (bn.running_mean, bn.running_var, bn.gamma, bn.beta))
         expected = gamma * (x - rm) / np.sqrt(rv + BN_EPSILON) + beta
-        np.testing.assert_allclose(bn.forward(x, train=False), expected, rtol=0, atol=1e-12)
+        scale, shift = (v.reshape(5, 1, 1, 1) for v in bn.folded())
+        np.testing.assert_allclose(bn.forward(x, train=False) * scale + shift, expected,
+                                   rtol=0, atol=1e-12)
 
     def test_degenerate_batch(self):
         bn = BatchNorm(3)
@@ -269,43 +301,74 @@ class TestBatchNorm:
         bn = BatchNorm(2)
         before = (bn.running_mean.copy(), bn.running_var.copy())
         bn.forward(rng().standard_normal((2, 3, 2, 2)).astype(np.float32), train=False)
+        bn.folded()
         np.testing.assert_array_equal(bn.running_mean, before[0])
         np.testing.assert_array_equal(bn.running_var, before[1])
 
     def test_train_output_moments(self):
+        # train forward returns xhat; the next layer scales and shifts it
         bn = BatchNorm(4, dtype=np.float64)
         bn.beta[...] = np.array([0.0, 1.0, -2.0, 0.5])
         x = rng(3).standard_normal((4, 16, 3, 5)) * 3.0 + 1.0
-        out = bn.forward(x, train=True)
+        out = bn.forward(x, train=True) * bn.gamma[:, None, None, None] + bn.beta[:, None, None, None]
         np.testing.assert_allclose(out.mean(axis=(1, 2, 3)), bn.beta, atol=1e-5)
         bn.beta[...] = 0.0
         out = bn.forward(x, train=True)
         np.testing.assert_allclose(out.var(axis=(1, 2, 3)), 1.0, atol=1e-3)
 
 
+def identity_conv(channels):
+    """A 3x3 pad-1 conv that passes each channel through its kernel's centre."""
+    conv = Conv2d(channels, channels, 3, pad=1, dtype=np.float64)
+    conv.weight[:, :, 1, 1] = np.eye(channels)
+    return conv
+
+
 class TestReLU:
+    """The ReLU after a batchnorm runs inside the conv or pool after it.
+    The batchnorm's backward reads its mask back from the conv's grid, and
+    a pool recomputes it; the subgradient at exactly 0 is 0."""
+
     def test_definition(self):
-        relu = ReLU()
-        out = relu.forward(np.array([[-1.0, 0.0, 2.0]]).reshape(3, 1, 1, 1))
+        x = np.array([-1.0, 0.0, 2.0]).reshape(3, 1, 1, 1)
+        out = identity_conv(3).forward(x, False, np.ones(3), np.zeros(3))
         np.testing.assert_array_equal(out.ravel(), [0.0, 0.0, 2.0])
 
     def test_dead_region(self):
-        relu = ReLU()
-        x = -np.abs(rng().standard_normal((3, 2, 4, 4))) - 0.1
-        out = relu.forward(x, train=True)
+        # every pre-activation below 0: no output and no gradient
+        bn, conv = BatchNorm(3, dtype=np.float64), identity_conv(3)
+        bn.beta[...] = -10.0
+        x = rng().standard_normal((3, 2, 4, 4))
+        out = conv.forward(bn.forward(x, train=True), True, bn.gamma, bn.beta)
         np.testing.assert_array_equal(out, 0.0)
-        np.testing.assert_array_equal(relu.backward(np.ones_like(x)), 0.0)
+        dx = bn.backward(conv.backward(np.ones_like(x)), conv.kept_input())
+        np.testing.assert_array_equal(dx, 0.0)
+        np.testing.assert_array_equal(bn.grad_beta, 0.0)
 
     def test_idempotent(self):
-        relu = ReLU()
-        x = rng(5).standard_normal((2, 3, 4, 4))
-        once = relu.forward(x)
-        np.testing.assert_array_equal(relu.forward(once), once)
+        conv, ones, zeros = identity_conv(2), np.ones(2), np.zeros(2)
+        once = conv.forward(rng(5).standard_normal((2, 3, 4, 4)), False, ones, zeros)
+        np.testing.assert_array_equal(conv.forward(once, False, ones, zeros), once)
 
     def test_gradient_zero_at_kink(self):
-        relu = ReLU()
-        relu.forward(np.zeros((1, 1, 1, 1)), train=True)
-        assert relu.backward(np.ones((1, 1, 1, 1))).item() == 0.0
+        # the middle sample is its channel's mean, so its pre-activation is
+        # exactly 0, and the conv's grid holds a 0 there
+        bn, conv = BatchNorm(1, dtype=np.float64), identity_conv(1)
+        x = np.array([-1.0, 0.0, 1.0]).reshape(1, 3, 1, 1)
+        conv.forward(bn.forward(x, train=True), True, bn.gamma, bn.beta)
+        dh = np.zeros_like(x)
+        bn.backward(conv.backward(np.ones_like(x)), conv.kept_input(), dh)
+        np.testing.assert_array_equal(dh.ravel(), [0.0, 0.0, 1.0])
+        assert bn.grad_beta.item() == 1.0
+
+    def test_gradient_zero_at_kink_in_pool(self):
+        # the pool recomputes the mask from its input; two inputs are exactly 0
+        pool, dscale, dshift = AvgPool2d(), np.zeros(1), np.zeros(1)
+        x = np.array([-1.0, 0.0, 0.0, 2.0]).reshape(1, 1, 2, 2)
+        pool.forward(x, True, np.ones(1), np.zeros(1))
+        dx = pool.backward(np.ones((1, 1, 1, 1)), dscale, dshift)
+        np.testing.assert_array_equal(dx.ravel(), [0.0, 0.0, 0.0, 0.25])
+        assert dshift.item() == 0.25 and dscale.item() == 0.5
 
 
 class TestAvgPool:
@@ -432,7 +495,11 @@ class TestChannelMajorLayout:
                 results.append((out, None, {}))
                 continue
             dout = layout(rng(seed + 1).standard_normal(out.shape))
-            dx = layer.backward(dout).copy()
+            # a batchnorm's backward reads the ReLU output of the layer after it
+            after = [layout(np.maximum(out * layer.gamma[:, None, None, None]
+                                       + layer.beta[:, None, None, None], 0))
+                     ] if isinstance(layer, BatchNorm) else []
+            dx = layer.backward(dout, *after).copy()
             grads = named_arrays([("layer", layer)], "PARAMS", "grad_")
             results.append((out, dx, {k: v.copy() for k, v in grads.items()}))
         (out_a, dx_a, grads_a), (out_b, dx_b, grads_b) = results
@@ -460,7 +527,7 @@ class TestChannelMajorLayout:
             return bn
         self.run_both(make, (4, 3, 5, 7), train=train)
 
-    @pytest.mark.parametrize("layer", [ReLU, AvgPool2d, GlobalAvgPool])
+    @pytest.mark.parametrize("layer", [AvgPool2d, GlobalAvgPool])
     def test_parameter_free_layers(self, layer):
         self.run_both(layer, (4, 3, 5, 7))
 
@@ -469,14 +536,16 @@ class TestChannelMajorLayout:
         self.run_both(lambda: DenseBlock(5, 3, 3, bottleneck=bottleneck, rng=rng(4),
                                          dtype=np.float64), (5, 3, 4, 6))
 
-    @pytest.mark.parametrize("layer", [lambda: BatchNorm(4), ReLU, AvgPool2d],
-                             ids=["BatchNorm", "ReLU", "AvgPool2d"])
+    @pytest.mark.parametrize("layer", [lambda: BatchNorm(4), AvgPool2d],
+                             ids=["BatchNorm", "AvgPool2d"])
     def test_train_results_are_channel_major_for_c_order_input(self, layer):
         layer = layer()
         x = rng(2).standard_normal((4, 3, 5, 7)).astype(np.float32)
         out = layer.forward(x, train=True)
         assert out.flags.c_contiguous
-        dx = layer.backward(np.ones(out.shape, np.float32))
+        # a batchnorm's backward reads the ReLU output of the layer after it
+        after = [np.maximum(out, 0)] if isinstance(layer, BatchNorm) else []
+        dx = layer.backward(np.ones(out.shape, np.float32), *after)
         assert dx.shape == x.shape and dx.flags.c_contiguous
 
     def test_train_forward_keeps_block_features_channel_major(self):

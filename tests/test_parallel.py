@@ -1,5 +1,5 @@
 """Work items on the shared pool: convolution panels of whole images in
-both modes, train-mode batchnorm and ReLU channel chunks, and the OpenBLAS
+both modes, train-mode batchnorm and pool channel chunks, and the OpenBLAS
 guard.
 
 Items are fixed by shape, so training results must be bitwise the same with
@@ -17,7 +17,7 @@ import pytest
 from damnet import layers
 from damnet.builder import DenseNetConfig
 from damnet.exceptions import DivergenceError
-from damnet.layers import BatchNorm, Conv2d, ReLU, softmax_cross_entropy
+from damnet.layers import BatchNorm, Conv2d, softmax_cross_entropy
 from damnet.model import build_model
 from damnet.trainer import FrameDataset, TrainConfig, train_epoch
 
@@ -172,17 +172,18 @@ class TestFloat64Reference:
         bn.beta[...] = r.standard_normal(shape[0])
         x = r.standard_normal(shape) * 3 + 1
         dout = r.standard_normal(shape)
-        out_ref, dx_ref, dgamma, dbeta, mean, var = reference_batchnorm(x, bn.gamma, bn.beta, dout)
-        assert_close(bn.forward(x, train=True), out_ref)
-        assert_close(bn.backward(dout), dx_ref)
+        # the ReLU after the batchnorm masks its output gradient
+        relu_out = np.maximum(reference_batchnorm(x, bn.gamma, bn.beta, dout)[0], 0)
+        out_ref, dx_ref, dgamma, dbeta, mean, var = reference_batchnorm(
+            x, bn.gamma, bn.beta, dout * (relu_out > 0))
+        gamma, beta = (v.reshape(-1, 1, 1, 1) for v in (bn.gamma, bn.beta))
+        assert_close(bn.forward(x, train=True) * gamma + beta, out_ref)
+        assert_close(bn.backward(dout, relu_out), dx_ref)
         assert_close(bn.grad_gamma, dgamma)
         assert_close(bn.grad_beta, dbeta)
         momentum = layers.BN_MOMENTUM
         assert_close(bn.running_mean, (1 - momentum) * mean)
         assert_close(bn.running_var, momentum + (1 - momentum) * var)
-        relu = ReLU()
-        np.testing.assert_array_equal(relu.forward(x, train=True), np.maximum(x, 0))
-        np.testing.assert_array_equal(relu.backward(dout), dout * (x > 0))
 
     def test_items_split_the_batch_and_channels(self):
         # the shapes above do run as several items
@@ -220,10 +221,18 @@ def random_batchnorm(r, channels, dtype):
     return bn
 
 
+def explicit_relu(bn, x, train):
+    """The ReLU output after ``bn`` as standalone arithmetic: its scale and
+    shift applied to what its forward returns, then ``np.maximum``."""
+    scale, shift = (bn.gamma, bn.beta) if train else bn.folded()
+    pre = bn.forward(x, train) * scale.reshape(-1, 1, 1, 1) + shift.reshape(-1, 1, 1, 1)
+    return np.maximum(pre, 0)
+
+
 class TestFusedPreActivation:
-    """A dense unit's BN -> ReLU runs inside its first conv's panels, and its
-    mask is read back from the conv's grid; standalone layers are the
-    reference."""
+    """Each BN -> ReLU of a dense unit runs inside the panels of the conv
+    after it, and its mask is read back from the conv's grid; standalone
+    arithmetic is the reference."""
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
@@ -236,7 +245,7 @@ class TestFusedPreActivation:
         bn = random_batchnorm(r, 13, np.float32)
         conv = Conv2d(13, 7, k, pad=pad, rng=r)
         x = (r.standard_normal((13, n, 9, 38)) * 2 + 0.5).astype(np.float32)
-        explicit = conv.forward(ReLU().forward(bn.forward(x, train), train), train).copy()
+        explicit = conv.forward(explicit_relu(bn, x, train), train).copy()
         if train:  # the grid holds the ReLU output: the fused forward must write it anew
             conv.kept_input()[...] = np.nan
             fused = conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
@@ -247,15 +256,18 @@ class TestFusedPreActivation:
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_grid_mask_backward_matches_stored_mask(self, monkeypatch, cores, dtype, rtol):
+        # the reference stores the ReLU output apart from the conv, and
+        # finishes the batchnorm's backward itself
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(3)
-        bn, relu = random_batchnorm(r, 21, dtype), ReLU()
+        bn = random_batchnorm(r, 21, dtype)
         conv = Conv2d(21, 5, 3, pad=1, rng=r, dtype=dtype)
         x = (r.standard_normal((21, 37, 9, 38)) * 2 + 0.5).astype(dtype)
         dout = r.standard_normal((5, 37, 9, 38)).astype(dtype)
-        conv.forward(relu.forward(bn.forward(x, True), True), True)
+        relu_out = explicit_relu(bn, x, True)
+        conv.forward(relu_out, True)
         d = conv.backward(dout)
-        dx = bn.backward(relu.backward(d)).copy()
+        dx = bn.backward(d, relu_out).copy()
         grad_gamma, grad_beta = bn.grad_gamma.copy(), bn.grad_beta.copy()
 
         conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
@@ -282,11 +294,14 @@ class TestFusedPreActivation:
         out = fused.blocks[0].forward(x, train=True)
         features = x
         for unit in explicit.blocks[0].units:
-            layers_after_relu = [layer for name, layer in vars(unit).items()
-                                 if name != "bn1" and hasattr(layer, "backward")]
-            h = ReLU().forward(unit.bn1.forward(features, train=True), train=True)
-            for layer in layers_after_relu:
-                h = layer.forward(h, train=True)
+            layers_after_bn1 = [layer for name, layer in vars(unit).items()
+                                if name != "bn1" and hasattr(layer, "backward")]
+            h = explicit_relu(unit.bn1, features, train=True)
+            for layer in layers_after_bn1:
+                if isinstance(layer, BatchNorm):
+                    h = explicit_relu(layer, h, train=True)
+                else:
+                    h = layer.forward(h, train=True)
             features = np.concatenate([features, h])
         head = dict(explicit.stages())["transition1"].bn
         head.forward(features, train=True)
@@ -299,8 +314,8 @@ class TestFusedPreActivation:
 
 class TestFusedHead:
     """A transition's or the classifier's BN -> ReLU runs inside its pool's
-    channel chunks, with the mask recomputed in backward; standalone layers
-    are the reference."""
+    channel chunks, with the mask recomputed in backward; standalone
+    arithmetic and layers are the reference."""
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
@@ -309,16 +324,17 @@ class TestFusedHead:
     def test_fused_head_matches_explicit_chain(self, monkeypatch, cores, train, extent, pool):
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(extent[0] * 100 + extent[1])
-        bn, relu, explicit, fused = random_batchnorm(r, 21, np.float64), ReLU(), pool(), pool()
+        bn, explicit, fused = random_batchnorm(r, 21, np.float64), pool(), pool()
         x = r.standard_normal((21, 37, *extent)) * 2 + 0.5
-        out = explicit.forward(relu.forward(bn.forward(x, train), train), train).copy()
+        relu_out = explicit_relu(bn, x, train)
+        out = explicit.forward(relu_out, train).copy()
         if not train:
             np.testing.assert_array_equal(fused.forward(x, False, *bn.folded()), out)
             return
         xhat, inv = bn._cache
         np.testing.assert_array_equal(fused.forward(xhat, True, bn.gamma, bn.beta), out)
         dout = r.standard_normal(out.shape)
-        dx = bn.backward(relu.backward(explicit.backward(dout))).copy()
+        dx = bn.backward(explicit.backward(dout), relu_out).copy()
         grad_gamma, grad_beta = np.empty(21), np.empty(21)
         d = fused.backward(dout, grad_gamma, grad_beta)
         np.testing.assert_array_equal(grad_gamma, bn.grad_gamma)
