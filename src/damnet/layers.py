@@ -5,7 +5,7 @@ batch, height, width), so a convolution's GEMMs run on flat (C, N*H*W)
 grids and a channel chunk ``x[ch]`` or a dense block's prefix is one
 contiguous slab; only ``GlobalAvgPool`` leaves this order, for the (N, C)
 features that ``Linear`` takes. A train-mode (C, N, H, W) result is
-C-contiguous, or a crop of C-contiguous memory from a convolution.
+C-contiguous, or a crop of C-contiguous memory from a pad-0 3x3 convolution.
 Training runs in float32; gradient checking builds float64 layers because
 central differences are unreliable in single precision. A layer class
 names its tensors once: ``PARAMS`` the trainable ones and ``STATE`` the
@@ -40,7 +40,7 @@ thread count.
 Train mode gives every large array a fixed lifetime, so a training step
 reuses the memory of the last one instead of allocating it again:
 
-- *Step state*, what a train forward keeps for backward (the conv's padded
+- *Step state*, what a train forward keeps for backward (the conv's
   grid, batchnorm's normalized input), lives in the layer's ``_cache``. It
   is reused while the shape and dtype repeat, and replaced when they
   change, as on an epoch's last partial batch. A layer copies what it
@@ -49,13 +49,13 @@ reuses the memory of the last one instead of allocating it again:
   the batchnorm and pool after the block keep views of. Every ReLU runs
   inside the conv or pool after a batchnorm and keeps no mask: the conv's
   grid holds the ReLU output, and the pool recomputes the mask. For
-  plain-22 at batch 256 the step state is about 264 MiB.
+  plain-22 at batch 256 the step state is about 223 MiB.
 - *Scratch* holds everything else: a train-mode result of ``forward`` or
   ``backward`` (apart from the small global-pool and linear outputs) is a
   view into per-thread buffers (``scratch``), valid until the next
   train-mode call in the same thread. A caller that keeps one across train
   calls must copy it. The buffers live as long as their thread does (about
-  85 MiB in the calling thread for plain-22 at batch 256, plus about 10 MiB
+  79 MiB in the calling thread for plain-22 at batch 256, plus about 10 MiB
   of panel- and chunk-sized buffers in each pool thread) and are shared by
   every model that trains in it.
 """
@@ -117,9 +117,9 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
 
     The buffers hold bytes, so one serves every dtype. Train mode uses
     ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
-    a pool chunk's row sums and their gradient), ``"placed"`` (that output gradient on the grid
-    pitch), ``"act"`` (a padded conv panel's batchnorm and ReLU output, a
-    pool chunk's batchnorm output in backward), ``"partials"`` (a conv's
+    a pool chunk's row sums and their gradient), ``"placed"`` (a pad-0 conv
+    panel's output gradient on its input's pixels), ``"act"`` (a pool
+    chunk's batchnorm output in backward), ``"partials"`` (a conv's
     per-panel weight gradients), ``"chunk"`` and ``"mask"`` (a channel
     chunk's terms of a batchnorm's backward, a pool chunk's ReLU output and
     mask), ``"block"`` (a dense block's features, then
@@ -138,11 +138,11 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     return buffer[:nbytes].view(dtype).reshape(shape)
 
 
-def step_state(kept, shape, dtype, alloc=np.empty) -> np.ndarray:
-    """``kept`` again if it has this shape and dtype; else a new array from ``alloc``."""
+def step_state(kept, shape, dtype) -> np.ndarray:
+    """``kept`` again if it has this shape and dtype; else a new, uninitialized array."""
     if kept is not None and kept.shape == tuple(shape) and kept.dtype == dtype:
         return kept
-    return alloc(shape, dtype=dtype)
+    return np.empty(shape, dtype=dtype)
 
 
 def usable_cores() -> int:
@@ -251,42 +251,43 @@ def _channel_chunks(shape):
 class Conv2d:
     """2-D stride-1 convolution without bias; batchnorm always follows it.
 
-    Shifted GEMM on a grid whose images share their zero padding: image m
-    is R = H + e rows of pitch P = W + e in columns m*R*P to (m+1)*R*P of a
-    channel-major (C_in, L + N*R*P) grid, its H x W interior after the
-    L = pad*P + pad zeros that start its columns. The e zero rows and
-    columns between two interiors are the bottom and right padding of one
-    image and the top and left padding of the next; e = pad + max(0, pad -
-    k + 1), so an output row, W + 2*pad - k + 1 wide, fits a pitch also when
-    k < 2*pad + 1. For pad 0 (the initial conv and the 1x1s) e = L = 0. A
-    product with the weights as (k*k*C_out, C_in) gives every tap at every
-    grid column, and output q = m*R*P + y*P + x sums tap (i, j)'s row at
-    q + i*P + j. A kept output (y < H_out, x < W_out) reads zeros and its
-    own image's interior only, below column (m+1)*R*P + L; reads that reach
-    another interior belong to outputs that the crop drops. Backward places
-    ``dout`` on the same pitch, shifts it once per tap into a
-    (k*k*C_out, columns) matrix and gets dW and dX from one GEMM each.
+    Shifted GEMM on an unpadded grid, the C-contiguous (C_in, N*H*W) input:
+    a product with the weights as (k*k*C_out, C_in) gives every tap's
+    product at every pixel, and output pixel q, at column m*H*W + y*W + x
+    of image m, sums tap (i, j)'s product at q + (i-p)*W + (j-p), the pixel
+    it reads. A read that crosses an image's edge, which zero padding would
+    make, lands in another row or image instead; the pixels that a tap (i,
+    j) reads only so are whole rows and columns of every image, the first
+    i-p rows for i > p or the last p-i for i < p, and likewise the columns.
+    Those are zeroed in the tap's product before the shift-add, so an
+    edge-crossing read adds zero, as padding would, and no output reads
+    another image. A panel's products sit between zeroed margins as wide as
+    the largest shifts, so a read past its first or last image is zero too,
+    and every output sums all k*k taps in tap order. Outputs are computed at
+    every input pixel, which covers the H+2p-k+1 output rows only when
+    ``2*pad <= k-1`` (``ConfigError`` otherwise); a smaller output, a pad-0
+    conv's, is a crop. Backward shifts ``dout`` once per tap into a
+    (k*k*C_out, columns) matrix, input pixel q taking output pixel q minus
+    the tap's shift, applies the same zeroing and gets dW and dX from one
+    GEMM each. A same-size conv reads ``dout`` in place: each column it
+    cannot read there, before the batch or after it, is edge-crossing and
+    zeroed. A cropped conv first places a panel's ``dout`` on the input's
+    pixels, zero where it has no output.
 
     Forward, in both modes, and backward run per panel of ``PANEL_FRAMES``
-    whole images (``fan_out``) and write no halo. A panel fills its images'
-    interiors and shift-adds into its own output columns; its GEMM also
-    reads the L columns after its last image, padding that no panel writes,
-    as the grid is zero outside the interiors from allocation on. In
-    backward a panel computes dX on its own columns and takes its
-    neighbours' ``dout`` columns as zeros, as no kept output reads another
-    image's interior. Each panel writes its dX columns and a dW partial, and
-    the partials are summed in panel order. BLAS rounds a GEMM's columns
-    differently by their position in it, so an infer panel runs one GEMM
-    per image over its own R*P columns, zeros the L columns after them, and
-    no frame's infer output depends on the rest of its batch. The output is
-    a crop of a C-contiguous (C_out, N, R, P) array; a 1x1 conv's is
-    contiguous.
+    whole images (``fan_out``). Each panel writes its own grid, output and
+    dX columns and a dW partial, and the partials are summed in panel
+    order. BLAS rounds a GEMM's columns differently by their position in
+    it, so an infer panel runs one GEMM per image, and no frame's infer
+    output depends on the rest of its batch. Grid, output and dX are
+    C-contiguous, apart from a cropped output.
 
-    Given a per-channel ``scale`` and ``shift``, a panel fills its grid with
-    ``max(x * scale + shift, 0)``: a batchnorm and ReLU before the conv, run
-    while the panel's images are in cache (an unpadded grid is filled per
-    channel chunk, before the panels). The ReLU's mask is then
-    ``kept_input() > 0``.
+    Given a per-channel ``scale`` and ``shift``, the grid holds ``max(x *
+    scale + shift, 0)``, a batchnorm and ReLU before the conv, and the
+    ReLU's mask is ``kept_input() > 0``. The grid is filled per channel
+    chunk, before the panels: a panel's run of a channel is short, and at
+    (200, 256, 4, 19) a 1x1 conv's train forward took 14.3 ms so against
+    19.8 filling per panel (2 vCPUs).
     """
 
     PARAMS = ("weight",)
@@ -295,8 +296,8 @@ class Conv2d:
                  pad: int = 0, *, rng=None, dtype=np.float32):
         if kernel_size < 1:
             raise ConfigError(f"conv kernel size must be >= 1, got {kernel_size}")
-        if pad < 0:
-            raise ConfigError(f"conv pad must be >= 0, got {pad}")
+        if not 0 <= 2 * pad <= kernel_size - 1:
+            raise ConfigError(f"conv pad must be in [0, (k-1)/2], got {pad} with kernel {kernel_size}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -310,32 +311,22 @@ class Conv2d:
         self.grad_weight = np.zeros(shape, dtype=dtype)
         self._cache = None  # (grid, input shape)
 
-    def _layout(self, h: int, w: int):
-        """An (h, w) image's grid: row pitch P, rows per image R, leading zeros L."""
+    def _taps(self, w: int):
+        """(k*k*C_out, C_in) weights, row t*C_out + o for tap t = i*k + j;
+        tap shifts (i-p)*w + j-p."""
         k, p = self.kernel_size, self.pad
-        e = p + max(0, p - k + 1)
-        return w + e, h + e, p * (w + e) + p
-
-    def _interior(self, grid, shape):
-        """The (C, N, H, W) images of ``grid``, a flat grid of input ``shape``."""
-        _, n, h, w = shape
-        pitch, rows, lead = self._layout(h, w)
-        return grid[:, lead:].reshape(-1, n, rows, pitch)[:, :, :h, :w]
-
-    def _taps(self, pitch: int):
-        """(k*k*C_out, C_in) weights, row t*C_out + o for tap t = i*k + j; tap shifts."""
-        k = self.kernel_size
         matrix = self.weight.transpose(2, 3, 0, 1).reshape(-1, self.in_channels)
-        return matrix, [i * pitch + j for i in range(k) for j in range(k)]
+        return matrix, [(i - p) * w + j - p for i in range(k) for j in range(k)]
 
-    def _shift_add(self, per_tap, out, shifts):
-        """out[:, q] = sum over taps t of per_tap's tap-t rows at q + shifts[t],
-        for every q whose reads stay inside ``per_tap``."""
-        co = self.out_channels
-        span = min(out.shape[1], per_tap.shape[1] - shifts[-1])
-        out[:, :span] = per_tap[:co, :span]
-        for t, shift in enumerate(shifts[1:], 1):
-            out[:, :span] += per_tap[t * co : (t + 1) * co, shift : shift + span]
+    def _cancel_edges(self, per_tap, h: int, w: int) -> None:
+        """Zero, in the (k*k*rows, images*h*w) ``per_tap``, each tap's pixels
+        that it reads only across an image's edge."""
+        k, p = self.kernel_size, self.pad
+        taps = per_tap.reshape(k, k, -1, per_tap.shape[1] // (h * w), h, w, copy=False)
+        for i in range(k):
+            d = i - p
+            taps[i, :, :, :, slice(max(h + d, 0), h) if d < 0 else slice(min(d, h))] = 0
+            taps[:, i, :, :, :, slice(max(w + d, 0), w) if d < 0 else slice(min(d, w))] = 0
 
     def forward(self, x: np.ndarray, train: bool = False, scale=None, shift=None) -> np.ndarray:
         if x.ndim != 4 or x.shape[0] != self.in_channels:
@@ -344,116 +335,108 @@ class Conv2d:
         oh, ow = conv_output_size(h, k, p), conv_output_size(w, k, p)
         if oh < 1 or ow < 1:
             raise ShapeError(f"conv2d: {h}x{w} input is smaller than a {k}x{k} kernel with pad {p}")
-        pitch, rows, lead = self._layout(h, w)
-        image = rows * pitch
-        matrix, shifts = self._taps(pitch)
+        image = h * w
+        matrix, shifts = self._taps(w)
+        left, right = -shifts[0], shifts[-1]
         dtype = np.result_type(matrix, x)
         if train:
-            # only the interiors are ever written, so the shared padding stays zero
             kept = self._cache[0] if self._cache and self._cache[1] == x.shape else None
-            grid = step_state(kept, (c, lead + n * image), x.dtype, alloc=np.zeros)
+            grid = step_state(kept, (c, n * image), x.dtype)
             self._cache = (grid, x.shape)
             out = scratch("pair", (co, n * image), dtype)
         else:
-            # an unpadded grid would be a copy of the input, which infer only reads
-            grid = x.reshape(c, -1) if not p and scale is None else np.zeros(
-                (c, lead + n * image), x.dtype)
+            # the input itself, unless the grid holds its ReLU output
+            grid = x.reshape(c, -1) if scale is None else np.empty((c, n * image), x.dtype)
             out = np.empty((co, n * image), dtype=dtype)
-        interior = self._interior(grid, x.shape)
-        # whether each panel fills its images' interiors, and whether a GEMM writes the output
-        fill, direct = p or (train and scale is None), k == 1 and not lead
-        if scale is not None and not p:
-            # an unpadded grid is filled before the panels, per channel chunk,
-            # as a panel's rows of a channel are short: a 1x1 conv's train
-            # forward at (200, 256, 4, 19) took 5.3-5.9 ms so, against 6.8-8.3
-            # with one whole fill and 8.8-9.3 per panel (2 cores)
-            fills = _channel_chunks(x.shape)
+        images, fills = grid.reshape(x.shape), _channel_chunks(x.shape)
 
-            def fill_chunk(i):
-                ch = fills[i]
-                np.multiply(x[ch], _per_channel(scale[ch]), out=interior[ch])
-                interior[ch] += _per_channel(shift[ch])
-                np.maximum(interior[ch], 0, out=interior[ch])
+        def fill_chunk(i):  # the ReLU output, or the train input's copy
+            ch = fills[i]
+            if scale is None:
+                images[ch] = x[ch]
+                return
+            np.multiply(x[ch], _per_channel(scale[ch]), out=images[ch])
+            images[ch] += _per_channel(shift[ch])
+            np.maximum(images[ch], 0, out=images[ch])
 
+        if train or scale is not None:
             fan_out(fill_chunk, len(fills))
         panels = _chunks(n, PANEL_FRAMES)
 
         def panel(i):
             frames = panels[i]
-            if p and scale is not None:
-                # a per-channel broadcast over a strided interior is slow
-                shape = x[:, frames].shape
-                act = scratch("act", shape, grid.dtype) if train else np.empty(shape, grid.dtype)
-                np.multiply(x[:, frames], _per_channel(scale), out=act)
-                act += _per_channel(shift)
-                np.maximum(act, 0, out=interior[:, frames])
-            elif fill:
-                interior[:, frames] = x[:, frames]
-            own = slice(frames.start * image, frames.stop * image)  # its output columns
-            taps = (k * k * co, own.stop - own.start + lead)
-            if direct:
-                per_tap = out[:, own]
+            own = slice(frames.start * image, frames.stop * image)  # its columns
+            width = own.stop - own.start
+            if k == 1:
+                products = out[:, own]
             else:
-                per_tap = scratch("taps", taps, dtype) if train else np.empty(taps, dtype)
+                shape = (k * k * co, left + width + right)
+                per_tap = scratch("taps", shape, dtype) if train else np.empty(shape, dtype)
+                per_tap[:, :left], per_tap[:, left + width :] = 0, 0
+                products = per_tap[:, left : left + width]
             if train:
-                np.matmul(matrix, grid[:, own.start : own.stop + lead], out=per_tap)
-            else:  # one GEMM per image; the L columns after the last are padding
+                np.matmul(matrix, grid[:, own], out=products)
+            else:  # one GEMM per image
                 np.matmul(matrix, grid[:, own].reshape(c, -1, image).transpose(1, 0, 2),
-                          out=per_tap[:, : taps[1] - lead].reshape(
-                              k * k * co, -1, image).transpose(1, 0, 2))
-                per_tap[:, taps[1] - lead :] = 0
-            if not direct:
-                self._shift_add(per_tap, out[:, own], shifts)
+                          out=products.reshape(k * k * co, -1, image).transpose(1, 0, 2))
+            if k == 1:
+                return
+            self._cancel_edges(products, h, w)
+            dest = out[:, own]
+            dest[...] = per_tap[:co, :width]  # tap 0's shift is -left
+            for t, s in enumerate(shifts[1:], 1):
+                dest += per_tap[t * co : (t + 1) * co, left + s : left + s + width]
 
         fan_out(panel, len(panels))
-        return out.reshape(co, n, rows, pitch)[:, :, :oh, :ow]
+        return out.reshape(co, n, h, w)[:, :, :oh, :ow]
 
     def kept_input(self) -> np.ndarray:
         """The last train forward's input, as its grid holds it."""
-        return self._interior(*self._cache)
+        grid, shape = self._cache
+        return grid.reshape(shape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         grid, shape = self._cache
         (c, n, h, w), k, co = shape, self.kernel_size, self.out_channels
-        pitch, rows, lead = self._layout(h, w)
-        image = rows * pitch
+        image = h * w
         oh, ow = dout.shape[2:]
-        matrix, shifts = self._taps(pitch)
+        matrix, shifts = self._taps(w)
         dtype = np.result_type(matrix, dout)
-        direct = k == 1 and not lead  # ``dout`` is already the shifted matrix
-        if direct:
+        same = (oh, ow) == (h, w)
+        if same:
             dout = dout.reshape(co, -1)
         panels = _chunks(n, PANEL_FRAMES)
         # not from "pair": a second pair request would hand out the one holding ``dout``
         partials = scratch("partials", (len(panels), k * k * co, c), dtype)
-        dgrid = scratch("pair", (c, lead + n * image), dtype)
-        left = max(0, shifts[-1] - lead)
+        dx = scratch("pair", (c, n * image), dtype)
 
         def panel(i):
             frames = panels[i]
-            width = (frames.stop - frames.start) * image
-            if direct:
-                shifted = dout[:, frames.start * image : frames.stop * image]
+            own = slice(frames.start * image, frames.stop * image)  # its columns
+            width = own.stop - own.start
+            if k == 1:
+                shifted = dout[:, own]
             else:
-                # ``dout`` on the grid pitch, between zero halos for its neighbours' columns
-                placed = scratch("placed", (co, left + width + lead), dout.dtype)
-                placed[:, :left], placed[:, left + width :] = 0, 0
-                cells = placed[:, left : left + width].reshape(co, -1, rows, pitch)
-                cells[:, :, :oh, :ow] = dout[:, frames]
-                cells[:, :, :oh, ow:] = 0
-                cells[:, :, oh:] = 0
-                shifted = scratch("taps", (k * k, co, width), dout.dtype)
-                for t, shift in enumerate(shifts):
-                    shifted[t] = placed[:, left + lead - shift : left + lead - shift + width]
-                shifted = shifted.reshape(k * k * co, width)
-            columns = slice(lead + frames.start * image, lead + frames.stop * image)
-            np.matmul(shifted, grid[:, columns].T, out=partials[i])
-            np.matmul(matrix.T, shifted, out=dgrid[:, columns])
+                source, first = dout, own.start
+                if not same:  # this panel's ``dout`` on its input pixels
+                    source, first = scratch("placed", (co, width), dout.dtype), 0
+                    cells = source.reshape(co, -1, h, w)
+                    cells[:, :, :oh, :ow] = dout[:, frames]
+                    cells[:, :, :oh, ow:], cells[:, :, oh:] = 0, 0
+                shifted = scratch("taps", (k * k * co, width), dout.dtype)
+                for t, s in enumerate(shifts):
+                    lo = first - s
+                    a, b = max(lo, 0), min(lo + width, source.shape[1])
+                    shifted[t * co : (t + 1) * co, a - lo : b - lo] = source[:, a:b]
+                # also zeroes the columns left unwritten, all edge-crossing
+                self._cancel_edges(shifted, h, w)
+            np.matmul(shifted, grid[:, own].T, out=partials[i])
+            np.matmul(matrix.T, shifted, out=dx[:, own])
 
         fan_out(panel, len(panels))
         grad = partials.sum(axis=0).reshape(k, k, co, c)
         self.grad_weight[...] = grad.transpose(2, 3, 0, 1)
-        return self._interior(dgrid, shape)
+        return dx.reshape(shape)
 
 
 def _per_channel(arr):
@@ -559,9 +542,10 @@ class BatchNorm:
 
     def backward(self, dout: np.ndarray, relu_out: np.ndarray, dx=None) -> np.ndarray:
         """Backward through this batchnorm and the ReLU after it, given that
-        ReLU's output ``relu_out`` and output gradient ``dout``: the input
-        gradient, in scratch. Given ``dx``, add ``gamma * dh``, the gradient
-        of ``xhat``, into it instead and leave the rest to ``project``."""
+        ReLU's output ``relu_out`` and output gradient ``dout``, which it
+        overwrites: the input gradient, in scratch. Given ``dx``, add ``gamma
+        * dh``, the gradient of ``xhat``, into it instead and leave the rest
+        to ``project``."""
         xhat, inv = self._cache
         count = dout.size // self.num_channels
         full = dx is None
@@ -571,9 +555,9 @@ class BatchNorm:
 
         def chunk(i):
             ch = chunks[i]
-            # copied first: a strided array times a bool one is slow
-            dh = scratch("chunk", xhat[ch].shape, dout.dtype)
-            dh[...] = dout[ch]
+            # masked in place, not in a copy: 0.50 against 0.74 ms for 8 x 256 x
+            # 9 x 38 float32 (one core)
+            dh = dout[ch]
             dh *= np.greater(relu_out[ch], 0, out=scratch("mask", dh.shape, bool))
             self.grad_gamma[ch] = np.einsum("cnhw,cnhw->c", dh, xhat[ch])
             self.grad_beta[ch] = np.einsum("cnhw->c", dh)

@@ -451,9 +451,9 @@ class TestModel:
             assert in_head[f"{head_name}.bn.0"][0].base is not None
 
 
-    def test_padded_conv_grids_share_their_padding(self):
-        # each image takes (H+1)*(W+1) grid columns, one zero row and column
-        # shared with the next, plus W+2 leading zeros per grid
+    def test_conv_grids_are_unpadded(self):
+        # each 3x3 conv keeps its input's ReLU output as a C-contiguous
+        # (C, N*H*W) grid, with no padding around its images
         from damnet.layers import softmax_cross_entropy
 
         cfg = DenseNetConfig(variant="plain", depth=13, blocks=3, growth_rate=4,
@@ -466,7 +466,7 @@ class TestModel:
             if ".conv3x3." not in name[0]:
                 continue
             grid, (c, n, h, w) = value
-            assert grid.size == c * ((w + 2) + n * (h + 1) * (w + 1)), name
+            assert grid.shape == (c, n * h * w) and grid.flags.c_contiguous, name
             extents.add((h, w))
         assert extents == {(9, 38), (4, 19), (2, 9)}
 

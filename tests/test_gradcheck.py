@@ -134,3 +134,40 @@ def test_max_relative_error_denominator_floor():
     assert max_relative_error(np.array([0.0]), np.array([0.0])) == 0.0
     # tiny disagreement divided by the 1e-8 floor, not by zero
     assert max_relative_error(np.array([0.0]), np.array([1e-10])) == pytest.approx(1e-2)
+
+
+def test_max_relative_error_discounts_rounding_noise():
+    # an error within the noise counts as none; beyond it, only the excess counts
+    assert max_relative_error(np.array([1e-9]), np.array([1.5e-9]), noise=1e-9) == 0.0
+    assert max_relative_error(np.array([1.0]), np.array([1.5]), noise=0.1) == pytest.approx(0.4 / 1.5)
+
+
+def test_tiny_correct_element_below_the_rounding_noise_passes():
+    # the objective rounds to ulp(1e6), about 1.2e-10, so the central difference
+    # of the 1e-9 element reads rounding noise alone, about 6e-6
+    x = np.array([0.3, -0.7])
+    coef = np.array([1e-9, 1.0])
+
+    def objective():
+        return 1e6 + float(coef @ x)
+
+    assert finite_diff_check(objective, {"x": x}, {"x": coef.copy()}) < GRADCHECK_TOLERANCE
+
+
+@pytest.mark.parametrize("factor", [1.01, -1.0], ids=["one-percent-off", "sign-flipped"])
+def test_wrong_normal_sized_element_fails(factor):
+    r = rng(9)
+    conv = Conv2d(2, 3, 3, pad=1, rng=r, dtype=np.float64)
+    x = r.standard_normal((2, 2, 4, 5))
+    projection = r.standard_normal((3, 2, 4, 5))
+
+    def objective():
+        return float((conv.forward(x, True) * projection).sum())
+
+    objective()
+    analytic = {"x": np.array(conv.backward(projection)), "weight": conv.grad_weight.copy()}
+    tensors = {"x": x, "weight": conv.weight}
+    assert finite_diff_check(objective, tensors, analytic) < GRADCHECK_TOLERANCE
+    median = np.argsort(np.abs(analytic["x"]).ravel())[x.size // 2]
+    analytic["x"].flat[median] *= factor
+    assert finite_diff_check(objective, tensors, analytic) > GRADCHECK_TOLERANCE

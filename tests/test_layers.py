@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damnet.exceptions import DataError, ShapeError
+from damnet.exceptions import ConfigError, DataError, ShapeError
 from damnet.layers import (
     BN_EPSILON,
     AvgPool2d,
@@ -216,6 +216,10 @@ class TestConv2d:
         # a batch of 3 so the flat grids of neighbouring images are
         # exercised; 1xW and 1x1 inputs with pad 1 are the depth-41
         # four-block net's last block
+        if 2 * pad > kernel - 1:  # an output larger than the input is not supported
+            with pytest.raises(ConfigError):
+                Conv2d(in_channels, 3, kernel, pad=pad)
+            return
         shapes = [(6, 7), (kernel, kernel)] + ([(1, 4), (1, 1), (2, 1)] if pad else [])
         for h, w in shapes:
             r = rng(kernel * 100 + in_channels * 10 + pad + h * w)
@@ -229,9 +233,10 @@ class TestConv2d:
             np.testing.assert_allclose(conv.backward(dout), dx_ref, rtol=0, atol=1e-10)
             np.testing.assert_allclose(conv.grad_weight, dw_ref, rtol=0, atol=1e-10)
 
-    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([1, 3]), st.integers(0, 1))
+    @given(st.integers(1, 12), st.integers(1, 12), st.sampled_from([(1, 0), (3, 0), (3, 1)]))
     @settings(max_examples=30, deadline=None)
-    def test_shape_formula_matches_realized(self, h, w, kernel, pad):
+    def test_shape_formula_matches_realized(self, h, w, kernel_pad):
+        kernel, pad = kernel_pad
         conv = Conv2d(1, 2, kernel, pad=pad, rng=rng(), dtype=np.float64)
         x = np.zeros((1, 3, h, w))
         oh, ow = conv_output_size(h, kernel, pad), conv_output_size(w, kernel, pad)
@@ -240,6 +245,11 @@ class TestConv2d:
                 conv.forward(x)
             return
         assert conv.forward(x).shape == (2, 3, oh, ow)
+
+    @pytest.mark.parametrize("kernel,pad", [(1, 1), (3, 2), (4, 2), (3, -1), (0, 0)])
+    def test_rejects_unsupported_kernel_and_pad(self, kernel, pad):
+        with pytest.raises(ConfigError):
+            Conv2d(1, 2, kernel, pad=pad)
 
 
 class TestBatchNorm:
@@ -513,6 +523,10 @@ class TestChannelMajorLayout:
 
     @pytest.mark.parametrize("kernel,pad", [(1, 0), (1, 1), (3, 0), (3, 1)])
     def test_conv2d(self, kernel, pad):
+        if 2 * pad > kernel - 1:
+            with pytest.raises(ConfigError):
+                Conv2d(4, 5, kernel, pad=pad)
+            return
         self.run_both(lambda: Conv2d(4, 5, kernel, pad=pad, rng=rng(9), dtype=np.float64),
                       (4, 3, 5, 7))
 

@@ -191,25 +191,26 @@ class TestFloat64Reference:
         assert [c.stop - c.start for c in layers._channel_chunks((21, 100, 9, 38))] == [8, 8, 5]
 
 
-class TestSharedPadding:
+class TestUnpaddedGrid:
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("fused", [False, True], ids=["plain", "scale-shift"])
-    def test_grid_outside_the_interiors_stays_zero(self, monkeypatch, cores, fused):
-        # neighbouring images share their zero rows and columns, so one
-        # stray write there would corrupt two images
+    def test_grid_and_results_are_c_contiguous(self, monkeypatch, cores, fused):
+        # the grid is the (C, N*H*W) input, or its ReLU output, with no padding
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(8)
         conv = Conv2d(5, 4, 3, pad=1, rng=r)
-        affine = (r.uniform(0.5, 1.5, 5).astype(np.float32),
-                  r.normal(1.0, 0.5, 5).astype(np.float32)) if fused else ()
+        scale = r.uniform(0.5, 1.5, (5, 1, 1, 1)).astype(np.float32)
+        shift = r.normal(1.0, 0.5, (5, 1, 1, 1)).astype(np.float32)
         for n in (37, 37, 20, 20):  # the batch-size change replaces the step state
             x = (r.standard_normal((5, n, 4, 7)) + 3).astype(np.float32)
-            conv.forward(x, True, *affine)
-            grid, interior = conv._cache[0], conv.kept_input()
-            assert np.shares_memory(grid, interior) and interior.shape == x.shape
-            assert np.count_nonzero(interior) > 0
-            interior[...] = 0
-            assert np.count_nonzero(grid) == 0
+            out = conv.forward(x, True, *((scale.ravel(), shift.ravel()) if fused else ()))
+            grid, kept = conv._cache[0], conv.kept_input()
+            assert grid.shape == (5, n * 4 * 7) and grid.flags.c_contiguous
+            assert kept.flags.c_contiguous and np.shares_memory(grid, kept)
+            np.testing.assert_array_equal(kept, np.maximum(x * scale + shift, 0) if fused else x)
+            assert out.shape == (4, n, 4, 7) and out.flags.c_contiguous
+            dx = conv.backward(r.standard_normal(out.shape).astype(np.float32))
+            assert dx.shape == x.shape and dx.flags.c_contiguous
 
 
 def random_batchnorm(r, channels, dtype):
