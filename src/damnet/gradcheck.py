@@ -69,8 +69,7 @@ def finite_diff_check(objective, tensors: dict, analytic: dict, eps: float = DEF
     return worst
 
 
-def check_layer(layer, x: np.ndarray, *, eps: float = DEFAULT_EPS, rng=None,
-                scale=None, shift=None, bn=None) -> float:
+def check_layer(layer, x: np.ndarray, *, rng=None, scale=None, shift=None, bn=None) -> float:
     """Finite-difference check of one layer's input and parameter gradients.
 
     Every forward runs in train mode, which backward needs. The scalar
@@ -103,10 +102,10 @@ def check_layer(layer, x: np.ndarray, *, eps: float = DEFAULT_EPS, rng=None,
         for key in getattr(part, "PARAMS", ()):
             tensors[f"param:{key}"] = getattr(part, key)
             analytic[f"param:{key}"] = np.array(getattr(part, "grad_" + key))
-    return finite_diff_check(objective, tensors, analytic, eps=eps)
+    return finite_diff_check(objective, tensors, analytic)
 
 
-def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EPS) -> dict[str, float]:
+def gradcheck_report(seed: int = 0, instances: int = 10) -> dict[str, float]:
     """Max relative finite-difference error per layer primitive.
 
     Each primitive is checked on ``instances`` randomized small inputs;
@@ -126,16 +125,16 @@ def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EP
         bn.gamma[...] = np.sqrt(pre.var(axis=(1, 2, 3)) + BN_EPSILON)
         bn.beta[...] = pre.mean(axis=(1, 2, 3))
         conv = Conv2d(c, 2, k, pad=k // 2, rng=rng, dtype=np.float64)
-        return check_layer(conv, pre, eps=eps, rng=rng, bn=bn)
+        return check_layer(conv, pre, rng=rng, bn=bn)
 
     for i in range(instances):
         x = rng.standard_normal((3, 2, 5, 6))
         conv = Conv2d(3, 4, 3, pad=i % 2, rng=rng, dtype=np.float64)
-        record("conv2d_3x3", check_layer(conv, x, eps=eps, rng=rng))
+        record("conv2d_3x3", check_layer(conv, x, rng=rng))
 
         x = rng.standard_normal((5, 2, 4, 6))
         conv = Conv2d(5, 3, 1, rng=rng, dtype=np.float64)
-        record("conv2d_1x1", check_layer(conv, x, eps=eps, rng=rng))
+        record("conv2d_1x1", check_layer(conv, x, rng=rng))
 
         # a batchnorm, the ReLU and a conv, the ReLU's inputs all > 0 (linear), then of
         # either sign, away from the kink so central differences hold; a batchnorm's
@@ -149,16 +148,16 @@ def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EP
         for name, pool, shape in (("avgpool2d", AvgPool2d(), (3, 2, 5, 7)),
                                   ("global_avgpool", GlobalAvgPool(), (4, 2, 2, 9))):
             if i % 2 == 0:
-                record(name, check_layer(pool, rng.standard_normal(shape), eps=eps, rng=rng))
+                record(name, check_layer(pool, rng.standard_normal(shape), rng=rng))
                 continue
             scale = rng.uniform(0.5, 1.5, shape[0]) * rng.choice([-1.0, 1.0], shape[0])
             shift = rng.normal(0.0, 0.5, shape[0])
             pre = rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
             x = (pre - shift[:, None, None, None]) / scale[:, None, None, None]
-            record(name, check_layer(pool, x, eps=eps, rng=rng, scale=scale, shift=shift))
+            record(name, check_layer(pool, x, rng=rng, scale=scale, shift=shift))
 
         x = rng.standard_normal((4, 7))
-        record("linear", check_layer(Linear(7, 5, rng=rng, dtype=np.float64), x, eps=eps, rng=rng))
+        record("linear", check_layer(Linear(7, 5, rng=rng, dtype=np.float64), x, rng=rng))
 
         logits = rng.standard_normal((5, 4))
         labels = rng.integers(0, 4, size=5)
@@ -167,8 +166,6 @@ def gradcheck_report(seed: int = 0, instances: int = 10, eps: float = DEFAULT_EP
             return softmax_cross_entropy(logits, labels)[0]
 
         _, grad = softmax_cross_entropy(logits, labels)
-        record(
-            "softmax_cross_entropy",
-            finite_diff_check(objective, {"logits": logits}, {"logits": grad.copy()}, eps=eps),
-        )
+        record("softmax_cross_entropy",
+               finite_diff_check(objective, {"logits": logits}, {"logits": grad.copy()}))
     return results

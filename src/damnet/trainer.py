@@ -361,11 +361,11 @@ def split_validation(utterances: list[UtteranceFeatures], fraction: float,
 
 
 def make_synthetic_dataset(num_classes: int, frames_per_class: int,
-                           separation: float, seed: int,
-                           channels: int = 3, bins: int = 40) -> list[UtteranceFeatures]:
+                           separation: float, seed: int) -> list[UtteranceFeatures]:
     """Class-conditional Gaussian frames with unit noise: class c's mean
     is offset by ``separation`` along its own coordinate, one utterance
-    per class, emitted in the standard feature geometry."""
+    per class, emitted in the standard feature geometry, 3 x 40."""
+    channels, bins = 3, 40
     if num_classes < 2:
         raise ConfigError(f"need at least 2 classes, got {num_classes}")
     if frames_per_class < 1:

@@ -178,7 +178,9 @@ class TestFloat64Reference:
             x, bn.gamma, bn.beta, dout * (relu_out > 0))
         gamma, beta = (v.reshape(-1, 1, 1, 1) for v in (bn.gamma, bn.beta))
         assert_close(bn.forward(x, train=True) * gamma + beta, out_ref)
-        assert_close(bn.backward(dout, relu_out), dx_ref)
+        dx = bn.backward(dout, relu_out)
+        assert np.shares_memory(dx, dout)  # finished in place, by ``project``
+        assert_close(dx, dx_ref)
         assert_close(bn.grad_gamma, dgamma)
         assert_close(bn.grad_beta, dbeta)
         momentum = layers.BN_MOMENTUM
