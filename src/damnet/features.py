@@ -402,7 +402,8 @@ def read_archive(path) -> list[UtteranceFeatures]:
         raw = reader.take(4 * t * channels * bins, "feature values")
         frames = np.frombuffer(raw, dtype="<f4").reshape(t, channels, bins).copy()
         labels = None
-        if reader.data.startswith(LABEL_MAGIC, reader.offset):
+        # the last 4 bytes are the CRC32 trailer, which may spell the magic
+        if reader.remaining > 4 and reader.data.startswith(LABEL_MAGIC, reader.offset):
             reader.take(4, "label magic")
             labels = np.frombuffer(reader.take(4 * t, "labels"), dtype="<u4").astype(np.int64)
         utterances.append(UtteranceFeatures(utt_id, frames, labels))

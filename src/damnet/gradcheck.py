@@ -74,8 +74,8 @@ def check_layer(layer, x: np.ndarray, *, rng=None, scale=None, shift=None, bn=No
 
     Every forward runs in train mode, which backward needs. The scalar
     objective is sum(forward(x) * R) for a fixed random projection R, so
-    its gradient w.r.t. the output is exactly R. Given ``scale`` and
-    ``shift``, a pool runs its fused batchnorm scale and shift and ReLU
+    its gradient w.r.t. the output is exactly R. A pool needs ``scale`` and
+    ``shift``, the batchnorm scale and shift before its ReLU
     (``layers._Pool``), and their gradients are checked too. Given a
     batchnorm ``bn``, a conv runs after it, applying its gamma and beta and
     the ReLU, and the batchnorm's gradients are checked too.
@@ -108,8 +108,9 @@ def check_layer(layer, x: np.ndarray, *, rng=None, scale=None, shift=None, bn=No
 def gradcheck_report(seed: int = 0, instances: int = 10) -> dict[str, float]:
     """Max relative finite-difference error per layer primitive.
 
-    Each primitive is checked on ``instances`` randomized small inputs;
-    the reported value is the worst error seen.
+    Each primitive is checked on ``instances`` randomized small inputs, a
+    pool always after its batchnorm's scale and shift and the ReLU, as a
+    model runs it; the reported value is the worst error seen.
     """
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
@@ -143,13 +144,10 @@ def gradcheck_report(seed: int = 0, instances: int = 10) -> dict[str, float]:
         x = rng.uniform(0.2, 1.5, size=(2, 2, 3, 4)) * rng.choice([-1.0, 1.0], size=(2, 2, 3, 4))
         record("relu", after_batchnorm(x, 3))
 
-        # a pool alone, or after a fused batchnorm scale and shift and ReLU
-        # whose inputs keep away from the kink
+        # a pool after its batchnorm scale and shift and ReLU, whose inputs
+        # keep away from the kink
         for name, pool, shape in (("avgpool2d", AvgPool2d(), (3, 2, 5, 7)),
                                   ("global_avgpool", GlobalAvgPool(), (4, 2, 2, 9))):
-            if i % 2 == 0:
-                record(name, check_layer(pool, rng.standard_normal(shape), rng=rng))
-                continue
             scale = rng.uniform(0.5, 1.5, shape[0]) * rng.choice([-1.0, 1.0], shape[0])
             shift = rng.normal(0.0, 0.5, shape[0])
             pre = rng.uniform(0.2, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)

@@ -28,7 +28,7 @@ train-mode forward before it.
 The large primitives run as work items fixed by shape: a convolution, in
 both modes, per panel of ``PANEL_FRAMES`` whole images, a pool, in both
 modes, and train-mode batchnorm per chunk of at least ``CHANNEL_CHUNK``
-channels.
+channels (``_fan_out_chunks``).
 ``fan_out`` runs the items of one call on a pool of one thread per usable
 core, with numpy's bundled OpenBLAS held at one thread
 (``one_blas_thread``), or in the calling thread. Each item writes its own
@@ -243,9 +243,11 @@ def _chunks(count: int, size: int):
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def _channel_chunks(shape):
-    """Channel slices of a (C, N, H, W) train-mode array, one per work item."""
-    return _chunks(shape[0], max(CHANNEL_CHUNK, -(-ITEM_ELEMENTS // math.prod(shape[1:]))))
+def _fan_out_chunks(shape, work) -> None:
+    """Run ``work(ch)`` for each channel slice ``ch`` of a (C, N, H, W) array
+    as one ``fan_out`` item; the slices depend on the shape only."""
+    chunks = _chunks(shape[0], max(CHANNEL_CHUNK, -(-ITEM_ELEMENTS // math.prod(shape[1:]))))
+    fan_out(lambda i: work(chunks[i]), len(chunks))
 
 
 class Conv2d:
@@ -348,10 +350,9 @@ class Conv2d:
             # the input itself, unless the grid holds its ReLU output
             grid = x.reshape(c, -1) if scale is None else np.empty((c, n * image), x.dtype)
             out = np.empty((co, n * image), dtype=dtype)
-        images, fills = grid.reshape(x.shape), _channel_chunks(x.shape)
+        images = grid.reshape(x.shape)
 
-        def fill_chunk(i):  # the ReLU output, or the train input's copy
-            ch = fills[i]
+        def fill_chunk(ch):  # the ReLU output, or the train input's copy
             if scale is None:
                 images[ch] = x[ch]
                 return
@@ -360,7 +361,7 @@ class Conv2d:
             np.maximum(images[ch], 0, out=images[ch])
 
         if train or scale is not None:
-            fan_out(fill_chunk, len(fills))
+            _fan_out_chunks(x.shape, fill_chunk)
         panels = _chunks(n, PANEL_FRAMES)
 
         def panel(i):
@@ -452,10 +453,8 @@ def normalize(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     if count < 2:
         raise DataError(f"degenerate batch: {count} sample per channel, need >= 2")
     stats = np.empty((3, x.shape[0]), x.dtype)
-    chunks = _channel_chunks(x.shape)
 
-    def chunk(i):
-        ch = chunks[i]
+    def chunk(ch):
         mean = np.einsum("cnhw->c", x[ch]) / count
         centred = np.subtract(x[ch], _per_channel(mean), out=xhat[ch])
         # centred second moment: no cancellation from E[x^2] - E[x]^2
@@ -464,7 +463,7 @@ def normalize(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
         centred *= _per_channel(inv)
         stats[:, ch] = mean, var, inv
 
-    fan_out(chunk, len(chunks))
+    _fan_out_chunks(x.shape, chunk)
     return stats
 
 
@@ -480,24 +479,22 @@ def _read_relu(dh, act, xhat, gamma, dgamma, dbeta) -> None:
     dh *= _per_channel(gamma)
 
 
-def project(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, sums: np.ndarray) -> None:
+def _project(dx, xhat, inv, sums) -> None:
     """Turn D, the gradient of ``xhat`` in ``dx``, into batchnorm's input
     gradient ``inv * (D - mean(D) - xhat * mean(D * xhat))`` in place, given
-    ``sums`` of D and D * xhat per channel. Every batchnorm's input gradient
-    is finished here: a BC unit's ``bn2`` by its ``BatchNorm.backward``, the
-    rest by their dense block, once every reader of a slab has run."""
+    ``sums`` of D and D * xhat per channel: one channel chunk's step."""
     means = sums / xhat[0].size
-    chunks = _channel_chunks(dx.shape)
+    part = np.multiply(xhat, _per_channel(means[1]), out=scratch("chunk", xhat.shape, dx.dtype))
+    part += _per_channel(means[0])
+    dx -= part
+    dx *= _per_channel(inv)
 
-    def chunk(i):
-        ch = chunks[i]
-        part = np.multiply(xhat[ch], _per_channel(means[1, ch]),
-                           out=scratch("chunk", xhat[ch].shape, dx.dtype))
-        part += _per_channel(means[0, ch])
-        dx[ch] -= part
-        dx[ch] *= _per_channel(inv[ch])
 
-    fan_out(chunk, len(chunks))
+def project(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, sums: np.ndarray) -> None:
+    """``_project`` on every channel chunk. A dense block finishes its
+    batchnorms' input gradients here, once every reader of a slab has run;
+    a BC unit's ``bn2`` runs ``_project`` in its own ``BatchNorm.backward``."""
+    _fan_out_chunks(dx.shape, lambda ch: _project(dx[ch], xhat[ch], inv[ch], sums[:, ch]))
 
 
 class BatchNorm:
@@ -556,74 +553,67 @@ class BatchNorm:
 
     def backward(self, dout: np.ndarray, relu_out: np.ndarray, dx=None) -> np.ndarray:
         """Backward through this batchnorm and the ReLU after it, given that
-        ReLU's output ``relu_out`` and output gradient ``dout``: sets the
-        gamma and beta gradients, overwrites ``dout`` with D, the gradient of
-        ``xhat`` (``_read_relu``), and returns ``dout`` made the input
-        gradient by ``project``. Given ``dx``, adds D into ``dx`` and returns
-        it instead, for its dense block to project."""
+        ReLU's output ``relu_out`` and output gradient ``dout``: each channel
+        chunk sets its gamma and beta gradients and overwrites its ``dout``
+        with D, the gradient of ``xhat`` (``_read_relu``). Given ``dx``, the
+        chunk adds D into ``dx``, which is returned for its dense block to
+        finish (``project``); else the same chunk item makes D the input
+        gradient (``_project``), and ``dout`` is returned."""
         xhat, inv = self._cache
-        chunks = _channel_chunks(dout.shape)
+        gamma, dgamma, dbeta = self.gamma, self.grad_gamma, self.grad_beta
 
-        def chunk(i):
-            ch = chunks[i]
-            _read_relu(dout[ch], relu_out[ch], xhat[ch], self.gamma[ch],
-                      self.grad_gamma[ch], self.grad_beta[ch])
-            if dx is not None:
+        def chunk(ch):
+            _read_relu(dout[ch], relu_out[ch], xhat[ch], gamma[ch], dgamma[ch], dbeta[ch])
+            if dx is None:
+                _project(dout[ch], xhat[ch], inv[ch], gamma[ch] * np.stack((dbeta[ch], dgamma[ch])))
+            else:
                 dx[ch] += dout[ch]
 
-        fan_out(chunk, len(chunks))
-        if dx is not None:
-            return dx
-        project(dout, xhat, inv, self.gamma * np.stack((self.grad_beta, self.grad_gamma)))
-        return dout
+        _fan_out_chunks(dout.shape, chunk)
+        return dout if dx is None else dx
 
 
 class _Pool:
-    """A pooling layer, run per channel chunk (``fan_out``). Given a
-    per-channel ``scale`` and ``shift``, it pools ``max(x * scale + shift,
-    0)``, the batchnorm and ReLU before it, in the same items and with
-    nothing stored: on a dense block's ``xhat`` with gamma and beta in train
-    mode, on its features with ``BatchNorm.folded()`` in infer mode.
-    Backward returns the input gradient in scratch ``"block"``; given a
-    ``scale``, it recomputes the ReLU's input, writes the gradients of
-    ``scale`` and ``shift`` into ``dscale`` and ``dshift`` and leaves D, the
-    gradient of ``xhat`` (``_read_relu``), for the block's ``project``."""
+    """A pooling layer after a batchnorm and ReLU: it pools ``max(x * scale
+    + shift, 0)`` per channel chunk, with nothing stored, on a dense block's
+    ``xhat`` with gamma and beta in train mode, on its features with
+    ``BatchNorm.folded()`` in infer mode. Backward returns the input
+    gradient in scratch ``"block"``: it recomputes the ReLU's input, writes
+    the gradients of ``scale`` and ``shift`` into ``dscale`` and ``dshift``
+    and leaves D, the gradient of ``xhat`` (``_read_relu``), for the
+    block's ``project``."""
 
     def __init__(self):
         self._cache = None  # (input, scale, shift)
 
-    def forward(self, x: np.ndarray, train: bool = False, scale=None, shift=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, scale, shift) -> np.ndarray:
         out = self._output(x, train)
-        chunks = _channel_chunks(x.shape)
 
-        def chunk(i):
-            ch, act = chunks[i], x[chunks[i]]
-            if scale is not None:
-                act = np.multiply(act, _per_channel(scale[ch]),
-                                  out=scratch("chunk", act.shape, x.dtype) if train else None)
-                act += _per_channel(shift[ch])
-                np.maximum(act, 0, out=act)
+        def chunk(ch):
+            act = np.multiply(x[ch], _per_channel(scale[ch]),
+                              out=scratch("chunk", x[ch].shape, x.dtype) if train else None)
+            act += _per_channel(shift[ch])
+            np.maximum(act, 0, out=act)
             self._pool(act, out[ch], train)
 
-        fan_out(chunk, len(chunks))
+        _fan_out_chunks(x.shape, chunk)
         if train:
             self._cache = (x, scale, shift)
         return out
 
-    def backward(self, dout: np.ndarray, dscale=None, dshift=None) -> np.ndarray:
+    def backward(self, dout: np.ndarray, dscale, dshift) -> np.ndarray:
         x, scale, shift = self._cache
         dx = scratch("block", x.shape, dout.dtype)
-        chunks = _channel_chunks(x.shape)
 
-        def chunk(i):
-            ch, dh = chunks[i], dx[chunks[i]]
+        def chunk(ch):
+            dh = dx[ch]
             self._spread(dout, ch, dh)
-            if scale is not None:  # act > 0 is the mask of max(act, 0) > 0
-                act = np.multiply(x[ch], _per_channel(scale[ch]), out=scratch("act", dh.shape, x.dtype))
-                act += _per_channel(shift[ch])
-                _read_relu(dh, act, x[ch], scale[ch], dscale[ch], dshift[ch])
+            # act > 0 is the mask of max(act, 0) > 0
+            act = np.multiply(x[ch], _per_channel(scale[ch]), out=scratch("act", dh.shape, x.dtype))
+            act += _per_channel(shift[ch])
+            _read_relu(dh, act, x[ch], scale[ch], dscale[ch], dshift[ch])
 
-        fan_out(chunk, len(chunks))
+        _fan_out_chunks(x.shape, chunk)
         return dx
 
 
@@ -661,7 +651,7 @@ class AvgPool2d(_Pool):
 class GlobalAvgPool(_Pool):
     """Mean over all spatial positions, one value per channel: (C, N, H, W) -> (N, C)."""
 
-    def forward(self, x: np.ndarray, train: bool = False, scale=None, shift=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, scale, shift) -> np.ndarray:
         return super().forward(x, train, scale, shift).T
 
     def _output(self, x, train):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from damnet.exceptions import ConfigError, DamnetError, DataError, FormatError, ShapeError
 from damnet.features import (
+    LABEL_MAGIC,
     CmvnStats,
     FilterbankConfig,
     ManifestEntry,
@@ -183,6 +184,27 @@ def with_crc(text):
     payload = json.loads(text)
     canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
     return canonical({**payload, "crc32": zlib.crc32(canonical(payload).encode())})
+
+
+def forge_crc32(prefix, target):
+    """The 4 bytes whose CRC32 after ``prefix`` is ``target``. CRC32 is
+    affine over GF(2) in data of a fixed length, so the bytes are solved for
+    from the CRC32 change that each of their 32 bits makes alone."""
+    base = zlib.crc32(prefix + bytes(4))
+    basis = {}  # top bit -> (CRC32 change, the bits that make it)
+    for bit in range(32):
+        change, bits = zlib.crc32(prefix + (1 << bit).to_bytes(4, "little")) ^ base, 1 << bit
+        while change and change.bit_length() - 1 in basis:
+            top_change, top_bits = basis[change.bit_length() - 1]
+            change, bits = change ^ top_change, bits ^ top_bits
+        if change:
+            basis[change.bit_length() - 1] = (change, bits)
+    want, solution = target ^ base, 0
+    for top in sorted(basis, reverse=True):
+        if want >> top & 1:
+            want, solution = want ^ basis[top][0], solution ^ basis[top][1]
+    assert want == 0, "no 4 bytes reach the target"
+    return solution.to_bytes(4, "little")
 
 
 class TestCmvn:
@@ -380,6 +402,25 @@ class TestArchive:
             write_archive([make_utterance(1), None], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["data.fbk"]
+
+    def test_unlabeled_last_record_whose_trailer_spells_the_label_magic(self, tmp_path):
+        # the last frame value is solved for so that the archive's CRC32
+        # trailer reads LBL1; the trailer must not be taken for a label block
+        utt = make_utterance(3, labels=False)
+        path = tmp_path / "data.fbk"
+        write_archive([utt], path)
+        prefix = path.read_bytes()[:-8]  # all but the last value and the trailer
+        target = int.from_bytes(LABEL_MAGIC, "little")
+        utt.frames[-1, -1, -1] = np.frombuffer(forge_crc32(prefix, target), "<f4")[0]
+        assert np.isfinite(utt.frames[-1, -1, -1])
+        write_archive([utt], path)
+        data = path.read_bytes()
+        assert data[-4:] == LABEL_MAGIC
+        (loaded,) = read_archive(path)
+        assert loaded.utt_id == utt.utt_id and loaded.labels is None
+        assert loaded.frames.tobytes() == utt.frames.tobytes()
+        write_archive([loaded], path)
+        assert path.read_bytes() == data
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "data.fbk"

@@ -18,11 +18,17 @@ from damnet.layers import (
 )
 from damnet.builder import DenseNetConfig
 from damnet.model import DenseBlock, DenseUnit, build_model, named_arrays, transition
-from test_parallel import reference_batchnorm
+from test_parallel import block_mean, block_mean_adjoint, reference_batchnorm
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def unit_scale_shift(channels, dtype=np.float64):
+    """A pool's batchnorm scale 1 and shift 0: on positive input it pools
+    the input itself."""
+    return np.ones(channels, dtype), np.zeros(channels, dtype)
 
 
 class ExplicitChain:
@@ -140,12 +146,11 @@ class TestDenseWiring:
                                     stage.bn.grad_beta)]
 
         # reference: the planned order, BN scale and shift -> ReLU -> 1x1 conv
-        # then pool, same weights
-        pool = AvgPool2d()
+        # then a 2x2 block mean, same weights
         pre = xhat * gamma[:, None, None, None] + beta[:, None, None, None]
-        reference = pool.forward(stage.conv.forward(np.maximum(pre, 0), train=True), train=True)
+        reference = block_mean(stage.conv.forward(np.maximum(pre, 0), train=True))
         np.testing.assert_allclose(out, reference, rtol=0, atol=1e-12)
-        dh = stage.conv.backward(pool.backward(dout)) * (pre > 0)
+        dh = stage.conv.backward(block_mean_adjoint(dout, (3, 3, h, w))) * (pre > 0)
         np.testing.assert_allclose(dx, dh * gamma[:, None, None, None], rtol=0, atol=1e-12)
         for got, want in zip(grads, (stage.conv.grad_weight, np.einsum("cnhw,cnhw->c", dh, xhat),
                                      dh.sum(axis=(1, 2, 3)))):
@@ -383,42 +388,42 @@ class TestReLU:
 
 class TestAvgPool:
     def test_table_shapes(self):
-        pool = AvgPool2d()
-        assert pool.forward(np.zeros((2, 1, 9, 38), dtype=np.float32)).shape == (2, 1, 4, 19)
-        assert pool.forward(np.zeros((2, 1, 4, 19), dtype=np.float32)).shape == (2, 1, 2, 9)
+        pool, scale_shift = AvgPool2d(), unit_scale_shift(2, np.float32)
+        for shape, pooled in (((2, 1, 9, 38), (2, 1, 4, 19)), ((2, 1, 4, 19), (2, 1, 2, 9))):
+            assert pool.forward(np.ones(shape, np.float32), False, *scale_shift).shape == pooled
 
     def test_constant_preserved(self):
         pool = AvgPool2d()
-        out = pool.forward(np.full((3, 2, 5, 6), 2.5))
+        out = pool.forward(np.full((3, 2, 5, 6), 2.5), False, *unit_scale_shift(3))
         np.testing.assert_array_equal(out, 2.5)
 
     def test_too_small(self):
         with pytest.raises(ShapeError):
-            AvgPool2d().forward(np.zeros((1, 1, 1, 4)))
+            AvgPool2d().forward(np.ones((1, 1, 1, 4)), False, *unit_scale_shift(1))
 
     def test_backward_distributes_quarter(self):
         pool = AvgPool2d()
-        x = rng().standard_normal((1, 1, 5, 4))
-        pool.forward(x, train=True)
-        dx = pool.backward(np.ones((1, 1, 2, 2)))
+        x = rng().uniform(0.5, 1.5, (1, 1, 5, 4))
+        pool.forward(x, True, *unit_scale_shift(1))
+        dx = pool.backward(np.ones((1, 1, 2, 2)), np.zeros(1), np.zeros(1))
         np.testing.assert_array_equal(dx[0, 0, :4, :4], 0.25)
         np.testing.assert_array_equal(dx[0, 0, 4, :], 0.0)  # dropped odd row
 
 
 class TestGlobalAvgPool:
     def test_constant(self):
-        out = GlobalAvgPool().forward(np.full((3, 1, 2, 9), 4.0))
+        out = GlobalAvgPool().forward(np.full((3, 1, 2, 9), 4.0), False, *unit_scale_shift(3))
         assert out.shape == (1, 3)
         np.testing.assert_array_equal(out, 4.0)
 
     def test_direct_mean(self):
-        out = GlobalAvgPool().forward(np.array([3.0, 5.0]).reshape(1, 1, 1, 2))
-        assert out.item() == 4.0
+        x = np.array([3.0, 5.0]).reshape(1, 1, 1, 2)
+        assert GlobalAvgPool().forward(x, False, *unit_scale_shift(1)).item() == 4.0
 
     def test_backward_spreads_uniformly(self):
         pool = GlobalAvgPool()
-        pool.forward(np.zeros((1, 1, 2, 9)), train=True)
-        dx = pool.backward(np.ones((1, 1)))
+        pool.forward(np.ones((1, 1, 2, 9)), True, *unit_scale_shift(1))
+        dx = pool.backward(np.ones((1, 1)), np.zeros(1), np.zeros(1))
         np.testing.assert_allclose(dx, 1.0 / 18.0)
 
 
@@ -481,7 +486,7 @@ class TestSoftmaxCrossEntropy:
 @given(st.integers(2, 16), st.integers(2, 16))
 @settings(max_examples=30, deadline=None)
 def test_pool_shape_formula(h, w):
-    out = AvgPool2d().forward(np.zeros((1, 1, h, w)))
+    out = AvgPool2d().forward(np.ones((1, 1, h, w)), False, *unit_scale_shift(1))
     assert out.shape[2:] == (pool_output_size(h), pool_output_size(w))
 
 
@@ -500,17 +505,25 @@ class TestChannelMajorLayout:
         results = []
         for layout in (np.ascontiguousarray, as_strided):
             layer = make()
-            out = layer.forward(layout(x), train=train).copy()
+            # a pool runs after a batchnorm's scale and shift, here 1 and 0 on positive input
+            pooled = isinstance(layer, (AvgPool2d, GlobalAvgPool))
+            fused = unit_scale_shift(shape[0]) if pooled else ()
+            out = layer.forward(layout(np.abs(x) if pooled else x), train, *fused).copy()
             if not train:
                 results.append((out, None, {}))
                 continue
             dout = layout(rng(seed + 1).standard_normal(out.shape))
-            # a batchnorm's backward reads the ReLU output of the layer after it
-            after = [layout(np.maximum(out * layer.gamma[:, None, None, None]
-                                       + layer.beta[:, None, None, None], 0))
-                     ] if isinstance(layer, BatchNorm) else []
+            # a batchnorm's backward reads the ReLU output of the layer after it,
+            # and a pool's writes the gradients of its scale and shift
+            if isinstance(layer, BatchNorm):
+                after = [layout(np.maximum(out * layer.gamma[:, None, None, None]
+                                           + layer.beta[:, None, None, None], 0))]
+            else:
+                after = [np.zeros(shape[0]), np.zeros(shape[0])] if pooled else []
             dx = layer.backward(dout, *after).copy()
             grads = named_arrays([("layer", layer)], "PARAMS", "grad_")
+            if pooled:
+                grads = dict(zip(("scale", "shift"), after))
             results.append((out, dx, {k: v.copy() for k, v in grads.items()}))
         (out_a, dx_a, grads_a), (out_b, dx_b, grads_b) = results
         np.testing.assert_allclose(out_b, out_a, rtol=0, atol=1e-12)
@@ -555,10 +568,16 @@ class TestChannelMajorLayout:
     def test_train_results_are_channel_major_for_c_order_input(self, layer):
         layer = layer()
         x = rng(2).standard_normal((4, 3, 5, 7)).astype(np.float32)
-        out = layer.forward(x, train=True)
+        # a pool runs after a batchnorm's scale 1 and shift 0, on positive input,
+        # and its backward writes their gradients; a batchnorm's backward reads
+        # the ReLU output of the layer after it
+        if isinstance(layer, AvgPool2d):
+            out = layer.forward(np.abs(x), True, *unit_scale_shift(4, np.float32))
+            after = [np.zeros(4, np.float32), np.zeros(4, np.float32)]
+        else:
+            out = layer.forward(x, train=True)
+            after = [np.maximum(out, 0)]
         assert out.flags.c_contiguous
-        # a batchnorm's backward reads the ReLU output of the layer after it
-        after = [np.maximum(out, 0)] if isinstance(layer, BatchNorm) else []
         dx = layer.backward(np.ones(out.shape, np.float32), *after)
         assert dx.shape == x.shape and dx.flags.c_contiguous
 

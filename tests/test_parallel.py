@@ -190,7 +190,37 @@ class TestFloat64Reference:
     def test_items_split_the_batch_and_channels(self):
         # the shapes above do run as several items
         assert len(layers._chunks(37, layers.PANEL_FRAMES)) == 3
-        assert [c.stop - c.start for c in layers._channel_chunks((21, 100, 9, 38))] == [8, 8, 5]
+        lengths = []
+        layers._fan_out_chunks((21, 100, 9, 38), lambda ch: lengths.append(ch.stop - ch.start))
+        assert sorted(lengths) == [5, 8, 8]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_standalone_batchnorm_backward_is_one_fan_out(self, monkeypatch, cores):
+        # a BC unit's bn2 finishes each chunk's input gradient in the item that
+        # reads the chunk's ReLU mask; the two-pass form, ``_read_relu`` per
+        # chunk and then ``project``, gives the same bits
+        use_cores(monkeypatch, cores)
+        r = np.random.default_rng(9)
+        bn = random_batchnorm(r, 21, np.float32)
+        x = (r.standard_normal((21, 100, 9, 38)) * 2 + 0.5).astype(np.float32)
+        relu_out = explicit_relu(bn, x, True)
+        dout = r.standard_normal(x.shape).astype(np.float32)
+        (xhat, inv), want = bn._cache, dout.copy()
+        dgamma, dbeta = np.empty(21, np.float32), np.empty(21, np.float32)
+        layers._fan_out_chunks(x.shape, lambda ch: layers._read_relu(
+            want[ch], relu_out[ch], xhat[ch], bn.gamma[ch], dgamma[ch], dbeta[ch]))
+        layers.project(want, xhat, inv, bn.gamma * np.stack((dbeta, dgamma)))
+        calls, fan_out = [], layers.fan_out
+
+        def counted(work, count):
+            calls.append(count)
+            fan_out(work, count)
+
+        monkeypatch.setattr(layers, "fan_out", counted)
+        np.testing.assert_array_equal(bn.backward(dout, relu_out), want)
+        assert calls == [3]
+        np.testing.assert_array_equal(bn.grad_gamma, dgamma)
+        np.testing.assert_array_equal(bn.grad_beta, dbeta)
 
 
 class TestUnpaddedGrid:
@@ -315,29 +345,63 @@ class TestFusedPreActivation:
             np.testing.assert_array_equal(a.running_var, b.running_var)
 
 
+def block_mean(x):
+    """Means of 2x2 blocks, the odd row and column dropped, in plain numpy."""
+    oh, ow = x.shape[2] // 2, x.shape[3] // 2
+    blocks = x[:, :, : 2 * oh, : 2 * ow].reshape(*x.shape[:2], oh, 2, ow, 2)
+    return ((blocks[:, :, :, 0, :, 0] + blocks[:, :, :, 1, :, 0])
+            + (blocks[:, :, :, 0, :, 1] + blocks[:, :, :, 1, :, 1])) / 4
+
+
+def block_mean_adjoint(dout, shape):
+    """The gradient of ``block_mean``'s (C, N, H, W) input: each output's
+    gradient over 4 on its block, 0 on the dropped row and column."""
+    dx = np.zeros(shape)
+    oh, ow = dout.shape[2:]
+    dx[:, :, : 2 * oh, : 2 * ow] = (dout / 4).repeat(2, axis=2).repeat(2, axis=3)
+    return dx
+
+
+def global_mean(x):
+    """Each image's mean per channel, as (N, C), in plain numpy."""
+    return x.mean(axis=(2, 3)).T
+
+
+def global_mean_adjoint(dout, shape):
+    """The gradient of ``global_mean``'s (C, N, H, W) input: each mean's
+    gradient over H * W on every pixel of its image."""
+    dx = np.empty(shape)
+    dx[...] = dout.T[:, :, None, None] / (shape[2] * shape[3])
+    return dx
+
+
 class TestFusedHead:
     """A transition's or the classifier's BN -> ReLU runs inside its pool's
     channel chunks, with the mask recomputed in backward; standalone
-    arithmetic and layers are the reference."""
+    arithmetic is the reference, pooling in plain numpy."""
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
     @pytest.mark.parametrize("extent", [(9, 38), (5, 7), (2, 9)])
-    @pytest.mark.parametrize("pool", [layers.AvgPool2d, layers.GlobalAvgPool])
-    def test_fused_head_matches_explicit_chain(self, monkeypatch, cores, train, extent, pool):
+    @pytest.mark.parametrize("pool,mean,adjoint", [
+        (layers.AvgPool2d, block_mean, block_mean_adjoint),
+        (layers.GlobalAvgPool, global_mean, global_mean_adjoint),
+    ], ids=["AvgPool2d", "GlobalAvgPool"])
+    def test_fused_head_matches_explicit_chain(self, monkeypatch, cores, train, extent, pool,
+                                               mean, adjoint):
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(extent[0] * 100 + extent[1])
-        bn, explicit, fused = random_batchnorm(r, 21, np.float64), pool(), pool()
+        bn, fused = random_batchnorm(r, 21, np.float64), pool()
         x = r.standard_normal((21, 37, *extent)) * 2 + 0.5
         relu_out = explicit_relu(bn, x, train)
-        out = explicit.forward(relu_out, train).copy()
+        out = mean(relu_out)
         if not train:
             np.testing.assert_array_equal(fused.forward(x, False, *bn.folded()), out)
             return
         xhat, inv = bn._cache
         np.testing.assert_array_equal(fused.forward(xhat, True, bn.gamma, bn.beta), out)
         dout = r.standard_normal(out.shape)
-        dx = bn.backward(explicit.backward(dout), relu_out).copy()
+        dx = bn.backward(adjoint(dout, x.shape), relu_out).copy()
         grad_gamma, grad_beta = np.empty(21), np.empty(21)
         d = fused.backward(dout, grad_gamma, grad_beta)
         np.testing.assert_array_equal(grad_gamma, bn.grad_gamma)
