@@ -45,8 +45,9 @@ reuses the memory of the last one instead of allocating it again:
   is reused while the shape and dtype repeat, and replaced when they
   change, as on an epoch's last partial batch. A layer copies what it
   keeps, except ``Linear``, which keeps its small input. A dense block
-  keeps one normalized copy of its features, which its units' ``bn1`` and
-  the batchnorm and pool after the block keep views of. Every ReLU runs
+  keeps only the normalization of its features, written straight from the
+  layer that made each slab, and its units' ``bn1`` and the batchnorm and
+  pool after the block keep views of it. Every ReLU runs
   inside the conv or pool after a batchnorm and keeps no mask: the conv's
   grid holds the ReLU output, and the pool recomputes the mask. For
   plain-22 at batch 256 the step state is about 223 MiB.
@@ -118,14 +119,13 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     The buffers hold bytes, so one serves every dtype. Train mode uses
     ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
     a pool chunk's row sums and their gradient), ``"placed"`` (a pad-0 conv
-    panel's output gradient on its input's pixels), ``"act"`` (a pool
-    chunk's batchnorm output in backward), ``"partials"`` (a conv's
+    panel's output gradient on its input's pixels), ``"partials"`` (a conv's
     per-panel weight gradients), ``"chunk"`` and ``"mask"`` (a channel
-    chunk's terms of a batchnorm's backward, a pool chunk's ReLU output and
-    mask), ``"block"`` (a dense block's features, then
-    their gradient, which a pool writes) and ``"pair"``, which names two
-    buffers handed out in turn. A layer's pair result thus never overwrites
-    the pair array it was given.
+    chunk's terms of a batchnorm's backward, a pool chunk's ReLU output, or
+    its ReLU input in backward, and mask), ``"block"`` (the gradient of a
+    dense block's normalized features, which the pool after the block
+    writes) and ``"pair"``, which names two buffers handed out in turn. A
+    layer's pair result thus never overwrites the pair array it was given.
     """
     state = _SCRATCH
     if name == "pair":
@@ -333,6 +333,8 @@ class Conv2d:
     def forward(self, x: np.ndarray, train: bool = False, scale=None, shift=None) -> np.ndarray:
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ShapeError(f"conv2d expects ({self.in_channels}, N, H, W), got {x.shape}")
+        if scale is not None or shift is not None:
+            _check_activation("conv2d", x, scale, shift)
         (c, n, h, w), k, p, co = x.shape, self.kernel_size, self.pad, self.out_channels
         oh, ow = conv_output_size(h, k, p), conv_output_size(w, k, p)
         if oh < 1 or ow < 1:
@@ -355,10 +357,8 @@ class Conv2d:
         def fill_chunk(ch):  # the ReLU output, or the train input's copy
             if scale is None:
                 images[ch] = x[ch]
-                return
-            np.multiply(x[ch], _per_channel(scale[ch]), out=images[ch])
-            images[ch] += _per_channel(shift[ch])
-            np.maximum(images[ch], 0, out=images[ch])
+            else:
+                _activate(x[ch], scale[ch], shift[ch], images[ch])
 
         if train or scale is not None:
             _fan_out_chunks(x.shape, fill_chunk)
@@ -442,6 +442,21 @@ class Conv2d:
 
 def _per_channel(arr):
     return arr.reshape(-1, 1, 1, 1)
+
+
+def _check_activation(layer: str, x, scale, shift) -> None:
+    """Raise ``ShapeError`` unless ``x`` is (C, N, H, W) and ``scale`` and ``shift`` hold C values."""
+    if x.ndim != 4 or not np.shape(scale) == np.shape(shift) == x.shape[:1]:
+        raise ShapeError(f"{layer} expects (C, N, H, W) and C-value scale and shift, got "
+                         f"{x.shape}, {np.shape(scale)} and {np.shape(shift)}")
+
+
+def _activate(x, scale, shift, out):
+    """A batchnorm's scale and shift and its ReLU, ``max(x * scale + shift,
+    0)`` per channel, into ``out`` (a new array if None), which is returned."""
+    out = np.multiply(x, _per_channel(scale), out=out)
+    out += _per_channel(shift)
+    return np.maximum(out, 0, out=out)
 
 
 def normalize(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
@@ -587,14 +602,12 @@ class _Pool:
         self._cache = None  # (input, scale, shift)
 
     def forward(self, x: np.ndarray, train: bool, scale, shift) -> np.ndarray:
+        _check_activation(type(self).__name__.lower(), x, scale, shift)
         out = self._output(x, train)
 
         def chunk(ch):
-            act = np.multiply(x[ch], _per_channel(scale[ch]),
-                              out=scratch("chunk", x[ch].shape, x.dtype) if train else None)
-            act += _per_channel(shift[ch])
-            np.maximum(act, 0, out=act)
-            self._pool(act, out[ch], train)
+            act = scratch("chunk", x[ch].shape, x.dtype) if train else None
+            self._pool(_activate(x[ch], scale[ch], shift[ch], act), out[ch], train)
 
         _fan_out_chunks(x.shape, chunk)
         if train:
@@ -609,7 +622,7 @@ class _Pool:
             dh = dx[ch]
             self._spread(dout, ch, dh)
             # act > 0 is the mask of max(act, 0) > 0
-            act = np.multiply(x[ch], _per_channel(scale[ch]), out=scratch("act", dh.shape, x.dtype))
+            act = np.multiply(x[ch], _per_channel(scale[ch]), out=scratch("chunk", dh.shape, x.dtype))
             act += _per_channel(shift[ch])
             _read_relu(dh, act, x[ch], scale[ch], dscale[ch], dshift[ch])
 
@@ -655,7 +668,7 @@ class GlobalAvgPool(_Pool):
         return super().forward(x, train, scale, shift).T
 
     def _output(self, x, train):
-        if x.ndim != 4 or x.shape[2] < 1 or x.shape[3] < 1:
+        if x.shape[2] < 1 or x.shape[3] < 1:
             raise ShapeError(f"global_avgpool expects (C, N, H, W), got {x.shape}")
         return np.empty(x.shape[:2], x.dtype)
 

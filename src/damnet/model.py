@@ -14,9 +14,11 @@ channel-major (C, N, H, W) activations (see ``layers``): ``forward`` hands
 the stages a transposed view of its input, the initial conv copies it into
 its own grid, and ``backward`` returns the input gradient transposed back.
 Each dense block keeps its features in one (C_out, N, H, W) buffer: unit n
-reads the prefix ``features[:width]`` holding the block input and the n-1
-prior unit outputs, and writes its growth_rate channels after it, so the
-prefix and each unit's slab are contiguous. Backward runs the units in
+reads the prefix ``[:width]`` holding the block input and the n-1 prior
+unit outputs, and its growth_rate channels go after it, so the prefix and
+each unit's slab are contiguous. In infer mode the buffer holds the raw
+features; in training it holds only their normalization, which each slab
+gets straight from the layer that made it. Backward runs the units in
 reverse, adding each one's input gradient into the prefix of one gradient
 buffer, so a unit's output gradient is complete when it runs.
 """
@@ -139,12 +141,14 @@ class DenseBlock:
     unit n reads the first ``widths[n-1]`` channels.
 
     A channel's batch statistics are the same for every layer that reads
-    it, so in train mode the block normalizes each slab of channels once,
-    before the first reader, into one ``xhat``, the train output, that every
-    unit's bn1 and the batchnorm after the block (``_head``, set by
-    ``Model``) keep views of. In backward, from the gradient of ``xhat``,
-    each reader adds ``gamma * dh``; once every reader of a slab has run,
-    its batchnorm backward is finished for all of them at once.
+    it, so in train mode the block keeps no raw features: it normalizes the
+    block input and each unit's output once, straight from the array that
+    holds them and before the slab's first reader, into one ``xhat``, the
+    train output, that every unit's bn1 and the batchnorm after the block
+    (``_head``, set by ``Model``) keep views of. In backward, from the
+    gradient of ``xhat``, each reader adds ``gamma * dh``; once every reader
+    of a slab has run, just before the unit that made it, its batchnorm
+    backward is finished for all of them at once (``project``).
     """
 
     def __init__(self, in_channels: int, growth_rate: int, num_units: int,
@@ -166,33 +170,25 @@ class DenseBlock:
         # a unit reading the block input and k prior outputs has k + 1 sources
         return sum(1 + (width - self.in_channels) // self.growth_rate for width in self.widths)
 
-    def _slabs(self):
-        """(start, width, unit), the unit the first to read channels start..width"""
-        return zip((0, *self.widths[:-1]), self.widths, self.units)
-
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ShapeError(f"dense block expects ({self.in_channels}, N, H, W), got {x.shape}")
         shape = (self.out_channels, *x.shape[1:])
-        features = scratch("block", shape, x.dtype) if train else np.empty(shape, x.dtype)
-        features[: self.in_channels] = x
-        if train:
-            xhat = step_state(self._cache[0] if self._cache else None, shape, x.dtype)
-            stats = np.empty((3, shape[0]), x.dtype)  # mean, var, inv
-            self._cache = (xhat, stats[2])
-
-        def normalize_slab(start, width):
-            stats[:, start:width] = normalize(features[start:width], xhat[start:width])
-
-        for start, width, unit in self._slabs():
-            if train:
-                normalize_slab(start, width)
-                unit.bn1.keep_batch(xhat[:width], *stats[:, :width])
-            source = xhat if train else features
-            features[width : width + self.growth_rate] = unit.forward(source[:width], train)
         if not train:
+            features = np.empty(shape, x.dtype)
+            features[: self.in_channels] = x
+            for width, unit in zip(self.widths, self.units):
+                features[width : width + self.growth_rate] = unit.forward(features[:width])
             return features
-        normalize_slab(self.widths[-1], shape[0])
+        xhat = step_state(self._cache[0] if self._cache else None, shape, x.dtype)
+        stats = np.empty((3, shape[0]), x.dtype)  # mean, var, inv
+        self._cache = (xhat, stats[2])
+        start, out = 0, x  # the slab that starts at ``start``, as its layer made it
+        for width, unit in zip(self.widths, self.units):
+            stats[:, start:width] = normalize(out, xhat[start:width])
+            unit.bn1.keep_batch(xhat[:width], *stats[:, :width])
+            start, out = width, unit.forward(xhat[:width], train)
+        stats[:, start:] = normalize(out, xhat[start:])
         for bn in self._head:
             bn.keep_batch(xhat[:], *stats)  # a view, which its own forward never reuses
         return xhat
@@ -206,13 +202,15 @@ class DenseBlock:
             sums = bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma))
         else:
             sums = np.stack((np.einsum("cnhw->c", dout), np.einsum("cnhw,cnhw->c", dout, xhat)))
-        last = self.widths[-1]
-        project(grad[last:], xhat[last:], inv[last:], sums[:, last:])
-        for start, width, unit in reversed(list(self._slabs())):
-            bn, d = unit.bn1, unit.backward(grad[width : width + self.growth_rate])
+        # a unit's output slab has had all its readers when the unit runs
+        end = self.out_channels
+        for width, unit in reversed(list(zip(self.widths, self.units))):
+            project(grad[width:end], xhat[width:end], inv[width:end], sums[:, width:end])
+            bn, d = unit.bn1, unit.backward(grad[width:end])
             bn.backward(d, unit._order[1].kept_input(), grad[:width])
             sums[:, :width] += bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma))
-            project(grad[start:width], xhat[start:width], inv[start:width], sums[:, start:width])
+            end = width
+        project(grad[:end], xhat[:end], inv[:end], sums[:, :end])
         return grad[: self.in_channels]
 
 
@@ -258,7 +256,6 @@ class Model:
         plan = plan_architecture(config)  # validates, and rejects collapsing geometries
         self.config = config
         self.seed = seed
-        self.dtype = dtype
         rng = np.random.default_rng(seed)
 
         def build(stage):

@@ -13,6 +13,7 @@ from damnet.layers import (
     Linear,
     conv_output_size,
     pool_output_size,
+    scratch,
     softmax,
     softmax_cross_entropy,
 )
@@ -124,6 +125,63 @@ class TestDenseWiring:
         xhat = block._cache[0].copy()
         block.units[1].bn1.forward(r.standard_normal((8, 3, 4, 6)), train=True)
         np.testing.assert_array_equal(block._cache[0], xhat)
+
+    def test_train_forward_writes_only_the_kept_normalization(self, monkeypatch):
+        # a train forward normalizes each slab straight from the layer that
+        # made it, into the xhat that it returns, keeps and shares with its
+        # readers; its only scratch is its gradient, in backward
+        names = []
+
+        def record(name, shape, dtype):
+            names.append(name)
+            return scratch(name, shape, dtype)
+
+        monkeypatch.setattr("damnet.model.scratch", record)
+        cfg = DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4,
+                             compression=0.5, num_classes=5, first_conv_channels=8)
+        model = build_model(cfg, seed=0)
+        outputs = {}
+        for block in model.blocks:
+            def keep(x, train=False, forward=block.forward, block=block):
+                outputs[id(block)] = forward(x, train)
+                return outputs[id(block)]
+            block.forward = keep
+        x = rng(6).standard_normal((4, 3, 11, 40)).astype(np.float32)
+        logits = model.forward(x, train=True)
+        assert names == []
+        stages = [stage for _, stage in model.stages()]
+        for block, head in zip(stages, stages[1:]):
+            if not isinstance(block, DenseBlock):
+                continue
+            out = outputs[id(block)]
+            assert out is block._cache[0]
+            for unit in block.units:
+                assert np.shares_memory(unit.bn1._cache[0], out)
+            assert np.shares_memory(head.bn._cache[0], out)
+        model.backward(softmax_cross_entropy(logits, np.arange(4))[1])
+        assert names == ["block"] * len(model.blocks)
+
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("bottleneck", [False, True])
+    def test_cropped_input_matches_contiguous_copy(self, dtype, atol, bottleneck):
+        # block 1 reads the initial pad-0 conv's output, a crop of wider
+        # rows, and normalizes it where it lies; summing a channel's
+        # statistics over the crop rounds only as a copy's order would
+        r = rng(8)
+        grid = r.standard_normal((16, 64, 9, 40)).astype(dtype)
+        dout = r.standard_normal((40, 64, 9, 38)).astype(dtype)
+        results = []
+        for x in (grid[:, :, :, :38], np.ascontiguousarray(grid[:, :, :, :38])):
+            block = DenseBlock(16, 12, 2, bottleneck=bottleneck, rng=rng(9), dtype=dtype)
+            out = block.forward(x, train=True).copy()
+            dx = block.backward(dout).copy()
+            grads = named_arrays([("block", block)], "PARAMS", "grad_")
+            results.append((out, dx, {k: v.copy() for k, v in grads.items()}))
+        (out_a, dx_a, grads_a), (out_b, dx_b, grads_b) = results
+        for got, want in [(out_a, out_b), (dx_a, dx_b),
+                          *((grads_a[k], grads_b[k]) for k in grads_b)]:
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol * scale)
 
     def test_dense_block_rejects_wrong_width(self):
         block = DenseBlock(5, 3, 2, bottleneck=False, rng=rng(), dtype=np.float64)
@@ -607,3 +665,16 @@ class TestChannelMajorLayout:
         # (N, C, H, W) with N != C: the leading axis is not the channel count
         with pytest.raises(ShapeError):
             layer().forward(np.zeros((3, 4, 5, 7), np.float32), train=train)
+
+    @pytest.mark.parametrize("layer", [lambda: Conv2d(3, 5, 3, pad=1), AvgPool2d, GlobalAvgPool],
+                             ids=["Conv2d", "AvgPool2d", "GlobalAvgPool"])
+    @pytest.mark.parametrize("shape,scale_size", [((3, 4, 5, 7), 4), ((3, 4, 5, 7), 2),
+                                                  ((3, 4, 35), 3)],
+                             ids=["long-scale", "short-scale", "three-axes"])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_rejects_malformed_activation_input(self, layer, shape, scale_size, train):
+        # the batchnorm's scale and shift that a conv or pool applies must
+        # match the input's channels, checked before any work item runs
+        scale = np.ones(scale_size, np.float32)
+        with pytest.raises(ShapeError):
+            layer().forward(np.ones(shape, np.float32), train, scale, np.zeros_like(scale))
