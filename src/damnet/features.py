@@ -4,6 +4,13 @@ Log-Mel filterbank extraction, time derivatives, corpus mean/variance
 normalization, context splicing, and the binary feature archive. Frames
 flow as (T, channels, bins) float32 arrays where the channels are
 static, delta and delta-delta. The checkpoint shares the file helpers.
+
+The corpus-wide steps, ``featurize_manifest`` and ``compute_cmvn_stats``
+here and ``trainer.build_frame_dataset``, run one utterance per
+``layers.fan_out`` item on the pool that training and ``evaluate`` use, so
+they serialize with those on its OpenBLAS guard. An item's arithmetic is
+that of the utterance alone and the statistics' sums are added in corpus
+order, so every result has the same bits on any number of cores.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import ConfigError, DataError, FormatError, ShapeError
+from .layers import fan_out
 
 ARCHIVE_MAGIC = b"FBK1"
 LABEL_MAGIC = b"LBL1"
@@ -204,21 +212,30 @@ class CmvnStats:
 
 
 def compute_cmvn_stats(utterances: list[UtteranceFeatures]) -> CmvnStats:
+    """Mean and variance per (channel, bin) from float64 sums and sums of
+    squares, one ``fan_out`` item per utterance, added in corpus order."""
     if not utterances:
         raise DataError("cannot compute normalization stats over an empty corpus")
     shape = utterances[0].frames.shape[1:]
-    total = 0
-    acc = np.zeros(shape, dtype=np.float64)
-    acc_sq = np.zeros(shape, dtype=np.float64)
     for utt in utterances:
         if utt.frames.shape[1:] != shape:
             raise ShapeError(
                 f"utterance '{utt.utt_id}' has geometry {utt.frames.shape[1:]}, "
                 f"corpus uses {shape}"
             )
-        frames = utt.frames.astype(np.float64)
-        acc += frames.sum(axis=0)
-        acc_sq += (frames * frames).sum(axis=0)
+    sums = [None] * len(utterances)
+
+    def accumulate(i):
+        frames = utterances[i].frames.astype(np.float64)
+        sums[i] = frames.sum(axis=0), (frames * frames).sum(axis=0)
+
+    fan_out(accumulate, len(utterances))
+    total = 0
+    acc = np.zeros(shape, dtype=np.float64)
+    acc_sq = np.zeros(shape, dtype=np.float64)
+    for utt, (frame_sum, square_sum) in zip(utterances, sums):
+        acc += frame_sum
+        acc_sq += square_sum
         total += utt.num_frames
     if total < 2:
         raise DataError(f"need at least 2 frames for statistics, got {total}")
@@ -463,15 +480,15 @@ def parse_manifest(path) -> list[ManifestEntry]:
 
 
 def read_label_file(path) -> np.ndarray:
-    """Whitespace-separated integer class ids, one per frame."""
+    """Whitespace-separated class ids, one per frame, each of ASCII digits 0-9."""
     try:
-        labels = np.array([int(token) for token in Path(path).read_text().split()],
-                          dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
+        tokens = Path(path).read_text().split()
+        bad = next((token for token in tokens if not (token.isascii() and token.isdigit())), None)
+        if bad is not None:
+            raise DataError(f"bad label file {path}: class id {bad!r} is not ASCII digits 0-9")
+        return np.array([int(token) for token in tokens], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:  # undecodable text, an id past int64
         raise DataError(f"bad label file {path}: {exc}") from exc
-    if labels.size and labels.min() < 0:
-        raise DataError(f"bad label file {path}: negative class id")
-    return labels
 
 
 def featurize_utterance(entry: ManifestEntry, cfg: FilterbankConfig,
@@ -496,12 +513,25 @@ def featurize_utterance(entry: ManifestEntry, cfg: FilterbankConfig,
 
 def featurize_manifest(entries: list[ManifestEntry], cfg: FilterbankConfig,
                        add_deltas: bool = True) -> list[UtteranceFeatures]:
-    utterances = []
-    for position, entry in enumerate(entries, 1):
+    """``featurize_utterance`` of each entry, one ``fan_out`` item per entry.
+
+    ``cfg`` is validated before any item runs. A failing entry does not stop
+    the others, so entries after it may still be featurized; once all are
+    done, the first failing entry in manifest order raises ``DataError``.
+    """
+    cfg.validate()
+    results = [None] * len(entries)
+
+    def featurize(i):
         try:
-            utterances.append(featurize_utterance(entry, cfg, add_deltas))
+            results[i] = featurize_utterance(entries[i], cfg, add_deltas)
         except (DataError, FormatError, OSError) as exc:
+            results[i] = exc
+
+    fan_out(featurize, len(entries))
+    for position, (entry, result) in enumerate(zip(entries, results), 1):
+        if isinstance(result, Exception):
             raise DataError(
-                f"utterance '{entry.utt_id}' (manifest line entry {position}): {exc}"
-            ) from exc
-    return utterances
+                f"utterance '{entry.utt_id}' (manifest line entry {position}): {result}"
+            ) from result
+    return results

@@ -211,7 +211,10 @@ def fan_out(work, count: int) -> None:
     items run in the calling thread, and always in a pool thread: its caller
     may hold the guard while it waits for the pool. The layers' items call
     numpy only, never a layer's public ``forward`` or ``backward``, which a
-    profiler may wrap with state that is not per thread.
+    profiler may wrap with state that is not per thread. The corpus items of
+    ``features`` and ``trainer`` (one utterance each) do call module functions
+    by name, such as ``compute_logmel`` and ``splice_context``, so a profiler
+    that wraps those records them from the pool threads.
     """
     cores = usable_cores()
     workers = min(count, cores)

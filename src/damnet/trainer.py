@@ -128,7 +128,7 @@ class FrameDataset:
     ``features`` is one materialised array. Built by ``build_frame_dataset``
     it is float32, C-contiguous and written in place, so a dataset holds
     ``features.nbytes`` plus its labels and building it peaks at about that
-    plus one utterance's temporaries.
+    plus one utterance's temporaries per usable core.
     """
 
     features: np.ndarray
@@ -156,9 +156,11 @@ def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
 
     Every utterance is checked (labels, at least one frame, geometry) before
     anything is allocated. Each utterance is then normalised and spliced on
-    its own and written into its rows of one preallocated
-    (N, C, left+1+right, F) float32 array, so the peak is about the output
-    plus one utterance's temporaries, never a second copy of the corpus.
+    its own, one ``layers.fan_out`` item per utterance, and written into its
+    rows of one preallocated (N, C, left+1+right, F) float32 array, so the
+    peak is about the output plus one utterance's temporaries per usable
+    core, never a second copy of the corpus, and the rows have the same bits
+    on any number of cores.
     """
     if not utterances:
         raise DataError("no utterances to build a dataset from")
@@ -176,13 +178,15 @@ def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
                 f"expected {geometry}"
             )
     channels, bins = geometry
-    total = sum(utt.num_frames for utt in utterances)
-    features = np.empty((total, channels, left + 1 + right, bins), dtype=np.float32)
-    row = 0
-    for utt in utterances:
+    starts = np.cumsum([0] + [utt.num_frames for utt in utterances])
+    features = np.empty((starts[-1], channels, left + 1 + right, bins), dtype=np.float32)
+
+    def splice(i):
+        utt = utterances[i]
         frames = apply_cmvn(utt.frames, stats) if stats is not None else utt.frames
-        features[row : row + utt.num_frames] = splice_context(frames, left, right)
-        row += utt.num_frames
+        features[starts[i] : starts[i + 1]] = splice_context(frames, left, right)
+
+    fan_out(splice, len(utterances))
     labels = np.concatenate([utt.labels for utt in utterances]).astype(np.int64, copy=False)
     return FrameDataset(features, labels)
 

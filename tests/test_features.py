@@ -523,6 +523,12 @@ class TestManifest:
         path.write_text(f"0 {10**20}\n")
         with pytest.raises(DataError):
             read_label_file(path)
+        # int() would read these as 10, 3, 3 and 7
+        for token in ("1_0", "+3", "\u0663", "\uff17"):
+            path.write_text(f"0 {token} 2\n", encoding="utf-8")
+            with pytest.raises(DataError) as err:
+                read_label_file(path)
+            assert str(path) in str(err.value) and repr(token) in str(err.value)
 
 
 class TestFeaturize:

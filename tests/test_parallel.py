@@ -1,25 +1,39 @@
 """Work items on the shared pool: convolution panels of whole images in
-both modes, train-mode batchnorm and pool channel chunks, and the OpenBLAS
-guard.
+both modes, train-mode batchnorm and pool channel chunks, one utterance of
+a corpus each, and the OpenBLAS guard.
 
 Items are fixed by shape, so training results must be bitwise the same with
 one worker or two and under any OpenBLAS thread count, and a frame's infer
-logits must not depend on its batch.
+logits must not depend on its batch. Corpus items must give the bits of a
+plain loop over the utterances.
 """
 
 import hashlib
 import sys
 import threading
+import wave
 
 import numpy as np
 import pytest
 
 from damnet import layers
 from damnet.builder import DenseNetConfig
-from damnet.exceptions import DivergenceError
+from damnet.exceptions import ConfigError, DataError, DivergenceError
+from damnet.features import (
+    VARIANCE_FLOOR,
+    FilterbankConfig,
+    ManifestEntry,
+    UtteranceFeatures,
+    apply_cmvn,
+    compute_cmvn_stats,
+    featurize_manifest,
+    featurize_utterance,
+    frame_count,
+    splice_context,
+)
 from damnet.layers import BatchNorm, Conv2d, softmax_cross_entropy
 from damnet.model import build_model
-from damnet.trainer import FrameDataset, TrainConfig, train_epoch
+from damnet.trainer import FrameDataset, TrainConfig, build_frame_dataset, train_epoch
 
 # channel counts 8 + 6k and 4 * 6 = 24 wide bottlenecks: most are not a
 # multiple of CHANNEL_CHUNK
@@ -503,3 +517,122 @@ class TestFanOut:
         finally:
             sys.setswitchinterval(interval)
         assert counts == [rounds] * len(counts)
+
+
+def write_wav(path, samples, rate=16000):
+    with wave.open(str(path), "wb") as handle:
+        handle.setnchannels(1)
+        handle.setsampwidth(2)
+        handle.setframerate(rate)
+        handle.writeframes(np.clip(samples * 32767, -32768, 32767).astype("<i2").tobytes())
+
+
+def corpus(directory, lengths):
+    """Manifest entries of labeled WAVs with ``lengths`` samples each."""
+    r = np.random.default_rng(len(lengths))
+    entries = []
+    for u, samples in enumerate(lengths):
+        wav, label = directory / f"u{u}.wav", directory / f"u{u}.lab"
+        write_wav(wav, 0.1 * r.standard_normal(samples))
+        frames = frame_count(samples, FilterbankConfig())
+        label.write_text(" ".join(map(str, r.integers(0, 9, frames))))
+        entries.append(ManifestEntry(f"u{u}", wav, label))
+    return entries
+
+
+# 1 to 142 frames per utterance
+CORPORA = {"six": [8000, 400, 23000, 4160, 12345, 6000], "one": [5000], "empty": []}
+
+
+class TestCorpusMatchesSerialLoop:
+    @pytest.fixture(params=[1, 2], ids=["1core", "2cores"])
+    def cores(self, request, monkeypatch):
+        use_cores(monkeypatch, request.param)
+
+    @pytest.mark.parametrize("name", CORPORA)
+    def test_featurize_manifest(self, tmp_path, cores, name):
+        entries = corpus(tmp_path, CORPORA[name])
+        want = [featurize_utterance(entry, FilterbankConfig()) for entry in entries]
+        got = featurize_manifest(entries, FilterbankConfig())
+        assert [utt.utt_id for utt in got] == [utt.utt_id for utt in want]
+        for a, b in zip(got, want):
+            assert a.frames.tobytes() == b.frames.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+
+    @pytest.mark.parametrize("name", CORPORA)
+    def test_cmvn_stats(self, tmp_path, cores, name):
+        utts = featurize_manifest(corpus(tmp_path, CORPORA[name]), FilterbankConfig())
+        if not utts:
+            with pytest.raises(DataError):
+                compute_cmvn_stats(utts)
+            return
+        acc = np.zeros(utts[0].frames.shape[1:])
+        acc_sq = np.zeros_like(acc)
+        total = 0
+        for utt in utts:
+            frames = utt.frames.astype(np.float64)
+            acc += frames.sum(axis=0)
+            acc_sq += (frames * frames).sum(axis=0)
+            total += len(frames)
+        mean = acc / total
+        var = np.maximum(acc_sq / total - mean * mean, VARIANCE_FLOOR)
+        stats = compute_cmvn_stats(utts)
+        assert stats.frame_count == total
+        assert stats.mean.tobytes() == mean.tobytes() and stats.var.tobytes() == var.tobytes()
+
+    @pytest.mark.parametrize("name", CORPORA)
+    def test_frame_dataset(self, tmp_path, cores, name):
+        utts = featurize_manifest(corpus(tmp_path, CORPORA[name]), FilterbankConfig())
+        if not utts:
+            with pytest.raises(DataError):
+                build_frame_dataset(utts)
+            return
+        stats = compute_cmvn_stats(utts)
+        want = np.concatenate([splice_context(apply_cmvn(utt.frames, stats), 4, 2)
+                               for utt in utts])
+        data = build_frame_dataset(utts, stats, 4, 2)
+        assert data.features.tobytes() == want.tobytes()
+        assert data.labels.tobytes() == np.concatenate([utt.labels for utt in utts]).tobytes()
+
+    def test_rows_under_contention(self, monkeypatch):
+        # more workers than cores and a tiny switch interval: a row block
+        # written by the wrong item, or not at all, changes the dataset
+        use_cores(monkeypatch, 4)
+        r = np.random.default_rng(3)
+        utts = [UtteranceFeatures(f"u{u}", r.standard_normal((1 + u % 7, 3, 5), np.float32),
+                                  r.integers(0, 9, 1 + u % 7)) for u in range(300)]
+        want = np.concatenate([splice_context(utt.frames, 2, 1) for utt in utts])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            data = build_frame_dataset(utts, None, 2, 1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert data.features.tobytes() == want.tobytes()
+
+
+class TestFeaturizeErrors:
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("second", ["missing", "rate"])
+    def test_first_failing_entry_in_manifest_order(self, monkeypatch, tmp_path, cores, second):
+        # entries 2 and 5 fail in different ways, and entry 5's failure may
+        # come first on the pool
+        entries = corpus(tmp_path, [8000] * 6)
+        write_wav(tmp_path / "8k.wav", np.zeros(8000), rate=8000)
+        failing = {"missing": ManifestEntry("gone", tmp_path / "missing.wav"),
+                   "rate": ManifestEntry("8k", tmp_path / "8k.wav")}
+        entries[1] = failing.pop(second)
+        entries[4] = failing.popitem()[1]
+        use_cores(monkeypatch, cores)
+        with pytest.raises(DataError) as err:
+            featurize_manifest(entries, FilterbankConfig())
+        cause = err.value.__cause__
+        assert isinstance(cause, FileNotFoundError if second == "missing" else DataError)
+        assert str(err.value) == f"utterance '{entries[1].utt_id}' (manifest line entry 2): {cause}"
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_invalid_config_before_any_entry(self, monkeypatch, tmp_path, cores):
+        use_cores(monkeypatch, cores)
+        with pytest.raises(ConfigError):
+            featurize_manifest([ManifestEntry("ghost", tmp_path / "missing.wav")],
+                               FilterbankConfig(fft_size=256))
