@@ -1,13 +1,19 @@
 """Binary model checkpoints.
 
 Layout (version 2): magic "DAMC", u32 format version, u32 config length +
-key=value config text, u32 layout fingerprint, u32 value count, the
+config text, u32 layout fingerprint, u32 value count, the
 model's whole tensor arena (``Model.tensors``) as 32-bit IEEE-754
 little-endian values, and a u32 CRC32 of every byte before it. The
 fingerprint is the CRC32 of one "name shape" line per named tensor in
 arena order, so a build that renames or reshapes a tensor rejects the
 file instead of loading permuted weights. Round-trips are bit-exact for
 float32 models, and writes are atomic.
+
+The config text is KEY=VALUE lines, read by ``runconfig.read_items`` with
+the run config's parsers: the ``DenseNetConfig`` fields, ``seed``,
+``bn_epsilon`` and ``bn_momentum``, each required. A line that does not
+parse, an unknown key or a missing one is a ``FormatError`` at the config
+text's offset.
 """
 
 from __future__ import annotations
@@ -24,9 +30,15 @@ from .exceptions import ConfigError, FormatError
 from .features import ByteReader, write_with_crc32
 from .layers import BN_EPSILON, BN_MOMENTUM
 from .model import Model
+from .runconfig import field_defaults, read_items
 
 CHECKPOINT_MAGIC = b"DAMC"
 CHECKPOINT_VERSION = 2
+
+
+# the keys of the config block, each mapped to a default whose type picks its parser
+_CONFIG_KEYS = {**field_defaults(DenseNetConfig), "seed": 0,
+                "bn_epsilon": BN_EPSILON, "bn_momentum": BN_MOMENTUM}
 
 
 def _config_text(model: Model) -> str:
@@ -37,30 +49,21 @@ def _config_text(model: Model) -> str:
 
 
 def _parse_config_text(text: str, offset: int) -> tuple[DenseNetConfig, int]:
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise FormatError(f"bad checkpoint config line {line!r}", offset=offset)
-        key, _, raw = line.partition("=")
-        values[key.strip()] = raw.strip()
     try:
-        config = DenseNetConfig(**{
-            f.name: type(f.default)(values[f.name]) for f in fields(DenseNetConfig)
-        })
-        seed = int(values["seed"])
+        values = dict(read_items(text, _CONFIG_KEYS, "checkpoint config"))
+        config = DenseNetConfig(**{name: values[name] for name in field_defaults(DenseNetConfig)})
+        seed = values["seed"]
         if seed < 0:
             raise FormatError(f"negative checkpoint seed {seed}", offset=offset)
         # infer-mode batchnorm folds epsilon into every output: a model
         # trained with other constants would silently compute something else
         for key, expected in (("bn_epsilon", BN_EPSILON), ("bn_momentum", BN_MOMENTUM)):
-            if float(values[key]) != expected:
+            if values[key] != expected:
                 raise FormatError(
                     f"checkpoint {key}={values[key]} differs from this build's {expected}",
                     offset=offset,
                 )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ConfigError) as exc:
         raise FormatError(f"incomplete checkpoint config: {exc}", offset=offset) from exc
     return config, seed
 
@@ -84,12 +87,7 @@ def save_checkpoint(model: Model, path) -> None:
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, restoring its whole tensor arena."""
     reader = ByteReader(Path(path).read_bytes(), "checkpoint")
-    magic = reader.take(4, "magic")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {bytes(magic)!r}", offset=0)
-    version = reader.u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=4)
+    reader.check_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     config_len = reader.u32("config length")
     config_offset = reader.offset
     try:

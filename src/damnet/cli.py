@@ -251,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value run configuration file")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config key (repeatable; wins over the file)")
-    common.add_argument("--seed", type=int, help="override the seed key")
+    common.add_argument("--seed", help="override the seed key")
     common.add_argument("--deterministic", action="store_true",
                         help="set deterministic=true")
 

@@ -4,6 +4,8 @@ Log-Mel filterbank extraction, time derivatives, corpus mean/variance
 normalization, context splicing, and the binary feature archive. Frames
 flow as (T, channels, bins) float32 arrays where the channels are
 static, delta and delta-delta. The checkpoint shares the file helpers.
+``parse_int`` and ``parse_float`` are the number grammar of the KEY=VALUE
+readers (run config, checkpoint config text) and of the metrics log.
 
 The corpus-wide steps, ``featurize_manifest`` and ``compute_cmvn_stats``
 here and ``trainer.build_frame_dataset``, run one utterance per
@@ -20,6 +22,7 @@ import functools
 import json
 import math
 import os
+import re
 import struct
 import wave
 import zlib
@@ -276,6 +279,14 @@ def _stats_text(payload: dict) -> str:
     return _canonical_json({**payload, "crc32": crc}) + "\n"
 
 
+def _json_numbers(payload: dict, key: str) -> np.ndarray:
+    """``payload[key]``, nested lists of JSON numbers (no strings, booleans
+    or nulls), as a float64 array."""
+    if not all(type(value) in (int, float) for value in np.asarray(payload[key], dtype=object).flat):
+        raise ValueError(f"{key} holds a value that is not a JSON number")
+    return np.asarray(payload[key], dtype=np.float64)
+
+
 def load_cmvn_stats(path) -> CmvnStats:
     try:
         payload = json.loads(Path(path).read_text())
@@ -283,12 +294,12 @@ def load_cmvn_stats(path) -> CmvnStats:
         del payload["crc32"]
         if crc != zlib.crc32(_canonical_json(payload).encode()):
             raise FormatError(f"bad statistics file {path}: CRC mismatch")
-        stats = CmvnStats(
-            mean=np.asarray(payload["mean"], dtype=np.float64),
-            var=np.asarray(payload["var"], dtype=np.float64),
-            frame_count=int(payload["frame_count"]),
-        )
-    # OverflowError: int(1e400) or a huge integer; RecursionError: deep nesting
+        frame_count = payload["frame_count"]
+        if type(frame_count) is not int or frame_count < 0:
+            raise ValueError(f"frame_count {frame_count!r} is not a non-negative integer")
+        stats = CmvnStats(mean=_json_numbers(payload, "mean"), var=_json_numbers(payload, "var"),
+                          frame_count=frame_count)
+    # OverflowError: an integer past float64's range; RecursionError: deep nesting
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise FormatError(f"bad statistics file {path}: {exc}") from exc
     if stats.mean.shape != stats.var.shape:
@@ -381,6 +392,15 @@ class ByteReader:
     def u32(self, field: str) -> int:
         return struct.unpack("<I", self.take(4, field))[0]
 
+    def check_header(self, magic: bytes, version: int) -> None:
+        """Read the 4-byte magic and the u32 format version the data starts with."""
+        found = self.take(4, "magic")
+        if found != magic:
+            raise FormatError(f"bad {self.what} magic {bytes(found)!r}", offset=0)
+        found = self.u32("version")
+        if found != version:
+            raise FormatError(f"unsupported {self.what} version {found}", offset=4)
+
     @property
     def remaining(self) -> int:
         return len(self.data) - self.offset
@@ -398,12 +418,7 @@ class ByteReader:
 
 def read_archive(path) -> list[UtteranceFeatures]:
     reader = ByteReader(Path(path).read_bytes(), "archive")
-    magic = reader.take(4, "magic")
-    if magic != ARCHIVE_MAGIC:
-        raise FormatError(f"bad archive magic {bytes(magic)!r}", offset=0)
-    version = reader.u32("version")
-    if version != ARCHIVE_VERSION:
-        raise FormatError(f"unsupported archive version {version}", offset=4)
+    reader.check_header(ARCHIVE_MAGIC, ARCHIVE_VERSION)
     count = reader.u32("utterance count")
     utterances = []
     for index in range(count):
@@ -477,6 +492,26 @@ def parse_manifest(path) -> list[ManifestEntry]:
         label = Path(parts[2]) if len(parts) == 3 else None
         entries.append(ManifestEntry(parts[0], Path(parts[1]), label))
     return entries
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def parse_int(text: str) -> int:
+    """An integer in ASCII: an optional sign, then digits 0-9."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def parse_float(text: str) -> float:
+    """A finite number in Python's float syntax, restricted to ASCII and
+    without '_': an optional sign, digits with an optional point, and an
+    optional exponent."""
+    if not _FLOAT.fullmatch(text) or not math.isfinite(value := float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def read_label_file(path) -> np.ndarray:

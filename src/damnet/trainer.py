@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DivergenceError, ShapeError
-from .features import UtteranceFeatures, apply_cmvn, splice_context
+from .features import UtteranceFeatures, apply_cmvn, parse_float, parse_int, splice_context
 from .layers import fan_out, one_blas_thread, softmax_cross_entropy
 from .model import Model
 
@@ -110,15 +110,14 @@ def format_metrics_line(metrics: Metrics) -> str:
 
 
 def parse_metrics_line(line: str) -> Metrics:
+    """Read back a ``format_metrics_line`` line; every value must be finite."""
     fields = line.split()
     if len(fields) != 7:
         raise DataError(f"metrics line has {len(fields)} fields, expected 7")
-    return Metrics(
-        epoch=int(fields[0]), lr=float(fields[1]),
-        train_loss=float(fields[2]), train_accuracy=float(fields[3]),
-        val_loss=float(fields[4]), val_accuracy=float(fields[5]),
-        seconds=float(fields[6]),
-    )
+    try:
+        return Metrics(parse_int(fields[0]), *map(parse_float, fields[1:]))
+    except ValueError as exc:
+        raise DataError(f"bad metrics line {line!r}: {exc}") from exc
 
 
 @dataclass

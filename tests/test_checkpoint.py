@@ -182,6 +182,20 @@ def test_bad_version(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("load,magic,what", [(load_checkpoint, b"DAMC", "checkpoint"),
+                                             (read_archive, b"FBK1", "archive")])
+def test_header_errors_name_the_file_kind_and_offset(tmp_path, load, magic, what):
+    path = tmp_path / "file"
+    path.write_bytes(b"NOPE" + bytes(16))
+    with pytest.raises(FormatError, match=f"bad {what} magic b'NOPE'") as err:
+        load(path)
+    assert err.value.offset == 0
+    path.write_bytes(magic + (99).to_bytes(4, "little") + bytes(12))
+    with pytest.raises(FormatError, match=f"unsupported {what} version 99") as err:
+        load(path)
+    assert err.value.offset == 4
+
+
 def test_truncation_reports_offset(tmp_path):
     model = small_model()
     path = tmp_path / "model.ckpt"
@@ -297,3 +311,25 @@ def test_missing_or_unparsable_config_field(tmp_path, line, value):
         load_checkpoint(path)
     assert err.value.offset == CONFIG_OFFSET
     assert "incomplete checkpoint config" in str(err.value)
+
+
+@pytest.mark.parametrize("line,value,key", [
+    ("depth=7\n", "depth=\u0662\u0662\n", "depth"),
+    ("depth=7\n", "depth=\u0667\n", "depth"),
+    ("seed=0\n", "seed=1_0\n", "seed"),
+    ("compression=0.5\n", "compression=0.5_0\n", "compression"),
+    ("bn_epsilon=1e-05\n", "bn_epsilon=\uff11e-05\n", "bn_epsilon"),
+    ("seed=0\n", "seed=0\nepochs=3\n", "epochs"),
+])
+def test_config_text_outside_the_key_value_grammar(tmp_path, line, value, key):
+    """Non-ASCII digits, '_' separators and unknown keys are a FormatError at
+    the config offset, even behind a valid CRC32."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+    rewrite_config(path, lambda text: text.replace(line, value))
+    path.write_bytes(with_crc(path.read_bytes()[:-4]))
+    with pytest.raises(FormatError) as err:
+        load_checkpoint(path)
+    assert err.value.offset == CONFIG_OFFSET
+    assert "incomplete checkpoint config" in str(err.value)
+    assert f"'{key}'" in str(err.value)

@@ -77,6 +77,24 @@ class TestInspect:
         assert code == 2
         assert "depht" in err
 
+    @pytest.mark.parametrize("args", [("--set", "depth=\u0662_\u0662"),
+                                      ("--set", "growth_rate=+\uff11\uff12"),
+                                      ("--set", "compression=0.5_0"),
+                                      ("--seed", "\u0662")])
+    def test_number_outside_the_ascii_grammar_names_key(self, capsys, args):
+        """Arabic-Indic or fullwidth digits and '_' separators are no numbers."""
+        code, out, err = run_cli(capsys, "inspect", *args)
+        assert (code, out) == (2, "")
+        key = args[1].partition("=")[0] if args[0] == "--set" else "seed"
+        assert f"'{key}'" in err
+
+    def test_config_file_number_outside_the_grammar(self, capsys, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("variant=C\ncompression=0.5_0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "inspect", "--config", str(cfg_file))
+        assert (code, out) == (2, "")
+        assert f"{cfg_file}:2" in err and "'compression'" in err
+
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("variant=C\ncompression=0.5\ndepth=22\n# comment\n")

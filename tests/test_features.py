@@ -16,6 +16,7 @@ from damnet.features import (
     FilterbankConfig,
     ManifestEntry,
     UtteranceFeatures,
+    _stats_text,
     append_deltas,
     apply_cmvn,
     atomic_write,
@@ -270,6 +271,19 @@ class TestCmvn:
     def test_malformed_stats_file(self, tmp_path, text):
         path = tmp_path / "stats.json"
         path.write_text(text)
+        with pytest.raises(FormatError, match="stats.json"):
+            load_cmvn_stats(path)
+
+    @pytest.mark.parametrize("key,value", [("mean", [["1.5", True]]), ("var", [[1.0, True]]),
+                                           ("mean", [["0.5", 1.5]]), ("frame_count", 2.7),
+                                           ("frame_count", True), ("frame_count", -5),
+                                           ("frame_count", "2")])
+    def test_stats_file_takes_only_json_numbers(self, tmp_path, key, value):
+        """Strings and booleans are not numbers, and frame_count is a
+        non-negative integer, even behind a valid crc32 key."""
+        path = tmp_path / "stats.json"
+        path.write_text(_stats_text({"frame_count": 2, "mean": [[0.5, 1.5]],
+                                     "var": [[1.0, 2.0]], key: value}))
         with pytest.raises(FormatError, match="stats.json"):
             load_cmvn_stats(path)
 

@@ -169,8 +169,10 @@ class TestMetricsLog:
         assert parsed.seconds == pytest.approx(12.345)
 
     def test_bad_line(self):
-        with pytest.raises(DataError):
-            parse_metrics_line("1 2 3")
+        # too few fields, a value that is no number, an epoch in Arabic-Indic digits
+        for line in ["1 2 3", "1 0.01 x 0.5 1 0.5 0", "\u0661 0.01 1 0.5 1 0.5 0"]:
+            with pytest.raises(DataError):
+                parse_metrics_line(line)
 
 
 class TestTrainEpoch:
