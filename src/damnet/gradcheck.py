@@ -95,7 +95,7 @@ def check_layer(layer, x: np.ndarray, *, rng=None, scale=None, shift=None, bn=No
     # objective() reruns train forwards, which may reuse the memory dx is in
     fused_grads = [np.zeros_like(t) for t in fused]
     dx = layer.backward(projection, *fused_grads)
-    dx = np.array(dx if bn is None else bn.backward(dx, layer.kept_input()))
+    dx = np.array(dx if bn is None else bn.backward(dx))
     tensors = {"x": x, **dict(zip(("scale", "shift"), fused))}
     analytic = {"x": dx, **dict(zip(("scale", "shift"), fused_grads))}
     for part in (layer, bn):

@@ -40,25 +40,28 @@ thread count.
 Train mode gives every large array a fixed lifetime, so a training step
 reuses the memory of the last one instead of allocating it again:
 
-- *Step state*, what a train forward keeps for backward (the conv's
-  grid, batchnorm's normalized input), lives in the layer's ``_cache``. It
-  is reused while the shape and dtype repeat, and replaced when they
-  change, as on an epoch's last partial batch. A layer copies what it
-  keeps, except ``Linear``, which keeps its small input. A dense block
-  keeps only the normalization of its features, written straight from the
-  layer that made each slab, and its units' ``bn1`` and the batchnorm and
-  pool after the block keep views of it. Every ReLU runs
-  inside the conv or pool after a batchnorm and keeps no mask: the conv's
-  grid holds the ReLU output, and the pool recomputes the mask. For
-  plain-22 at batch 256 the step state is about 223 MiB.
+- *Step state*, what a train forward keeps for backward, lives in the
+  layer's ``_cache``. It is reused while the shape and dtype repeat, and
+  replaced when they change, as on an epoch's last partial batch. A dense
+  block keeps only the normalization of its features, written straight
+  from the layer that made each slab, and its units' ``bn1`` and the
+  batchnorm and pool after the block keep views of it; a BC unit's ``bn2``
+  keeps its own normalized input. Every ReLU runs inside the conv or pool
+  after a batchnorm and keeps nothing: that layer keeps references to the
+  normalized input and to gamma and beta, and recomputes the ReLU output in
+  backward, the conv per panel and the pool per channel chunk. The convs
+  with no batchnorm before them (the initial conv and a transition's) copy
+  their input, and ``Linear`` keeps its small input. So the step state
+  grows linearly with depth: for plain-22 at batch 256 it is about 56 MiB
+  (``Model.step_state_bytes``).
 - *Scratch* holds everything else: a train-mode result of ``forward`` or
   ``backward`` (apart from the small global-pool and linear outputs) is a
   view into per-thread buffers (``scratch``), valid until the next
   train-mode call in the same thread. A caller that keeps one across train
   calls must copy it. The buffers live as long as their thread does (about
   79 MiB in the calling thread for plain-22 at batch 256, plus about 10 MiB
-  of panel- and chunk-sized buffers in each pool thread) and are shared by
-  every model that trains in it.
+  of panel- and chunk-sized buffers in each pool thread, 1.6 MiB of it a
+  panel's ReLU output) and are shared by every model that trains in it.
 """
 
 from __future__ import annotations
@@ -120,9 +123,11 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
     a pool chunk's row sums and their gradient), ``"placed"`` (a pad-0 conv
     panel's output gradient on its input's pixels), ``"partials"`` (a conv's
-    per-panel weight gradients), ``"chunk"`` and ``"mask"`` (a channel
-    chunk's terms of a batchnorm's backward, a pool chunk's ReLU output, or
-    its ReLU input in backward, and mask), ``"block"`` (the gradient of a
+    per-panel weight gradients), ``"grid"`` (a conv panel's BN -> ReLU
+    output, in both directions), ``"chunk"`` (a channel chunk's terms of a
+    batchnorm's backward, a pool chunk's ReLU output, or its ReLU input in
+    backward), ``"mask"`` (the ReLU mask of a conv panel's or a pool
+    chunk's backward), ``"block"`` (the gradient of a
     dense block's normalized features, which the pool after the block
     writes) and ``"pair"``, which names two buffers handed out in turn. A
     layer's pair result thus never overwrites the pair array it was given.
@@ -256,8 +261,8 @@ def _fan_out_chunks(shape, work) -> None:
 class Conv2d:
     """2-D stride-1 convolution without bias; batchnorm always follows it.
 
-    Shifted GEMM on an unpadded grid, the C-contiguous (C_in, N*H*W) input:
-    a product with the weights as (k*k*C_out, C_in) gives every tap's
+    Shifted GEMM on an unpadded grid, a C-contiguous (C_in, images*H*W)
+    input: a product with the weights as (k*k*C_out, C_in) gives every tap's
     product at every pixel, and output pixel q, at column m*H*W + y*W + x
     of image m, sums tap (i, j)'s product at q + (i-p)*W + (j-p), the pixel
     it reads. A read that crosses an image's edge, which zero padding would
@@ -280,19 +285,29 @@ class Conv2d:
     pixels, zero where it has no output.
 
     Forward, in both modes, and backward run per panel of ``PANEL_FRAMES``
-    whole images (``fan_out``). Each panel writes its own grid, output and
-    dX columns and a dW partial, and the partials are summed in panel
-    order. BLAS rounds a GEMM's columns differently by their position in
-    it, so an infer panel runs one GEMM per image, and no frame's infer
-    output depends on the rest of its batch. Grid, output and dX are
-    C-contiguous, apart from a cropped output.
+    whole images (``fan_out``). Each panel writes its own output and dX
+    columns and a dW partial, and the partials are summed in panel order.
+    BLAS rounds a GEMM's columns differently by their position in it, so
+    an infer panel runs one GEMM per image, and no frame's infer output
+    depends on the rest of its batch. Output and dX are C-contiguous, apart
+    from a cropped output.
 
-    Given a per-channel ``scale`` and ``shift``, the grid holds ``max(x *
-    scale + shift, 0)``, a batchnorm and ReLU before the conv, and the
-    ReLU's mask is ``kept_input() > 0``. The grid is filled per channel
-    chunk, before the panels: a panel's run of a channel is short, and at
-    (200, 256, 4, 19) a 1x1 conv's train forward took 14.3 ms so against
-    19.8 filling per panel (2 vCPUs).
+    Given a per-channel ``scale`` and ``shift``, the conv reads ``max(x *
+    scale + shift, 0)``, a batchnorm and ReLU before it. A train forward
+    then keeps references to ``x``, ``scale`` and ``shift``, which must not
+    change before its backward, and no grid: each panel writes its images'
+    ReLU output into this thread's scratch ``"grid"`` just before its GEMM,
+    and backward writes it again before the dW GEMM and masks the panel's
+    dX with it while dX is in cache, so backward returns the gradient of
+    ``x * scale + shift``. Step state thus grows linearly with depth, not
+    with its square, for 4-12% of a train step's time (plain-22 and BC-41
+    at batch 256, one and two cores of a 2-vCPU Xeon). An infer forward
+    fills a whole grid per channel chunk before the panels instead: a
+    panel's run of a channel is short, and at (200, 256, 4, 19) a 1x1
+    conv's forward took 14.3 ms so against 19.8 filling per panel (2
+    vCPUs). Without ``scale``, a train forward copies its
+    input, which its caller may overwrite, per channel chunk, and the
+    grid is a view of that copy.
     """
 
     PARAMS = ("weight",)
@@ -314,7 +329,7 @@ class Conv2d:
         else:
             self.weight = he_normal(rng, shape, fan_in, dtype)
         self.grad_weight = np.zeros(shape, dtype=dtype)
-        self._cache = None  # (grid, input shape)
+        self._cache = None  # (input or its copy, scale, shift)
 
     def _taps(self, w: int):
         """(k*k*C_out, C_in) weights, row t*C_out + o for tap t = i*k + j;
@@ -347,24 +362,20 @@ class Conv2d:
         left, right = -shifts[0], shifts[-1]
         dtype = np.result_type(matrix, x)
         if train:
-            kept = self._cache[0] if self._cache and self._cache[1] == x.shape else None
-            grid = step_state(kept, (c, n * image), x.dtype)
-            self._cache = (grid, x.shape)
+            if scale is None:  # a copy: the caller may overwrite its input
+                kept = self._cache[0] if self._cache and self._cache[1] is None else None
+                copy = step_state(kept, x.shape, x.dtype)
+                _fan_out_chunks(x.shape, lambda ch: np.copyto(copy[ch], x[ch]))
+                x = copy
+            self._cache = (x, scale, shift)
             out = scratch("pair", (co, n * image), dtype)
         else:
-            # the input itself, unless the grid holds its ReLU output
-            grid = x.reshape(c, -1) if scale is None else np.empty((c, n * image), x.dtype)
+            if scale is not None:  # the ReLU output, per channel chunk
+                act = np.empty(x.shape, x.dtype)
+                _fan_out_chunks(x.shape, lambda ch: _activate(x[ch], scale[ch], shift[ch], act[ch]))
+                x = act
+            grid = x.reshape(c, -1)
             out = np.empty((co, n * image), dtype=dtype)
-        images = grid.reshape(x.shape)
-
-        def fill_chunk(ch):  # the ReLU output, or the train input's copy
-            if scale is None:
-                images[ch] = x[ch]
-            else:
-                _activate(x[ch], scale[ch], shift[ch], images[ch])
-
-        if train or scale is not None:
-            _fan_out_chunks(x.shape, fill_chunk)
         panels = _chunks(n, PANEL_FRAMES)
 
         def panel(i):
@@ -379,7 +390,7 @@ class Conv2d:
                 per_tap[:, :left], per_tap[:, left + width :] = 0, 0
                 products = per_tap[:, left : left + width]
             if train:
-                np.matmul(matrix, grid[:, own], out=products)
+                np.matmul(matrix, self._columns(frames), out=products)
             else:  # one GEMM per image
                 np.matmul(matrix, grid[:, own].reshape(c, -1, image).transpose(1, 0, 2),
                           out=products.reshape(k * k * co, -1, image).transpose(1, 0, 2))
@@ -394,14 +405,20 @@ class Conv2d:
         fan_out(panel, len(panels))
         return out.reshape(co, n, h, w)[:, :, :oh, :ow]
 
-    def kept_input(self) -> np.ndarray:
-        """The last train forward's input, as its grid holds it."""
-        grid, shape = self._cache
-        return grid.reshape(shape)
+    def _columns(self, frames) -> np.ndarray:
+        """The (C_in, images*H*W) GEMM input of the last train forward's
+        images ``frames``: a view of the kept copy, or, given ``scale`` and
+        ``shift``, ``max(x * scale + shift, 0)`` in this thread's scratch
+        ``"grid"``."""
+        x, scale, shift = self._cache
+        images = x[:, frames]
+        if scale is not None:
+            images = _activate(images, scale, shift, scratch("grid", images.shape, x.dtype))
+        return images.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        grid, shape = self._cache
-        (c, n, h, w), k, co = shape, self.kernel_size, self.out_channels
+        x, scale, _ = self._cache
+        (c, n, h, w), k, co = x.shape, self.kernel_size, self.out_channels
         image = h * w
         oh, ow = dout.shape[2:]
         matrix, shifts = self._taps(w)
@@ -434,13 +451,17 @@ class Conv2d:
                     shifted[t * co : (t + 1) * co, a - lo : b - lo] = source[:, a:b]
                 # also zeroes the columns left unwritten, all edge-crossing
                 self._cancel_edges(shifted, h, w)
-            np.matmul(shifted, grid[:, own].T, out=partials[i])
-            np.matmul(matrix.T, shifted, out=dx[:, own])
+            columns = self._columns(frames)
+            np.matmul(shifted, columns.T, out=partials[i])
+            grad = dx[:, own]
+            np.matmul(matrix.T, shifted, out=grad)
+            if scale is not None:  # on through the ReLU, while ``grad`` is in cache
+                _mask_relu(grad, columns)
 
         fan_out(panel, len(panels))
         grad = partials.sum(axis=0).reshape(k, k, co, c)
         self.grad_weight[...] = grad.transpose(2, 3, 0, 1)
-        return dx.reshape(shape)
+        return dx.reshape(x.shape)
 
 
 def _per_channel(arr):
@@ -485,13 +506,18 @@ def normalize(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
     return stats
 
 
-def _read_relu(dh, act, xhat, gamma, dgamma, dbeta) -> None:
-    """One channel chunk of a batchnorm's backward through the ReLU after it,
-    up to ``project``: mask ``dh``, the ReLU output's gradient, where its
-    input ``act`` is > 0, write ``dgamma = sum(dh * xhat)`` and ``dbeta =
-    sum(dh)``, and scale ``dh`` by ``gamma``, to D, the gradient of ``xhat``."""
+def _mask_relu(dh, act) -> None:
+    """Turn ``dh``, a ReLU output's gradient, into its input's in place: zero
+    it where ``act``, the ReLU's input or output, is not > 0."""
     # masked in place, not in a copy: 0.50 against 0.74 ms at 8 x 256 x 9 x 38, one core
-    dh *= np.greater(act, 0, out=scratch("mask", dh.shape, bool))
+    dh *= np.greater(act, 0, out=scratch("mask", act.shape, bool))
+
+
+def _read_relu(dh, xhat, gamma, dgamma, dbeta) -> None:
+    """One channel chunk of a batchnorm's backward, up to ``project``, given
+    ``dh``, the gradient of the ReLU input after it (``_mask_relu``): write
+    ``dgamma = sum(dh * xhat)`` and ``dbeta = sum(dh)``, and scale ``dh``
+    by ``gamma``, to D, the gradient of ``xhat``."""
     dgamma[...] = np.einsum("cnhw,cnhw->c", dh, xhat)
     dbeta[...] = np.einsum("cnhw->c", dh)
     dh *= _per_channel(gamma)
@@ -569,19 +595,20 @@ class BatchNorm:
         self.keep_batch(xhat, *normalize(x, xhat))
         return xhat
 
-    def backward(self, dout: np.ndarray, relu_out: np.ndarray, dx=None) -> np.ndarray:
-        """Backward through this batchnorm and the ReLU after it, given that
-        ReLU's output ``relu_out`` and output gradient ``dout``: each channel
-        chunk sets its gamma and beta gradients and overwrites its ``dout``
-        with D, the gradient of ``xhat`` (``_read_relu``). Given ``dx``, the
-        chunk adds D into ``dx``, which is returned for its dense block to
-        finish (``project``); else the same chunk item makes D the input
-        gradient (``_project``), and ``dout`` is returned."""
+    def backward(self, dout: np.ndarray, dx=None) -> np.ndarray:
+        """Backward through this batchnorm, given ``dout``, the gradient of
+        the ReLU input after it, which the conv after it masked already
+        (``Conv2d.backward``): each channel chunk sets its gamma and beta
+        gradients and overwrites its ``dout`` with D, the gradient of
+        ``xhat`` (``_read_relu``). Given ``dx``, the chunk adds D into
+        ``dx``, which is returned for its dense block to finish
+        (``project``); else the same chunk item makes D the input gradient
+        (``_project``), and ``dout`` is returned."""
         xhat, inv = self._cache
         gamma, dgamma, dbeta = self.gamma, self.grad_gamma, self.grad_beta
 
         def chunk(ch):
-            _read_relu(dout[ch], relu_out[ch], xhat[ch], gamma[ch], dgamma[ch], dbeta[ch])
+            _read_relu(dout[ch], xhat[ch], gamma[ch], dgamma[ch], dbeta[ch])
             if dx is None:
                 _project(dout[ch], xhat[ch], inv[ch], gamma[ch] * np.stack((dbeta[ch], dgamma[ch])))
             else:
@@ -627,7 +654,8 @@ class _Pool:
             # act > 0 is the mask of max(act, 0) > 0
             act = np.multiply(x[ch], _per_channel(scale[ch]), out=scratch("chunk", dh.shape, x.dtype))
             act += _per_channel(shift[ch])
-            _read_relu(dh, act, x[ch], scale[ch], dscale[ch], dshift[ch])
+            _mask_relu(dh, act)
+            _read_relu(dh, x[ch], scale[ch], dscale[ch], dshift[ch])
 
         _fan_out_chunks(x.shape, chunk)
         return dx

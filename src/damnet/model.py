@@ -116,8 +116,9 @@ class DenseUnit(Chain):
     growth_rate maps, preceded in the BC variant by BN -> ReLU -> 1x1
     conv producing 4 * growth_rate maps.
 
-    ``backward`` stops at ``bn1``'s ReLU output; the block runs ``bn1``'s
-    backward. ``bn2`` reads its ReLU mask back from the 3x3 conv's grid.
+    ``backward`` stops at the gradient of ``bn1``'s ReLU input, which the
+    conv after ``bn1`` masks (``Conv2d``); the block runs ``bn1``'s
+    backward. The 3x3 conv likewise masks the gradient that ``bn2`` takes.
     """
 
     def __init__(self, in_channels: int, growth_rate: int, bottleneck: bool, rng, dtype):
@@ -132,7 +133,7 @@ class DenseUnit(Chain):
     def backward(self, dout):
         dout = self.conv3x3.backward(dout)
         if hasattr(self, "bn2"):
-            dout = self.conv1x1.backward(self.bn2.backward(dout, self.conv3x3.kept_input()))
+            dout = self.conv1x1.backward(self.bn2.backward(dout))
         return dout
 
 
@@ -207,7 +208,7 @@ class DenseBlock:
         for width, unit in reversed(list(zip(self.widths, self.units))):
             project(grad[width:end], xhat[width:end], inv[width:end], sums[:, width:end])
             bn, d = unit.bn1, unit.backward(grad[width:end])
-            bn.backward(d, unit._order[1].kept_input(), grad[:width])
+            bn.backward(d, grad[:width])
             sums[:, :width] += bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma))
             end = width
         project(grad[:end], xhat[:end], inv[:end], sums[:, :end])
@@ -320,6 +321,25 @@ class Model:
         for _, stage in reversed(self._stages):
             d = stage.backward(d)
         return d.transpose(1, 0, 2, 3)
+
+    def step_state_bytes(self) -> int:
+        """The bytes that the last train forward keeps for ``backward``: the
+        arrays in every layer's ``_cache``, each view followed to the array
+        that owns its memory and each of those counted once. The parameter
+        arena, whose gamma and beta a conv or pool keeps views of, is not
+        step state and is left out."""
+        owners = {}
+        for _, stage in self._stages:
+            for _, layer in walk(stage):
+                cache = getattr(layer, "_cache", None)
+                for array in cache if isinstance(cache, tuple) else (cache,):
+                    if not isinstance(array, np.ndarray):
+                        continue
+                    while isinstance(array.base, np.ndarray):
+                        array = array.base
+                    if array is not self.tensors:
+                        owners[id(array)] = array.nbytes
+        return sum(owners.values())
 
     def named_params(self) -> dict[str, np.ndarray]:
         return named_arrays(self._stages, "PARAMS")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -102,7 +102,13 @@ class Metrics:
 
 
 def format_metrics_line(metrics: Metrics) -> str:
-    """One epoch per line, fixed field order, no lookahead needed."""
+    """One epoch per line, fixed field order, no lookahead needed. Every
+    value must be finite, as ``parse_metrics_line`` reads only those, so a
+    ``Metrics`` without validation results (``train_epoch``'s) is refused
+    with ``DataError``."""
+    for f in fields(metrics):
+        if not math.isfinite(value := getattr(metrics, f.name)):
+            raise DataError(f"metrics field {f.name} is {value}, not a finite number")
     return (f"{metrics.epoch} {metrics.lr:.8g} "
             f"{metrics.train_loss:.8g} {metrics.train_accuracy:.8g} "
             f"{metrics.val_loss:.8g} {metrics.val_accuracy:.8g} "

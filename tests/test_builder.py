@@ -17,7 +17,7 @@ from damnet.builder import (
 )
 from damnet.exceptions import ConfigError
 from damnet.layers import BatchNorm, Conv2d
-from damnet.model import DenseBlock, build_model, count_parameters, named_arrays
+from damnet.model import DenseBlock, build_model, count_parameters, named_arrays, walk
 
 
 def rng(seed=0):
@@ -340,7 +340,6 @@ class TestModel:
             self, variant, depth, blocks, compression, seed):
         from damnet.gradcheck import finite_diff_check
         from damnet.layers import softmax_cross_entropy
-        from damnet.model import walk
 
         cfg = DenseNetConfig(variant=variant, depth=depth, blocks=blocks,
                              growth_rate=2, compression=compression,
@@ -452,8 +451,9 @@ class TestModel:
 
 
     def test_conv_grids_are_unpadded(self):
-        # each 3x3 conv keeps its input's ReLU output as a C-contiguous
-        # (C, N*H*W) grid, with no padding around its images
+        # each 3x3 conv keeps a view of its block's normalization, not a
+        # grid of its own; a panel's GEMM input, its ReLU output, is a
+        # C-contiguous (C, images*H*W) grid with no padding around its images
         from damnet.layers import softmax_cross_entropy
 
         cfg = DenseNetConfig(variant="plain", depth=13, blocks=3, growth_rate=4,
@@ -462,13 +462,63 @@ class TestModel:
         x = rng(6).standard_normal((6, 3, 11, 40)).astype(np.float32)
         model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(6) % 5)[1])
         extents = set()
-        for name, value in backward_state(model).items():
-            if ".conv3x3." not in name[0]:
-                continue
-            grid, (c, n, h, w) = value
-            assert grid.shape == (c, n * h * w) and grid.flags.c_contiguous, name
-            extents.add((h, w))
+        for block in model.blocks:
+            for unit in block.units:
+                kept, gamma, beta = unit.conv3x3._cache
+                c, n, h, w = kept.shape
+                assert kept.base is not None and np.shares_memory(kept, block._cache[0])
+                assert gamma is unit.bn1.gamma and beta is unit.bn1.beta
+                grid = unit.conv3x3._columns(slice(2, 5))
+                assert grid.shape == (c, 3 * h * w) and grid.flags.c_contiguous
+                relu = np.maximum(kept[:, 2:5] * gamma[:, None, None, None]
+                                  + beta[:, None, None, None], 0)
+                np.testing.assert_array_equal(grid, relu.reshape(c, -1))
+                extents.add((h, w))
         assert extents == {(9, 38), (4, 19), (2, 9)}
+
+    @pytest.mark.parametrize("cfg", [
+        DenseNetConfig(variant="plain", depth=13, blocks=3, growth_rate=4, num_classes=5,
+                       first_conv_channels=8),
+        DenseNetConfig(variant="BC", depth=16, blocks=3, growth_rate=4, compression=0.5,
+                       num_classes=5, first_conv_channels=8),
+    ], ids=["plain", "BC"])
+    def test_step_state_bytes_match_the_shapes(self, cfg):
+        # each block's xhat, each bn2's xhat, the copies that the initial
+        # conv and the transitions' convs keep of their inputs, and the
+        # small arrays beside them: the (3, C) statistics that the blocks
+        # and bn2s normalize with and the classifier's (N, C) features
+        from damnet.layers import softmax_cross_entropy
+
+        model = build_model(cfg, seed=0)
+        n, item = 6, 4
+        assert model.step_state_bytes() == 0
+        x = rng(6).standard_normal((n, 3, 11, 40)).astype(np.float32)
+        model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(n) % 5)[1])
+        want = 0
+        for stage in plan_architecture(cfg).stages:
+            pixels = n * stage.in_size[0] * stage.in_size[1]
+            if stage.kind == "initial-conv":
+                want += stage.in_channels * pixels
+            elif stage.kind == "dense-block":
+                want += stage.out_channels * (pixels + 3)
+                if cfg.bottleneck:
+                    want += cfg.units_per_block() * 4 * cfg.growth_rate * (pixels + 3)
+            elif stage.kind == "transition":
+                want += stage.in_channels * n * stage.out_size[0] * stage.out_size[1]
+            else:
+                want += stage.in_channels * n
+        assert model.step_state_bytes() == want * item
+        # a conv given a scale keeps the batchnorm's xhat before it, and
+        # gamma and beta in the parameter arena: no memory of its own
+        for block in model.blocks:
+            for unit in block.units:
+                pairs = [(unit.bn1, unit._order[1])]
+                if cfg.bottleneck:
+                    pairs.append((unit.bn2, unit.conv3x3))
+                for bn, conv in pairs:
+                    kept, gamma, beta = conv._cache
+                    assert kept.shape == bn._cache[0].shape and np.shares_memory(kept, bn._cache[0])
+                    assert gamma is bn.gamma and beta is bn.beta and gamma.base is model.tensors
 
 
 class TestParameterArena:

@@ -95,8 +95,8 @@ class TestDenseWiring:
 
     def test_bc_unit_matches_float64_reference(self):
         # bn2 normalizes the 1x1 conv's output into its own xhat; the 3x3
-        # conv applies bn2's gamma and beta and the ReLU, and its grid holds
-        # the ReLU output that bn2's backward reads the mask from
+        # conv applies bn2's gamma and beta and the ReLU to each panel, and
+        # in backward masks its dX with the panel's ReLU output, recomputed
         r = rng(12)
         unit = DenseUnit(5, 3, bottleneck=True, rng=r, dtype=np.float64)
         for bn in (unit.bn1, unit.bn2):
@@ -106,7 +106,7 @@ class TestDenseWiring:
         x = r.standard_normal((5, 4, 4, 6))
         dout = r.standard_normal((3, 4, 4, 6))
         out = unit.forward(unit.bn1.forward(x, train=True), train=True).copy()
-        dx = unit.bn1.backward(unit.backward(dout), unit.conv1x1.kept_input()).copy()
+        dx = unit.bn1.backward(unit.backward(dout)).copy()
         grads = {name: g.copy()
                  for name, g in named_arrays([("unit", unit)], "PARAMS", "grad_").items()}
 
@@ -399,8 +399,8 @@ def identity_conv(channels):
 
 class TestReLU:
     """The ReLU after a batchnorm runs inside the conv or pool after it.
-    The batchnorm's backward reads its mask back from the conv's grid, and
-    a pool recomputes it; the subgradient at exactly 0 is 0."""
+    Both recompute its mask in backward: the conv masks its dX with each
+    panel's ReLU output; the subgradient at exactly 0 is 0."""
 
     def test_definition(self):
         x = np.array([-1.0, 0.0, 2.0]).reshape(3, 1, 1, 1)
@@ -414,7 +414,9 @@ class TestReLU:
         x = rng().standard_normal((3, 2, 4, 4))
         out = conv.forward(bn.forward(x, train=True), True, bn.gamma, bn.beta)
         np.testing.assert_array_equal(out, 0.0)
-        dx = bn.backward(conv.backward(np.ones_like(x)), conv.kept_input())
+        d = conv.backward(np.ones_like(x))  # masked by the conv
+        np.testing.assert_array_equal(d, 0.0)
+        dx = bn.backward(d)
         np.testing.assert_array_equal(dx, 0.0)
         np.testing.assert_array_equal(bn.grad_beta, 0.0)
 
@@ -425,12 +427,14 @@ class TestReLU:
 
     def test_gradient_zero_at_kink(self):
         # the middle sample is its channel's mean, so its pre-activation is
-        # exactly 0, and the conv's grid holds a 0 there
+        # exactly 0, and the ReLU output the conv recomputes is 0 there
         bn, conv = BatchNorm(1, dtype=np.float64), identity_conv(1)
         x = np.array([-1.0, 0.0, 1.0]).reshape(1, 3, 1, 1)
         conv.forward(bn.forward(x, train=True), True, bn.gamma, bn.beta)
+        d = conv.backward(np.ones_like(x))  # masked by the conv
+        np.testing.assert_array_equal(d.ravel(), [0.0, 0.0, 1.0])
         dh = np.zeros_like(x)
-        bn.backward(conv.backward(np.ones_like(x)), conv.kept_input(), dh)
+        bn.backward(d, dh)
         np.testing.assert_array_equal(dh.ravel(), [0.0, 0.0, 1.0])
         assert bn.grad_beta.item() == 1.0
 

@@ -186,13 +186,15 @@ class TestFloat64Reference:
         bn.beta[...] = r.standard_normal(shape[0])
         x = r.standard_normal(shape) * 3 + 1
         dout = r.standard_normal(shape)
-        # the ReLU after the batchnorm masks its output gradient
+        # the ReLU after the batchnorm masks its output gradient, as the
+        # conv after it does in its backward
         relu_out = np.maximum(reference_batchnorm(x, bn.gamma, bn.beta, dout)[0], 0)
+        dout *= relu_out > 0
         out_ref, dx_ref, dgamma, dbeta, mean, var = reference_batchnorm(
-            x, bn.gamma, bn.beta, dout * (relu_out > 0))
+            x, bn.gamma, bn.beta, dout)
         gamma, beta = (v.reshape(-1, 1, 1, 1) for v in (bn.gamma, bn.beta))
         assert_close(bn.forward(x, train=True) * gamma + beta, out_ref)
-        dx = bn.backward(dout, relu_out)
+        dx = bn.backward(dout)
         assert np.shares_memory(dx, dout)  # finished in place, by ``project``
         assert_close(dx, dx_ref)
         assert_close(bn.grad_gamma, dgamma)
@@ -211,18 +213,18 @@ class TestFloat64Reference:
     @pytest.mark.parametrize("cores", [1, 2])
     def test_standalone_batchnorm_backward_is_one_fan_out(self, monkeypatch, cores):
         # a BC unit's bn2 finishes each chunk's input gradient in the item that
-        # reads the chunk's ReLU mask; the two-pass form, ``_read_relu`` per
-        # chunk and then ``project``, gives the same bits
+        # reads the chunk's masked gradient; the two-pass form, ``_read_relu``
+        # per chunk and then ``project``, gives the same bits
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(9)
         bn = random_batchnorm(r, 21, np.float32)
         x = (r.standard_normal((21, 100, 9, 38)) * 2 + 0.5).astype(np.float32)
         relu_out = explicit_relu(bn, x, True)
-        dout = r.standard_normal(x.shape).astype(np.float32)
+        dout = r.standard_normal(x.shape).astype(np.float32) * (relu_out > 0)
         (xhat, inv), want = bn._cache, dout.copy()
         dgamma, dbeta = np.empty(21, np.float32), np.empty(21, np.float32)
         layers._fan_out_chunks(x.shape, lambda ch: layers._read_relu(
-            want[ch], relu_out[ch], xhat[ch], bn.gamma[ch], dgamma[ch], dbeta[ch]))
+            want[ch], xhat[ch], bn.gamma[ch], dgamma[ch], dbeta[ch]))
         layers.project(want, xhat, inv, bn.gamma * np.stack((dbeta, dgamma)))
         calls, fan_out = [], layers.fan_out
 
@@ -231,7 +233,7 @@ class TestFloat64Reference:
             fan_out(work, count)
 
         monkeypatch.setattr(layers, "fan_out", counted)
-        np.testing.assert_array_equal(bn.backward(dout, relu_out), want)
+        np.testing.assert_array_equal(bn.backward(dout), want)
         assert calls == [3]
         np.testing.assert_array_equal(bn.grad_gamma, dgamma)
         np.testing.assert_array_equal(bn.grad_beta, dbeta)
@@ -241,22 +243,38 @@ class TestUnpaddedGrid:
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("fused", [False, True], ids=["plain", "scale-shift"])
     def test_grid_and_results_are_c_contiguous(self, monkeypatch, cores, fused):
-        # the grid is the (C, N*H*W) input, or its ReLU output, with no padding
+        # the grid is the (C, N*H*W) input's copy, with no padding; given a
+        # scale and shift the conv keeps the input itself, and a panel's
+        # grid is its images' ReLU output, C-contiguous in scratch
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(8)
         conv = Conv2d(5, 4, 3, pad=1, rng=r)
         scale = r.uniform(0.5, 1.5, (5, 1, 1, 1)).astype(np.float32)
         shift = r.normal(1.0, 0.5, (5, 1, 1, 1)).astype(np.float32)
+        copies = []
         for n in (37, 37, 20, 20):  # the batch-size change replaces the step state
             x = (r.standard_normal((5, n, 4, 7)) + 3).astype(np.float32)
             out = conv.forward(x, True, *((scale.ravel(), shift.ravel()) if fused else ()))
-            grid, kept = conv._cache[0], conv.kept_input()
-            assert grid.shape == (5, n * 4 * 7) and grid.flags.c_contiguous
-            assert kept.flags.c_contiguous and np.shares_memory(grid, kept)
-            np.testing.assert_array_equal(kept, np.maximum(x * scale + shift, 0) if fused else x)
+            kept = conv._cache[0]
+            if fused:
+                assert kept is x
+                frames = slice(16, min(n, 32))
+                grid = conv._columns(frames)
+                assert grid.shape == (5, (frames.stop - 16) * 4 * 7) and grid.flags.c_contiguous
+                np.testing.assert_array_equal(
+                    grid, np.maximum(x * scale + shift, 0)[:, frames].reshape(5, -1))
+            else:
+                grid = kept.reshape(5, -1)
+                assert grid.shape == (5, n * 4 * 7) and grid.flags.c_contiguous
+                assert np.shares_memory(grid, kept) and not np.shares_memory(kept, x)
+                np.testing.assert_array_equal(kept, x)
+                copies.append(kept)
             assert out.shape == (4, n, 4, 7) and out.flags.c_contiguous
             dx = conv.backward(r.standard_normal(out.shape).astype(np.float32))
             assert dx.shape == x.shape and dx.flags.c_contiguous
+        if not fused:
+            assert [copy is copies[0] for copy in copies] == [True, True, False, False]
+            assert copies[3] is copies[2]
 
 
 def random_batchnorm(r, channels, dtype):
@@ -278,8 +296,9 @@ def explicit_relu(bn, x, train):
 
 class TestFusedPreActivation:
     """Each BN -> ReLU of a dense unit runs inside the panels of the conv
-    after it, and its mask is read back from the conv's grid; standalone
-    arithmetic is the reference."""
+    after it, in both directions: backward recomputes a panel's ReLU output
+    and masks the panel's dX with it; standalone arithmetic is the
+    reference."""
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
@@ -293,8 +312,9 @@ class TestFusedPreActivation:
         conv = Conv2d(13, 7, k, pad=pad, rng=r)
         x = (r.standard_normal((13, n, 9, 38)) * 2 + 0.5).astype(np.float32)
         explicit = conv.forward(explicit_relu(bn, x, train), train).copy()
-        if train:  # the grid holds the ReLU output: the fused forward must write it anew
-            conv.kept_input()[...] = np.nan
+        if train:  # the fused forward reads neither the explicit one's copy nor stale scratch
+            conv._cache[0][...] = np.nan
+            layers.scratch("grid", (13, layers.PANEL_FRAMES * 9 * 38), np.float32)[...] = np.nan
             fused = conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
         else:
             fused = conv.forward(x, False, *bn.folded())
@@ -313,14 +333,14 @@ class TestFusedPreActivation:
         dout = r.standard_normal((5, 37, 9, 38)).astype(dtype)
         relu_out = explicit_relu(bn, x, True)
         conv.forward(relu_out, True)
-        d = conv.backward(dout)
-        dx = bn.backward(d, relu_out).copy()
+        d = conv.backward(dout) * (relu_out > 0)
+        dx = bn.backward(d).copy()
         grad_gamma, grad_beta = bn.grad_gamma.copy(), bn.grad_beta.copy()
 
         conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
         d = conv.backward(dout)
         shared = np.zeros_like(x)
-        bn.backward(d, conv.kept_input(), shared)
+        bn.backward(d, shared)
         np.testing.assert_array_equal(bn.grad_gamma, grad_gamma)
         np.testing.assert_array_equal(bn.grad_beta, grad_beta)
         layers.project(shared, *bn._cache, bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma)))
@@ -415,7 +435,7 @@ class TestFusedHead:
         xhat, inv = bn._cache
         np.testing.assert_array_equal(fused.forward(xhat, True, bn.gamma, bn.beta), out)
         dout = r.standard_normal(out.shape)
-        dx = bn.backward(adjoint(dout, x.shape), relu_out).copy()
+        dx = bn.backward(adjoint(dout, x.shape) * (relu_out > 0)).copy()
         grad_gamma, grad_beta = np.empty(21), np.empty(21)
         d = fused.backward(dout, grad_gamma, grad_beta)
         np.testing.assert_array_equal(grad_gamma, bn.grad_gamma)

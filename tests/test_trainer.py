@@ -1,6 +1,8 @@
+import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,6 +169,29 @@ class TestMetricsLog:
         assert parsed.epoch == 3
         assert parsed.lr == pytest.approx(0.005)
         assert parsed.seconds == pytest.approx(12.345)
+
+    @given(st.builds(Metrics, epoch=st.integers(-10**6, 10**6),
+                     **{name: st.floats(allow_nan=False, allow_infinity=False)
+                        for name in ("lr", "train_loss", "train_accuracy", "val_loss",
+                                     "val_accuracy", "seconds")}))
+    @settings(max_examples=200, deadline=None)
+    def test_every_finite_line_reads_back(self, metrics):
+        # the writer's rounding is the only change: 8 significant digits, and
+        # the seconds to 3 decimals
+        parsed = parse_metrics_line(format_metrics_line(metrics))
+        rounded = [float(f"{getattr(metrics, name):.8g}") for name in
+                   ("lr", "train_loss", "train_accuracy", "val_loss", "val_accuracy")]
+        assert parsed == Metrics(metrics.epoch, *rounded, float(f"{metrics.seconds:.3f}"))
+
+    def test_non_finite_value_is_refused_by_the_writer(self):
+        # train_epoch leaves the validation fields at nan, which no line holds
+        metrics = train_epoch(build_model(SMALL_MODEL, seed=0), small_dataset(),
+                              TrainConfig(batch_size=8), rng(0))
+        with pytest.raises(DataError, match="val_loss"):
+            format_metrics_line(metrics)
+        with pytest.raises(DataError, match="seconds"):
+            format_metrics_line(replace(metrics, val_loss=1.0, val_accuracy=0.5,
+                                        seconds=math.inf))
 
     def test_bad_line(self):
         # too few fields, a value that is no number, an epoch in Arabic-Indic digits
