@@ -304,6 +304,8 @@ def load_cmvn_stats(path) -> CmvnStats:
         raise FormatError(f"bad statistics file {path}: {exc}") from exc
     if stats.mean.shape != stats.var.shape:
         problem = f"mean has shape {stats.mean.shape}, var {stats.var.shape}"
+    elif stats.mean.ndim != 2 or not stats.mean.size:
+        problem = f"mean and var have shape {stats.mean.shape}, not non-empty (channels, bins)"
     elif not (np.isfinite(stats.mean).all() and np.isfinite(stats.var).all()):
         problem = "non-finite mean or variance"
     elif (stats.var <= 0.0).any():

@@ -15,11 +15,11 @@ overwrites in place, so a ``Model`` can rebind them all to views of its
 flat arenas and a standalone layer still works.
 
 ``forward(x, train=False)`` is pure: it reads the parameters and running
-statistics, writes nothing and allocates its results, so infer-mode
-forwards may run concurrently on one layer (their convolution panels
-serialize on the pool, as below). No infer-mode forward mixes frames: every
-product runs per image or per frame, so a frame's output never depends on
-its batch.
+statistics, allocates its results and writes only per-thread scratch
+(``"grid"``), so infer-mode forwards may run concurrently on one layer
+(their convolution panels serialize on the pool, as below). No infer-mode
+forward mixes frames: every product runs per image or per frame, so a
+frame's output never depends on its batch.
 ``forward(x, train=True)`` keeps what ``backward()`` needs in one field,
 ``_cache``, and updates batchnorm running statistics, so a
 train forward and its backward must be serialized, and backward needs a
@@ -49,19 +49,20 @@ reuses the memory of the last one instead of allocating it again:
   keeps its own normalized input. Every ReLU runs inside the conv or pool
   after a batchnorm and keeps nothing: that layer keeps references to the
   normalized input and to gamma and beta, and recomputes the ReLU output in
-  backward, the conv per panel and the pool per channel chunk. The convs
-  with no batchnorm before them (the initial conv and a transition's) copy
-  their input, and ``Linear`` keeps its small input. So the step state
-  grows linearly with depth: for plain-22 at batch 256 it is about 56 MiB
+  backward, the conv per panel and the pool per channel chunk. The other
+  convs keep their inputs by reference too: the initial conv the model's
+  input, a transition's conv its pool's output, the pool's step state.
+  ``Linear`` keeps its small input. So the step state grows linearly with
+  depth: for plain-22 at batch 256 it is about 56 MiB
   (``Model.step_state_bytes``).
 - *Scratch* holds everything else: a train-mode result of ``forward`` or
-  ``backward`` (apart from the small global-pool and linear outputs) is a
-  view into per-thread buffers (``scratch``), valid until the next
-  train-mode call in the same thread. A caller that keeps one across train
-  calls must copy it. The buffers live as long as their thread does (about
-  79 MiB in the calling thread for plain-22 at batch 256, plus about 10 MiB
-  of panel- and chunk-sized buffers in each pool thread, 1.6 MiB of it a
-  panel's ReLU output) and are shared by every model that trains in it.
+  ``backward`` (apart from the pools' and the linear outputs) is a view
+  into per-thread buffers (``scratch``), valid until the next train-mode
+  call in the same thread. A caller that keeps one across train calls must
+  copy it. The buffers live as long as their thread does (about 79 MiB in
+  the calling thread for plain-22 at batch 256, plus about 9 MiB of panel-
+  and chunk-sized buffers in each pool thread, 1.6 MiB of it a panel's
+  ReLU output) and are shared by every model that trains in it.
 """
 
 from __future__ import annotations
@@ -119,18 +120,18 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     """This thread's scratch buffer ``name`` seen as a C-order ``shape`` array
     of ``dtype``; it grows when a request does not fit.
 
-    The buffers hold bytes, so one serves every dtype. Train mode uses
-    ``"taps"`` (a conv panel's per-tap products and shifted output gradient,
-    a pool chunk's row sums and their gradient), ``"placed"`` (a pad-0 conv
-    panel's output gradient on its input's pixels), ``"partials"`` (a conv's
-    per-panel weight gradients), ``"grid"`` (a conv panel's BN -> ReLU
-    output, in both directions), ``"chunk"`` (a channel chunk's terms of a
-    batchnorm's backward, a pool chunk's ReLU output, or its ReLU input in
-    backward), ``"mask"`` (the ReLU mask of a conv panel's or a pool
-    chunk's backward), ``"block"`` (the gradient of a
-    dense block's normalized features, which the pool after the block
-    writes) and ``"pair"``, which names two buffers handed out in turn. A
-    layer's pair result thus never overwrites the pair array it was given.
+    The buffers hold bytes, so one serves every dtype. Infer mode uses
+    ``"grid"`` (a conv panel's BN -> ReLU output, as train mode does in
+    both directions). Train mode also uses ``"taps"`` (a conv panel's
+    per-tap products and shifted output gradient, a pool chunk's row sums
+    and their gradient), ``"partials"`` (a conv's per-panel weight
+    gradients), ``"chunk"`` (a channel chunk's terms of a batchnorm's
+    backward, a pool chunk's ReLU output, or its ReLU input in backward),
+    ``"mask"`` (the ReLU mask of a conv panel's or a pool chunk's
+    backward), ``"block"`` (the gradient of a dense block's normalized
+    features, which the pool after the block writes) and ``"pair"``, which
+    names two buffers handed out in turn. A layer's pair result thus never
+    overwrites the pair array it was given.
     """
     state = _SCRATCH
     if name == "pair":
@@ -281,8 +282,9 @@ class Conv2d:
     the tap's shift, applies the same zeroing and gets dW and dX from one
     GEMM each. A same-size conv reads ``dout`` in place: each column it
     cannot read there, before the batch or after it, is edge-crossing and
-    zeroed. A cropped conv first places a panel's ``dout`` on the input's
-    pixels, zero where it has no output.
+    zeroed. A cropped conv places a panel's ``dout`` on the input's pixels,
+    zero where it has no output, as the rows of tap (p, p), which shifts by
+    0, and the other taps read it there.
 
     Forward, in both modes, and backward run per panel of ``PANEL_FRAMES``
     whole images (``fan_out``). Each panel writes its own output and dX
@@ -292,22 +294,18 @@ class Conv2d:
     depends on the rest of its batch. Output and dX are C-contiguous, apart
     from a cropped output.
 
-    Given a per-channel ``scale`` and ``shift``, the conv reads ``max(x *
-    scale + shift, 0)``, a batchnorm and ReLU before it. A train forward
-    then keeps references to ``x``, ``scale`` and ``shift``, which must not
-    change before its backward, and no grid: each panel writes its images'
-    ReLU output into this thread's scratch ``"grid"`` just before its GEMM,
-    and backward writes it again before the dW GEMM and masks the panel's
-    dX with it while dX is in cache, so backward returns the gradient of
-    ``x * scale + shift``. Step state thus grows linearly with depth, not
-    with its square, for 4-12% of a train step's time (plain-22 and BC-41
-    at batch 256, one and two cores of a 2-vCPU Xeon). An infer forward
-    fills a whole grid per channel chunk before the panels instead: a
-    panel's run of a channel is short, and at (200, 256, 4, 19) a 1x1
-    conv's forward took 14.3 ms so against 19.8 filling per panel (2
-    vCPUs). Without ``scale``, a train forward copies its
-    input, which its caller may overwrite, per channel chunk, and the
-    grid is a view of that copy.
+    A panel reads its images of ``x`` in place, in both modes and in
+    backward (``_columns``). Given a per-channel ``scale`` and ``shift``,
+    the conv reads ``max(x * scale + shift, 0)``, a batchnorm and ReLU
+    before it: each panel writes its images' ReLU output into this thread's
+    scratch ``"grid"`` just before its GEMM, and backward writes it again
+    before the dW GEMM and masks the panel's dX with it while dX is in
+    cache, so backward returns the gradient of ``x * scale + shift``. A
+    train forward keeps references to ``x``, ``scale`` and ``shift``, which
+    must not change before its backward, and no grid or copy, so step state
+    grows linearly with depth, not with its square, for 4-12% of a train
+    step's time (plain-22 and BC-41 at batch 256, one and two cores of a
+    2-vCPU Xeon).
     """
 
     PARAMS = ("weight",)
@@ -329,7 +327,7 @@ class Conv2d:
         else:
             self.weight = he_normal(rng, shape, fan_in, dtype)
         self.grad_weight = np.zeros(shape, dtype=dtype)
-        self._cache = None  # (input or its copy, scale, shift)
+        self._cache = None  # (input, scale, shift)
 
     def _taps(self, w: int):
         """(k*k*C_out, C_in) weights, row t*C_out + o for tap t = i*k + j;
@@ -361,21 +359,9 @@ class Conv2d:
         matrix, shifts = self._taps(w)
         left, right = -shifts[0], shifts[-1]
         dtype = np.result_type(matrix, x)
+        out = scratch("pair", (co, n * image), dtype) if train else np.empty((co, n * image), dtype)
         if train:
-            if scale is None:  # a copy: the caller may overwrite its input
-                kept = self._cache[0] if self._cache and self._cache[1] is None else None
-                copy = step_state(kept, x.shape, x.dtype)
-                _fan_out_chunks(x.shape, lambda ch: np.copyto(copy[ch], x[ch]))
-                x = copy
             self._cache = (x, scale, shift)
-            out = scratch("pair", (co, n * image), dtype)
-        else:
-            if scale is not None:  # the ReLU output, per channel chunk
-                act = np.empty(x.shape, x.dtype)
-                _fan_out_chunks(x.shape, lambda ch: _activate(x[ch], scale[ch], shift[ch], act[ch]))
-                x = act
-            grid = x.reshape(c, -1)
-            out = np.empty((co, n * image), dtype=dtype)
         panels = _chunks(n, PANEL_FRAMES)
 
         def panel(i):
@@ -389,10 +375,11 @@ class Conv2d:
                 per_tap = scratch("taps", shape, dtype) if train else np.empty(shape, dtype)
                 per_tap[:, :left], per_tap[:, left + width :] = 0, 0
                 products = per_tap[:, left : left + width]
+            columns = self._columns(x, scale, shift, frames)
             if train:
-                np.matmul(matrix, self._columns(frames), out=products)
+                np.matmul(matrix, columns, out=products)
             else:  # one GEMM per image
-                np.matmul(matrix, grid[:, own].reshape(c, -1, image).transpose(1, 0, 2),
+                np.matmul(matrix, columns.reshape(c, -1, image).transpose(1, 0, 2),
                           out=products.reshape(k * k * co, -1, image).transpose(1, 0, 2))
             if k == 1:
                 return
@@ -405,19 +392,18 @@ class Conv2d:
         fan_out(panel, len(panels))
         return out.reshape(co, n, h, w)[:, :, :oh, :ow]
 
-    def _columns(self, frames) -> np.ndarray:
-        """The (C_in, images*H*W) GEMM input of the last train forward's
-        images ``frames``: a view of the kept copy, or, given ``scale`` and
-        ``shift``, ``max(x * scale + shift, 0)`` in this thread's scratch
-        ``"grid"``."""
-        x, scale, shift = self._cache
+    @staticmethod
+    def _columns(x, scale, shift, frames) -> np.ndarray:
+        """The (C_in, images*H*W) GEMM input of the images ``frames`` of ``x``:
+        a view, a copy if they are not contiguous, or, given ``scale`` and
+        ``shift``, ``max(x * scale + shift, 0)`` in this thread's ``"grid"``."""
         images = x[:, frames]
         if scale is not None:
             images = _activate(images, scale, shift, scratch("grid", images.shape, x.dtype))
         return images.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        x, scale, _ = self._cache
+        x, scale, shift = self._cache
         (c, n, h, w), k, co = x.shape, self.kernel_size, self.out_channels
         image = h * w
         oh, ow = dout.shape[2:]
@@ -438,20 +424,21 @@ class Conv2d:
             if k == 1:
                 shifted = dout[:, own]
             else:
+                shifted = scratch("taps", (k * k * co, width), dout.dtype)
                 source, first = dout, own.start
-                if not same:  # this panel's ``dout`` on its input pixels
-                    source, first = scratch("placed", (co, width), dout.dtype), 0
+                placed = None if same else self.pad * (k + 1)  # tap (p, p), whose shift is 0
+                if not same:  # this panel's ``dout`` on its input pixels, as that tap's rows
+                    source, first = shifted[placed * co : (placed + 1) * co], 0
                     cells = source.reshape(co, -1, h, w)
                     cells[:, :, :oh, :ow] = dout[:, frames]
                     cells[:, :, :oh, ow:], cells[:, :, oh:] = 0, 0
-                shifted = scratch("taps", (k * k * co, width), dout.dtype)
-                for t, s in enumerate(shifts):
-                    lo = first - s
+                for t in set(range(k * k)) - {placed}:  # each tap its own rows, in any order
+                    lo = first - shifts[t]
                     a, b = max(lo, 0), min(lo + width, source.shape[1])
                     shifted[t * co : (t + 1) * co, a - lo : b - lo] = source[:, a:b]
                 # also zeroes the columns left unwritten, all edge-crossing
                 self._cancel_edges(shifted, h, w)
-            columns = self._columns(frames)
+            columns = self._columns(x, scale, shift, frames)
             np.matmul(shifted, columns.T, out=partials[i])
             grad = dx[:, own]
             np.matmul(matrix.T, shifted, out=grad)
@@ -620,8 +607,8 @@ class BatchNorm:
 
 class _Pool:
     """A pooling layer after a batchnorm and ReLU: it pools ``max(x * scale
-    + shift, 0)`` per channel chunk, with nothing stored, on a dense block's
-    ``xhat`` with gamma and beta in train mode, on its features with
+    + shift, 0)`` per channel chunk, storing no ReLU output, on a dense
+    block's ``xhat`` with gamma and beta in train mode, on its features with
     ``BatchNorm.folded()`` in infer mode. Backward returns the input
     gradient in scratch ``"block"``: it recomputes the ReLU's input, writes
     the gradients of ``scale`` and ``shift`` into ``dscale`` and ``dshift``
@@ -629,7 +616,7 @@ class _Pool:
     block's ``project``."""
 
     def __init__(self):
-        self._cache = None  # (input, scale, shift)
+        self._cache = None  # (input, scale, shift, output)
 
     def forward(self, x: np.ndarray, train: bool, scale, shift) -> np.ndarray:
         _check_activation(type(self).__name__.lower(), x, scale, shift)
@@ -641,11 +628,11 @@ class _Pool:
 
         _fan_out_chunks(x.shape, chunk)
         if train:
-            self._cache = (x, scale, shift)
+            self._cache = (x, scale, shift, out)
         return out
 
     def backward(self, dout: np.ndarray, dscale, dshift) -> np.ndarray:
-        x, scale, shift = self._cache
+        x, scale, shift, _ = self._cache
         dx = scratch("block", x.shape, dout.dtype)
 
         def chunk(ch):
@@ -662,14 +649,15 @@ class _Pool:
 
 
 class AvgPool2d(_Pool):
-    """2x2 average pooling with stride 2; trailing odd row/column dropped."""
+    """2x2 average pooling with stride 2; trailing odd row/column dropped.
+    A train output is step state, which the conv after it keeps."""
 
     def _output(self, x, train):
         c, n, h, w = x.shape
         if h < 2 or w < 2:
             raise ShapeError(f"avgpool2d needs spatial extents >= 2, got {h}x{w}")
         shape = (c, n, pool_output_size(h), pool_output_size(w))
-        return scratch("pair", shape, x.dtype) if train else np.empty(shape, x.dtype)
+        return step_state(self._cache[3] if train and self._cache else None, shape, x.dtype)
 
     def _pool(self, x, out, train):
         oh, ow = out.shape[2:]

@@ -11,8 +11,8 @@ BN -> ReLU runs inside the conv or pool after it (``Chain``).
 
 ``Model.forward`` takes (N, C, H, W) frames and every stage passes on
 channel-major (C, N, H, W) activations (see ``layers``): ``forward`` hands
-the stages a transposed view of its input, the initial conv copies it into
-its own grid, and ``backward`` returns the input gradient transposed back.
+the stages a transposed view of its input, which the initial conv reads in
+place, and ``backward`` returns the input gradient transposed back.
 Each dense block keeps its features in one (C_out, N, H, W) buffer: unit n
 reads the prefix ``[:width]`` holding the block input and the n-1 prior
 unit outputs, and its growth_rate channels go after it, so the prefix and
@@ -35,7 +35,7 @@ from .builder import (
     block_input_channels,
     plan_architecture,
 )
-from .exceptions import ShapeError
+from .exceptions import ConfigError, ShapeError
 from .layers import (
     AvgPool2d,
     BatchNorm,
@@ -254,6 +254,8 @@ class Model:
     """
 
     def __init__(self, config: DenseNetConfig, seed: int, dtype=np.float32):
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         plan = plan_architecture(config)  # validates, and rejects collapsing geometries
         self.config = config
         self.seed = seed
@@ -306,7 +308,9 @@ class Model:
             )
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """Logits (N, num_classes) for the (N, C, H, W) input, in a new array."""
+        """Logits (N, num_classes) for the (N, C, H, W) input, in a new array.
+        A train forward keeps a view of ``x``, which must not change before
+        ``backward``."""
         self._check_input(x)
         x = x.transpose(1, 0, 2, 3)
         for _, stage in self._stages:
@@ -324,10 +328,10 @@ class Model:
 
     def step_state_bytes(self) -> int:
         """The bytes that the last train forward keeps for ``backward``: the
-        arrays in every layer's ``_cache``, each view followed to the array
-        that owns its memory and each of those counted once. The parameter
-        arena, whose gamma and beta a conv or pool keeps views of, is not
-        step state and is left out."""
+        arrays in every layer's ``_cache``, the input's too, each view
+        followed to the array that owns its memory, each counted once. The
+        parameter arena, whose gamma and beta a conv or pool keeps views of,
+        is not step state and is left out."""
         owners = {}
         for _, stage in self._stages:
             for _, layer in walk(stage):

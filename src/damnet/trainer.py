@@ -52,6 +52,8 @@ class TrainConfig:
                               f"got {self.lr_improvement_threshold}")
         if not 0.0 < self.min_lr < math.inf:
             raise ConfigError(f"min_lr must be positive and finite, got {self.min_lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -285,6 +287,8 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
     (``layers.fan_out``; concurrent calls and training steps serialize on this);
     on one core or without numpy's bundled OpenBLAS, the shards run in turn in
     the calling thread."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(data) == 0:
         raise DataError("empty evaluation data")
     num_classes = model.config.num_classes

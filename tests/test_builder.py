@@ -119,6 +119,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             DenseNetConfig(variant="bc").validate()
 
+    def test_negative_seed(self):
+        # numpy's generator would reject it with its own ValueError
+        with pytest.raises(ConfigError, match="seed"):
+            build_model(DenseNetConfig(num_classes=5), seed=-1)
+
     def test_depth_bound(self):
         with pytest.raises(ConfigError):
             DenseNetConfig(depth=4, blocks=3).validate()
@@ -468,7 +473,7 @@ class TestModel:
                 c, n, h, w = kept.shape
                 assert kept.base is not None and np.shares_memory(kept, block._cache[0])
                 assert gamma is unit.bn1.gamma and beta is unit.bn1.beta
-                grid = unit.conv3x3._columns(slice(2, 5))
+                grid = unit.conv3x3._columns(kept, gamma, beta, slice(2, 5))
                 assert grid.shape == (c, 3 * h * w) and grid.flags.c_contiguous
                 relu = np.maximum(kept[:, 2:5] * gamma[:, None, None, None]
                                   + beta[:, None, None, None], 0)
@@ -519,6 +524,29 @@ class TestModel:
                     kept, gamma, beta = conv._cache
                     assert kept.shape == bn._cache[0].shape and np.shares_memory(kept, bn._cache[0])
                     assert gamma is bn.gamma and beta is bn.beta and gamma.base is model.tensors
+
+    def test_convs_without_batchnorm_keep_their_inputs_by_reference(self):
+        # the initial conv keeps a view of the caller's batch, whose panels
+        # it reads as copies, and each transition's conv keeps its pool's
+        # output: neither copies its input
+        from damnet.layers import PANEL_FRAMES, softmax_cross_entropy
+
+        cfg = DenseNetConfig(variant="C", depth=13, blocks=3, growth_rate=4, compression=0.5,
+                             num_classes=5, first_conv_channels=8)
+        model = build_model(cfg, seed=0)
+        n = PANEL_FRAMES + 3
+        x = rng(6).standard_normal((n, 3, 11, 40)).astype(np.float32)
+        model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(n) % 5)[1])
+        stages = dict(model.stages())
+        kept, scale, shift = stages["initial_conv"]._cache
+        assert kept.base is x and kept.shape == (3, n, 11, 40) and scale is shift is None
+        frames = slice(PANEL_FRAMES, n)
+        np.testing.assert_array_equal(stages["initial_conv"]._columns(kept, None, None, frames),
+                                      x[frames].transpose(1, 0, 2, 3).reshape(3, -1))
+        for name in ("transition1", "transition2"):
+            head = stages[name]
+            assert head.conv._cache[0] is head.pool._cache[3], name
+            assert head.conv._cache[1:] == (None, None), name
 
 
 class TestParameterArena:

@@ -268,6 +268,12 @@ MALFORMED_STATS = {
     "mean-overflow": stats_text(10, [10**400], [1.0]),
     "deep-nesting": '{"frame_count": 10, "mean": ' + "[" * 3000 + "]" * 3000 + ', "var": [1.0]}',
     "no-crc": '{"frame_count": 10, "mean": [0.0], "var": [1.0]}',
+    # mean and var agree in shape but are not a non-empty (channels, bins) array
+    "scalar": stats_text(10, 0.0, 1.0),
+    "empty": stats_text(10, [], []),
+    "vector": stats_text(10, np.zeros(120).tolist(), np.ones(120).tolist()),
+    "3-d": stats_text(10, np.zeros((1, 3, 40)).tolist(), np.ones((1, 3, 40)).tolist()),
+    "empty-rows": stats_text(10, [[]], [[]]),
 }
 
 

@@ -471,6 +471,21 @@ class TestAvgPool:
         np.testing.assert_array_equal(dx[0, 0, :4, :4], 0.25)
         np.testing.assert_array_equal(dx[0, 0, 4, :], 0.0)  # dropped odd row
 
+    def test_train_output_is_step_state(self):
+        # the conv after a transition's pool keeps the pool's train output,
+        # so it is the pool's own, reused while the shape repeats and
+        # replaced when it changes; an infer output is a new array
+        pool, outputs = AvgPool2d(), []
+        for n in (3, 3, 2, 2):
+            x = rng(n).uniform(0.5, 1.5, (2, n, 4, 6)).astype(np.float32)
+            out = pool.forward(x, True, *unit_scale_shift(2, np.float32))
+            assert pool._cache[3] is out and out.base is None  # not a view of scratch
+            np.testing.assert_array_equal(out, pool.forward(x, False, *unit_scale_shift(2, np.float32)))
+            outputs.append(out)
+        assert [out is outputs[0] for out in outputs] == [True, True, False, False]
+        assert outputs[3] is outputs[2]
+        assert pool.forward(x, False, *unit_scale_shift(2, np.float32)) is not outputs[3]
+
 
 class TestGlobalAvgPool:
     def test_constant(self):

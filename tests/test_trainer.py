@@ -109,6 +109,15 @@ def test_validate_rejects_non_finite(cls, field, value):
         cls(**{field: value}).validate()
 
 
+def test_validate_rejects_negative_seed():
+    # numpy's generator would reject it only once fit seeds its shuffle
+    with pytest.raises(ConfigError, match="seed"):
+        TrainConfig(seed=-1).validate()
+    model, data = build_model(SMALL_MODEL, seed=0), small_dataset()
+    with pytest.raises(ConfigError, match="seed"):
+        fit(model, data, data, TrainConfig(seed=-1, max_epochs=1))
+
+
 class TestSchedule:
     CFG = TrainConfig()
 
@@ -275,6 +284,12 @@ class TestTrainEpoch:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("batch_size", [-5, 0])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        # -5 would evaluate no frame and 0 would be range()'s ValueError
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(build_model(SMALL_MODEL, seed=0), small_dataset(), batch_size=batch_size)
+
     def test_uniform_logits_hit_chance(self):
         model = build_model(SMALL_MODEL, seed=0)
         fc = dict(model.stages())["classifier"].fc
