@@ -78,7 +78,8 @@ def check_layer(layer, x: np.ndarray, *, rng=None, scale=None, shift=None, bn=No
     ``shift``, the batchnorm scale and shift before its ReLU
     (``layers._Pool``), and their gradients are checked too. Given a
     batchnorm ``bn``, a conv runs after it, applying its gamma and beta and
-    the ReLU, and the batchnorm's gradients are checked too.
+    the ReLU, and writing their gradients, and the batchnorm's gradients
+    are checked too.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     fused = () if scale is None else (scale, shift)
@@ -94,7 +95,7 @@ def check_layer(layer, x: np.ndarray, *, rng=None, scale=None, shift=None, bn=No
 
     # objective() reruns train forwards, which may reuse the memory dx is in
     fused_grads = [np.zeros_like(t) for t in fused]
-    dx = layer.backward(projection, *fused_grads)
+    dx = layer.backward(projection, *(fused_grads if bn is None else (bn.grad_gamma, bn.grad_beta)))
     dx = np.array(dx if bn is None else bn.backward(dx))
     tensors = {"x": x, **dict(zip(("scale", "shift"), fused))}
     analytic = {"x": dx, **dict(zip(("scale", "shift"), fused_grads))}

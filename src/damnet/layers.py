@@ -59,10 +59,13 @@ reuses the memory of the last one instead of allocating it again:
   ``backward`` (apart from the pools' and the linear outputs) is a view
   into per-thread buffers (``scratch``), valid until the next train-mode
   call in the same thread. A caller that keeps one across train calls must
-  copy it. The buffers live as long as their thread does (about 79 MiB in
-  the calling thread for plain-22 at batch 256, plus about 9 MiB of panel-
-  and chunk-sized buffers in each pool thread, 1.6 MiB of it a panel's
-  ReLU output) and are shared by every model that trains in it.
+  copy it. A dense unit's first conv adds its input gradient into its
+  block's gradient buffer a panel at a time, so no unit's full-batch input
+  gradient is in scratch. The buffers live as long as their thread does
+  (about 45 MiB in the calling thread for plain-22 at batch 256, plus
+  about 10 MiB of panel- and chunk-sized buffers in each pool thread, 1.6
+  MiB of it a panel's ReLU output and 1.6 MiB a panel's input gradient)
+  and are shared by every model that trains in it.
 """
 
 from __future__ import annotations
@@ -124,14 +127,18 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     ``"grid"`` (a conv panel's BN -> ReLU output, as train mode does in
     both directions). Train mode also uses ``"taps"`` (a conv panel's
     per-tap products and shifted output gradient, a pool chunk's row sums
-    and their gradient), ``"partials"`` (a conv's per-panel weight
-    gradients), ``"chunk"`` (a channel chunk's terms of a batchnorm's
-    backward, a pool chunk's ReLU output, or its ReLU input in backward),
-    ``"mask"`` (the ReLU mask of a conv panel's or a pool chunk's
-    backward), ``"block"`` (the gradient of a dense block's normalized
-    features, which the pool after the block writes) and ``"pair"``, which
-    names two buffers handed out in turn. A layer's pair result thus never
-    overwrites the pair array it was given.
+    and their gradient), ``"partials"`` (a conv's per-panel gradients of
+    its weights, scale and shift), ``"panel"`` (a conv panel's input
+    gradient, which the conv adds into the caller's destination),
+    ``"chunk"`` (a channel chunk's terms of a batchnorm's ``project``, a
+    pool chunk's ReLU output, or its ReLU input in backward), ``"mask"``
+    (the ReLU mask of a conv panel's or a pool chunk's backward),
+    ``"block"`` (the gradient of a dense block's normalized features, which
+    the pool after the block writes) and ``"pair"``, which names two
+    buffers handed out in turn: a conv's train output, and its input
+    gradient when the caller passes no destination (the initial conv's, a
+    transition's conv's and a BC unit's 3x3 conv's). A layer's pair result
+    thus never overwrites the pair array it was given.
     """
     state = _SCRATCH
     if name == "pair":
@@ -299,13 +306,18 @@ class Conv2d:
     the conv reads ``max(x * scale + shift, 0)``, a batchnorm and ReLU
     before it: each panel writes its images' ReLU output into this thread's
     scratch ``"grid"`` just before its GEMM, and backward writes it again
-    before the dW GEMM and masks the panel's dX with it while dX is in
-    cache, so backward returns the gradient of ``x * scale + shift``. A
-    train forward keeps references to ``x``, ``scale`` and ``shift``, which
-    must not change before its backward, and no grid or copy, so step state
-    grows linearly with depth, not with its square, for 4-12% of a train
-    step's time (plain-22 and BC-41 at batch 256, one and two cores of a
-    2-vCPU Xeon).
+    before the dW GEMM. While the panel's dX is in cache, backward masks it
+    with that output and runs ``_read_relu`` on it, whose scale and shift
+    gradient partials are summed in panel order like dW's, so dX becomes
+    the gradient of ``x``, as in ``_Pool.backward``. Each panel adds its dX
+    into a destination that the caller passes, such as the prefix of a
+    dense block's gradient buffer, from a panel-sized scratch ``"panel"``,
+    so no full-batch dX exists; without one it writes dX into scratch
+    ``"pair"``. A train forward keeps references to ``x``, ``scale`` and
+    ``shift``, which must not change before its backward, and no grid or
+    copy, so step state grows linearly with depth, not with its square, for
+    4-12% of a train step's time (plain-22 and BC-41 at batch 256, one and
+    two cores of a 2-vCPU Xeon).
     """
 
     PARAMS = ("weight",)
@@ -402,7 +414,11 @@ class Conv2d:
             images = _activate(images, scale, shift, scratch("grid", images.shape, x.dtype))
         return images.reshape(x.shape[0], -1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, dscale=None, dshift=None, dx=None) -> np.ndarray:
+        """Write ``grad_weight`` and return the gradient of ``x``: added into
+        ``dx`` if given, which is returned, else written to scratch
+        ``"pair"``. After a ``scale`` and ``shift``, also write their
+        gradients into ``dscale`` and ``dshift``."""
         x, scale, shift = self._cache
         (c, n, h, w), k, co = x.shape, self.kernel_size, self.out_channels
         image = h * w
@@ -413,9 +429,11 @@ class Conv2d:
         if same:
             dout = dout.reshape(co, -1)
         panels = _chunks(n, PANEL_FRAMES)
-        # not from "pair": a second pair request would hand out the one holding ``dout``
-        partials = scratch("partials", (len(panels), k * k * co, c), dtype)
-        dx = scratch("pair", (c, n * image), dtype)
+        rows = k * k * co
+        # a panel's dW partial, then those of dscale and dshift; not from
+        # "pair": a second pair request would hand out the one holding ``dout``
+        partials = scratch("partials", (len(panels), rows + 2 * (scale is not None), c), dtype)
+        fresh = None if dx is not None else scratch("pair", (c, n * image), dtype)
 
         def panel(i):
             frames = panels[i]
@@ -439,16 +457,21 @@ class Conv2d:
                 # also zeroes the columns left unwritten, all edge-crossing
                 self._cancel_edges(shifted, h, w)
             columns = self._columns(x, scale, shift, frames)
-            np.matmul(shifted, columns.T, out=partials[i])
-            grad = dx[:, own]
+            np.matmul(shifted, columns.T, out=partials[i, :rows])
+            grad = fresh[:, own] if dx is None else scratch("panel", (c, width), dtype)
             np.matmul(matrix.T, shifted, out=grad)
-            if scale is not None:  # on through the ReLU, while ``grad`` is in cache
+            if scale is not None:  # on through the ReLU and the scale, while ``grad`` is in cache
                 _mask_relu(grad, columns)
+                _read_relu(grad, x[:, frames].reshape(c, -1), scale, *partials[i, rows:])
+            if dx is not None:
+                dx[:, frames] += grad.reshape(c, -1, h, w)
 
         fan_out(panel, len(panels))
-        grad = partials.sum(axis=0).reshape(k, k, co, c)
-        self.grad_weight[...] = grad.transpose(2, 3, 0, 1)
-        return dx.reshape(x.shape)
+        totals = partials.sum(axis=0)
+        self.grad_weight[...] = totals[:rows].reshape(k, k, co, c).transpose(2, 3, 0, 1)
+        if scale is not None:
+            dscale[...], dshift[...] = totals[rows:]
+        return fresh.reshape(x.shape) if dx is None else dx
 
 
 def _per_channel(arr):
@@ -501,13 +524,16 @@ def _mask_relu(dh, act) -> None:
 
 
 def _read_relu(dh, xhat, gamma, dgamma, dbeta) -> None:
-    """One channel chunk of a batchnorm's backward, up to ``project``, given
-    ``dh``, the gradient of the ReLU input after it (``_mask_relu``): write
-    ``dgamma = sum(dh * xhat)`` and ``dbeta = sum(dh)``, and scale ``dh``
-    by ``gamma``, to D, the gradient of ``xhat``."""
-    dgamma[...] = np.einsum("cnhw,cnhw->c", dh, xhat)
-    dbeta[...] = np.einsum("cnhw->c", dh)
-    dh *= _per_channel(gamma)
+    """A batchnorm's backward up to ``project`` on one work item, a conv
+    panel's (C, columns) or a pool's (C, N, H, W) channel chunk, given
+    ``dh``, the gradient of the ReLU input after it (``_mask_relu``), and
+    ``xhat`` of the same shape: write ``dgamma = sum(dh * xhat)`` and
+    ``dbeta = sum(dh)`` per channel, and scale ``dh`` by ``gamma``, to D,
+    the gradient of ``xhat``."""
+    axes = list(range(dh.ndim))  # channel first
+    dgamma[...] = np.einsum(dh, axes, xhat, axes, [0])
+    dbeta[...] = np.einsum(dh, axes, [0])
+    dh *= gamma.reshape(-1, *(1,) * (dh.ndim - 1))
 
 
 def _project(dx, xhat, inv, sums) -> None:
@@ -524,7 +550,7 @@ def _project(dx, xhat, inv, sums) -> None:
 def project(dx: np.ndarray, xhat: np.ndarray, inv: np.ndarray, sums: np.ndarray) -> None:
     """``_project`` on every channel chunk. A dense block finishes its
     batchnorms' input gradients here, once every reader of a slab has run;
-    a BC unit's ``bn2`` runs ``_project`` in its own ``BatchNorm.backward``."""
+    a BC unit's ``bn2`` does in its own ``BatchNorm.backward``."""
     _fan_out_chunks(dx.shape, lambda ch: _project(dx[ch], xhat[ch], inv[ch], sums[:, ch]))
 
 
@@ -539,7 +565,10 @@ class BatchNorm:
     normalized input for backward (``keep_batch``). The batchnorm of a dense
     unit's first layer, a transition or the classifier keeps a view of the
     ``xhat`` of the block before it instead (see ``DenseBlock``), which
-    ``forward`` never writes.
+    ``forward`` never writes. The conv or pool after it reads the ReLU's
+    gradient and writes the gamma and beta gradients (``_read_relu``), so
+    ``backward`` is ``project`` alone; the dense block runs that step for
+    its units' ``bn1`` itself, once per slab.
     """
 
     PARAMS = ("gamma", "beta")
@@ -582,27 +611,14 @@ class BatchNorm:
         self.keep_batch(xhat, *normalize(x, xhat))
         return xhat
 
-    def backward(self, dout: np.ndarray, dx=None) -> np.ndarray:
-        """Backward through this batchnorm, given ``dout``, the gradient of
-        the ReLU input after it, which the conv after it masked already
-        (``Conv2d.backward``): each channel chunk sets its gamma and beta
-        gradients and overwrites its ``dout`` with D, the gradient of
-        ``xhat`` (``_read_relu``). Given ``dx``, the chunk adds D into
-        ``dx``, which is returned for its dense block to finish
-        (``project``); else the same chunk item makes D the input gradient
-        (``_project``), and ``dout`` is returned."""
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        """Finish this batchnorm's backward in place and return ``dout``,
+        which holds D, the gradient of ``xhat``, and becomes the input
+        gradient (``project``). The conv after it wrote D and the gamma and
+        beta gradients already (``Conv2d.backward``)."""
         xhat, inv = self._cache
-        gamma, dgamma, dbeta = self.gamma, self.grad_gamma, self.grad_beta
-
-        def chunk(ch):
-            _read_relu(dout[ch], xhat[ch], gamma[ch], dgamma[ch], dbeta[ch])
-            if dx is None:
-                _project(dout[ch], xhat[ch], inv[ch], gamma[ch] * np.stack((dbeta[ch], dgamma[ch])))
-            else:
-                dx[ch] += dout[ch]
-
-        _fan_out_chunks(dout.shape, chunk)
-        return dout if dx is None else dx
+        project(dout, xhat, inv, self.gamma * np.stack((self.grad_beta, self.grad_gamma)))
+        return dout
 
 
 class _Pool:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.array_utils import byte_bounds
 
 from .builder import (
     BOTTLENECK_FACTOR,
@@ -116,9 +117,11 @@ class DenseUnit(Chain):
     growth_rate maps, preceded in the BC variant by BN -> ReLU -> 1x1
     conv producing 4 * growth_rate maps.
 
-    ``backward`` stops at the gradient of ``bn1``'s ReLU input, which the
-    conv after ``bn1`` masks (``Conv2d``); the block runs ``bn1``'s
-    backward. The 3x3 conv likewise masks the gradient that ``bn2`` takes.
+    ``backward`` runs each conv with the scale and shift gradients of the
+    batchnorm before it (``Conv2d.backward``): the 3x3 conv of a BC unit
+    gives D, the gradient of ``bn2``'s ``xhat``, which ``bn2`` finishes,
+    and the first conv adds D for ``bn1``'s ``xhat`` into ``dx``, for the
+    block to finish (``project``).
     """
 
     def __init__(self, in_channels: int, growth_rate: int, bottleneck: bool, rng, dtype):
@@ -130,11 +133,11 @@ class DenseUnit(Chain):
         super().__init__(bn1=BatchNorm(in_channels, dtype=dtype), **layers,
                          conv3x3=Conv2d(width, growth_rate, 3, pad=1, rng=rng, dtype=dtype))
 
-    def backward(self, dout):
-        dout = self.conv3x3.backward(dout)
+    def backward(self, dout, dx=None):
         if hasattr(self, "bn2"):
-            dout = self.conv1x1.backward(self.bn2.backward(dout))
-        return dout
+            bn2 = self.bn2
+            dout = bn2.backward(self.conv3x3.backward(dout, bn2.grad_gamma, bn2.grad_beta))
+        return self._order[1].backward(dout, self.bn1.grad_gamma, self.bn1.grad_beta, dx)
 
 
 class DenseBlock:
@@ -147,7 +150,9 @@ class DenseBlock:
     holds them and before the slab's first reader, into one ``xhat``, the
     train output, that every unit's bn1 and the batchnorm after the block
     (``_head``, set by ``Model``) keep views of. In backward, from the
-    gradient of ``xhat``, each reader adds ``gamma * dh``; once every reader
+    gradient of ``xhat``, each reader adds ``gamma * dh``, a unit's first
+    conv panel by panel straight into the prefix of the block's gradient
+    buffer, so no reader's input gradient is held whole; once every reader
     of a slab has run, just before the unit that made it, its batchnorm
     backward is finished for all of them at once (``project``).
     """
@@ -207,8 +212,8 @@ class DenseBlock:
         end = self.out_channels
         for width, unit in reversed(list(zip(self.widths, self.units))):
             project(grad[width:end], xhat[width:end], inv[width:end], sums[:, width:end])
-            bn, d = unit.bn1, unit.backward(grad[width:end])
-            bn.backward(d, grad[:width])
+            unit.backward(grad[width:end], grad[:width])
+            bn = unit.bn1
             sums[:, :width] += bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma))
             end = width
         project(grad[:end], xhat[:end], inv[:end], sums[:, :end])
@@ -328,22 +333,23 @@ class Model:
 
     def step_state_bytes(self) -> int:
         """The bytes that the last train forward keeps for ``backward``: the
-        arrays in every layer's ``_cache``, the input's too, each view
-        followed to the array that owns its memory, each counted once. The
-        parameter arena, whose gamma and beta a conv or pool keeps views of,
-        is not step state and is left out."""
-        owners = {}
+        memory that the arrays in every layer's ``_cache`` span, the input's
+        view too, each byte counted once. A view counts the span it reads,
+        not the array it was sliced from, unless a layer keeps that array
+        too. The parameter arena, whose gamma and beta a conv or pool keeps
+        views of, is not step state and is left out."""
+        spans = []
         for _, stage in self._stages:
             for _, layer in walk(stage):
                 cache = getattr(layer, "_cache", None)
                 for array in cache if isinstance(cache, tuple) else (cache,):
-                    if not isinstance(array, np.ndarray):
-                        continue
-                    while isinstance(array.base, np.ndarray):
-                        array = array.base
-                    if array is not self.tensors:
-                        owners[id(array)] = array.nbytes
-        return sum(owners.values())
+                    if isinstance(array, np.ndarray) and not np.may_share_memory(array, self.tensors):
+                        spans.append(byte_bounds(array))
+        total = end = 0
+        for low, high in sorted(spans):
+            total += max(high - max(low, end), 0)
+            end = max(end, high)
+        return total
 
     def named_params(self) -> dict[str, np.ndarray]:
         return named_arrays(self._stages, "PARAMS")

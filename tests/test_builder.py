@@ -488,10 +488,11 @@ class TestModel:
                        num_classes=5, first_conv_channels=8),
     ], ids=["plain", "BC"])
     def test_step_state_bytes_match_the_shapes(self, cfg):
-        # each block's xhat, each bn2's xhat, the copies that the initial
-        # conv and the transitions' convs keep of their inputs, and the
-        # small arrays beside them: the (3, C) statistics that the blocks
-        # and bn2s normalize with and the classifier's (N, C) features
+        # each block's xhat, each bn2's xhat, the inputs that the initial
+        # conv and the transitions' convs keep by reference (the caller's
+        # batch and the pools' outputs), and the small arrays beside them:
+        # the inverse deviations, one row of the (3, C) statistics, that
+        # the blocks and bn2s keep, and the classifier's (N, C) features
         from damnet.layers import softmax_cross_entropy
 
         model = build_model(cfg, seed=0)
@@ -505,9 +506,9 @@ class TestModel:
             if stage.kind == "initial-conv":
                 want += stage.in_channels * pixels
             elif stage.kind == "dense-block":
-                want += stage.out_channels * (pixels + 3)
+                want += stage.out_channels * (pixels + 1)
                 if cfg.bottleneck:
-                    want += cfg.units_per_block() * 4 * cfg.growth_rate * (pixels + 3)
+                    want += cfg.units_per_block() * 4 * cfg.growth_rate * (pixels + 1)
             elif stage.kind == "transition":
                 want += stage.in_channels * n * stage.out_size[0] * stage.out_size[1]
             else:
@@ -524,6 +525,22 @@ class TestModel:
                     kept, gamma, beta = conv._cache
                     assert kept.shape == bn._cache[0].shape and np.shares_memory(kept, bn._cache[0])
                     assert gamma is bn.gamma and beta is bn.beta and gamma.base is model.tensors
+
+    def test_step_state_bytes_count_a_sliced_input_as_its_own_frames(self):
+        # the initial conv keeps a view of the batch; a batch sliced from a
+        # larger array counts its own frames, as a copy of it does
+        from damnet.layers import softmax_cross_entropy
+
+        cfg = DenseNetConfig(variant="plain", depth=13, blocks=3, growth_rate=4, num_classes=5,
+                             first_conv_channels=8)
+        x = rng(6).standard_normal((40, 3, 11, 40)).astype(np.float32)
+        counts = []
+        for batch in (x[1:], x[1:].copy()):
+            model = build_model(cfg, seed=0)
+            logits = model.forward(batch, train=True)
+            model.backward(softmax_cross_entropy(logits, np.arange(39) % 5)[1])
+            counts.append(model.step_state_bytes())
+        assert counts[0] == counts[1]
 
     def test_convs_without_batchnorm_keep_their_inputs_by_reference(self):
         # the initial conv keeps a view of the caller's batch, whose panels

@@ -11,6 +11,7 @@ from damnet.layers import (
     Conv2d,
     GlobalAvgPool,
     Linear,
+    _read_relu,
     conv_output_size,
     pool_output_size,
     scratch,
@@ -106,7 +107,7 @@ class TestDenseWiring:
         x = r.standard_normal((5, 4, 4, 6))
         dout = r.standard_normal((3, 4, 4, 6))
         out = unit.forward(unit.bn1.forward(x, train=True), train=True).copy()
-        dx = unit.bn1.backward(unit.backward(dout)).copy()
+        dx = unit.bn1.backward(unit.backward(dout, np.zeros_like(x))).copy()
         grads = {name: g.copy()
                  for name, g in named_arrays([("unit", unit)], "PARAMS", "grad_").items()}
 
@@ -414,7 +415,7 @@ class TestReLU:
         x = rng().standard_normal((3, 2, 4, 4))
         out = conv.forward(bn.forward(x, train=True), True, bn.gamma, bn.beta)
         np.testing.assert_array_equal(out, 0.0)
-        d = conv.backward(np.ones_like(x))  # masked by the conv
+        d = conv.backward(np.ones_like(x), bn.grad_gamma, bn.grad_beta)  # masked by the conv
         np.testing.assert_array_equal(d, 0.0)
         dx = bn.backward(d)
         np.testing.assert_array_equal(dx, 0.0)
@@ -431,10 +432,10 @@ class TestReLU:
         bn, conv = BatchNorm(1, dtype=np.float64), identity_conv(1)
         x = np.array([-1.0, 0.0, 1.0]).reshape(1, 3, 1, 1)
         conv.forward(bn.forward(x, train=True), True, bn.gamma, bn.beta)
-        d = conv.backward(np.ones_like(x))  # masked by the conv
+        d = conv.backward(np.ones_like(x), bn.grad_gamma, bn.grad_beta)  # masked by the conv
         np.testing.assert_array_equal(d.ravel(), [0.0, 0.0, 1.0])
         dh = np.zeros_like(x)
-        bn.backward(d, dh)
+        assert conv.backward(np.ones_like(x), bn.grad_gamma, bn.grad_beta, dh) is dh
         np.testing.assert_array_equal(dh.ravel(), [0.0, 0.0, 1.0])
         assert bn.grad_beta.item() == 1.0
 
@@ -590,13 +591,12 @@ class TestChannelMajorLayout:
                 results.append((out, None, {}))
                 continue
             dout = layout(rng(seed + 1).standard_normal(out.shape))
-            # a batchnorm's backward reads the ReLU output of the layer after it,
-            # and a pool's writes the gradients of its scale and shift
+            # a batchnorm's backward finishes what the conv after it read
+            # (``_read_relu``), and a pool's writes the gradients of its
+            # scale and shift
             if isinstance(layer, BatchNorm):
-                after = [layout(np.maximum(out * layer.gamma[:, None, None, None]
-                                           + layer.beta[:, None, None, None], 0))]
-            else:
-                after = [np.zeros(shape[0]), np.zeros(shape[0])] if pooled else []
+                _read_relu(dout, out, layer.gamma, layer.grad_gamma, layer.grad_beta)
+            after = [np.zeros(shape[0]), np.zeros(shape[0])] if pooled else []
             dx = layer.backward(dout, *after).copy()
             grads = named_arrays([("layer", layer)], "PARAMS", "grad_")
             if pooled:
@@ -646,14 +646,14 @@ class TestChannelMajorLayout:
         layer = layer()
         x = rng(2).standard_normal((4, 3, 5, 7)).astype(np.float32)
         # a pool runs after a batchnorm's scale 1 and shift 0, on positive input,
-        # and its backward writes their gradients; a batchnorm's backward reads
-        # the ReLU output of the layer after it
+        # and its backward writes their gradients; a batchnorm's backward
+        # finishes its input gradient in place
         if isinstance(layer, AvgPool2d):
             out = layer.forward(np.abs(x), True, *unit_scale_shift(4, np.float32))
             after = [np.zeros(4, np.float32), np.zeros(4, np.float32)]
         else:
             out = layer.forward(x, train=True)
-            after = [np.maximum(out, 0)]
+            after = []
         assert out.flags.c_contiguous
         dx = layer.backward(np.ones(out.shape, np.float32), *after)
         assert dx.shape == x.shape and dx.flags.c_contiguous

@@ -194,6 +194,8 @@ class TestFloat64Reference:
             x, bn.gamma, bn.beta, dout)
         gamma, beta = (v.reshape(-1, 1, 1, 1) for v in (bn.gamma, bn.beta))
         assert_close(bn.forward(x, train=True) * gamma + beta, out_ref)
+        # what the conv after it writes (``Conv2d.backward``), then the batchnorm's own step
+        layers._read_relu(dout, bn._cache[0], bn.gamma, bn.grad_gamma, bn.grad_beta)
         dx = bn.backward(dout)
         assert np.shares_memory(dx, dout)  # finished in place, by ``project``
         assert_close(dx, dx_ref)
@@ -212,19 +214,21 @@ class TestFloat64Reference:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_standalone_batchnorm_backward_is_one_fan_out(self, monkeypatch, cores):
-        # a BC unit's bn2 finishes each chunk's input gradient in the item that
-        # reads the chunk's masked gradient; the two-pass form, ``_read_relu``
-        # per chunk and then ``project``, gives the same bits
+        # a BC unit's bn2 finishes its input gradient in place, in one fan-out
+        # of channel chunks, from D and the gamma and beta gradients that the
+        # conv after it wrote; ``_read_relu`` on the whole batch and then
+        # ``project`` give the same bits
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(9)
         bn = random_batchnorm(r, 21, np.float32)
         x = (r.standard_normal((21, 100, 9, 38)) * 2 + 0.5).astype(np.float32)
         relu_out = explicit_relu(bn, x, True)
         dout = r.standard_normal(x.shape).astype(np.float32) * (relu_out > 0)
-        (xhat, inv), want = bn._cache, dout.copy()
+        xhat, inv = bn._cache
         dgamma, dbeta = np.empty(21, np.float32), np.empty(21, np.float32)
-        layers._fan_out_chunks(x.shape, lambda ch: layers._read_relu(
-            want[ch], xhat[ch], bn.gamma[ch], dgamma[ch], dbeta[ch]))
+        layers._read_relu(dout, xhat, bn.gamma, dgamma, dbeta)
+        bn.grad_gamma[...], bn.grad_beta[...] = dgamma, dbeta
+        want = dout.copy()
         layers.project(want, xhat, inv, bn.gamma * np.stack((dbeta, dgamma)))
         calls, fan_out = [], layers.fan_out
 
@@ -268,7 +272,8 @@ class TestUnpaddedGrid:
                 assert np.shares_memory(grid, x) and grid.strides[1] == x.itemsize
                 np.testing.assert_array_equal(grid, x[:, frames].reshape(5, -1))
             assert out.shape == (4, n, 4, 7) and out.flags.c_contiguous
-            dx = conv.backward(r.standard_normal(out.shape).astype(np.float32))
+            grads = (np.empty(5, np.float32), np.empty(5, np.float32)) if fused else ()
+            dx = conv.backward(r.standard_normal(out.shape).astype(np.float32), *grads)
             assert dx.shape == x.shape and dx.flags.c_contiguous
 
 
@@ -318,8 +323,10 @@ class TestFusedPreActivation:
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_grid_mask_backward_matches_stored_mask(self, monkeypatch, cores, dtype, rtol):
-        # the reference stores the ReLU output apart from the conv, and
-        # finishes the batchnorm's backward itself
+        # the reference stores the ReLU output apart from the conv, and reads
+        # the masked gradient and finishes the batchnorm's backward itself;
+        # the conv sums the gamma and beta gradients per panel, in panel
+        # order, so only those round differently
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(3)
         bn = random_batchnorm(r, 21, dtype)
@@ -329,17 +336,49 @@ class TestFusedPreActivation:
         relu_out = explicit_relu(bn, x, True)
         conv.forward(relu_out, True)
         d = conv.backward(dout) * (relu_out > 0)
-        dx = bn.backward(d).copy()
-        grad_gamma, grad_beta = bn.grad_gamma.copy(), bn.grad_beta.copy()
+        grad_gamma, grad_beta = np.empty(21, dtype), np.empty(21, dtype)
+        layers._read_relu(d, bn._cache[0], bn.gamma, grad_gamma, grad_beta)
+        dx = d.copy()
+        layers.project(dx, *bn._cache, bn.gamma * np.stack((grad_beta, grad_gamma)))
 
         conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
-        d = conv.backward(dout)
         shared = np.zeros_like(x)
-        bn.backward(d, shared)
-        np.testing.assert_array_equal(bn.grad_gamma, grad_gamma)
-        np.testing.assert_array_equal(bn.grad_beta, grad_beta)
+        conv.backward(dout, bn.grad_gamma, bn.grad_beta, shared)
+        np.testing.assert_array_equal(shared, d)
+        assert_close(bn.grad_gamma, grad_gamma, rtol)
+        assert_close(bn.grad_beta, grad_beta, rtol)
         layers.project(shared, *bn._cache, bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma)))
         assert_close(shared, dx, rtol)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("k,pad", [(3, 1), (1, 0)])
+    def test_fused_backward_matches_float64_reference(self, monkeypatch, cores, k, pad):
+        # explicit BN -> ReLU -> conv in float64: the conv writes the gamma
+        # and beta gradients and gives D, the gradient of xhat, added into a
+        # destination that already holds values, or in scratch, which the
+        # batchnorm finishes into its input gradient
+        use_cores(monkeypatch, cores)
+        r = np.random.default_rng(k * 10 + pad)
+        bn = random_batchnorm(r, 13, np.float64)
+        conv = Conv2d(13, 7, k, pad=pad, rng=r, dtype=np.float64)
+        x = r.standard_normal((13, 37, 9, 38)) * 2 + 0.5
+        dout = r.standard_normal((7, 37, 9, 38))
+        pre = reference_batchnorm(x, bn.gamma, bn.beta, np.zeros_like(x))[0]
+        dh = reference_conv_backward(np.maximum(pre, 0), conv.weight, pad, dout)[1] * (pre > 0)
+        dx_ref, dgamma, dbeta = reference_batchnorm(x, bn.gamma, bn.beta, dh)[1:4]
+        xhat = bn.forward(x, train=True)
+        assert_close(conv.forward(xhat, True, bn.gamma, bn.beta),
+                     reference_conv(np.maximum(pre, 0), conv.weight, pad))
+        prior = r.standard_normal(x.shape)
+        into = prior.copy()
+        assert conv.backward(dout, bn.grad_gamma, bn.grad_beta, into) is into
+        assert_close(into, prior + dh * bn.gamma.reshape(-1, 1, 1, 1))
+        assert_close(bn.grad_gamma, dgamma)
+        assert_close(bn.grad_beta, dbeta)
+        bn.grad_gamma[...], bn.grad_beta[...] = 0, 0
+        assert_close(bn.backward(conv.backward(dout, bn.grad_gamma, bn.grad_beta)), dx_ref)
+        assert_close(bn.grad_gamma, dgamma)
+        assert_close(bn.grad_beta, dbeta)
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("config", [PLAIN, BC], ids=["plain", "BC"])
@@ -430,7 +469,9 @@ class TestFusedHead:
         xhat, inv = bn._cache
         np.testing.assert_array_equal(fused.forward(xhat, True, bn.gamma, bn.beta), out)
         dout = r.standard_normal(out.shape)
-        dx = bn.backward(adjoint(dout, x.shape) * (relu_out > 0)).copy()
+        d = adjoint(dout, x.shape) * (relu_out > 0)
+        layers._read_relu(d, xhat, bn.gamma, bn.grad_gamma, bn.grad_beta)
+        dx = bn.backward(d).copy()
         grad_gamma, grad_beta = np.empty(21), np.empty(21)
         d = fused.backward(dout, grad_gamma, grad_beta)
         np.testing.assert_array_equal(grad_gamma, bn.grad_gamma)

@@ -4,12 +4,14 @@ A train-mode result is a view into scratch that the next train call in the
 same thread overwrites, so every test here copies what it keeps.
 """
 
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
 
+from damnet import layers, model as model_module
 from damnet.builder import DenseNetConfig
 from damnet.layers import softmax_cross_entropy
 from damnet.model import build_model
@@ -19,6 +21,7 @@ C_SMALL = DenseNetConfig(variant="C", depth=13, growth_rate=4, compression=0.5,
 BC_SMALL = DenseNetConfig(variant="BC", depth=16, growth_rate=4, compression=0.5,
                           num_classes=7, first_conv_channels=8)
 C13 = DenseNetConfig(variant="C", depth=13, compression=0.5, num_classes=10)
+PLAIN_SMALL = DenseNetConfig(variant="plain", depth=13, growth_rate=4, num_classes=5)
 
 
 def batch(frames, num_classes, seed):
@@ -123,3 +126,33 @@ class TestTrainWorkspace:
         finish_step(model, model.forward(x, train=True), y)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < bound, f"{faults} minor faults in a steady-state step"
+
+    def test_dense_block_backward_holds_no_unit_input_gradient(self, monkeypatch):
+        # a unit's first conv adds its input gradient into the block's
+        # gradient buffer panel by panel, so apart from that buffer no
+        # scratch request of the calling thread is as large as a unit's
+        # full-batch input gradient; 128 frames split each channel chunk of
+        # the block input, so the pool threads take all its items
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1})
+        model = build_model(PLAIN_SMALL, seed=0)
+        x, y = batch(128, PLAIN_SMALL.num_classes, 0)
+        logits = model.forward(x, train=True)
+        block, caller, channel_bytes, requests = model.blocks[0], threading.get_ident(), [], []
+
+        def record(name, shape, dtype, scratch=layers.scratch):
+            if channel_bytes and threading.get_ident() == caller:
+                requests.append((name, math.prod(shape) * np.dtype(dtype).itemsize))
+            return scratch(name, shape, dtype)
+
+        def traced(dout, backward=block.backward):
+            channel_bytes.append(dout.nbytes // dout.shape[0])
+            return backward(dout)
+
+        block.backward = traced
+        monkeypatch.setattr(layers, "scratch", record)
+        monkeypatch.setattr(model_module, "scratch", record)
+        model.backward(softmax_cross_entropy(logits, y)[1])
+        assert [name for name, _ in requests].count("block") == 1
+        # the smallest unit input gradient, the first unit's: the block input's width
+        smallest = block.in_channels * channel_bytes[0]
+        assert max(size for name, size in requests if name != "block") < smallest, requests
