@@ -493,27 +493,28 @@ def _activate(x, scale, shift, out):
     return np.maximum(out, 0, out=out)
 
 
-def normalize(x: np.ndarray, xhat: np.ndarray) -> np.ndarray:
+def normalize(x: np.ndarray, xhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batch statistics of a (C, N, H, W) array over (N, H, W), each chunk
     of channels its own item (``fan_out``), as no channel reads another's:
     writes ``xhat = (x - mean) * inv`` with ``inv = 1 / sqrt(var + eps)``
-    and returns the (3, C) rows mean, var, inv."""
+    and returns the (2, C) rows mean, var and the C values inv, an array
+    of its own: a layer keeps ``inv`` for backward, and nothing more."""
     count = x[0].size
     if count < 2:
         raise DataError(f"degenerate batch: {count} sample per channel, need >= 2")
-    stats = np.empty((3, x.shape[0]), x.dtype)
+    moments, inv = np.empty((2, x.shape[0]), x.dtype), np.empty(x.shape[0], x.dtype)
 
     def chunk(ch):
         mean = np.einsum("cnhw->c", x[ch]) / count
         centred = np.subtract(x[ch], _per_channel(mean), out=xhat[ch])
         # centred second moment: no cancellation from E[x^2] - E[x]^2
         var = np.einsum("cnhw,cnhw->c", centred, centred) / count
-        inv = 1.0 / np.sqrt(var + BN_EPSILON)
-        centred *= _per_channel(inv)
-        stats[:, ch] = mean, var, inv
+        inv[ch] = 1.0 / np.sqrt(var + BN_EPSILON)
+        centred *= _per_channel(inv[ch])
+        moments[:, ch] = mean, var
 
     _fan_out_chunks(x.shape, chunk)
-    return stats
+    return moments, inv
 
 
 def _mask_relu(dh, act) -> None:
@@ -589,9 +590,11 @@ class BatchNorm:
         scale = self.gamma / np.sqrt(self.running_var + BN_EPSILON)
         return scale, self.beta - self.running_mean * scale
 
-    def keep_batch(self, xhat, mean, var, inv):
-        """Fold a train batch's statistics into the running estimates, and
-        keep its ``xhat`` and ``inv`` (see ``normalize``) for backward."""
+    def keep_batch(self, xhat, moments, inv):
+        """Fold a train batch's statistics, the mean and var ``moments``, into
+        the running estimates, and keep its ``xhat`` and ``inv`` (see
+        ``normalize``) for backward."""
+        mean, var = moments
         self.running_mean[...] = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
         self.running_var[...] = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
         self._cache = (xhat, inv)

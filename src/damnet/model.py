@@ -187,16 +187,17 @@ class DenseBlock:
                 features[width : width + self.growth_rate] = unit.forward(features[:width])
             return features
         xhat = step_state(self._cache[0] if self._cache else None, shape, x.dtype)
-        stats = np.empty((3, shape[0]), x.dtype)  # mean, var, inv
-        self._cache = (xhat, stats[2])
+        # mean and var apart from inv, which alone is kept (``normalize``)
+        moments, inv = np.empty((2, shape[0]), x.dtype), np.empty(shape[0], x.dtype)
+        self._cache = (xhat, inv)
         start, out = 0, x  # the slab that starts at ``start``, as its layer made it
         for width, unit in zip(self.widths, self.units):
-            stats[:, start:width] = normalize(out, xhat[start:width])
-            unit.bn1.keep_batch(xhat[:width], *stats[:, :width])
+            moments[:, start:width], inv[start:width] = normalize(out, xhat[start:width])
+            unit.bn1.keep_batch(xhat[:width], moments[:, :width], inv[:width])
             start, out = width, unit.forward(xhat[:width], train)
-        stats[:, start:] = normalize(out, xhat[start:])
+        moments[:, start:], inv[start:] = normalize(out, xhat[start:])
         for bn in self._head:
-            bn.keep_batch(xhat[:], *stats)  # a view, which its own forward never reuses
+            bn.keep_batch(xhat[:], moments, inv)  # a view, which its own forward never reuses
         return xhat
 
     def backward(self, dout):

@@ -491,8 +491,8 @@ class TestModel:
         # each block's xhat, each bn2's xhat, the inputs that the initial
         # conv and the transitions' convs keep by reference (the caller's
         # batch and the pools' outputs), and the small arrays beside them:
-        # the inverse deviations, one row of the (3, C) statistics, that
-        # the blocks and bn2s keep, and the classifier's (N, C) features
+        # the inverse deviations, an array of C values, that the blocks and
+        # bn2s keep, and the classifier's (N, C) features
         from damnet.layers import softmax_cross_entropy
 
         model = build_model(cfg, seed=0)

@@ -324,9 +324,9 @@ class TestFusedPreActivation:
     @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_grid_mask_backward_matches_stored_mask(self, monkeypatch, cores, dtype, rtol):
         # the reference stores the ReLU output apart from the conv, and reads
-        # the masked gradient and finishes the batchnorm's backward itself;
-        # the conv sums the gamma and beta gradients per panel, in panel
-        # order, so only those round differently
+        # the masked gradient per panel, summing the gamma and beta partials
+        # in panel order as the conv does, and finishes the batchnorm's
+        # backward itself
         use_cores(monkeypatch, cores)
         r = np.random.default_rng(3)
         bn = random_batchnorm(r, 21, dtype)
@@ -336,8 +336,12 @@ class TestFusedPreActivation:
         relu_out = explicit_relu(bn, x, True)
         conv.forward(relu_out, True)
         d = conv.backward(dout) * (relu_out > 0)
-        grad_gamma, grad_beta = np.empty(21, dtype), np.empty(21, dtype)
-        layers._read_relu(d, bn._cache[0], bn.gamma, grad_gamma, grad_beta)
+        panels = layers._chunks(37, layers.PANEL_FRAMES)
+        partials = np.empty((len(panels), 2, 21), dtype)
+        for i, frames in enumerate(panels):
+            layers._read_relu(d[:, frames].reshape(21, -1), bn._cache[0][:, frames].reshape(21, -1),
+                              bn.gamma, *partials[i])
+        grad_gamma, grad_beta = partials.sum(axis=0)
         dx = d.copy()
         layers.project(dx, *bn._cache, bn.gamma * np.stack((grad_beta, grad_gamma)))
 
@@ -345,8 +349,8 @@ class TestFusedPreActivation:
         shared = np.zeros_like(x)
         conv.backward(dout, bn.grad_gamma, bn.grad_beta, shared)
         np.testing.assert_array_equal(shared, d)
-        assert_close(bn.grad_gamma, grad_gamma, rtol)
-        assert_close(bn.grad_beta, grad_beta, rtol)
+        np.testing.assert_array_equal(bn.grad_gamma, grad_gamma)
+        np.testing.assert_array_equal(bn.grad_beta, grad_beta)
         layers.project(shared, *bn._cache, bn.gamma * np.stack((bn.grad_beta, bn.grad_gamma)))
         assert_close(shared, dx, rtol)
 
