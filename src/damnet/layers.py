@@ -5,7 +5,7 @@ batch, height, width), so a convolution's GEMMs run on flat (C, N*H*W)
 grids and a channel chunk ``x[ch]`` or a dense block's prefix is one
 contiguous slab; only ``GlobalAvgPool`` leaves this order, for the (N, C)
 features that ``Linear`` takes. A train-mode (C, N, H, W) result is
-C-contiguous, or a crop of C-contiguous memory from a pad-0 3x3 convolution.
+C-contiguous.
 Training runs in float32; gradient checking builds float64 layers because
 central differences are unreliable in single precision. A layer class
 names its tensors once: ``PARAMS`` the trainable ones and ``STATE`` the
@@ -16,19 +16,19 @@ flat arenas and a standalone layer still works.
 
 ``forward(x, train=False)`` is pure: it reads the parameters and running
 statistics, allocates its results and writes only per-thread scratch
-(``"grid"``), so infer-mode forwards may run concurrently on one layer
-(their convolution panels serialize on the pool, as below). No infer-mode
-forward mixes frames: every product runs per image or per frame, so a
-frame's output never depends on its batch.
+(``"grid"`` and ``"patches"``), so infer-mode forwards may run concurrently
+on one layer (their convolution panels serialize on the pool, as below).
+No infer-mode forward mixes frames: every product runs per image or per
+frame, so a frame's output never depends on its batch.
 ``forward(x, train=True)`` keeps what ``backward()`` needs in one field,
 ``_cache``, and updates batchnorm running statistics, so a
 train forward and its backward must be serialized, and backward needs a
 train-mode forward before it.
 
 The large primitives run as work items fixed by shape: a convolution, in
-both modes, per panel of ``PANEL_FRAMES`` whole images, a pool, in both
-modes, and train-mode batchnorm per chunk of at least ``CHANNEL_CHUNK``
-channels (``_fan_out_chunks``).
+both modes, per panel of whole images that reach ``PANEL_COLUMNS`` columns
+(``_panels``), a pool, in both modes, and train-mode batchnorm per chunk of
+at least ``CHANNEL_CHUNK`` channels (``_fan_out_chunks``).
 ``fan_out`` runs the items of one call on a pool of one thread per usable
 core, with numpy's bundled OpenBLAS held at one thread
 (``one_blas_thread``), or in the calling thread. Each item writes its own
@@ -62,10 +62,10 @@ reuses the memory of the last one instead of allocating it again:
   copy it. A dense unit's first conv adds its input gradient into its
   block's gradient buffer a panel at a time, so no unit's full-batch input
   gradient is in scratch. The buffers live as long as their thread does
-  (about 45 MiB in the calling thread for plain-22 at batch 256, plus
-  about 10 MiB of panel- and chunk-sized buffers in each pool thread, 1.6
-  MiB of it a panel's ReLU output and 1.6 MiB a panel's input gradient)
-  and are shared by every model that trains in it.
+  (about 44 MiB in the calling thread for plain-22 at batch 256, plus
+  about 10.1 MiB of panel- and chunk-sized buffers in each pool thread,
+  1.9 MiB of it a panel's ReLU output and 1.9 MiB a panel's input
+  gradient) and are shared by every model that trains in it.
 """
 
 from __future__ import annotations
@@ -86,10 +86,11 @@ BN_EPSILON = 1e-5
 # Running statistics update: new = BN_MOMENTUM * old + (1 - BN_MOMENTUM) * batch.
 BN_MOMENTUM = 0.9
 
-# Work items: whole images per convolution panel, and channels per train-mode
-# batchnorm or pool chunk, raised until a chunk holds ITEM_ELEMENTS values, so
-# small batches do not pay for many tiny items. They depend on the shapes only.
-PANEL_FRAMES = 16
+# Work items: a convolution panel's columns, reached with whole images
+# (``_panels``), and channels per train-mode batchnorm or pool chunk, raised
+# until a chunk holds ITEM_ELEMENTS values, so small batches and images do not
+# pay for many tiny items. They depend on the shapes only.
+PANEL_COLUMNS = 2048
 CHANNEL_CHUNK = 8
 ITEM_ELEMENTS = 1 << 18
 
@@ -124,12 +125,14 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     of ``dtype``; it grows when a request does not fit.
 
     The buffers hold bytes, so one serves every dtype. Infer mode uses
-    ``"grid"`` (a conv panel's BN -> ReLU output, as train mode does in
-    both directions). Train mode also uses ``"taps"`` (a conv panel's
-    per-tap products and shifted output gradient, a pool chunk's row sums
-    and their gradient), ``"partials"`` (a conv's per-panel gradients of
-    its weights, scale and shift), ``"panel"`` (a conv panel's input
-    gradient, which the conv adds into the caller's destination),
+    ``"grid"`` (a conv panel's BN -> ReLU output) and ``"patches"`` (a pad-0
+    conv panel's patch matrix), as train mode does in both directions.
+    Train mode also uses ``"taps"`` (a conv panel's per-tap products and
+    shifted output gradient, a pad-0 conv panel's per-tap rows of its input
+    gradient, a pool chunk's row sums and their gradient), ``"partials"``
+    (a conv's per-panel gradients of its weights, scale and shift),
+    ``"panel"`` (a conv panel's input gradient, which the conv adds into
+    the caller's destination),
     ``"chunk"`` (a channel chunk's terms of a batchnorm's ``project``, a
     pool chunk's ReLU output, or its ReLU input in backward), ``"mask"``
     (the ReLU mask of a conv panel's or a pool chunk's backward),
@@ -259,6 +262,17 @@ def _chunks(count: int, size: int):
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
+def _panels(count: int, image: int):
+    """A convolution's panels of ``count`` images of ``image`` output pixels
+    each (``_chunks``): the fewest images, a power of two from 16 up, whose
+    columns reach ``PANEL_COLUMNS``. So 16 at 9x38 and 11x40, 32 at 4x19 and
+    128 at 2x9: a batch of 256 has two panels or more at every size."""
+    frames = 16
+    while frames * image < PANEL_COLUMNS:
+        frames *= 2
+    return _chunks(count, frames)
+
+
 def _fan_out_chunks(shape, work) -> None:
     """Run ``work(ch)`` for each channel slice ``ch`` of a (C, N, H, W) array
     as one ``fan_out`` item; the slices depend on the shape only."""
@@ -269,40 +283,49 @@ def _fan_out_chunks(shape, work) -> None:
 class Conv2d:
     """2-D stride-1 convolution without bias; batchnorm always follows it.
 
-    Shifted GEMM on an unpadded grid, a C-contiguous (C_in, images*H*W)
-    input: a product with the weights as (k*k*C_out, C_in) gives every tap's
-    product at every pixel, and output pixel q, at column m*H*W + y*W + x
-    of image m, sums tap (i, j)'s product at q + (i-p)*W + (j-p), the pixel
-    it reads. A read that crosses an image's edge, which zero padding would
-    make, lands in another row or image instead; the pixels that a tap (i,
-    j) reads only so are whole rows and columns of every image, the first
-    i-p rows for i > p or the last p-i for i < p, and likewise the columns.
-    Those are zeroed in the tap's product before the shift-add, so an
-    edge-crossing read adds zero, as padding would, and no output reads
-    another image. A panel's products sit between zeroed margins as wide as
-    the largest shifts, so a read past its first or last image is zero too,
-    and every output sums all k*k taps in tap order. Outputs are computed at
-    every input pixel, which covers the H+2p-k+1 output rows only when
-    ``2*pad <= k-1`` (``ConfigError`` otherwise); a smaller output, a pad-0
-    conv's, is a crop. Backward shifts ``dout`` once per tap into a
-    (k*k*C_out, columns) matrix, input pixel q taking output pixel q minus
-    the tap's shift, applies the same zeroing and gets dW and dX from one
-    GEMM each. A same-size conv reads ``dout`` in place: each column it
-    cannot read there, before the batch or after it, is edge-crossing and
-    zeroed. A cropped conv places a panel's ``dout`` on the input's pixels,
-    zero where it has no output, as the rows of tap (p, p), which shifts by
-    0, and the other taps read it there.
+    Its output is as large as its input at pad (k-1)/2, and smaller at pad
+    0; any other pad is ``ConfigError``. The pad picks the side of the GEMM
+    that is shifted, which in this network also suits the channel counts
+    (Vasudevan et al., arXiv:1704.04428): a same-size conv, whose C_in is
+    about C_out or more, shifts its outputs, and a pad-0 conv with k > 1,
+    the initial conv with its 3 input channels, its inputs. At k = 1 the
+    two are the same GEMM.
 
-    Forward, in both modes, and backward run per panel of ``PANEL_FRAMES``
-    whole images (``fan_out``). Each panel writes its own output and dX
+    A same-size conv runs a shifted GEMM on an unpadded grid, the
+    C-contiguous (C_in, images*H*W) pixels of its input: a product
+    with the weights as (k*k*C_out, C_in) gives every tap's product at every
+    pixel, and output pixel q, at column m*H*W + y*W + x of image m, sums
+    tap (i, j)'s product at q + (i-p)*W + (j-p), the pixel it reads. A read
+    that crosses an image's edge, which zero padding would make, lands in
+    another row or image instead; the pixels that a tap (i, j) reads only
+    so are whole rows and columns of every image, the first i-p rows for i
+    > p or the last p-i for i < p, and likewise the columns. Those are
+    zeroed in the tap's product before the shift-add, so an edge-crossing
+    read adds zero, as padding would, and no output reads another image. A
+    panel's products sit between zeroed margins as wide as the largest
+    shifts, so a read past its first or last image is zero too, and every
+    output sums all k*k taps in tap order. Backward shifts ``dout``, read
+    in place, once per tap into a (k*k*C_out, columns) matrix, input pixel
+    q taking output pixel q minus the tap's shift, applies the same zeroing
+    (each column it cannot read, before the batch or after it, is
+    edge-crossing too) and gets dW and dX from one GEMM each.
+
+    A pad-0 conv copies each tap's window of its panel's images, the input
+    pixels that the tap reads, into a (C_in*k*k, images*OH*OW) patch matrix
+    in this thread's scratch ``"patches"``, and one GEMM with the weights as
+    (C_out, C_in*k*k) writes its output. Backward builds the patches again
+    for dW and adds each tap's rows of ``W.T @ dout`` onto its window of dX,
+    in tap order.
+
+    Forward, in both modes, and backward run per panel of whole images
+    (``_panels``, on ``fan_out``). Each panel writes its own output and dX
     columns and a dW partial, and the partials are summed in panel order.
     BLAS rounds a GEMM's columns differently by their position in it, so
     an infer panel runs one GEMM per image, and no frame's infer output
-    depends on the rest of its batch. Output and dX are C-contiguous, apart
-    from a cropped output.
+    depends on the rest of its batch. Output and dX are C-contiguous.
 
     A panel reads its images of ``x`` in place, in both modes and in
-    backward (``_columns``). Given a per-channel ``scale`` and ``shift``,
+    backward (``_images``). Given a per-channel ``scale`` and ``shift``,
     the conv reads ``max(x * scale + shift, 0)``, a batchnorm and ReLU
     before it: each panel writes its images' ReLU output into this thread's
     scratch ``"grid"`` just before its GEMM, and backward writes it again
@@ -326,12 +349,13 @@ class Conv2d:
                  pad: int = 0, *, rng=None, dtype=np.float32):
         if kernel_size < 1:
             raise ConfigError(f"conv kernel size must be >= 1, got {kernel_size}")
-        if not 0 <= 2 * pad <= kernel_size - 1:
-            raise ConfigError(f"conv pad must be in [0, (k-1)/2], got {pad} with kernel {kernel_size}")
+        if pad != 0 and 2 * pad != kernel_size - 1:
+            raise ConfigError(f"conv pad must be 0 or (k-1)/2, got {pad} with kernel {kernel_size}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.pad = pad
+        self.same_size = 2 * pad == kernel_size - 1  # else shift the inputs
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         fan_in = in_channels * kernel_size * kernel_size
         if rng is None:
@@ -341,12 +365,18 @@ class Conv2d:
         self.grad_weight = np.zeros(shape, dtype=dtype)
         self._cache = None  # (input, scale, shift)
 
-    def _taps(self, w: int):
-        """(k*k*C_out, C_in) weights, row t*C_out + o for tap t = i*k + j;
-        tap shifts (i-p)*w + j-p."""
+    def _matrix(self) -> np.ndarray:
+        """The weights as the GEMM takes them: (k*k*C_out, C_in), row
+        t*C_out + o for tap t = i*k + j, for a same-size conv; (C_out,
+        C_in*k*k), the weights' own layout, for a pad-0 one."""
+        if self.same_size:
+            return self.weight.transpose(2, 3, 0, 1).reshape(-1, self.in_channels)
+        return self.weight.reshape(self.out_channels, -1)
+
+    def _shifts(self, w: int) -> list[int]:
+        """A same-size conv's tap shifts (i-p)*w + j-p, in tap order."""
         k, p = self.kernel_size, self.pad
-        matrix = self.weight.transpose(2, 3, 0, 1).reshape(-1, self.in_channels)
-        return matrix, [(i - p) * w + j - p for i in range(k) for j in range(k)]
+        return [(i - p) * w + j - p for i in range(k) for j in range(k)]
 
     def _cancel_edges(self, per_tap, h: int, w: int) -> None:
         """Zero, in the (k*k*rows, images*h*w) ``per_tap``, each tap's pixels
@@ -358,6 +388,37 @@ class Conv2d:
             taps[i, :, :, :, slice(max(h + d, 0), h) if d < 0 else slice(min(d, h))] = 0
             taps[:, i, :, :, :, slice(max(w + d, 0), w) if d < 0 else slice(min(d, w))] = 0
 
+    def _windows(self, cells) -> list[np.ndarray]:
+        """Each tap's window of the (C, images, H, W) ``cells`` of a pad-0
+        conv, in tap order: the input pixels that the tap reads."""
+        k, (h, w) = self.kernel_size, cells.shape[2:]
+        return [cells[:, :, i : i + h - k + 1, j : j + w - k + 1]
+                for i in range(k) for j in range(k)]
+
+    @staticmethod
+    def _images(x, scale, shift, frames) -> np.ndarray:
+        """The images ``frames`` of ``x``: a view or, given ``scale`` and
+        ``shift``, ``max(x * scale + shift, 0)`` in this thread's ``"grid"``."""
+        images = x[:, frames]
+        if scale is not None:
+            images = _activate(images, scale, shift, scratch("grid", images.shape, x.dtype))
+        return images
+
+    def _columns(self, images) -> np.ndarray:
+        """The GEMM input of (C_in, images, H, W) ``images``: their
+        (C_in, images*H*W) pixels for a same-size conv, a view or a copy if
+        they are not contiguous; a pad-0 conv's (C_in*k*k, images*OH*OW)
+        patches, row (c*k + i)*k + j channel c's window of tap (i, j), in
+        this thread's ``"patches"``."""
+        c = images.shape[0]
+        if self.same_size:
+            return images.reshape(c, -1)
+        windows = self._windows(images)
+        patches = scratch("patches", (c, len(windows), *windows[0].shape[1:]), images.dtype)
+        for t, window in enumerate(windows):
+            patches[:, t] = window
+        return patches.reshape(c * len(windows), -1)
+
     def forward(self, x: np.ndarray, train: bool = False, scale=None, shift=None) -> np.ndarray:
         if x.ndim != 4 or x.shape[0] != self.in_channels:
             raise ShapeError(f"conv2d expects ({self.in_channels}, N, H, W), got {x.shape}")
@@ -367,52 +428,43 @@ class Conv2d:
         oh, ow = conv_output_size(h, k, p), conv_output_size(w, k, p)
         if oh < 1 or ow < 1:
             raise ShapeError(f"conv2d: {h}x{w} input is smaller than a {k}x{k} kernel with pad {p}")
-        image = h * w
-        matrix, shifts = self._taps(w)
-        left, right = -shifts[0], shifts[-1]
+        image = oh * ow
+        matrix = self._matrix()
         dtype = np.result_type(matrix, x)
         out = scratch("pair", (co, n * image), dtype) if train else np.empty((co, n * image), dtype)
         if train:
             self._cache = (x, scale, shift)
-        panels = _chunks(n, PANEL_FRAMES)
+        panels = _panels(n, image)
+        shifts = self._shifts(w)
+        left, right = -shifts[0], shifts[-1]
 
-        def panel(i):
-            frames = panels[i]
-            own = slice(frames.start * image, frames.stop * image)  # its columns
-            width = own.stop - own.start
-            if k == 1:
-                products = out[:, own]
-            else:
-                shape = (k * k * co, left + width + right)
-                per_tap = scratch("taps", shape, dtype) if train else np.empty(shape, dtype)
-                per_tap[:, :left], per_tap[:, left + width :] = 0, 0
-                products = per_tap[:, left : left + width]
-            columns = self._columns(x, scale, shift, frames)
+        def gemm(columns, products):
             if train:
                 np.matmul(matrix, columns, out=products)
             else:  # one GEMM per image
-                np.matmul(matrix, columns.reshape(c, -1, image).transpose(1, 0, 2),
-                          out=products.reshape(k * k * co, -1, image).transpose(1, 0, 2))
-            if k == 1:
+                np.matmul(matrix, columns.reshape(columns.shape[0], -1, image).transpose(1, 0, 2),
+                          out=products.reshape(len(products), -1, image).transpose(1, 0, 2))
+
+        def panel(i):
+            frames = panels[i]
+            dest = out[:, frames.start * image : frames.stop * image]  # its columns
+            columns = self._columns(self._images(x, scale, shift, frames))
+            if k == 1 or not self.same_size:
+                gemm(columns, dest)
                 return
+            width = dest.shape[1]
+            shape = (k * k * co, left + width + right)
+            per_tap = scratch("taps", shape, dtype) if train else np.empty(shape, dtype)
+            per_tap[:, :left], per_tap[:, left + width :] = 0, 0
+            products = per_tap[:, left : left + width]
+            gemm(columns, products)
             self._cancel_edges(products, h, w)
-            dest = out[:, own]
             dest[...] = per_tap[:co, :width]  # tap 0's shift is -left
             for t, s in enumerate(shifts[1:], 1):
                 dest += per_tap[t * co : (t + 1) * co, left + s : left + s + width]
 
         fan_out(panel, len(panels))
-        return out.reshape(co, n, h, w)[:, :, :oh, :ow]
-
-    @staticmethod
-    def _columns(x, scale, shift, frames) -> np.ndarray:
-        """The (C_in, images*H*W) GEMM input of the images ``frames`` of ``x``:
-        a view, a copy if they are not contiguous, or, given ``scale`` and
-        ``shift``, ``max(x * scale + shift, 0)`` in this thread's ``"grid"``."""
-        images = x[:, frames]
-        if scale is not None:
-            images = _activate(images, scale, shift, scratch("grid", images.shape, x.dtype))
-        return images.reshape(x.shape[0], -1)
+        return out.reshape(co, n, oh, ow)
 
     def backward(self, dout: np.ndarray, dscale=None, dshift=None, dx=None) -> np.ndarray:
         """Write ``grad_weight`` and return the gradient of ``x``: added into
@@ -421,56 +473,64 @@ class Conv2d:
         gradients into ``dscale`` and ``dshift``."""
         x, scale, shift = self._cache
         (c, n, h, w), k, co = x.shape, self.kernel_size, self.out_channels
-        image = h * w
         oh, ow = dout.shape[2:]
-        matrix, shifts = self._taps(w)
+        image = oh * ow
+        matrix = self._matrix()
         dtype = np.result_type(matrix, dout)
-        same = (oh, ow) == (h, w)
-        if same:
-            dout = dout.reshape(co, -1)
-        panels = _chunks(n, PANEL_FRAMES)
-        rows = k * k * co
+        dout = dout.reshape(co, -1)
+        panels = _panels(n, image)
+        shifts = self._shifts(w)
         # a panel's dW partial, then those of dscale and dshift; not from
         # "pair": a second pair request would hand out the one holding ``dout``
-        partials = scratch("partials", (len(panels), rows + 2 * (scale is not None), c), dtype)
-        fresh = None if dx is not None else scratch("pair", (c, n * image), dtype)
+        size = matrix.size
+        partials = scratch("partials", (len(panels), size + 2 * c * (scale is not None)), dtype)
+        fresh = None if dx is not None else scratch("pair", (c, n * h * w), dtype)
 
         def panel(i):
             frames = panels[i]
-            own = slice(frames.start * image, frames.stop * image)  # its columns
-            width = own.stop - own.start
-            if k == 1:
-                shifted = dout[:, own]
+            own = dout[:, frames.start * image : frames.stop * image]  # its output columns
+            width = own.shape[1]
+            images = self._images(x, scale, shift, frames)
+            columns = self._columns(images)
+            if dx is None:
+                grad = fresh[:, frames.start * h * w : frames.stop * h * w]
             else:
+                grad = scratch("panel", (c, images[0].size), dtype)
+            shifted = own
+            if self.same_size and k > 1:
+                first = frames.start * image
                 shifted = scratch("taps", (k * k * co, width), dout.dtype)
-                source, first = dout, own.start
-                placed = None if same else self.pad * (k + 1)  # tap (p, p), whose shift is 0
-                if not same:  # this panel's ``dout`` on its input pixels, as that tap's rows
-                    source, first = shifted[placed * co : (placed + 1) * co], 0
-                    cells = source.reshape(co, -1, h, w)
-                    cells[:, :, :oh, :ow] = dout[:, frames]
-                    cells[:, :, :oh, ow:], cells[:, :, oh:] = 0, 0
-                for t in set(range(k * k)) - {placed}:  # each tap its own rows, in any order
-                    lo = first - shifts[t]
-                    a, b = max(lo, 0), min(lo + width, source.shape[1])
-                    shifted[t * co : (t + 1) * co, a - lo : b - lo] = source[:, a:b]
+                for t, s in enumerate(shifts):  # each tap its own rows
+                    lo = first - s
+                    a, b = max(lo, 0), min(lo + width, dout.shape[1])
+                    shifted[t * co : (t + 1) * co, a - lo : b - lo] = dout[:, a:b]
                 # also zeroes the columns left unwritten, all edge-crossing
                 self._cancel_edges(shifted, h, w)
-            columns = self._columns(x, scale, shift, frames)
-            np.matmul(shifted, columns.T, out=partials[i, :rows])
-            grad = fresh[:, own] if dx is None else scratch("panel", (c, width), dtype)
-            np.matmul(matrix.T, shifted, out=grad)
+            np.matmul(shifted, columns.T, out=partials[i, :size].reshape(matrix.shape))
+            if self.same_size:
+                np.matmul(matrix.T, shifted, out=grad)
+            else:  # each tap's rows of W.T @ dout onto its window, in tap order
+                cells = grad.reshape(images.shape)
+                cells[...] = 0
+                windows = self._windows(cells)
+                taps = scratch("taps", (c, len(windows), *windows[0].shape[1:]), dtype)
+                np.matmul(matrix.T, own, out=taps.reshape(size // co, width))
+                for t, window in enumerate(windows):
+                    window += taps[:, t]
             if scale is not None:  # on through the ReLU and the scale, while ``grad`` is in cache
-                _mask_relu(grad, columns)
-                _read_relu(grad, x[:, frames].reshape(c, -1), scale, *partials[i, rows:])
+                _mask_relu(grad, images.reshape(c, -1))
+                _read_relu(grad, x[:, frames].reshape(c, -1), scale, *partials[i, size:].reshape(2, c))
             if dx is not None:
-                dx[:, frames] += grad.reshape(c, -1, h, w)
+                dx[:, frames] += grad.reshape(images.shape)
 
         fan_out(panel, len(panels))
         totals = partials.sum(axis=0)
-        self.grad_weight[...] = totals[:rows].reshape(k, k, co, c).transpose(2, 3, 0, 1)
+        if self.same_size:
+            self.grad_weight[...] = totals[:size].reshape(k, k, co, c).transpose(2, 3, 0, 1)
+        else:
+            self.grad_weight[...] = totals[:size].reshape(self.weight.shape)
         if scale is not None:
-            dscale[...], dshift[...] = totals[rows:]
+            dscale[...], dshift[...] = totals[size:].reshape(2, c)
         return fresh.reshape(x.shape) if dx is None else dx
 
 

@@ -473,7 +473,7 @@ class TestModel:
                 c, n, h, w = kept.shape
                 assert kept.base is not None and np.shares_memory(kept, block._cache[0])
                 assert gamma is unit.bn1.gamma and beta is unit.bn1.beta
-                grid = unit.conv3x3._columns(kept, gamma, beta, slice(2, 5))
+                grid = unit.conv3x3._columns(unit.conv3x3._images(kept, gamma, beta, slice(2, 5)))
                 assert grid.shape == (c, 3 * h * w) and grid.flags.c_contiguous
                 relu = np.maximum(kept[:, 2:5] * gamma[:, None, None, None]
                                   + beta[:, None, None, None], 0)
@@ -544,22 +544,29 @@ class TestModel:
 
     def test_convs_without_batchnorm_keep_their_inputs_by_reference(self):
         # the initial conv keeps a view of the caller's batch, whose panels
-        # it reads as copies, and each transition's conv keeps its pool's
-        # output: neither copies its input
-        from damnet.layers import PANEL_FRAMES, softmax_cross_entropy
+        # it reads into patch matrices, and each transition's conv keeps its
+        # pool's output: neither copies its input
+        from damnet.layers import _panels, softmax_cross_entropy
 
         cfg = DenseNetConfig(variant="C", depth=13, blocks=3, growth_rate=4, compression=0.5,
                              num_classes=5, first_conv_channels=8)
         model = build_model(cfg, seed=0)
-        n = PANEL_FRAMES + 3
+        n = 16 + 3
         x = rng(6).standard_normal((n, 3, 11, 40)).astype(np.float32)
         model.backward(softmax_cross_entropy(model.forward(x, train=True), np.arange(n) % 5)[1])
         stages = dict(model.stages())
-        kept, scale, shift = stages["initial_conv"]._cache
+        conv = stages["initial_conv"]
+        kept, scale, shift = conv._cache
         assert kept.base is x and kept.shape == (3, n, 11, 40) and scale is shift is None
-        frames = slice(PANEL_FRAMES, n)
-        np.testing.assert_array_equal(stages["initial_conv"]._columns(kept, None, None, frames),
-                                      x[frames].transpose(1, 0, 2, 3).reshape(3, -1))
+        frames = _panels(n, 9 * 38)[-1]
+        assert frames == slice(16, n)
+        images = conv._images(kept, None, None, frames)
+        assert np.shares_memory(images, x)
+        # row (c*3 + i)*3 + j: channel c's pixels that tap (i, j) reads
+        patches = np.stack([x[frames, :, i : i + 9, j : j + 38]
+                            for i in range(3) for j in range(3)], axis=1)
+        np.testing.assert_array_equal(conv._columns(images),
+                                      patches.transpose(2, 1, 0, 3, 4).reshape(27, -1))
         for name in ("transition1", "transition2"):
             head = stages[name]
             assert head.conv._cache[0] is head.pool._cache[3], name

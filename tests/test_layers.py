@@ -165,9 +165,9 @@ class TestDenseWiring:
     @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("bottleneck", [False, True])
     def test_cropped_input_matches_contiguous_copy(self, dtype, atol, bottleneck):
-        # block 1 reads the initial pad-0 conv's output, a crop of wider
-        # rows, and normalizes it where it lies; summing a channel's
-        # statistics over the crop rounds only as a copy's order would
+        # a block normalizes its input where it lies; summing a channel's
+        # statistics over a crop of wider rows rounds only as a copy's
+        # order would
         r = rng(8)
         grid = r.standard_normal((16, 64, 9, 40)).astype(dtype)
         dout = r.standard_normal((40, 64, 9, 38)).astype(dtype)
@@ -310,7 +310,8 @@ class TestConv2d:
             return
         assert conv.forward(x).shape == (2, 3, oh, ow)
 
-    @pytest.mark.parametrize("kernel,pad", [(1, 1), (3, 2), (4, 2), (3, -1), (0, 0)])
+    # (5, 1) would crop a larger same-size output: a pad is 0 or (k-1)/2
+    @pytest.mark.parametrize("kernel,pad", [(1, 1), (3, 2), (4, 2), (5, 1), (3, -1), (0, 0)])
     def test_rejects_unsupported_kernel_and_pad(self, kernel, pad):
         with pytest.raises(ConfigError):
             Conv2d(1, 2, kernel, pad=pad)

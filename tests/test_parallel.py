@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from damnet import layers
-from damnet.builder import DenseNetConfig
+from damnet.builder import DenseNetConfig, plan_architecture
 from damnet.exceptions import ConfigError, DataError, DivergenceError
 from damnet.features import (
     VARIANCE_FLOOR,
@@ -152,9 +152,12 @@ def assert_close(got, want, rtol=1e-12):
 class TestFloat64Reference:
     @pytest.mark.parametrize("cores,train", [(1, True), (2, True), (1, False), (2, False)],
                              ids=["1", "2", "1-infer", "2-infer"])
-    @pytest.mark.parametrize("n", [5, 37])
-    # at 2x9, 1x4 and 1x1 with pad 1 a panel's GEMM reads the next image's
-    # shared padding, at 1x1 three of its four grid columns
+    # None: a panel's images and 5 more, so the batch spans two panels at
+    # every size, also at 2x9, 1x4 and 1x1, whose panels hold 128, 512 and
+    # 2,048 images
+    @pytest.mark.parametrize("n", [5, 37, None])
+    # at 2x9, 1x4 and 1x1 with pad 1 a panel's shifted reads cross the
+    # margins between images, at 1x1 every read but the centre tap's
     @pytest.mark.parametrize("k,pad,extent", [
         pytest.param(3, 1, (9, 38), id="3-1"), pytest.param(3, 0, (9, 38), id="3-0"),
         pytest.param(1, 0, (9, 38), id="1-0"), pytest.param(3, 1, (2, 9), id="3-1-2x9"),
@@ -163,6 +166,11 @@ class TestFloat64Reference:
     def test_conv_matches_whole_batch_reference(self, monkeypatch, cores, train, n, k, pad,
                                                 extent):
         use_cores(monkeypatch, cores)
+        if n is None:
+            image = (extent[0] + 2 * pad - k + 1) * (extent[1] + 2 * pad - k + 1)
+            # no panel holds more than PANEL_COLUMNS images
+            n = layers._panels(layers.PANEL_COLUMNS, image)[0].stop + 5
+            assert len(layers._panels(n, image)) == 2
         r = np.random.default_rng(n * 10 + k + pad)
         conv = Conv2d(13, 7, k, pad=pad, rng=r, dtype=np.float64)
         x = r.standard_normal((13, n, *extent))
@@ -207,7 +215,19 @@ class TestFloat64Reference:
 
     def test_items_split_the_batch_and_channels(self):
         # the shapes above do run as several items
-        assert len(layers._chunks(37, layers.PANEL_FRAMES)) == 3
+        assert len(layers._panels(37, 9 * 38)) == 3
+        # every conv of plain-22 and BC-41 at batch 256 runs as two panels or
+        # more, so none runs as a lone item in the calling thread, whose
+        # scratch CI's memory figures count
+        sizes = set()
+        for config in (DenseNetConfig(variant="plain", depth=22),
+                       DenseNetConfig(variant="BC", depth=41, compression=0.5)):
+            sizes |= {stage.out_size for stage in plan_architecture(config).stages
+                      if stage.kind != "classifier"}
+        assert sizes == {(9, 38), (4, 19), (2, 9)}
+        for (h, w), frames in zip(sorted(sizes, reverse=True), (16, 32, 128)):
+            panels = layers._panels(256, h * w)
+            assert panels[0] == slice(0, frames) and len(panels) >= 2
         lengths = []
         layers._fan_out_chunks((21, 100, 9, 38), lambda ch: lengths.append(ch.stop - ch.start))
         assert sorted(lengths) == [5, 8, 8]
@@ -262,7 +282,7 @@ class TestUnpaddedGrid:
             kept = conv._cache[0]
             assert kept is x
             frames = slice(16, min(n, 32))
-            grid = conv._columns(*conv._cache, frames)
+            grid = conv._columns(conv._images(*conv._cache, frames))
             assert grid.shape == (5, (frames.stop - 16) * 4 * 7)
             if fused:
                 assert grid.flags.c_contiguous
@@ -275,6 +295,19 @@ class TestUnpaddedGrid:
             grads = (np.empty(5, np.float32), np.empty(5, np.float32)) if fused else ()
             dx = conv.backward(r.standard_normal(out.shape).astype(np.float32), *grads)
             assert dx.shape == x.shape and dx.flags.c_contiguous
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_pad0_results_are_c_contiguous(self, monkeypatch, cores):
+        # a pad-0 conv writes its smaller output straight from its GEMM, not
+        # as a crop of a larger one; its input is the transposed batch
+        use_cores(monkeypatch, cores)
+        r = np.random.default_rng(9)
+        conv = Conv2d(3, 24, 3, rng=r)
+        x = r.standard_normal((21, 3, 11, 40)).astype(np.float32).transpose(1, 0, 2, 3)
+        out = conv.forward(x, True)
+        assert out.shape == (24, 21, 9, 38) and out.flags.c_contiguous
+        dx = conv.backward(r.standard_normal(out.shape).astype(np.float32))
+        assert dx.shape == x.shape and dx.flags.c_contiguous
 
 
 def random_batchnorm(r, channels, dtype):
@@ -303,7 +336,8 @@ class TestFusedPreActivation:
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "infer"])
     @pytest.mark.parametrize("n", [5, 37])
-    @pytest.mark.parametrize("k,pad", [(3, 1), (1, 0)])
+    # pad 0 at k = 3 builds its patches from the panel's ReLU output
+    @pytest.mark.parametrize("k,pad", [(3, 1), (1, 0), (3, 0)])
     def test_fused_forward_matches_explicit_chain(self, monkeypatch, cores, train, n, k, pad):
         # the same arithmetic in the same order: equal in float32
         use_cores(monkeypatch, cores)
@@ -314,7 +348,8 @@ class TestFusedPreActivation:
         explicit = conv.forward(explicit_relu(bn, x, train), train).copy()
         if train:  # the fused forward reads neither the explicit one's input nor stale scratch
             conv._cache[0][...] = np.nan
-            layers.scratch("grid", (13, layers.PANEL_FRAMES * 9 * 38), np.float32)[...] = np.nan
+            panel = layers._panels(n, 9 * 38)[0].stop
+            layers.scratch("grid", (13, panel * 9 * 38), np.float32)[...] = np.nan
             fused = conv.forward(bn._cache[0], True, bn.gamma, bn.beta)
         else:
             fused = conv.forward(x, False, *bn.folded())
@@ -336,7 +371,7 @@ class TestFusedPreActivation:
         relu_out = explicit_relu(bn, x, True)
         conv.forward(relu_out, True)
         d = conv.backward(dout) * (relu_out > 0)
-        panels = layers._chunks(37, layers.PANEL_FRAMES)
+        panels = layers._panels(37, 9 * 38)
         partials = np.empty((len(panels), 2, 21), dtype)
         for i, frames in enumerate(panels):
             layers._read_relu(d[:, frames].reshape(21, -1), bn._cache[0][:, frames].reshape(21, -1),
@@ -355,7 +390,7 @@ class TestFusedPreActivation:
         assert_close(shared, dx, rtol)
 
     @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("k,pad", [(3, 1), (1, 0)])
+    @pytest.mark.parametrize("k,pad", [(3, 1), (1, 0), (3, 0)])
     def test_fused_backward_matches_float64_reference(self, monkeypatch, cores, k, pad):
         # explicit BN -> ReLU -> conv in float64: the conv writes the gamma
         # and beta gradients and gives D, the gradient of xhat, added into a
@@ -366,7 +401,7 @@ class TestFusedPreActivation:
         bn = random_batchnorm(r, 13, np.float64)
         conv = Conv2d(13, 7, k, pad=pad, rng=r, dtype=np.float64)
         x = r.standard_normal((13, 37, 9, 38)) * 2 + 0.5
-        dout = r.standard_normal((7, 37, 9, 38))
+        dout = r.standard_normal((7, 37, 9 + 2 * pad - k + 1, 38 + 2 * pad - k + 1))
         pre = reference_batchnorm(x, bn.gamma, bn.beta, np.zeros_like(x))[0]
         dh = reference_conv_backward(np.maximum(pre, 0), conv.weight, pad, dout)[1] * (pre > 0)
         dx_ref, dgamma, dbeta = reference_batchnorm(x, bn.gamma, bn.beta, dh)[1:4]
@@ -490,14 +525,36 @@ class TestInferPerFrame:
     @pytest.mark.parametrize("config", [PLAIN, BC, WIDE_BC], ids=["plain", "BC", "wide-BC"])
     def test_logits_do_not_depend_on_the_batch(self, monkeypatch, config, dtype, cores):
         # rows at the start and end of the first panel, the second panel's
-        # first row and the last row of a short third panel
+        # first row and the last row of a short third panel at 9x38, and the
+        # rows on either side of the first panel boundary at 4x19, 32 images
         use_cores(monkeypatch, cores)
         model = build_model(config, seed=2, dtype=dtype)
         x = frames(37, config.num_classes, seed=3, dtype=dtype)[0]
         logits = model.forward(x, train=False)
-        for row in (0, 15, 16, 36):
+        for row in (0, 15, 16, 31, 32, 36):
             single = model.forward(x[row : row + 1], train=False)
             np.testing.assert_array_equal(logits[row : row + 1], single)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("extent", [(11, 40), (3, 3)])
+    def test_pad0_conv_output_does_not_depend_on_the_batch(self, monkeypatch, cores, extent):
+        # the initial conv's patch GEMM runs per image in infer mode: a
+        # frame's output is the same alone, at another position in the first
+        # panel and in a short last panel; OpenBLAS rounds a one-pixel
+        # image's GEMM apart from a whole panel's
+        use_cores(monkeypatch, cores)
+        r = np.random.default_rng(4)
+        conv = Conv2d(3, 24, 3, rng=r)
+        image = (extent[0] - 2) * (extent[1] - 2)
+        n = layers._panels(layers.PANEL_COLUMNS, image)[0].stop + 5
+        x = r.standard_normal((n, 3, *extent)).astype(np.float32)
+        frame = x[7:8]
+        want = conv.forward(frame.transpose(1, 0, 2, 3))[:, 0]
+        for row in (0, 7, n - 1):
+            batch = x.copy()
+            batch[row] = frame[0]
+            got = conv.forward(batch.transpose(1, 0, 2, 3))[:, row]
+            np.testing.assert_array_equal(got, want)
 
 
 class TestBlasGuard:
