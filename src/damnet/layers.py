@@ -150,6 +150,10 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     buffer = state.buffers.get(name)
     if buffer is None or buffer.size < nbytes:
+        # free the smaller buffer first, so the allocator can reuse its
+        # memory for the larger one
+        state.buffers.pop(name, None)
+        del buffer
         buffer = state.buffers[name] = np.empty(nbytes, np.uint8)
     return buffer[:nbytes].view(dtype).reshape(shape)
 
