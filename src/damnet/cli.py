@@ -211,12 +211,15 @@ def cmd_eval(config: dict) -> int:
         total = int(row.sum())
         print(f"class {label}: frames {total} correct {int(row[label])} "
               f"accuracy {row[label] / total:.4f}")
-    off_diag = confusion.copy()
-    np.fill_diagonal(off_diag, 0)
-    if off_diag.any():
-        flat = np.argsort(off_diag, axis=None)[::-1][:5]
-        pairs = [np.unravel_index(i, off_diag.shape) for i in flat if off_diag.flat[i]]
-        summary = ", ".join(f"{t}->{p} x{off_diag[t, p]}" for t, p in pairs)
+    # nonzero cells come in (target, predicted) order, at most one per frame;
+    # a stable sort by count keeps that order among ties
+    targets, predicted = np.divmod(np.flatnonzero(confusion), len(confusion))
+    off = targets != predicted
+    targets, predicted = targets[off], predicted[off]
+    if len(targets):
+        counts = confusion[targets, predicted]
+        top = np.argsort(-counts, kind="stable")[:5]
+        summary = ", ".join(f"{targets[i]}->{predicted[i]} x{counts[i]}" for i in top)
         print(f"top confusions: {summary}")
     return EXIT_OK
 

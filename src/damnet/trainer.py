@@ -286,7 +286,9 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
     that training uses, one thread per usable core, with OpenBLAS at one thread
     (``layers.fan_out``; concurrent calls and training steps serialize on this);
     on one core or without numpy's bundled OpenBLAS, the shards run in turn in
-    the calling thread."""
+    the calling thread. The (num_classes, num_classes) int64 counts are
+    allocated once the first batch's logits exist, so data that fails its
+    forward raises before they take any memory."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if len(data) == 0:
@@ -297,7 +299,7 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
             f"labels range {data.labels.min()}..{data.labels.max()} exceeds "
             f"model classes [0, {num_classes})"
         )
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
+    confusion = None
     total_loss = 0.0
     for start in range(0, len(data), batch_size):
         batch = data.features[start : start + batch_size]
@@ -305,6 +307,8 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
         logits = _infer_logits(model, batch)
         loss, _ = softmax_cross_entropy(logits, targets)
         total_loss += loss * len(targets)
+        if confusion is None:
+            confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
         predicted = logits.argmax(axis=1)
         np.add.at(confusion, (targets, predicted), 1)
     accuracy = float(np.trace(confusion)) / len(data)

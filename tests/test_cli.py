@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import wave
 import zlib
 
@@ -15,7 +16,7 @@ from damnet.features import (
     write_archive,
 )
 from damnet.model import build_model, count_parameters
-from damnet.trainer import make_synthetic_dataset
+from damnet.trainer import EvalResult, make_synthetic_dataset
 
 
 def run_cli(capsys, *args):
@@ -423,6 +424,86 @@ class TestTrainEval:
                                "--set", "checkpoint=/nonexistent/model.ckpt",
                                "--set", f"eval_archive={trained['train_archive']}")
         assert code == 3
+
+
+def report_of(capsys, monkeypatch, trained, confusion):
+    """The lines after the first that `eval` prints when evaluate counts ``confusion``."""
+    result = EvalResult(loss=1.0, accuracy=0.5, confusion=confusion)
+    monkeypatch.setattr("damnet.cli.evaluate", lambda model, data: result)
+    code, out, _ = run_cli(capsys, "eval",
+                           "--set", f"checkpoint={trained['checkpoint']}",
+                           "--set", f"eval_archive={trained['train_archive']}")
+    assert code == 0
+    return out.splitlines()[1:]
+
+
+def argsort_report(confusion):
+    """The report as a copy of the counts with a zeroed diagonal and an
+    argsort over every cell would print it; ties among equal counts are
+    unordered there."""
+    lines = []
+    for label in np.flatnonzero(confusion.sum(axis=1))[:20]:
+        row = confusion[label]
+        total = int(row.sum())
+        lines.append(f"class {label}: frames {total} correct {int(row[label])} "
+                     f"accuracy {row[label] / total:.4f}")
+    off_diag = confusion.copy()
+    np.fill_diagonal(off_diag, 0)
+    if off_diag.any():
+        flat = np.argsort(off_diag, axis=None)[::-1][:5]
+        pairs = [np.unravel_index(i, off_diag.shape) for i in flat if off_diag.flat[i]]
+        lines.append("top confusions: "
+                     + ", ".join(f"{t}->{p} x{off_diag[t, p]}" for t, p in pairs))
+    return lines
+
+
+class TestEvalReport:
+    def test_ties_rank_by_target_then_predicted_and_skip_the_diagonal(
+            self, capsys, monkeypatch, trained):
+        confusion = np.diag(np.full(6, 9, np.int64))
+        for (t, p), count in {(4, 1): 3, (0, 5): 3, (2, 3): 3, (5, 4): 2, (1, 0): 2,
+                              (3, 2): 2, (0, 1): 1}.items():
+            confusion[t, p] = count
+        lines = report_of(capsys, monkeypatch, trained, confusion)
+        assert lines[-1] == "top confusions: 0->5 x3, 2->3 x3, 4->1 x3, 1->0 x2, 3->2 x2"
+
+    def test_fewer_than_five_confusions_all_listed(self, capsys, monkeypatch, trained):
+        confusion = np.diag(np.arange(1, 5, dtype=np.int64))
+        confusion[3, 0] = confusion[0, 3] = 1
+        lines = report_of(capsys, monkeypatch, trained, confusion)
+        assert lines[-1] == "top confusions: 0->3 x1, 3->0 x1"
+
+    def test_no_off_diagonal_count_prints_no_confusions(self, capsys, monkeypatch, trained):
+        confusion = np.diag(np.array([5, 0, 7], np.int64))
+        lines = report_of(capsys, monkeypatch, trained, confusion)
+        assert lines == ["class 0: frames 5 correct 5 accuracy 1.0000",
+                         "class 2: frames 7 correct 7 accuracy 1.0000"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tie_free_counts_print_the_argsort_report(self, capsys, monkeypatch, trained,
+                                                      seed):
+        gen = np.random.default_rng(seed)
+        confusion = np.zeros((40, 40), np.int64)
+        cells = gen.choice(40 * 40, 30, replace=False)
+        confusion.flat[cells] = gen.permutation(np.arange(1, 31))
+        lines = report_of(capsys, monkeypatch, trained, confusion)
+        assert lines == argsort_report(confusion)
+        assert lines[-1].startswith("top confusions: ")
+
+    def test_report_holds_no_second_count_matrix(self, capsys, monkeypatch, trained):
+        # one byte a cell: neither an int64 copy nor a boolean mask fits under it
+        classes = 2000
+        confusion = np.zeros((classes, classes), np.int64)
+        confusion[np.arange(classes), np.arange(classes)] = 3
+        confusion[np.arange(classes), np.arange(classes)[::-1]] += 1
+        tracemalloc.start()
+        try:
+            lines = report_of(capsys, monkeypatch, trained, confusion)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lines[-1] == "top confusions: 0->1999 x1, 1->1998 x1, 2->1997 x1, 3->1996 x1, 4->1995 x1"
+        assert peak < classes * classes, f"peak {peak} B"
 
 
 class TestNonFiniteFloats:

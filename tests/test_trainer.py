@@ -491,6 +491,37 @@ class TestShardedEvaluate:
         evaluate(c13_model, random_frames(257), batch_size=256)
         assert sizes == [64, 64, 64, 64, 1]
 
+    @pytest.mark.parametrize("cores", [{0}, {0, 1}])
+    @pytest.mark.parametrize("size", [100, 300, 230], ids=["one", "several", "partial"])
+    def test_int64_counts_bitwise_on_one_and_two_cores(self, c13_model, monkeypatch,
+                                                       cores, size):
+        monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: cores)
+        data = random_frames(size, seed=size)
+        result = evaluate(c13_model, data, batch_size=100)
+        loss, accuracy, confusion = whole_batch_reference(c13_model, data, 100)
+        assert result.loss == loss
+        assert result.accuracy == accuracy
+        assert result.confusion.dtype == np.int64
+        assert np.array_equal(result.confusion, confusion)
+
+    def test_nan_batch_gives_a_non_finite_loss(self, c13_model):
+        data = random_frames(70)
+        data.features[66] = np.nan
+        assert not math.isfinite(evaluate(c13_model, data, batch_size=64).loss)
+
+    def test_misshaped_data_raises_before_the_counts_take_memory(self):
+        # at 1,500 classes the counts are 18 MB of int64
+        model = build_model(replace(SMALL_MODEL, num_classes=1500), seed=0)
+        data = FrameDataset(np.zeros((4, 3, 11, 39), np.float32), np.zeros(4, np.int64))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError):
+                evaluate(model, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"peak {peak} B"
+
 
 class TestLossDecreaseSanity:
     def test_single_sample_step_decreases_loss(self):
