@@ -27,23 +27,19 @@ from .exceptions import (
     ShapeError,
 )
 from .features import (
-    CmvnStats,
     FilterbankConfig,
-    UtteranceFeatures,
     append_deltas,
     apply_cmvn,
     compute_cmvn_stats,
     compute_logmel,
-    read_archive,
     splice_context,
-    write_archive,
 )
+from .formats import CmvnStats, Metrics, UtteranceFeatures, read_archive, write_archive
 from .gradcheck import finite_diff_check, gradcheck_report
 from .model import Model, build_model, count_parameters
 from .trainer import (
     EvalResult,
     FrameDataset,
-    Metrics,
     ScheduleState,
     TrainConfig,
     build_frame_dataset,

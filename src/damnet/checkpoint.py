@@ -1,4 +1,4 @@
-"""Binary model checkpoints.
+"""The mapping between a ``Model`` and a checkpoint's fields (``formats``).
 
 Layout (version 2): magic "DAMC", u32 format version, u32 config length +
 config text, u32 layout fingerprint, u32 value count, the
@@ -9,32 +9,25 @@ arena order, so a build that renames or reshapes a tensor rejects the
 file instead of loading permuted weights. Round-trips are bit-exact for
 float32 models, and writes are atomic.
 
-The config text is KEY=VALUE lines, read by ``runconfig.read_items`` with
+The config text is KEY=VALUE lines, read by ``formats.read_items`` with
 the run config's parsers: the ``DenseNetConfig`` fields, ``seed``,
 ``bn_epsilon`` and ``bn_momentum``, each required. A line that does not
 parse, an unknown key or a missing one is a ``FormatError`` at the config
-text's offset.
+text's offset; a config that needs more values than the file holds is one
+at the value count's offset, before any model is built.
 """
 
 from __future__ import annotations
 
-import struct
 import zlib
 from dataclasses import fields
-from pathlib import Path
 
-import numpy as np
-
-from .builder import DenseNetConfig
+from .builder import DenseNetConfig, plan_architecture
 from .exceptions import ConfigError, FormatError
-from .features import ByteReader, write_with_crc32
+from .formats import read_checkpoint, read_items, write_checkpoint
 from .layers import BN_EPSILON, BN_MOMENTUM
 from .model import Model
-from .runconfig import field_defaults, read_items
-
-CHECKPOINT_MAGIC = b"DAMC"
-CHECKPOINT_VERSION = 2
-
+from .runconfig import field_defaults
 
 # the keys of the config block, each mapped to a default whose type picks its parser
 _CONFIG_KEYS = {**field_defaults(DenseNetConfig), "seed": 0,
@@ -75,39 +68,28 @@ def _layout_fingerprint(model: Model) -> int:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    config_bytes = _config_text(model).encode("utf-8")
-    write_with_crc32(path, [
-        CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(config_bytes)),
-        config_bytes,
-        struct.pack("<II", _layout_fingerprint(model), model.tensors.size),
-        np.asarray(model.tensors, dtype="<f4").tobytes(),
-    ])
+    write_checkpoint(path, _config_text(model), _layout_fingerprint(model), model.tensors)
 
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model from a checkpoint, restoring its whole tensor arena."""
-    reader = ByteReader(Path(path).read_bytes(), "checkpoint")
-    reader.check_header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
-    config_len = reader.u32("config length")
-    config_offset = reader.offset
+    # the CRC32 is checked before a model is built from possibly corrupted bytes
+    (config, seed), config_offset, fingerprint, values, layout_offset = read_checkpoint(
+        path, _parse_config_text)
     try:
-        config_text = str(reader.take(config_len, "config"), "utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"undecodable checkpoint config: {exc}", offset=config_offset) from exc
-    config, seed = _parse_config_text(config_text, config_offset)
-    layout_offset = reader.offset
-    fingerprint, count = reader.u32("layout fingerprint"), reader.u32("value count")
-    values = reader.take(4 * count, "values")
-    reader.check_crc32()  # before building a model from possibly corrupted bytes
-    try:
+        # refuse a config that needs more values than the file holds before
+        # planning it (its loops run over up to depth units) or building it
+        if config.depth > values.size or plan_architecture(config).total_params > values.size:
+            raise FormatError(f"checkpoint config needs more than the {values.size} values "
+                              "the file holds", offset=layout_offset + 4)
         model = Model(config, seed)
     except ConfigError as exc:
         raise FormatError(f"bad checkpoint config: {exc}", offset=config_offset) from exc
     if fingerprint != _layout_fingerprint(model):
         raise FormatError("checkpoint tensor layout differs from this build's",
                           offset=layout_offset)
-    if count != model.tensors.size:
-        raise FormatError(f"checkpoint holds {count} values, model needs {model.tensors.size}",
-                          offset=layout_offset + 4)
-    model.tensors[...] = np.frombuffer(values, dtype="<f4")
+    if values.size != model.tensors.size:
+        raise FormatError(f"checkpoint holds {values.size} values, "
+                          f"model needs {model.tensors.size}", offset=layout_offset + 4)
+    model.tensors[...] = values
     return model

@@ -12,16 +12,14 @@ import numpy as np
 from .builder import ArchitectureTable, DenseNetConfig, plan_architecture
 from .checkpoint import load_checkpoint, save_checkpoint
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
-from .features import (
-    FilterbankConfig,
-    atomic_write,
-    compute_cmvn_stats,
-    featurize_manifest,
+from .features import FilterbankConfig, compute_cmvn_stats, featurize_manifest
+from .formats import (
     load_cmvn_stats,
     parse_manifest,
     read_archive,
     save_cmvn_stats,
     write_archive,
+    write_metrics_log,
 )
 from .gradcheck import GRADCHECK_TOLERANCE, gradcheck_report
 from .model import build_model
@@ -31,7 +29,6 @@ from .trainer import (
     build_frame_dataset,
     evaluate,
     fit,
-    format_metrics_line,
     make_synthetic_dataset,
     split_validation,
 )
@@ -175,8 +172,7 @@ def cmd_train(config: dict) -> int:
     stats_out = _stats_sidecar(checkpoint_path)
     save_cmvn_stats(stats, stats_out)
     if config["metrics_log"]:
-        with atomic_write(config["metrics_log"]) as handle:
-            handle.write("".join(format_metrics_line(m) + "\n" for m in history).encode())
+        write_metrics_log(config["metrics_log"], history)
     best = min(history, key=lambda m: m.val_loss)
     print(f"trained {len(history)} epochs on {len(train_data)} frames "
           f"({len(val_data)} validation)")

@@ -1,13 +1,13 @@
-"""Line-oriented KEY=VALUE text: the run configuration shared by all
-subcommands, and the reader the checkpoint's config block goes through too.
+"""The schema of the run configuration shared by all subcommands. Its
+KEY=VALUE reader, which the checkpoint's config block shares, is in ``formats``.
 
 Every key is valid for every subcommand; unknown keys are rejected.
 Flag overrides (--set, --seed, --deterministic) win over the file.
 
 A schema maps each key to its default, and the default's type picks the
-key's parser from ``_PARSERS``: ``features.parse_int`` (ASCII digits with an
-optional sign), ``features.parse_float`` (Python's float syntax in ASCII,
-without '_', finite only), a boolean word, or the text itself. The fields
+key's parser in ``formats.parse_item``: ``formats.parse_int`` (ASCII digits
+with an optional sign), ``formats.parse_float`` (Python's float syntax in
+ASCII, without '_', finite only), a boolean word, or the text itself. The fields
 of ``DenseNetConfig``, ``FilterbankConfig`` and ``TrainConfig`` are keys of
 ``SCHEMA`` without being listed: each field is a key of the same name, in
 field order, with the field's default. ``config_from`` builds a dataclass
@@ -22,24 +22,9 @@ from dataclasses import fields
 
 from .builder import DenseNetConfig
 from .exceptions import ConfigError
-from .features import FilterbankConfig, parse_float, parse_int
+from .features import FilterbankConfig
+from .formats import parse_item, read_config_file
 from .trainer import TrainConfig
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
-# type of a key's default -> parser of its values
-_PARSERS = {bool: _parse_bool, int: parse_int, float: parse_float, str: str}
 
 
 def field_defaults(cls) -> dict:
@@ -73,41 +58,12 @@ SCHEMA: dict[str, object] = {
 }
 
 
-def _parse_item(schema: dict, item: str, where: str) -> tuple[str, object]:
-    """The key of one ``KEY=VALUE`` item and its value, read by the parser for
-    the type of the key's default in ``schema``."""
-    if "=" not in item:
-        raise ConfigError(f"{where}: expected KEY=VALUE, got {item!r}")
-    key, _, raw = item.partition("=")
-    key = key.strip()
-    if key not in schema:
-        raise ConfigError(f"{where}: unknown config key '{key}'")
-    try:
-        return key, _PARSERS[type(schema[key])](raw.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{where}: invalid value for '{key}': {exc}") from exc
-
-
-def read_items(text: str, schema: dict, source: str):
-    """Yield ``_parse_item`` of each line of ``text``, skipping blank lines and
-    lines starting with '#'; errors name ``source`` and the line number."""
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            yield _parse_item(schema, stripped, f"{source}:{lineno}")
-
-
 def load_run_config(path=None, overrides=()) -> dict:
     """Defaults, then the config file, then --set overrides (last wins)."""
     config = dict(SCHEMA)
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        config.update(read_items(text, SCHEMA, path))
-    config.update(_parse_item(SCHEMA, item, "--set") for item in overrides)
+        config.update(read_config_file(path, SCHEMA))
+    config.update(parse_item(SCHEMA, item, "--set") for item in overrides)
     if config["seed"] < 0:
         raise ConfigError(f"invalid value for 'seed': must be >= 0, got {config['seed']}")
     return config

@@ -3,19 +3,21 @@
 The schedule watches the validation loss: once the relative improvement
 drops below the threshold the learning rate is halved every epoch, and
 training stops when improvement stalls again while halving, when the
-rate falls below the floor, or when the epoch budget runs out.
+rate falls below the floor, or when the epoch budget runs out. An epoch's
+``Metrics`` and the metrics log that holds them are in ``formats``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DivergenceError, ShapeError
-from .features import UtteranceFeatures, apply_cmvn, parse_float, parse_int, splice_context
+from .features import apply_cmvn, splice_context
+from .formats import Metrics, UtteranceFeatures
 from .layers import fan_out, one_blas_thread, softmax_cross_entropy
 from .model import Model
 
@@ -90,42 +92,6 @@ def schedule_step(state: ScheduleState, val_metric: float,
 
 def _better(best: float | None, candidate: float) -> float:
     return candidate if best is None or candidate < best else best
-
-
-@dataclass(frozen=True)
-class Metrics:
-    epoch: int
-    lr: float
-    train_loss: float
-    train_accuracy: float
-    val_loss: float = math.nan
-    val_accuracy: float = math.nan
-    seconds: float = 0.0
-
-
-def format_metrics_line(metrics: Metrics) -> str:
-    """One epoch per line, fixed field order, no lookahead needed. Every
-    value must be finite, as ``parse_metrics_line`` reads only those, so a
-    ``Metrics`` without validation results (``train_epoch``'s) is refused
-    with ``DataError``."""
-    for f in fields(metrics):
-        if not math.isfinite(value := getattr(metrics, f.name)):
-            raise DataError(f"metrics field {f.name} is {value}, not a finite number")
-    return (f"{metrics.epoch} {metrics.lr:.8g} "
-            f"{metrics.train_loss:.8g} {metrics.train_accuracy:.8g} "
-            f"{metrics.val_loss:.8g} {metrics.val_accuracy:.8g} "
-            f"{metrics.seconds:.3f}")
-
-
-def parse_metrics_line(line: str) -> Metrics:
-    """Read back a ``format_metrics_line`` line; every value must be finite."""
-    fields = line.split()
-    if len(fields) != 7:
-        raise DataError(f"metrics line has {len(fields)} fields, expected 7")
-    try:
-        return Metrics(parse_int(fields[0]), *map(parse_float, fields[1:]))
-    except ValueError as exc:
-        raise DataError(f"bad metrics line {line!r}: {exc}") from exc
 
 
 @dataclass

@@ -26,10 +26,9 @@ from damnet.features import (
     apply_cmvn,
     compute_cmvn_stats,
     compute_logmel,
-    read_archive,
     splice_context,
-    write_archive,
 )
+from damnet.formats import read_archive, write_archive
 from damnet.gradcheck import GRADCHECK_TOLERANCE, gradcheck_report
 from damnet.model import DenseBlock, build_model, count_parameters
 from damnet.trainer import (

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from damnet.builder import DenseNetConfig
 from damnet.checkpoint import _layout_fingerprint, load_checkpoint, save_checkpoint
 from damnet.exceptions import DamnetError, FormatError
-from damnet.features import UtteranceFeatures, read_archive, write_archive
+from damnet.formats import UtteranceFeatures, read_archive, write_archive
 from damnet.layers import softmax_cross_entropy
 from damnet.model import build_model
 
@@ -132,6 +133,34 @@ def test_invalid_config_with_valid_crc_is_format_error(tmp_path):
         load_checkpoint(path)
     assert err.value.offset == CONFIG_OFFSET
     assert "num_classes" in str(err.value)
+
+
+@pytest.mark.parametrize("edits", [{"num_classes": 100000000},
+                                   {"depth": 10**12, "blocks": 1}],
+                         ids=["num_classes", "depth"])
+def test_config_needing_more_values_than_the_file_holds(tmp_path, edits):
+    """A config forged behind a valid CRC32 is refused before its model is
+    built (a 10^8-class classifier would take gigabytes) or its plan is
+    walked (10^12 units in one block would take hours)."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(small_model(), path)
+
+    def edit(text):
+        lines = dict(line.split("=") for line in text.splitlines())
+        return "".join(f"{key}={edits.get(key, value)}\n" for key, value in lines.items())
+
+    rewrite_config(path, edit)
+    path.write_bytes(with_crc(path.read_bytes()[:-4]))
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="needs more than the") as err:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.offset == blob_offset(data) + 4
+    assert peak < len(data) + 2**20
 
 
 def test_negative_seed_with_valid_crc_is_format_error(tmp_path):

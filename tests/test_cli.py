@@ -8,13 +8,8 @@ import pytest
 
 from damnet.builder import DenseNetConfig, plan_architecture
 from damnet.cli import main
-from damnet.features import (
-    FilterbankConfig,
-    UtteranceFeatures,
-    frame_count,
-    read_archive,
-    write_archive,
-)
+from damnet.features import FilterbankConfig, frame_count
+from damnet.formats import UtteranceFeatures, read_archive, write_archive
 from damnet.model import build_model, count_parameters
 from damnet.trainer import EvalResult, make_synthetic_dataset
 
@@ -331,7 +326,7 @@ class TestTrainEval:
         assert accuracy > 0.99
 
     def test_metrics_log_parseable(self, trained):
-        from damnet.trainer import parse_metrics_line
+        from damnet.formats import parse_metrics_line
 
         lines = trained["metrics_log"].read_text().strip().splitlines()
         assert lines

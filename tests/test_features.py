@@ -11,29 +11,31 @@ from hypothesis import strategies as st
 
 from damnet.exceptions import ConfigError, DamnetError, DataError, FormatError, ShapeError
 from damnet.features import (
-    LABEL_MAGIC,
-    CmvnStats,
     FilterbankConfig,
-    ManifestEntry,
-    UtteranceFeatures,
-    _stats_text,
     append_deltas,
     apply_cmvn,
-    atomic_write,
     compute_cmvn_stats,
     compute_logmel,
     featurize_manifest,
     featurize_utterance,
     frame_count,
-    load_cmvn_stats,
     mel_filter_edges,
     mel_filterbank,
+    splice_context,
+)
+from damnet.formats import (
+    LABEL_MAGIC,
+    CmvnStats,
+    ManifestEntry,
+    UtteranceFeatures,
+    _stats_text,
+    atomic_write,
+    load_cmvn_stats,
     parse_manifest,
     read_archive,
     read_label_file,
     read_wav,
     save_cmvn_stats,
-    splice_context,
     write_archive,
 )
 

@@ -22,8 +22,6 @@ from damnet.exceptions import ConfigError, DataError, DivergenceError
 from damnet.features import (
     VARIANCE_FLOOR,
     FilterbankConfig,
-    ManifestEntry,
-    UtteranceFeatures,
     apply_cmvn,
     compute_cmvn_stats,
     featurize_manifest,
@@ -31,6 +29,7 @@ from damnet.features import (
     frame_count,
     splice_context,
 )
+from damnet.formats import ManifestEntry, UtteranceFeatures
 from damnet.layers import BatchNorm, Conv2d, softmax_cross_entropy
 from damnet.model import build_model
 from damnet.trainer import FrameDataset, TrainConfig, build_frame_dataset, train_epoch

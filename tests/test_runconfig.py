@@ -8,7 +8,8 @@ from damnet import cli
 from damnet.builder import DenseNetConfig
 from damnet.checkpoint import save_checkpoint
 from damnet.exceptions import ConfigError
-from damnet.features import FilterbankConfig, UtteranceFeatures, write_archive
+from damnet.features import FilterbankConfig
+from damnet.formats import UtteranceFeatures, write_archive
 from damnet.layers import BN_EPSILON
 from damnet.runconfig import config_from, load_run_config
 from damnet.trainer import TrainConfig

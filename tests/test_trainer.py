@@ -12,27 +12,24 @@ from hypothesis import strategies as st
 from damnet import layers
 from damnet.builder import DenseNetConfig
 from damnet.exceptions import ConfigError, DataError, DivergenceError, ShapeError
-from damnet.features import (
-    FilterbankConfig,
+from damnet.features import FilterbankConfig, apply_cmvn, compute_cmvn_stats, splice_context
+from damnet.formats import (
+    Metrics,
     UtteranceFeatures,
-    apply_cmvn,
-    compute_cmvn_stats,
-    splice_context,
+    format_metrics_line,
+    parse_metrics_line,
     write_archive,
 )
 from damnet.layers import softmax_cross_entropy
 from damnet.model import build_model
 from damnet.trainer import (
     FrameDataset,
-    Metrics,
     ScheduleState,
     TrainConfig,
     build_frame_dataset,
     evaluate,
     fit,
-    format_metrics_line,
     make_synthetic_dataset,
-    parse_metrics_line,
     schedule_step,
     sgd_update,
     split_validation,
