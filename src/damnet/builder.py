@@ -184,21 +184,14 @@ class ArchitectureTable:
         return {s.name: s.param_count for s in self.stages}
 
 
-def _dense_unit_params(in_channels: int, growth_rate: int, bottleneck: bool) -> int:
-    if bottleneck:
-        squeeze = BOTTLENECK_FACTOR * growth_rate
-        return (2 * in_channels + in_channels * squeeze
-                + 2 * squeeze + 9 * squeeze * growth_rate)
-    return 2 * in_channels + 9 * in_channels * growth_rate
-
-
 def _dense_block_params(in_channels: int, growth_rate: int, units: int, bottleneck: bool) -> int:
-    total = 0
-    for n in range(1, units + 1):
-        total += _dense_unit_params(
-            block_input_channels(in_channels, growth_rate, n), growth_rate, bottleneck
-        )
-    return total
+    """A dense block's parameters in closed form, from S, the sum of its units'
+    input channels c (``block_input_channels``): no time per unit."""
+    inputs = units * in_channels + growth_rate * units * (units - 1) // 2  # S
+    squeeze = BOTTLENECK_FACTOR * growth_rate
+    if bottleneck:  # bn1 2c, 1x1 conv c*squeeze, bn2 2*squeeze, 3x3 conv 9*squeeze*g
+        return (2 + squeeze) * inputs + units * (2 + 9 * growth_rate) * squeeze
+    return (2 + 9 * growth_rate) * inputs  # bn1 2c, 3x3 conv 9*c*g
 
 
 def plan_architecture(config: DenseNetConfig) -> ArchitectureTable:

@@ -77,9 +77,8 @@ def load_checkpoint(path) -> Model:
     (config, seed), config_offset, fingerprint, values, layout_offset = read_checkpoint(
         path, _parse_config_text)
     try:
-        # refuse a config that needs more values than the file holds before
-        # planning it (its loops run over up to depth units) or building it
-        if config.depth > values.size or plan_architecture(config).total_params > values.size:
+        # refuse a config needing more values than the file holds before building it
+        if plan_architecture(config).total_params > values.size:
             raise FormatError(f"checkpoint config needs more than the {values.size} values "
                               "the file holds", offset=layout_offset + 4)
         model = Model(config, seed)

@@ -135,6 +135,15 @@ def _load_datasets(config: dict):
     return train_data, val_data, stats
 
 
+def _check_context(config: dict, model_config: DenseNetConfig) -> None:
+    """Refuse a context window other than the model's input height, before any splicing."""
+    c, h, w = model_config.input_channels, model_config.input_height, model_config.input_width
+    context = config["context_left"] + 1 + config["context_right"]
+    if h != context:
+        raise ConfigError(f"model input_height={h} does not match context window of "
+                          f"{context} frames: it takes {(c, h, w)} inputs, not {(c, context, w)}")
+
+
 def _check_geometry(model, data) -> None:
     want = (model.config.input_channels, model.config.input_height,
             model.config.input_width)
@@ -155,12 +164,7 @@ def cmd_train(config: dict) -> int:
     model_config = config_from(DenseNetConfig, config)
     train_config = config_from(TrainConfig, config)
     checkpoint_path = require_path(config, "checkpoint", "to train")
-    context = config["context_left"] + 1 + config["context_right"]
-    if model_config.input_height != context:
-        raise ConfigError(
-            f"model input_height={model_config.input_height} does not match "
-            f"context window of {context} frames"
-        )
+    _check_context(config, model_config)
     train_data, val_data, stats = _load_datasets(config)
     model = build_model(model_config, train_config.seed)
     _check_geometry(model, train_data)
@@ -187,6 +191,7 @@ def cmd_eval(config: dict) -> int:
     checkpoint_path = require_path(config, "checkpoint", "to evaluate")
     archive_path = require_path(config, "eval_archive", "to evaluate")
     model = load_checkpoint(checkpoint_path)
+    _check_context(config, model.config)
     utterances = read_archive(archive_path)
     if config["cmvn_stats"]:
         stats = load_cmvn_stats(config["cmvn_stats"])

@@ -58,9 +58,11 @@ class FilterbankConfig:
     def validate(self) -> None:
         if self.sample_rate < 1:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        for name in ("frame_length_ms", "frame_shift_ms", "pre_emphasis"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.pre_emphasis):
+            raise ConfigError(f"pre_emphasis must be finite, got {self.pre_emphasis}")
+        for name in ("frame_length_ms", "frame_shift_ms"):  # before a sample count is rounded
+            if not math.isfinite(self.sample_rate * getattr(self, name)):
+                raise ConfigError(f"{name} must give a finite sample count, got {getattr(self, name)}")
         if self.frame_samples < 1 or self.shift_samples < 1:
             raise ConfigError("frame length and shift must cover at least one sample")
         if self.fft_size < self.frame_samples:

@@ -59,13 +59,17 @@ reuses the memory of the last one instead of allocating it again:
   ``backward`` (apart from the pools' and the linear outputs) is a view
   into per-thread buffers (``scratch``), valid until the next train-mode
   call in the same thread. A caller that keeps one across train calls must
-  copy it. A dense unit's first conv adds its input gradient into its
+  copy it. Every conv's train output, and its input gradient when it is
+  given no destination, is one buffer, ``"out"``, valid until the next
+  conv call in the thread: a batchnorm or a pool always sits between two
+  convs. A dense unit's first conv adds its input gradient into its
   block's gradient buffer a panel at a time, so no unit's full-batch input
   gradient is in scratch. The buffers live as long as their thread does
-  (about 44 MiB in the calling thread for plain-22 at batch 256, plus
-  about 10.1 MiB of panel- and chunk-sized buffers in each pool thread,
-  1.9 MiB of it a panel's ReLU output and 1.9 MiB a panel's input
-  gradient) and are shared by every model that trains in it.
+  (about 37.3 MiB in the calling thread for plain-22 at batch 256 and
+  46.6 MiB for BC-41, plus about 10.1 MiB of panel- and chunk-sized
+  buffers in each pool thread, 1.9 MiB of it a panel's ReLU output and
+  1.9 MiB a panel's input gradient) and are shared by every model that
+  trains in it.
 """
 
 from __future__ import annotations
@@ -109,15 +113,7 @@ def pool_output_size(extent: int) -> int:
     return extent // 2
 
 
-class _Scratch(threading.local):
-    """One thread's scratch: byte buffers by name, and the pair buffer handed out last."""
-
-    def __init__(self):
-        self.buffers: dict[str, np.ndarray] = {}
-        self.last_pair = 1
-
-
-_SCRATCH = _Scratch()
+_SCRATCH = threading.local()  # its ``buffers``: one thread's byte buffers by name
 
 
 def scratch(name: str, shape, dtype) -> np.ndarray:
@@ -137,24 +133,21 @@ def scratch(name: str, shape, dtype) -> np.ndarray:
     pool chunk's ReLU output, or its ReLU input in backward), ``"mask"``
     (the ReLU mask of a conv panel's or a pool chunk's backward),
     ``"block"`` (the gradient of a dense block's normalized features, which
-    the pool after the block writes) and ``"pair"``, which names two
-    buffers handed out in turn: a conv's train output, and its input
-    gradient when the caller passes no destination (the initial conv's, a
-    transition's conv's and a BC unit's 3x3 conv's). A layer's pair result
-    thus never overwrites the pair array it was given.
+    the pool after the block writes) and ``"out"`` (a conv's train output,
+    and its input gradient when the caller passes no destination: the
+    initial conv's, a transition's conv's and a BC unit's 3x3 conv's).
     """
-    state = _SCRATCH
-    if name == "pair":
-        state.last_pair ^= 1
-        name = f"pair{state.last_pair}"
+    if not hasattr(_SCRATCH, "buffers"):  # the thread's first request
+        _SCRATCH.buffers = {}
+    buffers = _SCRATCH.buffers
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buffer = state.buffers.get(name)
+    buffer = buffers.get(name)
     if buffer is None or buffer.size < nbytes:
         # free the smaller buffer first, so the allocator can reuse its
         # memory for the larger one
-        state.buffers.pop(name, None)
+        buffers.pop(name, None)
         del buffer
-        buffer = state.buffers[name] = np.empty(nbytes, np.uint8)
+        buffer = buffers[name] = np.empty(nbytes, np.uint8)
     return buffer[:nbytes].view(dtype).reshape(shape)
 
 
@@ -340,11 +333,12 @@ class Conv2d:
     into a destination that the caller passes, such as the prefix of a
     dense block's gradient buffer, from a panel-sized scratch ``"panel"``,
     so no full-batch dX exists; without one it writes dX into scratch
-    ``"pair"``. A train forward keeps references to ``x``, ``scale`` and
-    ``shift``, which must not change before its backward, and no grid or
-    copy, so step state grows linearly with depth, not with its square, for
-    4-12% of a train step's time (plain-22 and BC-41 at batch 256, one and
-    two cores of a 2-vCPU Xeon).
+    ``"out"``, as a train forward its output (``_output``). A train forward
+    keeps references to ``x``, ``scale`` and ``shift``, which must not
+    change before its backward, and no grid or copy, so step state grows
+    linearly with depth, not with its square, for 4-12% of a train step's
+    time (plain-22 and BC-41 at batch 256, one and two cores of a 2-vCPU
+    Xeon).
     """
 
     PARAMS = ("weight",)
@@ -435,7 +429,7 @@ class Conv2d:
         image = oh * ow
         matrix = self._matrix()
         dtype = np.result_type(matrix, x)
-        out = scratch("pair", (co, n * image), dtype) if train else np.empty((co, n * image), dtype)
+        out = _output((co, n * image), dtype, x) if train else np.empty((co, n * image), dtype)
         if train:
             self._cache = (x, scale, shift)
         panels = _panels(n, image)
@@ -473,7 +467,7 @@ class Conv2d:
     def backward(self, dout: np.ndarray, dscale=None, dshift=None, dx=None) -> np.ndarray:
         """Write ``grad_weight`` and return the gradient of ``x``: added into
         ``dx`` if given, which is returned, else written to scratch
-        ``"pair"``. After a ``scale`` and ``shift``, also write their
+        ``"out"``. After a ``scale`` and ``shift``, also write their
         gradients into ``dscale`` and ``dshift``."""
         x, scale, shift = self._cache
         (c, n, h, w), k, co = x.shape, self.kernel_size, self.out_channels
@@ -484,11 +478,10 @@ class Conv2d:
         dout = dout.reshape(co, -1)
         panels = _panels(n, image)
         shifts = self._shifts(w)
-        # a panel's dW partial, then those of dscale and dshift; not from
-        # "pair": a second pair request would hand out the one holding ``dout``
+        # a panel's dW partial, then those of dscale and dshift
         size = matrix.size
         partials = scratch("partials", (len(panels), size + 2 * c * (scale is not None)), dtype)
-        fresh = None if dx is not None else scratch("pair", (c, n * h * w), dtype)
+        fresh = None if dx is not None else _output((c, n * h * w), dtype, x, dout)
 
         def panel(i):
             frames = panels[i]
@@ -496,10 +489,8 @@ class Conv2d:
             width = own.shape[1]
             images = self._images(x, scale, shift, frames)
             columns = self._columns(images)
-            if dx is None:
-                grad = fresh[:, frames.start * h * w : frames.stop * h * w]
-            else:
-                grad = scratch("panel", (c, images[0].size), dtype)
+            grad = (fresh[:, frames.start * h * w : frames.stop * h * w] if dx is None
+                    else scratch("panel", (c, images[0].size), dtype))
             shifted = own
             if self.same_size and k > 1:
                 first = frames.start * image
@@ -536,6 +527,15 @@ class Conv2d:
         if scale is not None:
             dscale[...], dshift[...] = totals[size:].reshape(2, c)
         return fresh.reshape(x.shape) if dx is None else dx
+
+
+def _output(shape, dtype, *reads) -> np.ndarray:
+    """This thread's scratch ``"out"``, unless one of the arrays ``reads`` lies in it."""
+    out = scratch("out", shape, dtype)
+    if any(np.may_share_memory(out, array) for array in reads):
+        raise ShapeError("conv2d would overwrite an array it reads: copy a train-mode "
+                         "result before passing it to another train-mode call")
+    return out
 
 
 def _per_channel(arr):

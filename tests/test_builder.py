@@ -167,6 +167,32 @@ class TestPlanArchitecture:
             plan_architecture(DenseNetConfig(variant="plain", depth=13, blocks=6,
                                              input_height=11, input_width=11))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["plain", "BC"]), st.integers(1, 4000), st.integers(1, 64),
+           st.integers(1, 2000))
+    def test_block_params_match_a_per_unit_count(self, variant, units, growth, channels):
+        bc = variant == "BC"
+        cfg = DenseNetConfig(variant=variant, depth=(2 if bc else 1) * units + 2, blocks=1,
+                             growth_rate=growth, compression=0.5 if bc else 1.0,
+                             first_conv_channels=channels)
+        (block,) = [s for s in plan_architecture(cfg).stages if s.kind == "dense-block"]
+        squeeze = 4 * growth
+        want = 0
+        for n in range(1, units + 1):  # bn1, then the convs (and bn2) of unit n
+            c = block_input_channels(channels, growth, n)
+            if bc:
+                want += 2 * c + c * squeeze + 2 * squeeze + 9 * squeeze * growth
+            else:
+                want += 2 * c + 9 * c * growth
+        assert block.param_count == want
+
+    def test_planning_takes_no_time_per_unit(self):
+        # a trillion units would take days if planning visited each
+        table = plan_architecture(DenseNetConfig(depth=10**12, blocks=1))
+        (block,) = [s for s in table.stages if s.kind == "dense-block"]
+        units = 10**12 - 2
+        assert block.param_count == (2 + 9 * 12) * (units * 16 + 12 * units * (units - 1) // 2)
+
 
 def random_config(r) -> DenseNetConfig:
     variant = r.choice(["plain", "C", "BC"])

@@ -357,6 +357,21 @@ class TestTrainEval:
         assert code == 2
         assert "(3, 11, 40)" in err and "(3, 7, 40)" in err
 
+    @pytest.mark.parametrize("left", ["6", "100000000000"])
+    def test_eval_context_checked_before_the_dataset_is_built(self, capsys, monkeypatch,
+                                                              trained, left):
+        # a 10^11-frame window would take petabytes to splice
+        def build(*args):
+            raise AssertionError("dataset built before the context check")
+
+        monkeypatch.setattr("damnet.cli.build_frame_dataset", build)
+        code, _, err = run_cli(capsys, "eval",
+                               "--set", f"checkpoint={trained['checkpoint']}",
+                               "--set", f"eval_archive={trained['train_archive']}",
+                               "--set", f"context_left={left}")
+        assert code == 2
+        assert err.startswith("error: model input_height=11") and "context window" in err
+
     def test_flipped_checkpoint_is_io_error(self, capsys, trained, tmp_path):
         data = trained["checkpoint"].read_bytes()
         corrupted = tmp_path / "corrupted.ckpt"
@@ -521,6 +536,18 @@ class TestNonFiniteFloats:
                                "--set", "log_floor=nan")
         assert code == 2
         assert "log_floor" in err
+
+
+    @pytest.mark.parametrize("key,value", [("frame_length_ms", "1e308"),
+                                           ("frame_shift_ms", "1e306")])
+    def test_featurize_rejects_an_overflowing_sample_count(self, capsys, tmp_path, key, value):
+        code, _, err = run_cli(capsys, "featurize",
+                               "--set", f"manifest={tmp_path / 'none.scp'}",
+                               "--set", f"output_archive={tmp_path / 'x.fbk'}",
+                               "--set", f"stats_file={tmp_path / 'x.json'}",
+                               "--set", f"{key}={value}")
+        assert code == 2
+        assert err.startswith(f"error: {key} must give a finite sample count")
 
 
 @pytest.mark.parametrize("key,value", [("lr_halving_factor", "2"),

@@ -13,6 +13,7 @@ import pytest
 
 from damnet import layers, model as model_module
 from damnet.builder import DenseNetConfig
+from damnet.exceptions import ShapeError
 from damnet.layers import softmax_cross_entropy
 from damnet.model import build_model
 
@@ -156,3 +157,29 @@ class TestTrainWorkspace:
         # the smallest unit input gradient, the first unit's: the block input's width
         smallest = block.in_channels * channel_bytes[0]
         assert max(size for name, size in requests if name != "block") < smallest, requests
+
+
+class TestConvOutputBuffer:
+    """Every conv's train output, and its input gradient without a
+    destination, is one per-thread buffer, so a conv refuses to read an
+    array there that it would overwrite."""
+
+    def convs(self):
+        r = np.random.default_rng(0)
+        x = r.standard_normal((4, 2, 3, 5), dtype=np.float32)
+        return (layers.Conv2d(4, 4, 3, pad=1, rng=r), layers.Conv2d(4, 4, 1, rng=r), x)
+
+    def test_forward_refuses_a_train_output(self):
+        first, second, x = self.convs()
+        out = first.forward(x, train=True)
+        with pytest.raises(ShapeError, match="copy a train-mode result"):
+            second.forward(out, train=True)
+        second.forward(out.copy(), train=True)
+
+    def test_backward_refuses_a_train_output_as_dout(self):
+        first, second, x = self.convs()
+        second.forward(x, train=True)
+        out = first.forward(x, train=True)
+        with pytest.raises(ShapeError, match="copy a train-mode result"):
+            second.backward(out)
+        second.backward(out.copy())
