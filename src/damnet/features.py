@@ -56,8 +56,14 @@ class FilterbankConfig:
         return self.high_freq or self.sample_rate / 2.0
 
     def validate(self) -> None:
-        if self.sample_rate < 1:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        # before any float product or allocation; a WAV header's rate is a u32
+        if not 1 <= self.sample_rate <= 2**32 - 1:
+            raise ConfigError(f"sample_rate must be in 1..{2**32 - 1}, got {self.sample_rate}")
+        if not 1 <= self.fft_size <= 2**16:
+            raise ConfigError(f"fft_size must be in 1..{2**16}, got {self.fft_size}")
+        if not 1 <= self.num_filters <= self.fft_size // 2 + 1:
+            raise ConfigError(f"num_filters must be in 1..{self.fft_size // 2 + 1} "
+                              f"(fft_size // 2 + 1), got {self.num_filters}")
         if not math.isfinite(self.pre_emphasis):
             raise ConfigError(f"pre_emphasis must be finite, got {self.pre_emphasis}")
         for name in ("frame_length_ms", "frame_shift_ms"):  # before a sample count is rounded
@@ -71,8 +77,6 @@ class FilterbankConfig:
             )
         if self.fft_size & (self.fft_size - 1):
             raise ConfigError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.num_filters < 1:
-            raise ConfigError(f"num_filters must be >= 1, got {self.num_filters}")
         high = self.resolved_high_freq
         if not 0.0 <= self.low_freq < high <= self.sample_rate / 2.0:
             raise ConfigError(

@@ -217,23 +217,28 @@ def fan_out(work, count: int) -> None:
     items not yet taken may be skipped, and the first exception is raised
     once no item runs any more.
 
-    With two or more usable cores the items run inside ``one_blas_thread``,
-    a lone item too, so that it rounds as it would on the pool. With two or
-    more items and numpy's bundled OpenBLAS, ``min(count, cores)`` pool
-    threads take them in turn while the calling thread waits. Otherwise the
-    items run in the calling thread, and always in a pool thread: its caller
-    may hold the guard while it waits for the pool. The layers' items call
-    numpy only, never a layer's public ``forward`` or ``backward``, which a
-    profiler may wrap with state that is not per thread. The corpus items of
-    ``features`` and ``trainer`` (one utterance each) do call module functions
-    by name, such as ``compute_logmel`` and ``splice_context``, so a profiler
-    that wraps those records them from the pool threads.
+    Called from a pool thread, its first step runs the items there in turn:
+    the caller may hold the guard while it waits for the pool, and a nested
+    call, such as a layer's in a ``Model.forward`` infer panel, pays for no
+    affinity lookup or guard. Otherwise, with two or more usable cores the
+    items run inside ``one_blas_thread``, a lone item too, so that it rounds
+    as it would on the pool. With two or more items and numpy's bundled
+    OpenBLAS, ``min(count, cores)`` pool threads take them in turn while the
+    calling thread waits; else the calling thread runs them. The layers'
+    items call numpy only; those of ``Model.forward`` and ``evaluate`` call
+    the stages' and the model's ``forward``, and the corpus items of
+    ``features`` and ``trainer`` module functions by name, such as
+    ``compute_logmel``, so a profiler that wraps those runs in pool threads.
     """
+    if _POOL_THREAD.inside:
+        for i in range(count):
+            work(i)
+        return
     cores = usable_cores()
     workers = min(count, cores)
     global _pool
     with one_blas_thread() if cores > 1 else contextlib.nullcontext():
-        if workers < 2 or _POOL_THREAD.inside or _openblas() is None:
+        if workers < 2 or _openblas() is None:
             for i in range(count):
                 work(i)
             return

@@ -43,6 +43,8 @@ from .layers import (
     Conv2d,
     GlobalAvgPool,
     Linear,
+    _panels,
+    fan_out,
     normalize,
     project,
     scratch,
@@ -241,7 +243,8 @@ class Model:
     Infer-mode forwards are pure: they read the weights and running
     statistics, write nothing and allocate what they compute, so they may
     run concurrently on one model, and a frame's logits never depend on the
-    rest of its batch. Train-mode forwards update the batchnorm running
+    rest of its batch; the full-resolution stages run one panel at a time
+    (``forward``). Train-mode forwards update the batchnorm running
     statistics and keep each layer's backward state in that layer, reusing
     its memory while the batch shape repeats, so train forwards and
     backwards must be serialized, and ``backward`` needs a train-mode
@@ -279,6 +282,10 @@ class Model:
             return classifier_head(cin, cout, rng, dtype)
 
         self._stages = [(stage.name, build(stage)) for stage in plan.stages]
+        # the stages that infer runs panel by panel, and their last one's output
+        self._split = min(3, len(plan.stages) - 1)
+        head, tail = plan.stages[0], plan.stages[self._split - 1]
+        self._panel = (head.out_size[0] * head.out_size[1], (tail.out_channels, *tail.out_size))
         self.blocks = [stage for _, stage in self._stages if isinstance(stage, DenseBlock)]
         for (_, stage), (_, head) in zip(self._stages, self._stages[1:]):
             if isinstance(stage, DenseBlock):
@@ -316,12 +323,37 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Logits (N, num_classes) for the (N, C, H, W) input, in a new array.
         A train forward keeps a view of ``x``, which must not change before
-        ``backward``."""
+        ``backward``. An infer forward runs the initial conv, block 1 and
+        transition 1 (with one block, every stage but the classifier) on one
+        panel of the initial conv's images at a time (``layers._panels``: 16
+        at 9x38), as one ``fan_out`` item each, and the later stages on the
+        whole batch: the same bits, as no infer product mixes frames, with a
+        panel's full-resolution activations in place of the batch's."""
         self._check_input(x)
         x = x.transpose(1, 0, 2, 3)
-        for _, stage in self._stages:
+        stages = [stage for _, stage in self._stages]
+        if not train:
+            x, stages = self._per_panel(x, stages[: self._split]), stages[self._split :]
+        for stage in stages:
             x = stage.forward(x, train)
         return x
+
+    def _per_panel(self, x, stages):
+        """``stages``' infer output on ``x``, one initial-conv panel per item, in
+        an array of the type that the whole-batch loop would give."""
+        image, (channels, h, w) = self._panel
+        n = x.shape[1]
+        out = np.empty((channels, n, h, w), np.result_type(self.tensors, x))
+        panels = _panels(n, image)
+
+        def panel(i):
+            y = x[:, panels[i]]
+            for stage in stages:
+                y = stage.forward(y)
+            out[:, panels[i]] = y
+
+        fan_out(panel, len(panels))
+        return out
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         """Overwrite ``grads`` from the last train forward's state and return

@@ -22,7 +22,9 @@ from .layers import fan_out, one_blas_thread, softmax_cross_entropy
 from .model import Model
 
 # Frames per evaluation shard. Infer forwards are per image, so neither this
-# nor the number of threads can change a result.
+# nor the number of threads can change a result. A shard's forward runs its
+# full-resolution stages one 16-frame panel at a time (``Model.forward``), so
+# it holds all its frames' activations only at the later, smaller stages.
 SHARD_FRAMES = 64
 
 

@@ -549,6 +549,19 @@ class TestNonFiniteFloats:
         assert code == 2
         assert err.startswith(f"error: {key} must give a finite sample count")
 
+    @pytest.mark.parametrize("key,value", [("sample_rate", "1" + "0" * 400),
+                                           ("fft_size", "1099511627776"),
+                                           ("num_filters", "10000000000")])
+    def test_featurize_rejects_an_unbounded_filterbank_key(self, capsys, tmp_path, key, value):
+        # an OverflowError and allocations of 4 TiB and 74.5 GiB without the bounds
+        code, _, err = run_cli(capsys, "featurize",
+                               "--set", f"manifest={tmp_path / 'none.scp'}",
+                               "--set", f"output_archive={tmp_path / 'x.fbk'}",
+                               "--set", f"stats_file={tmp_path / 'x.json'}",
+                               "--set", f"{key}={value}")
+        assert code == 2
+        assert err.startswith(f"error: {key} must be in 1..")
+
 
 @pytest.mark.parametrize("key,value", [("lr_halving_factor", "2"),
                                        ("lr_improvement_threshold", "-1")])

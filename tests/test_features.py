@@ -123,6 +123,20 @@ class TestLogmel:
         with pytest.raises(ConfigError):
             FilterbankConfig(fft_size=300).validate()  # below frame and not a power of two
 
+    @pytest.mark.parametrize("key,value", [("sample_rate", 2**32), ("sample_rate", 10**400),
+                                           ("fft_size", 2**17), ("fft_size", 2**40),
+                                           ("num_filters", 258), ("num_filters", 10**10)])
+    def test_bounds_refused_before_any_float_or_array(self, key, value):
+        # a WAV header's u32 rate, 2^16 FFT points, fft_size // 2 + 1 = 257 bins
+        with pytest.raises(ConfigError, match=f"^{key} must be in 1\\.\\."):
+            FilterbankConfig(**{key: value}).validate()
+
+    def test_bounds_are_inclusive(self):
+        FilterbankConfig(num_filters=257).validate()
+        FilterbankConfig(fft_size=2**16).validate()
+        with pytest.raises(ConfigError, match="fft_size 512 smaller than frame"):
+            FilterbankConfig(sample_rate=2**32 - 1).validate()  # in range, then its frame is too long
+
 
 class TestMelFilters:
     def test_centers_strictly_increasing(self):

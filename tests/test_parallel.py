@@ -11,6 +11,7 @@ plain loop over the utterances.
 import hashlib
 import sys
 import threading
+import tracemalloc
 import wave
 
 import numpy as np
@@ -40,6 +41,8 @@ PLAIN = DenseNetConfig(variant="plain", depth=7, growth_rate=6, compression=1.0,
                        num_classes=9, first_conv_channels=8)
 BC = DenseNetConfig(variant="BC", depth=10, growth_rate=6, compression=0.5,
                     num_classes=9, first_conv_channels=10)
+C = DenseNetConfig(variant="C", depth=7, growth_rate=6, compression=0.5,
+                   num_classes=9, first_conv_channels=8)
 # 64 -> 48 channel 1x1 bottlenecks, a size whose float64 GEMMs OpenBLAS can
 # round differently on one thread and on several
 WIDE_BC = DenseNetConfig(variant="BC", depth=8, blocks=1, growth_rate=12, compression=0.5,
@@ -554,6 +557,51 @@ class TestInferPerFrame:
             batch[row] = frame[0]
             got = conv.forward(batch.transpose(1, 0, 2, 3))[:, row]
             np.testing.assert_array_equal(got, want)
+
+
+def whole_batch_logits(model, x):
+    """The reference infer forward: every stage on the whole batch in turn."""
+    x = x.transpose(1, 0, 2, 3)
+    for _, stage in model.stages():
+        x = stage.forward(x, False)
+    return x
+
+
+class TestDepthFirstInfer:
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
+                                        (np.float64, np.float32), (np.float32, np.float64)],
+                             ids=["f32", "f64", "f64-model-f32-input", "f32-model-f64-input"])
+    @pytest.mark.parametrize("config", [PLAIN, C, BC, WIDE_BC], ids=["plain", "C", "BC", "wide-BC"])
+    def test_bitwise_the_whole_batch_loop(self, monkeypatch, config, dtypes, cores):
+        # 16-frame panels at 9x38: one short panel (1, 15), one full (16),
+        # full ones and a short last one (17, 37, 100), four full ones (64)
+        use_cores(monkeypatch, cores)
+        model_dtype, input_dtype = dtypes
+        model = build_model(config, seed=5, dtype=model_dtype)
+        for n in (1, 15, 16, 17, 37, 64, 100):
+            x = frames(n, config.num_classes, seed=n, dtype=input_dtype)[0]
+            got, want = model.forward(x, train=False), whole_batch_logits(model, x)
+            assert got.dtype == want.dtype and got.shape == want.shape, n
+            assert got.tobytes() == want.tobytes(), n
+
+    def test_a_shard_forward_holds_under_half_the_whole_batch_loop(self, monkeypatch):
+        # one core runs every item inline, so the allocation peaks repeat
+        use_cores(monkeypatch, 1)
+        model = build_model(DenseNetConfig(variant="BC", depth=41, compression=0.5,
+                                           num_classes=1500), seed=1)
+        x = frames(64, 1500, seed=1)[0]
+        peaks = {}
+        for name, forward in (("depth-first", lambda: model.forward(x, train=False)),
+                              ("whole-batch", lambda: whole_batch_logits(model, x))):
+            forward()  # sizes the thread's scratch
+            tracemalloc.start()
+            try:
+                forward()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert 2 * peaks["depth-first"] <= peaks["whole-batch"], peaks
 
 
 class TestBlasGuard:
