@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import ConfigError
+from .formats import check_ranges, ranged
 from .layers import conv_output_size, pool_output_size
 
 VARIANTS = ("plain", "C", "BC")
@@ -36,8 +37,7 @@ def layers_per_block(depth: int, blocks: int) -> int:
     classifier consume ``blocks + 1`` depth units; the rest is divided
     evenly (floor) across the blocks.
     """
-    if blocks < 1:
-        raise ConfigError(f"blocks must be >= 1, got {blocks}")
+    check_ranges(DenseNetConfig, blocks=blocks)
     if depth <= blocks + 1:
         raise ConfigError(f"depth {depth} must exceed blocks + 1 = {blocks + 1}")
     result = (depth - blocks - 1) // blocks
@@ -80,8 +80,7 @@ def transition_output_channels(channels: int, compression: float) -> int:
     """
     if channels < 1:
         raise ConfigError(f"channel count must be >= 1, got {channels}")
-    if not 0.0 < compression <= 1.0:
-        raise ConfigError(f"compression must be in (0, 1], got {compression}")
+    check_ranges(DenseNetConfig, compression=compression)
     result = int(Fraction(str(compression)) * channels)
     if result < 1:
         raise ConfigError(
@@ -108,27 +107,20 @@ class DenseNetConfig:
     """
 
     variant: str = "plain"
-    depth: int = 22
-    blocks: int = 3
-    growth_rate: int = 12
-    compression: float = 1.0
-    input_channels: int = 3
-    input_height: int = 11
-    input_width: int = 40
-    num_classes: int = 1500
-    first_conv_channels: int = 16
+    depth: int = ranged(22, "1..inf")
+    blocks: int = ranged(3, "1..inf")
+    growth_rate: int = ranged(12, "1..inf")
+    compression: float = ranged(1.0, "(0, 1]")
+    input_channels: int = ranged(3, "1..inf")
+    input_height: int = ranged(11, "1..inf")
+    input_width: int = ranged(40, "1..inf")
+    num_classes: int = ranged(1500, "2..inf")
+    first_conv_channels: int = ranged(16, "1..inf")
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got '{self.variant}'")
-        for name in ("depth", "blocks", "growth_rate", "input_channels",
-                     "input_height", "input_width", "first_conv_channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        if not 0.0 < self.compression <= 1.0:
-            raise ConfigError(f"compression must be in (0, 1], got {self.compression}")
+        check_ranges(DenseNetConfig, **vars(self))
         if self.variant == "plain" and self.compression != 1.0:
             raise ConfigError(
                 f"plain variant requires compression=1.0, got {self.compression}"

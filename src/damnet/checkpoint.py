@@ -45,9 +45,7 @@ def _parse_config_text(text: str, offset: int) -> tuple[DenseNetConfig, int]:
     try:
         values = dict(read_items(text, _CONFIG_KEYS, "checkpoint config"))
         config = DenseNetConfig(**{name: values[name] for name in field_defaults(DenseNetConfig)})
-        seed = values["seed"]
-        if seed < 0:
-            raise FormatError(f"negative checkpoint seed {seed}", offset=offset)
+        seed = values["seed"]  # refused, if negative, by the Model built from it
         # infer-mode batchnorm folds epsilon into every output: a model
         # trained with other constants would silently compute something else
         for key, expected in (("bn_epsilon", BN_EPSILON), ("bn_momentum", BN_MOMENTUM)):

@@ -14,6 +14,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .exceptions import ConfigError, DataError, FormatError, NumericError, ShapeError
 from .features import FilterbankConfig, compute_cmvn_stats, featurize_manifest
 from .formats import (
+    RunKeys,
+    check_ranges,
     load_cmvn_stats,
     parse_manifest,
     read_archive,
@@ -239,10 +241,9 @@ def cmd_gradcheck(config: dict) -> int:
 
 def cmd_synthdata(config: dict) -> int:
     archive_path = require_path(config, "output_archive", "to write synthetic data")
-    utterances = make_synthetic_dataset(
-        config["synth_classes"], config["synth_frames_per_class"],
-        config["synth_separation"], config["seed"],
-    )
+    keys = ("synth_classes", "synth_frames_per_class", "synth_separation")
+    check_ranges(RunKeys, **{key: config[key] for key in keys})  # before anything is drawn
+    utterances = make_synthetic_dataset(*(config[key] for key in keys), config["seed"])
     write_archive(utterances, archive_path)
     total = sum(u.num_frames for u in utterances)
     print(f"wrote {len(utterances)} synthetic utterances, {total} frames "

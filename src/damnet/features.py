@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DataError, FormatError, ShapeError
-from .formats import CmvnStats, ManifestEntry, UtteranceFeatures, read_label_file, read_wav
+from .formats import (CmvnStats, ManifestEntry, RunKeys, UtteranceFeatures, check_ranges,
+                      ranged, read_label_file, read_wav)
 from .layers import fan_out
 
 VARIANCE_FLOOR = 1e-8
@@ -33,15 +34,15 @@ DELTA_DENOM = 2 * sum(n * n for n in range(1, DELTA_WINDOW + 1))
 
 @dataclass(frozen=True)
 class FilterbankConfig:
-    sample_rate: int = 16000
-    frame_length_ms: float = 25.0
-    frame_shift_ms: float = 10.0
-    fft_size: int = 512
-    num_filters: int = 40
-    low_freq: float = 20.0
-    high_freq: float = 0.0  # 0 means Nyquist
-    pre_emphasis: float = 0.97
-    log_floor: float = 1e-10
+    sample_rate: int = ranged(16000, f"1..{2**32 - 1}")  # a WAV header's u32
+    frame_length_ms: float = ranged(25.0, "(0, inf)")
+    frame_shift_ms: float = ranged(10.0, "(0, inf)")
+    fft_size: int = ranged(512, f"1..{2**16}")
+    num_filters: int = ranged(40, f"1..{2**15 + 1}")  # the largest fft_size's bins
+    low_freq: float = ranged(20.0, "[0, inf)")
+    high_freq: float = ranged(0.0, "[0, inf)")  # 0 means Nyquist
+    pre_emphasis: float = ranged(0.97, "(-inf, inf)")
+    log_floor: float = ranged(1e-10, "(0, inf)")
 
     @property
     def frame_samples(self) -> int:
@@ -56,16 +57,11 @@ class FilterbankConfig:
         return self.high_freq or self.sample_rate / 2.0
 
     def validate(self) -> None:
-        # before any float product or allocation; a WAV header's rate is a u32
-        if not 1 <= self.sample_rate <= 2**32 - 1:
-            raise ConfigError(f"sample_rate must be in 1..{2**32 - 1}, got {self.sample_rate}")
-        if not 1 <= self.fft_size <= 2**16:
-            raise ConfigError(f"fft_size must be in 1..{2**16}, got {self.fft_size}")
-        if not 1 <= self.num_filters <= self.fft_size // 2 + 1:
+        # before any float product or allocation
+        check_ranges(FilterbankConfig, **vars(self))
+        if self.num_filters > self.fft_size // 2 + 1:
             raise ConfigError(f"num_filters must be in 1..{self.fft_size // 2 + 1} "
                               f"(fft_size // 2 + 1), got {self.num_filters}")
-        if not math.isfinite(self.pre_emphasis):
-            raise ConfigError(f"pre_emphasis must be finite, got {self.pre_emphasis}")
         for name in ("frame_length_ms", "frame_shift_ms"):  # before a sample count is rounded
             if not math.isfinite(self.sample_rate * getattr(self, name)):
                 raise ConfigError(f"{name} must give a finite sample count, got {getattr(self, name)}")
@@ -78,12 +74,10 @@ class FilterbankConfig:
         if self.fft_size & (self.fft_size - 1):
             raise ConfigError(f"fft_size must be a power of two, got {self.fft_size}")
         high = self.resolved_high_freq
-        if not 0.0 <= self.low_freq < high <= self.sample_rate / 2.0:
+        if not self.low_freq < high <= self.sample_rate / 2.0:
             raise ConfigError(
                 f"need 0 <= low_freq < high_freq <= Nyquist, got {self.low_freq}..{high}"
             )
-        if not 0.0 < self.log_floor < math.inf:
-            raise ConfigError(f"log_floor must be positive and finite, got {self.log_floor}")
 
 
 def mel_scale(freq):
@@ -121,7 +115,9 @@ def frame_count(num_samples: int, cfg: FilterbankConfig) -> int:
 @functools.lru_cache(maxsize=8)
 def _analysis_constants(cfg: FilterbankConfig) -> tuple[np.ndarray, np.ndarray]:
     """Hamming window and transposed mel filterbank for one configuration,
-    shared read-only by every utterance it featurizes."""
+    shared read-only by every utterance it featurizes. Validating ``cfg`` here
+    runs once per configuration, and on every call for a refused one."""
+    cfg.validate()
     window = np.hamming(cfg.frame_samples)
     filters = mel_filterbank(cfg)
     window.flags.writeable = False
@@ -132,7 +128,7 @@ def _analysis_constants(cfg: FilterbankConfig) -> tuple[np.ndarray, np.ndarray]:
 def compute_logmel(samples: np.ndarray, cfg: FilterbankConfig) -> np.ndarray:
     """Pre-emphasized, Hamming-windowed log-Mel filterbank features,
     shape (T, num_filters) float32."""
-    cfg.validate()
+    window, filters_t = _analysis_constants(cfg)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 1:
         raise ShapeError(f"waveform must be one-dimensional, got {samples.shape}")
@@ -142,7 +138,6 @@ def compute_logmel(samples: np.ndarray, cfg: FilterbankConfig) -> np.ndarray:
             f"{cfg.frame_samples}-sample frame"
         )
     emphasized = np.concatenate([samples[:1], samples[1:] - cfg.pre_emphasis * samples[:-1]])
-    window, filters_t = _analysis_constants(cfg)
     frames = np.lib.stride_tricks.sliding_window_view(emphasized, cfg.frame_samples)
     windowed = frames[:: cfg.shift_samples] * window
     spectrum = np.abs(np.fft.rfft(windowed, n=cfg.fft_size, axis=1))
@@ -216,8 +211,7 @@ def splice_context(frames: np.ndarray, left: int = 5, right: int = 5) -> np.ndar
     edge-replicated at utterance boundaries: (T, C, F) -> (T, C, left+1+right, F)."""
     if frames.ndim != 3 or len(frames) < 1:
         raise ShapeError(f"expected (T, channels, bins) with T >= 1, got {frames.shape}")
-    if left < 0 or right < 0:
-        raise ConfigError(f"context extents must be >= 0, got {left}, {right}")
+    check_ranges(RunKeys, context_left=left, context_right=right)
     t, channels = frames.shape[:2]
     offsets = np.arange(-left, right + 1)
     idx = np.clip(np.arange(t)[:, None] + offsets[None, :], 0, t - 1)

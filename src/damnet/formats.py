@@ -1,7 +1,7 @@
 """Every file format's writer and reader, with the record types the files
-hold, the atomic writes and CRC32 trailer they share, and the number
-grammar. ``checkpoint`` maps a ``Model`` to the checkpoint's fields; WAV,
-manifest, label and KEY=VALUE files are only read.
+hold, the atomic writes and CRC32 trailer they share, the number grammar
+and the ranges of the config keys. ``checkpoint`` maps a ``Model`` to the
+checkpoint's fields; WAV, manifest, label and KEY=VALUE files are only read.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import re
 import struct
 import wave
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,42 @@ def parse_float(text: str) -> float:
     if not _FLOAT.fullmatch(text) or not math.isfinite(value := float(text)):
         raise ValueError(f"not a finite number: {text!r}")
     return value
+
+
+# The grammar above decides how a number is written, a key's range which
+# numbers it takes: declared once, on the key's dataclass field.
+def ranged(default, values: str):
+    """A dataclass field with ``default`` whose values lie in ``values``:
+    "low..high" for integers, both ends included, or an interval of reals
+    such as "(0, 1]", where a square bracket includes its end; an end may be inf."""
+    return field(default=default, metadata={"range": values})
+
+
+def check_ranges(cls, **values) -> None:
+    """Raise ``ConfigError`` "<key> must be in <range>, got <value>" for the
+    first ``key=value`` outside the range of ``cls``'s field ``key``. A field
+    without a range takes any value; NaN lies in no range."""
+    for key, value in values.items():
+        if (spec := cls.__dataclass_fields__[key].metadata.get("range")) is None:
+            continue
+        low, high = map(float, spec.strip("[()]").replace("..", ",").split(","))
+        if not ((low < value if spec[0] == "(" else low <= value)
+                and (value < high if spec[-1] == ")" else value <= high)):
+            raise ConfigError(f"{key} must be in {spec}, got {value}")
+
+
+@dataclass(frozen=True)
+class RunKeys:
+    """The numeric run-config keys of no config dataclass. The functions that
+    take one check its range, so only a command that uses a key refuses it."""
+
+    context_left: int = ranged(5, "0..inf")
+    context_right: int = ranged(5, "0..inf")
+    validation_fraction: float = ranged(0.05, "(0, 1)")
+    synth_classes: int = ranged(10, "2..120")  # a mean coordinate each in 3 x 40 frames
+    synth_frames_per_class: int = ranged(50, f"1..{2**32 - 1}")  # an archive's u32 count
+    # the class means must fit the float32 features
+    synth_separation: float = ranged(5.0, f"[0, {float(np.finfo(np.float32).max)}]")
 
 
 _TRUE = {"1", "true", "yes", "on"}

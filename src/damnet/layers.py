@@ -278,7 +278,8 @@ def _panels(count: int, image: int):
 def _fan_out_chunks(shape, work) -> None:
     """Run ``work(ch)`` for each channel slice ``ch`` of a (C, N, H, W) array
     as one ``fan_out`` item; the slices depend on the shape only."""
-    chunks = _chunks(shape[0], max(CHANNEL_CHUNK, -(-ITEM_ELEMENTS // math.prod(shape[1:]))))
+    per_channel = max(1, math.prod(shape[1:]))  # the product is 0 for an empty batch
+    chunks = _chunks(shape[0], max(CHANNEL_CHUNK, -(-ITEM_ELEMENTS // per_channel)))
     fan_out(lambda i: work(chunks[i]), len(chunks))
 
 

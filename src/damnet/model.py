@@ -263,12 +263,13 @@ class Model:
     """
 
     def __init__(self, config: DenseNetConfig, seed: int, dtype=np.float32):
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        try:  # numpy's seeds are TrainConfig's: the non-negative integers
+            rng = np.random.default_rng(seed)
+        except ValueError as exc:
+            raise ConfigError(f"seed {seed}: {exc}") from exc
         plan = plan_architecture(config)  # validates, and rejects collapsing geometries
         self.config = config
         self.seed = seed
-        rng = np.random.default_rng(seed)
 
         def build(stage):
             cin, cout = stage.in_channels, stage.out_channels

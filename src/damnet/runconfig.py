@@ -8,12 +8,17 @@ A schema maps each key to its default, and the default's type picks the
 key's parser in ``formats.parse_item``: ``formats.parse_int`` (ASCII digits
 with an optional sign), ``formats.parse_float`` (Python's float syntax in
 ASCII, without '_', finite only), a boolean word, or the text itself. The fields
-of ``DenseNetConfig``, ``FilterbankConfig`` and ``TrainConfig`` are keys of
+of ``DenseNetConfig``, ``FilterbankConfig``, ``TrainConfig`` and
+``formats.RunKeys`` (context, validation split, synthetic data) are keys of
 ``SCHEMA`` without being listed: each field is a key of the same name, in
 field order, with the field's default. ``config_from`` builds a dataclass
 back from those keys, so a validation error names the key the user set.
-The remaining keys (context, deltas, validation split, synthetic data,
-paths) are written out below.
+``add_deltas`` and the paths are written out below.
+
+Every numeric key's range is declared once, beside its default on its
+field (``formats.ranged``), and checked by ``formats.check_ranges`` where the
+key is used. ``seed`` is checked here too, for every command, as gradcheck
+and synthdata take it without a ``TrainConfig``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import fields
 from .builder import DenseNetConfig
 from .exceptions import ConfigError
 from .features import FilterbankConfig
-from .formats import parse_item, read_config_file
+from .formats import RunKeys, check_ranges, parse_item, read_config_file
 from .trainer import TrainConfig
 
 
@@ -37,14 +42,8 @@ SCHEMA: dict[str, object] = {
     **field_defaults(DenseNetConfig),
     **field_defaults(FilterbankConfig),
     "add_deltas": True,
-    "context_left": 5,
-    "context_right": 5,
     **field_defaults(TrainConfig),
-    "validation_fraction": 0.05,
-    # synthetic data
-    "synth_classes": 10,
-    "synth_frames_per_class": 50,
-    "synth_separation": 5.0,
+    **field_defaults(RunKeys),  # context, validation split, synthetic data
     # paths ("" means unset)
     "manifest": "",
     "output_archive": "",
@@ -64,8 +63,10 @@ def load_run_config(path=None, overrides=()) -> dict:
     if path is not None:
         config.update(read_config_file(path, SCHEMA))
     config.update(parse_item(SCHEMA, item, "--set") for item in overrides)
-    if config["seed"] < 0:
-        raise ConfigError(f"invalid value for 'seed': must be >= 0, got {config['seed']}")
+    try:  # worded as the grammar's errors are
+        check_ranges(TrainConfig, seed=config["seed"])
+    except ConfigError as exc:
+        raise ConfigError(f"invalid value for 'seed': {exc}") from exc
     return config
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DataError, DivergenceError, ShapeError
 from .features import apply_cmvn, splice_context
-from .formats import Metrics, UtteranceFeatures
+from .formats import Metrics, RunKeys, UtteranceFeatures, check_ranges, ranged
 from .layers import fan_out, one_blas_thread, softmax_cross_entropy
 from .model import Model
 
@@ -30,34 +30,18 @@ SHARD_FRAMES = 64
 
 @dataclass(frozen=True)
 class TrainConfig:
-    initial_lr: float = 0.01
-    batch_size: int = 256
-    max_epochs: int = 20
-    momentum: float = 0.9
-    lr_halving_factor: float = 0.5
-    lr_improvement_threshold: float = 0.002
-    min_lr: float = 1e-5
-    seed: int = 0
+    initial_lr: float = ranged(0.01, "(0, inf)")
+    batch_size: int = ranged(256, "1..inf")
+    max_epochs: int = ranged(20, "1..inf")
+    momentum: float = ranged(0.9, "[0, 1)")
+    lr_halving_factor: float = ranged(0.5, "(0, 1)")
+    lr_improvement_threshold: float = ranged(0.002, "[0, inf)")
+    min_lr: float = ranged(1e-5, "(0, inf)")
+    seed: int = ranged(0, "0..inf")
     deterministic: bool = False
 
     def validate(self) -> None:
-        if not 0.0 < self.initial_lr < math.inf:
-            raise ConfigError(f"initial_lr must be positive and finite, got {self.initial_lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 < self.lr_halving_factor < 1.0:
-            raise ConfigError(f"lr_halving_factor must be in (0, 1), got {self.lr_halving_factor}")
-        if not 0.0 <= self.lr_improvement_threshold < math.inf:
-            raise ConfigError(f"lr_improvement_threshold must be finite and >= 0, "
-                              f"got {self.lr_improvement_threshold}")
-        if not 0.0 < self.min_lr < math.inf:
-            raise ConfigError(f"min_lr must be positive and finite, got {self.min_lr}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_ranges(TrainConfig, **vars(self))
 
 
 @dataclass(frozen=True)
@@ -139,8 +123,7 @@ def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
     """
     if not utterances:
         raise DataError("no utterances to build a dataset from")
-    if left < 0 or right < 0:
-        raise ConfigError(f"context extents must be >= 0, got {left}, {right}")
+    check_ranges(RunKeys, context_left=left, context_right=right)
     geometry = utterances[0].frames.shape[1:] if stats is None else stats.mean.shape
     for utt in utterances:
         if utt.labels is None:
@@ -257,8 +240,7 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
     the calling thread. The (num_classes, num_classes) int64 counts are
     allocated once the first batch's logits exist, so data that fails its
     forward raises before they take any memory."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_ranges(TrainConfig, batch_size=batch_size)
     if len(data) == 0:
         raise DataError("empty evaluation data")
     num_classes = model.config.num_classes
@@ -320,8 +302,7 @@ def split_validation(utterances: list[UtteranceFeatures], fraction: float,
     utterance into leading/trailing chunks."""
     if not utterances:
         raise DataError("cannot split an empty corpus")
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"validation fraction must be in (0, 1), got {fraction}")
+    check_ranges(RunKeys, validation_fraction=fraction)
     if len(utterances) == 1:
         utt = utterances[0]
         held = max(1, int(round(utt.num_frames * fraction)))
@@ -349,18 +330,11 @@ def make_synthetic_dataset(num_classes: int, frames_per_class: int,
                            separation: float, seed: int) -> list[UtteranceFeatures]:
     """Class-conditional Gaussian frames with unit noise: class c's mean
     is offset by ``separation`` along its own coordinate, one utterance
-    per class, emitted in the standard feature geometry, 3 x 40."""
+    per class, emitted in the standard feature geometry, 3 x 40. The sizes and
+    the separation are checked against their ``synth_*`` ranges before any draw."""
     channels, bins = 3, 40
-    if num_classes < 2:
-        raise ConfigError(f"need at least 2 classes, got {num_classes}")
-    if frames_per_class < 1:
-        raise ConfigError(f"need at least 1 frame per class, got {frames_per_class}")
-    if separation < 0:
-        raise ConfigError(f"separation must be >= 0, got {separation}")
-    if num_classes > channels * bins:
-        raise ConfigError(
-            f"{num_classes} classes exceed the {channels * bins} available mean coordinates"
-        )
+    check_ranges(RunKeys, synth_classes=num_classes, synth_frames_per_class=frames_per_class,
+                 synth_separation=separation)
     rng = np.random.default_rng(seed)
     utterances = []
     for label in range(num_classes):

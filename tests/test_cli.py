@@ -128,6 +128,25 @@ class TestSynthData:
         assert code == 2
         assert "output_archive" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("synth_frames_per_class", "1000000000000"),  # 873 TiB of float64 draws
+        ("synth_frames_per_class", "4294967296"),  # past an archive record's u32 frame count
+        ("synth_classes", "121"),  # past the 3 x 40 mean coordinates
+        ("synth_separation", "1e308"),  # past float32, whose cast would overflow
+        ("synth_separation", "-5e-324"),
+    ])
+    def test_out_of_range_sizes_refused_before_any_draw(self, capsys, monkeypatch, tmp_path,
+                                                        key, value):
+        def draw(*args):
+            raise AssertionError("make_synthetic_dataset called")
+
+        monkeypatch.setattr("damnet.cli.make_synthetic_dataset", draw)
+        code, out, err = run_cli(capsys, "synthdata", "--set", f"output_archive={tmp_path / 'x.fbk'}",
+                                 "--set", f"{key}={value}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key} must be in ")
+        assert not (tmp_path / "x.fbk").exists()
+
 
 def write_test_wav(path, samples, rate=16000):
     scaled = np.clip(np.asarray(samples) * 32767.0, -32768, 32767).astype("<i2")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from damnet.exceptions import ConfigError, DamnetError, DataError, FormatError, ShapeError
 from damnet.features import (
     FilterbankConfig,
+    _analysis_constants,
     append_deltas,
     apply_cmvn,
     compute_cmvn_stats,
@@ -93,6 +94,19 @@ class TestLogmel:
     def test_too_short_wave(self):
         with pytest.raises(DataError):
             compute_logmel(np.zeros(399), FilterbankConfig())
+
+    def test_validated_once_per_config_and_refused_on_every_call(self, monkeypatch):
+        _analysis_constants.cache_clear()
+        calls = []
+        validate = FilterbankConfig.validate
+        monkeypatch.setattr(FilterbankConfig, "validate",
+                            lambda cfg: (calls.append(cfg), validate(cfg))[1])
+        good, bad = FilterbankConfig(num_filters=17), FilterbankConfig(num_filters=18, low_freq=9e3)
+        for _ in range(3):
+            compute_logmel(np.zeros(800), good)
+            with pytest.raises(ConfigError, match="low_freq"):
+                compute_logmel(np.zeros(800), bad)
+        assert calls == [good, bad, bad, bad]
 
     def test_bitwise_equal_to_index_matrix_framing(self):
         def index_matrix_logmel(samples, cfg):

@@ -574,15 +574,15 @@ class TestDepthFirstInfer:
                              ids=["f32", "f64", "f64-model-f32-input", "f32-model-f64-input"])
     @pytest.mark.parametrize("config", [PLAIN, C, BC, WIDE_BC], ids=["plain", "C", "BC", "wide-BC"])
     def test_bitwise_the_whole_batch_loop(self, monkeypatch, config, dtypes, cores):
-        # 16-frame panels at 9x38: one short panel (1, 15), one full (16),
-        # full ones and a short last one (17, 37, 100), four full ones (64)
+        # 16-frame panels at 9x38: no panel (0), one short panel (1, 15), one
+        # full (16), full ones and a short last one (17, 37, 100), four full ones (64)
         use_cores(monkeypatch, cores)
         model_dtype, input_dtype = dtypes
         model = build_model(config, seed=5, dtype=model_dtype)
-        for n in (1, 15, 16, 17, 37, 64, 100):
+        for n in (0, 1, 15, 16, 17, 37, 64, 100):
             x = frames(n, config.num_classes, seed=n, dtype=input_dtype)[0]
             got, want = model.forward(x, train=False), whole_batch_logits(model, x)
-            assert got.dtype == want.dtype and got.shape == want.shape, n
+            assert got.dtype == want.dtype and got.shape == want.shape == (n, config.num_classes), n
             assert got.tobytes() == want.tobytes(), n
 
     def test_a_shard_forward_holds_under_half_the_whole_batch_loop(self, monkeypatch):
