@@ -156,6 +156,7 @@ class StageRecord:
     out_channels: int
     param_count: int
     mid_size: tuple[int, int] | None = None  # transition size before pooling
+    state_count: int = 0   # batchnorm running statistics: a mean and a variance per channel
 
 
 @dataclass(frozen=True)
@@ -172,18 +173,27 @@ class ArchitectureTable:
     def total_params(self) -> int:
         return sum(s.param_count for s in self.stages)
 
+    @property
+    def arena_size(self) -> int:
+        """Values in a built model's tensor arena: parameters plus running statistics."""
+        return sum(s.param_count + s.state_count for s in self.stages)
+
     def stage_params(self) -> dict[str, int]:
         return {s.name: s.param_count for s in self.stages}
 
 
-def _dense_block_params(in_channels: int, growth_rate: int, units: int, bottleneck: bool) -> int:
-    """A dense block's parameters in closed form, from S, the sum of its units'
-    input channels c (``block_input_channels``): no time per unit."""
+def _dense_block_params(in_channels: int, growth_rate: int, units: int,
+                        bottleneck: bool) -> tuple[int, int]:
+    """A dense block's parameters and running statistics in closed form, from
+    S, the sum of its units' input channels c (``block_input_channels``): no
+    time per unit. Each batchnorm holds 2 statistics per channel, as many as
+    its gamma and beta."""
     inputs = units * in_channels + growth_rate * units * (units - 1) // 2  # S
     squeeze = BOTTLENECK_FACTOR * growth_rate
     if bottleneck:  # bn1 2c, 1x1 conv c*squeeze, bn2 2*squeeze, 3x3 conv 9*squeeze*g
-        return (2 + squeeze) * inputs + units * (2 + 9 * growth_rate) * squeeze
-    return (2 + 9 * growth_rate) * inputs  # bn1 2c, 3x3 conv 9*c*g
+        return ((2 + squeeze) * inputs + units * (2 + 9 * growth_rate) * squeeze,
+                2 * (inputs + units * squeeze))
+    return (2 + 9 * growth_rate) * inputs, 2 * inputs  # bn1 2c, 3x3 conv 9*c*g
 
 
 def plan_architecture(config: DenseNetConfig) -> ArchitectureTable:
@@ -214,11 +224,12 @@ def plan_architecture(config: DenseNetConfig) -> ArchitectureTable:
         else:
             description = f"3x3 conv x{units}"
         out_channels = channels + units * growth
+        params, state = _dense_block_params(channels, growth, units, config.bottleneck)
         stages.append(StageRecord(
             name=f"block{b}", kind="dense-block", layers=description,
             in_size=(h, w), out_size=(h, w),
             in_channels=channels, out_channels=out_channels,
-            param_count=_dense_block_params(channels, growth, units, config.bottleneck),
+            param_count=params, state_count=state,
         ))
         channels = out_channels
         if b < config.blocks:
@@ -234,7 +245,7 @@ def plan_architecture(config: DenseNetConfig) -> ArchitectureTable:
                 layers=f"1x1 conv {channels}->{reduced}; 2x2 avg pool",
                 in_size=(h, w), out_size=(ph, pw), mid_size=(h, w),
                 in_channels=channels, out_channels=reduced,
-                param_count=2 * channels + channels * reduced,
+                param_count=2 * channels + channels * reduced, state_count=2 * channels,
             ))
             channels = reduced
             h, w = ph, pw
@@ -245,6 +256,7 @@ def plan_architecture(config: DenseNetConfig) -> ArchitectureTable:
         in_size=(h, w), out_size=(1, 1),
         in_channels=channels, out_channels=config.num_classes,
         param_count=2 * channels + channels * config.num_classes + config.num_classes,
+        state_count=2 * channels,
     ))
     return ArchitectureTable(
         config=config,

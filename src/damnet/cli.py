@@ -167,8 +167,8 @@ def cmd_train(config: dict) -> int:
     train_config = config_from(TrainConfig, config)
     checkpoint_path = require_path(config, "checkpoint", "to train")
     _check_context(config, model_config)
+    model = build_model(model_config, train_config.seed)  # refuses an oversized model first
     train_data, val_data, stats = _load_datasets(config)
-    model = build_model(model_config, train_config.seed)
     _check_geometry(model, train_data)
     _check_geometry(model, val_data)
     history = fit(model, train_data, val_data, train_config)

@@ -26,6 +26,7 @@ LABEL_MAGIC = b"LBL1"
 ARCHIVE_VERSION = 2
 CHECKPOINT_MAGIC = b"DAMC"
 CHECKPOINT_VERSION = 2
+CHECKPOINT_VALUES = 2**32 - 1  # the most a checkpoint's u32 value count holds
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")

@@ -219,14 +219,14 @@ def fan_out(work, count: int) -> None:
 
     Called from a pool thread, its first step runs the items there in turn:
     the caller may hold the guard while it waits for the pool, and a nested
-    call, such as a layer's in a ``Model.forward`` infer panel, pays for no
-    affinity lookup or guard. Otherwise, with two or more usable cores the
-    items run inside ``one_blas_thread``, a lone item too, so that it rounds
-    as it would on the pool. With two or more items and numpy's bundled
-    OpenBLAS, ``min(count, cores)`` pool threads take them in turn while the
-    calling thread waits; else the calling thread runs them. The layers'
-    items call numpy only; those of ``Model.forward`` and ``evaluate`` call
-    the stages' and the model's ``forward``, and the corpus items of
+    call, such as a panel's or a layer's in a ``Model.forward`` infer shard,
+    pays for no affinity lookup or guard. Otherwise, with two or more usable
+    cores the items run inside ``one_blas_thread``, a lone item too, so that
+    it rounds as it would on the pool. With two or more items and numpy's
+    bundled OpenBLAS, ``min(count, cores)`` pool threads take them in turn
+    while the calling thread waits; else the calling thread runs them. The
+    layers' items call numpy only; the infer shards and panels of
+    ``Model.forward`` call the stages' ``forward``, and the corpus items of
     ``features`` and ``trainer`` module functions by name, such as
     ``compute_logmel``, so a profiler that wraps those runs in pool threads.
     """

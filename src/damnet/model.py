@@ -37,6 +37,7 @@ from .builder import (
     plan_architecture,
 )
 from .exceptions import ConfigError, ShapeError
+from .formats import CHECKPOINT_VALUES
 from .layers import (
     AvgPool2d,
     BatchNorm,
@@ -50,6 +51,10 @@ from .layers import (
     scratch,
     step_state,
 )
+
+# Frames per infer work item (``Model.forward``); as infer products are per
+# image, neither this nor the number of threads can change a result.
+SHARD_FRAMES = 64
 
 
 def walk(layer, name: str = ""):
@@ -243,7 +248,7 @@ class Model:
     Infer-mode forwards are pure: they read the weights and running
     statistics, write nothing and allocate what they compute, so they may
     run concurrently on one model, and a frame's logits never depend on the
-    rest of its batch; the full-resolution stages run one panel at a time
+    rest of its batch; they run one shard of frames per work item
     (``forward``). Train-mode forwards update the batchnorm running
     statistics and keep each layer's backward state in that layer, reusing
     its memory while the batch shape repeats, so train forwards and
@@ -268,6 +273,9 @@ class Model:
         except ValueError as exc:
             raise ConfigError(f"seed {seed}: {exc}") from exc
         plan = plan_architecture(config)  # validates, and rejects collapsing geometries
+        if plan.arena_size > CHECKPOINT_VALUES:
+            raise ConfigError(f"the model needs {plan.arena_size} values, more than the "
+                              f"{CHECKPOINT_VALUES} a checkpoint holds")
         self.config = config
         self.seed = seed
 
@@ -324,23 +332,33 @@ class Model:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         """Logits (N, num_classes) for the (N, C, H, W) input, in a new array.
         A train forward keeps a view of ``x``, which must not change before
-        ``backward``. An infer forward runs the initial conv, block 1 and
-        transition 1 (with one block, every stage but the classifier) on one
-        panel of the initial conv's images at a time (``layers._panels``: 16
-        at 9x38), as one ``fan_out`` item each, and the later stages on the
-        whole batch: the same bits, as no infer product mixes frames, with a
-        panel's full-resolution activations in place of the batch's."""
+        ``backward``. An infer forward runs each ``SHARD_FRAMES``-frame shard
+        as one ``fan_out`` item: its full-resolution stages one initial-conv
+        panel at a time (``_per_panel``), then the later stages on the shard;
+        the shards' logits are joined in order. The same bits as the whole
+        batch at once, as no infer product mixes frames."""
         self._check_input(x)
         x = x.transpose(1, 0, 2, 3)
-        stages = [stage for _, stage in self._stages]
-        if not train:
-            x, stages = self._per_panel(x, stages[: self._split]), stages[self._split :]
-        for stage in stages:
-            x = stage.forward(x, train)
-        return x
+        if train:
+            for _, stage in self._stages:
+                x = stage.forward(x, True)
+            return x
+        starts = range(0, x.shape[1] or 1, SHARD_FRAMES)  # an empty batch is one empty shard
+        shards = [None] * len(starts)
 
-    def _per_panel(self, x, stages):
-        """``stages``' infer output on ``x``, one initial-conv panel per item, in
+        def shard(i):
+            y = self._per_panel(x[:, starts[i] : starts[i] + SHARD_FRAMES])
+            for _, stage in self._stages[self._split :]:
+                y = stage.forward(y)
+            shards[i] = y
+
+        fan_out(shard, len(shards))
+        return np.concatenate(shards)
+
+    def _per_panel(self, x):
+        """The infer output on ``x`` of the initial conv, block 1 and transition
+        1 (with one block, every stage but the classifier), one panel of the
+        initial conv's images (``layers._panels``: 16 at 9x38) per item, in
         an array of the type that the whole-batch loop would give."""
         image, (channels, h, w) = self._panel
         n = x.shape[1]
@@ -349,7 +367,7 @@ class Model:
 
         def panel(i):
             y = x[:, panels[i]]
-            for stage in stages:
+            for _, stage in self._stages[: self._split]:
                 y = stage.forward(y)
             out[:, panels[i]] = y
 

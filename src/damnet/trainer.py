@@ -21,12 +21,6 @@ from .formats import Metrics, RunKeys, UtteranceFeatures, check_ranges, ranged
 from .layers import fan_out, one_blas_thread, softmax_cross_entropy
 from .model import Model
 
-# Frames per evaluation shard. Infer forwards are per image, so neither this
-# nor the number of threads can change a result. A shard's forward runs its
-# full-resolution stages one 16-frame panel at a time (``Model.forward``), so
-# it holds all its frames' activations only at the later, smaller stages.
-SHARD_FRAMES = 64
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -119,7 +113,7 @@ def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
     rows of one preallocated (N, C, left+1+right, F) float32 array, so the
     peak is about the output plus one utterance's temporaries per usable
     core, never a second copy of the corpus, and the rows have the same bits
-    on any number of cores.
+    on any number of cores. An array that cannot be allocated is a DataError.
     """
     if not utterances:
         raise DataError("no utterances to build a dataset from")
@@ -137,7 +131,12 @@ def build_frame_dataset(utterances: list[UtteranceFeatures], stats=None,
             )
     channels, bins = geometry
     starts = np.cumsum([0] + [utt.num_frames for utt in utterances])
-    features = np.empty((starts[-1], channels, left + 1 + right, bins), dtype=np.float32)
+    shape = (int(starts[-1]), channels, left + 1 + right, bins)
+    try:
+        features = np.empty(shape, dtype=np.float32)
+    except (MemoryError, ValueError) as exc:  # ValueError: past the address space
+        raise DataError(f"cannot allocate {shape[0]} frames of {shape[1:]} float32 features "
+                        f"({4 * math.prod(shape)} bytes): {exc}") from exc
 
     def splice(i):
         utt = utterances[i]
@@ -219,25 +218,10 @@ class EvalResult:
         return 1.0 - self.accuracy
 
 
-def _infer_logits(model: Model, batch: np.ndarray) -> np.ndarray:
-    """One batch's infer logits, sharded as ``evaluate`` describes."""
-    starts = range(0, len(batch), SHARD_FRAMES)
-    shards = [None] * len(starts)
-
-    def shard(i):
-        shards[i] = model.forward(batch[starts[i] : starts[i] + SHARD_FRAMES], train=False)
-
-    fan_out(shard, len(shards))
-    return np.concatenate(shards)
-
-
 def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalResult:
-    """Infer-mode loss, frame accuracy and confusion counts, bitwise those of
-    whole-batch forwards. Batches run as SHARD_FRAMES-frame shards on the pool
-    that training uses, one thread per usable core, with OpenBLAS at one thread
-    (``layers.fan_out``; concurrent calls and training steps serialize on this);
-    on one core or without numpy's bundled OpenBLAS, the shards run in turn in
-    the calling thread. The (num_classes, num_classes) int64 counts are
+    """Infer-mode loss, frame accuracy and confusion counts from one
+    ``Model.forward`` per batch, which runs the batch's shards on the pool
+    that training uses. The (num_classes, num_classes) int64 counts are
     allocated once the first batch's logits exist, so data that fails its
     forward raises before they take any memory."""
     check_ranges(TrainConfig, batch_size=batch_size)
@@ -254,7 +238,7 @@ def evaluate(model: Model, data: FrameDataset, batch_size: int = 256) -> EvalRes
     for start in range(0, len(data), batch_size):
         batch = data.features[start : start + batch_size]
         targets = data.labels[start : start + batch_size]
-        logits = _infer_logits(model, batch)
+        logits = model.forward(batch, train=False)
         loss, _ = softmax_cross_entropy(logits, targets)
         total_loss += loss * len(targets)
         if confusion is None:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from damnet.builder import (
 )
 from damnet.exceptions import ConfigError
 from damnet.layers import BatchNorm, Conv2d
+from damnet import model as model_module
 from damnet.model import DenseBlock, build_model, count_parameters, named_arrays, walk
 
 
@@ -97,6 +99,16 @@ class TestConnectionCount:
         block = DenseBlock(16, 12, 6, bottleneck=False, rng=rng(), dtype=np.float32)
         assert block.wiring_edge_count() == 21
         assert block.wiring_edge_count() == block_connection_count(6)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: block_input_channels(16, 12, 0), "layer index"),
+    (lambda: transition_output_channels(0, 0.5), "channel count"),
+    (lambda: block_connection_count(0), "layer count"),
+], ids=["block_input_channels", "transition_output_channels", "block_connection_count"])
+def test_counts_below_one_rejected(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()
 
 
 class TestConfigValidation:
@@ -617,6 +629,35 @@ class TestParameterArena:
         # the arena holds the named tensors back to back, in named_tensors() order
         flat = np.concatenate([t.ravel() for t in model.named_tensors().values()])
         assert flat.tobytes() == model.tensors.tobytes()
+
+
+    def test_planned_arena_size_is_the_built_arena(self):
+        r = rng(7)
+        for _ in range(20):
+            cfg = random_config(r)
+            assert plan_architecture(cfg).arena_size == build_model(cfg, seed=0).tensors.size, cfg
+
+    def test_an_arena_past_the_checkpoint_limit_is_refused(self, monkeypatch):
+        cfg = DenseNetConfig(variant="BC", depth=16, growth_rate=4, compression=0.5,
+                             num_classes=5, first_conv_channels=8)
+        size = plan_architecture(cfg).arena_size
+        monkeypatch.setattr(model_module, "CHECKPOINT_VALUES", size)
+        assert build_model(cfg, seed=0).tensors.size == size
+        monkeypatch.setattr(model_module, "CHECKPOINT_VALUES", size - 1)
+        with pytest.raises(ConfigError, match=f"needs {size} values"):
+            build_model(cfg, seed=0)
+
+    @pytest.mark.parametrize("key, value", [("num_classes", 10**12), ("growth_rate", 100_000)])
+    def test_oversized_models_are_refused_before_any_tensor(self, key, value):
+        # 2.3e14 and 1.6e13 planned values; a u32 value count holds 2^32 - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="more than the 4294967295 a checkpoint holds"):
+                build_model(DenseNetConfig(**{key: value}), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestParameterTables:

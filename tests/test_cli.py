@@ -57,6 +57,11 @@ class TestInspect:
         assert total == count_parameters(build_model(cfg, seed=0)).total
         assert total == plan_architecture(cfg).total_params
 
+    def test_any_size_is_planned(self, capsys):
+        code, out, _ = run_cli(capsys, "inspect", "--machine", "--set", "num_classes=1000000000000")
+        assert code == 0
+        assert machine_stages(out)[1] > 2**32
+
     def test_human_output_has_header(self, capsys):
         code, out, _ = run_cli(capsys, "inspect")
         assert code == 0
@@ -636,6 +641,34 @@ class TestTrainValidation:
                                "--set", "depth=7", *override)
         assert code == 2
         assert message in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.fbk"]
+
+    @pytest.mark.parametrize("key, value", [("num_classes", "1000000000000"),
+                                            ("growth_rate", "100000")])
+    def test_oversized_model_refused_before_any_archive_is_read(self, capsys, tmp_path,
+                                                                 key, value):
+        code, out, err = run_cli(capsys, "train",
+                                 "--set", f"train_archive={tmp_path / 'missing.fbk'}",
+                                 "--set", f"checkpoint={tmp_path / 'm.ckpt'}",
+                                 "--set", f"{key}={value}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the model needs ")
+        assert not any(tmp_path.iterdir())
+
+    def test_unallocatable_dataset_is_a_data_error(self, capsys, tmp_path):
+        archive = tmp_path / "train.fbk"
+        assert main(["synthdata", "--seed", "1", "--set", f"output_archive={archive}",
+                     "--set", "synth_classes=4", "--set", "synth_frames_per_class=8"]) == 0
+        context = 2**60  # past the address space, so nothing is allocated
+        code, _, err = run_cli(capsys, "train", "--seed", "1",
+                               "--set", f"train_archive={archive}",
+                               "--set", f"checkpoint={tmp_path / 'm.ckpt'}",
+                               "--set", "depth=7", "--set", "num_classes=4",
+                               "--set", f"input_height={2 * context + 1}",
+                               "--set", f"context_left={context}",
+                               "--set", f"context_right={context}")
+        assert code == 3
+        assert err.startswith("error: cannot allocate ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.fbk"]
 
     def test_auto_validation_split(self, capsys, tmp_path):

@@ -618,6 +618,23 @@ class TestFeaturize:
         assert utt.frames.shape[1] == 1
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: compute_logmel(np.zeros((2, 400)), FilterbankConfig()), "one-dimensional"),
+    (lambda: append_deltas(np.zeros((5, 1, 40))), "with T >= 1"),
+    (lambda: append_deltas(np.zeros((0, 40))), "with T >= 1"),
+    (lambda: splice_context(np.zeros((5, 40), np.float32), 1, 1), "with T >= 1"),
+    (lambda: splice_context(np.zeros((0, 3, 40), np.float32), 1, 1), "with T >= 1"),
+    (lambda: compute_cmvn_stats([UtteranceFeatures("a", np.zeros((2, 3, 40), np.float32)),
+                                 UtteranceFeatures("b", np.zeros((2, 1, 40), np.float32))]),
+     "'b' has geometry"),
+    (lambda: UtteranceFeatures("a", np.zeros((3, 40), np.float32)), "frames must be"),
+], ids=["2-D-waveform", "deltas-rank", "deltas-no-frames", "splice-rank", "splice-no-frames",
+        "mixed-geometries", "2-D-frames"])
+def test_misshaped_features_rejected(call, message):
+    with pytest.raises(ShapeError, match=message):
+        call()
+
+
 class TestUtteranceValidation:
     def test_label_length_checked(self):
         with pytest.raises(DataError):

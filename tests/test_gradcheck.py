@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from damnet.exceptions import ConfigError
+from damnet.exceptions import ConfigError, NumericError
 from damnet.gradcheck import (
     GRADCHECK_TOLERANCE,
     check_layer,
@@ -122,6 +122,16 @@ def test_eps_outside_sane_range_rejected():
     x = np.zeros(3)
     with pytest.raises(ConfigError):
         finite_diff_check(lambda: 0.0, {"x": x}, {"x": x}, eps=1e-2)
+
+
+def test_non_finite_objective_rejected():
+    x = np.zeros(3)
+    with pytest.raises(NumericError, match="non-finite objective while perturbing 'x'"):
+        finite_diff_check(lambda: np.inf if x.any() else 0.0, {"x": x}, {"x": x})
+
+
+def test_max_relative_error_of_nothing_is_zero():
+    assert max_relative_error(np.zeros(0), np.zeros(0)) == 0.0
 
 
 def test_float32_arrays_rejected():

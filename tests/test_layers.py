@@ -686,6 +686,21 @@ class TestChannelMajorLayout:
         with pytest.raises(ShapeError):
             layer().forward(np.zeros((3, 4, 5, 7), np.float32), train=train)
 
+    @pytest.mark.parametrize("shape", [(3, 4, 0, 7), (3, 4, 5, 0)], ids=["no-rows", "no-columns"])
+    def test_global_pool_rejects_an_empty_extent(self, shape):
+        scale = np.ones(3, np.float32)
+        with pytest.raises(ShapeError, match="global_avgpool"):
+            GlobalAvgPool().forward(np.ones(shape, np.float32), False, scale, scale)
+
+    @pytest.mark.parametrize("logits, labels, message", [
+        (np.zeros(4), np.zeros(4, np.int64), "logits must be"),
+        (np.zeros((4, 3)), np.zeros(3, np.int64), "labels must be"),
+        (np.zeros((4, 3)), np.zeros((4, 1), np.int64), "labels must be"),
+    ], ids=["1-D-logits", "short-labels", "2-D-labels"])
+    def test_cross_entropy_rejects_misshaped_input(self, logits, labels, message):
+        with pytest.raises(ShapeError, match=message):
+            softmax_cross_entropy(logits, labels)
+
     @pytest.mark.parametrize("layer", [lambda: Conv2d(3, 5, 3, pad=1), AvgPool2d, GlobalAvgPool],
                              ids=["Conv2d", "AvgPool2d", "GlobalAvgPool"])
     @pytest.mark.parametrize("shape,scale_size", [((3, 4, 5, 7), 4), ((3, 4, 5, 7), 2),

@@ -567,6 +567,21 @@ def whole_batch_logits(model, x):
     return x
 
 
+BC41 = DenseNetConfig(variant="BC", depth=41, compression=0.5, num_classes=1500)
+
+
+def infer_peak(forward):
+    """The tracemalloc peak of ``forward()`` once a first call has sized the
+    thread's scratch."""
+    forward()
+    tracemalloc.start()
+    try:
+        forward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDepthFirstInfer:
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("dtypes", [(np.float32, np.float32), (np.float64, np.float64),
@@ -575,11 +590,13 @@ class TestDepthFirstInfer:
     @pytest.mark.parametrize("config", [PLAIN, C, BC, WIDE_BC], ids=["plain", "C", "BC", "wide-BC"])
     def test_bitwise_the_whole_batch_loop(self, monkeypatch, config, dtypes, cores):
         # 16-frame panels at 9x38: no panel (0), one short panel (1, 15), one
-        # full (16), full ones and a short last one (17, 37, 100), four full ones (64)
+        # full (16), full ones and a short last one (17, 37, 100), four full ones (64);
+        # 64-frame shards: one short (63), a full one and a one-frame one (65),
+        # two full ones (128), four full ones and a one-frame one (257)
         use_cores(monkeypatch, cores)
         model_dtype, input_dtype = dtypes
         model = build_model(config, seed=5, dtype=model_dtype)
-        for n in (0, 1, 15, 16, 17, 37, 64, 100):
+        for n in (0, 1, 15, 16, 17, 37, 63, 64, 65, 100, 128, 257):
             x = frames(n, config.num_classes, seed=n, dtype=input_dtype)[0]
             got, want = model.forward(x, train=False), whole_batch_logits(model, x)
             assert got.dtype == want.dtype and got.shape == want.shape == (n, config.num_classes), n
@@ -588,20 +605,21 @@ class TestDepthFirstInfer:
     def test_a_shard_forward_holds_under_half_the_whole_batch_loop(self, monkeypatch):
         # one core runs every item inline, so the allocation peaks repeat
         use_cores(monkeypatch, 1)
-        model = build_model(DenseNetConfig(variant="BC", depth=41, compression=0.5,
-                                           num_classes=1500), seed=1)
+        model = build_model(BC41, seed=1)
         x = frames(64, 1500, seed=1)[0]
-        peaks = {}
-        for name, forward in (("depth-first", lambda: model.forward(x, train=False)),
-                              ("whole-batch", lambda: whole_batch_logits(model, x))):
-            forward()  # sizes the thread's scratch
-            tracemalloc.start()
-            try:
-                forward()
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {"depth-first": infer_peak(lambda: model.forward(x, train=False)),
+                 "whole-batch": infer_peak(lambda: whole_batch_logits(model, x))}
         assert 2 * peaks["depth-first"] <= peaks["whole-batch"], peaks
+
+    def test_a_long_forward_holds_one_shard_at_a_time(self, monkeypatch):
+        # on one core the shards run in turn, so 256 frames add only logits
+        use_cores(monkeypatch, 1)
+        model = build_model(BC41, seed=1)
+        peaks = {}
+        for n in (64, 256):
+            x = frames(n, 1500, seed=1)[0]
+            peaks[n] = infer_peak(lambda: model.forward(x, train=False))
+        assert peaks[256] <= 1.5 * peaks[64], peaks
 
 
 class TestBlasGuard:

@@ -38,6 +38,18 @@ def test_keys_parse_as_their_field_types():
         load_run_config(overrides=["depth=13.5"])
 
 
+@pytest.mark.parametrize("word, value", [("false", False), ("no", False), ("off", False),
+                                         ("0", False), ("On", True), (" yes ", True)])
+def test_boolean_words(word, value):
+    assert load_run_config(overrides=[f"add_deltas={word}"])["add_deltas"] is value
+
+
+@pytest.mark.parametrize("word", ["maybe", ""])
+def test_other_words_are_not_booleans(capsys, word):
+    assert cli.main(["inspect", "--set", f"add_deltas={word}"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_built_dataclass_is_validated():
     with pytest.raises(ConfigError, match="momentum"):
         config_from(TrainConfig, load_run_config(overrides=["momentum=1.5"]))

@@ -81,6 +81,32 @@ class TestSgdUpdate:
             sgd_update(np.zeros(3), np.zeros(4), np.zeros(3), 0.1, 0.0)
 
 
+def no_frames():
+    return FrameDataset(np.zeros((0, 3, 11, 40), np.float32), np.zeros(0, np.int64))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FrameDataset(np.zeros((3, 3, 40), np.float32), np.zeros(3, np.int64)),
+     ShapeError, "features must be"),
+    (lambda: FrameDataset(np.zeros((3, 3, 11, 40), np.float32), np.zeros(2, np.int64)),
+     ShapeError, "2 labels for 3 frames"),
+    (lambda: sgd_update(np.zeros(2), np.zeros(2), np.zeros(2), -0.1, 0.9),
+     ConfigError, "learning rate"),
+    (lambda: train_epoch(build_model(SMALL_MODEL, seed=0), no_frames(), TrainConfig(), rng()),
+     DataError, "empty training data"),
+    (lambda: evaluate(build_model(SMALL_MODEL, seed=0), no_frames()),
+     DataError, "empty evaluation data"),
+    (lambda: split_validation([], 0.1, seed=0), DataError, "empty corpus"),
+    (lambda: split_validation([UtteranceFeatures("u", np.zeros((1, 3, 40), np.float32),
+                                                 np.zeros(1, np.int64))], 0.1, seed=0),
+     DataError, "too short"),
+], ids=["features-rank", "label-count", "negative-rate", "train-no-frames", "evaluate-no-frames",
+        "split-no-utterances", "split-one-frame"])
+def test_malformed_training_input_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_default_training_configuration():
     cfg = TrainConfig()
     assert cfg.initial_lr == 0.01
@@ -383,17 +409,31 @@ def random_frames(size, seed=0, width=40):
 
 
 def whole_batch_reference(model, data, batch_size):
-    """evaluate as one model.forward per whole batch."""
+    """evaluate with every stage run on each whole batch in turn."""
     classes = model.config.num_classes
     confusion = np.zeros((classes, classes), dtype=np.int64)
     total_loss = 0.0
     for start in range(0, len(data), batch_size):
         targets = data.labels[start : start + batch_size]
-        logits = model.forward(data.features[start : start + batch_size], train=False)
+        logits = data.features[start : start + batch_size].transpose(1, 0, 2, 3)
+        for _, stage in model.stages():
+            logits = stage.forward(logits, False)
         loss, _ = softmax_cross_entropy(logits, targets)
         total_loss += loss * len(targets)
         np.add.at(confusion, (targets, logits.argmax(axis=1)), 1)
     return total_loss / len(data), float(np.trace(confusion)) / len(data), confusion
+
+
+def probe_shards(model, monkeypatch, probe):
+    """Call ``probe(frames)`` as each infer shard enters the first stage that
+    runs on the whole shard, not per panel."""
+    stage = model.stages()[model._split][1]
+
+    def forward(x, train=False):
+        probe(x.shape[1])
+        return type(stage).forward(stage, x, train)
+
+    monkeypatch.setattr(stage, "forward", forward)
 
 
 @pytest.fixture
@@ -428,12 +468,7 @@ class TestShardedEvaluate:
         # two usable cores even on a one-core runner, so the sharded path runs
         monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0, 1})
         seen = []
-
-        def forward(x, train):
-            seen.append((len(x), blas_threads()))
-            return type(c13_model).forward(c13_model, x, train)
-
-        monkeypatch.setattr(c13_model, "forward", forward)
+        probe_shards(c13_model, monkeypatch, lambda n: seen.append((n, blas_threads())))
         evaluate(c13_model, random_frames(200), batch_size=256)
         assert sorted(seen) == [(8, 1), (64, 1), (64, 1), (64, 1)]
         assert blas_threads() == 2
@@ -479,12 +514,7 @@ class TestShardedEvaluate:
         monkeypatch.setattr(layers.os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(layers, "_openblas", no_lookup)
         sizes = []
-
-        def forward(x, train):
-            sizes.append(len(x))
-            return type(c13_model).forward(c13_model, x, train)
-
-        monkeypatch.setattr(c13_model, "forward", forward)
+        probe_shards(c13_model, monkeypatch, sizes.append)
         evaluate(c13_model, random_frames(257), batch_size=256)
         assert sizes == [64, 64, 64, 64, 1]
 
@@ -690,6 +720,12 @@ class TestBuildFrameDataset:
     def test_negative_context_rejected(self, left, right):
         with pytest.raises(ConfigError):
             build_frame_dataset(make_synthetic_dataset(2, 3, 1.0, seed=0), None, left, right)
+
+    def test_an_array_past_the_address_space_is_a_data_error(self):
+        # numpy refuses 2^60 context frames before allocating anything
+        with pytest.raises(DataError, match=r"6 frames of \(3, 1152921504606846977, 40\) float32 "
+                                            r"features \(3320413933267719293760 bytes\)"):
+            build_frame_dataset(make_synthetic_dataset(2, 3, 1.0, seed=0), None, 2**60, 0)
 
     def test_peak_memory_is_output_plus_one_utterance(self):
         generator = rng(5)
